@@ -20,15 +20,58 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <new>
 #include <thread>
 
-#include <sys/mman.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace alive;
+
+namespace {
+
+/// The flag-coherence matrix: the first combination of options no run
+/// path can honor, or "" when the configuration is coherent.
+std::string coherenceError(const FuzzOptions &Opts) {
+  const SurvivalOptions &SV = Opts.Survival;
+  if (Opts.Iterations == 0 && Opts.TimeLimitSeconds <= 0)
+    return "unbounded campaign: give -n=<count> or -t=<sec>";
+  if (SV.Resume && SV.CheckpointDir.empty())
+    return "-resume needs -checkpoint=<dir> naming the checkpoint directory "
+           "of the interrupted campaign";
+  if (Opts.TimeLimitSeconds > 0) {
+    // A time budget has no reproducible seed schedule: no epoch to merge
+    // at, no lease partition, no position to checkpoint. That includes -n
+    // next to -t, where the bounded dispatch ignores the time limit.
+    const char *Needs = Opts.Feedback.Enabled ? "-feedback"
+                        : SV.Fanout           ? "-fanout"
+                        : !SV.CheckpointDir.empty() ? "-checkpoint/-resume"
+                                                    : nullptr;
+    if (Needs)
+      return std::string(Needs) +
+             " needs an iteration-bounded campaign: replace -t=<sec> with "
+             "-n=<count>";
+  }
+  if (SV.Fanout) {
+    // Shard state lives in child processes the parent cannot epoch-merge,
+    // trace or sample.
+    if (Opts.Feedback.Enabled)
+      return "-feedback cannot run with -fanout: supervised shards have no "
+             "epoch barrier to merge coverage at";
+    if (Opts.TraceEnabled)
+      return "-trace-json cannot cross the -fanout process boundary: the "
+             "flight recorder lives in shard memory";
+    if (Opts.Profile.Enabled)
+      return "-profile cannot cross the -fanout process boundary: the cost "
+             "trackers and span stacks live in shard memory";
+  }
+  if (Opts.Feedback.Enabled && !Opts.BugBundleDir.empty())
+    return "-feedback cannot run with -bug-bundles: bundle trails replay "
+           "seeds without the schedule and would not match the failing "
+           "mutant";
+  return "";
+}
+
+} // namespace
 
 CampaignEngine::CampaignEngine(const FuzzOptions &Opts, unsigned Jobs)
     : Opts(Opts), Jobs(std::max(1u, Jobs)) {
@@ -48,6 +91,8 @@ CampaignEngine::CampaignEngine(const FuzzOptions &Opts, unsigned Jobs)
   }
   MasterLoop = std::make_unique<FuzzerLoop>(this->Opts);
   ConfigError = MasterLoop->configError();
+  if (ConfigError.empty())
+    ConfigError = coherenceError(this->Opts);
 }
 
 CampaignEngine::~CampaignEngine() = default;
@@ -208,50 +253,18 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   return S;
 }
 
-void CampaignEngine::finishProfile(
-    const std::vector<const QueryCostTracker *> &Trackers) {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  Profile = CampaignProfile();
-  Profile.Enabled = Opts.Profile.Enabled;
-  if (!Profile.Enabled) {
-    Sampler.reset();
-    return;
-  }
-  Profile.TopK = Opts.Profile.TopK;
-  Profile.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
+CampaignProfile CampaignEngine::mergedProfile(
+    const std::vector<const QueryCostTracker *> &Trackers) const {
+  CampaignProfile P;
+  P.Enabled = true;
+  P.TopK = Opts.Profile.TopK;
+  P.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
   // Worker-order merge of the K-bounded trackers yields the exact global
   // top-K (Profiler.h has the proof sketch), so this block lands in the
   // report's deterministic section.
   QueryCostTracker Merged(Opts.Profile.TopK);
   for (const QueryCostTracker *T : Trackers)
     Merged.merge(*T);
-  Profile.TopQueries = Merged.top();
-  if (Sampler) {
-    Sampler->stop();
-    Profile.Collapsed = Sampler->collapsed();
-    Profile.Samples = Sampler->samples();
-    Sampler.reset();
-  }
-  if (SharedCache)
-    Profile.CacheShards = SharedCache->shardHeat();
-}
-
-CampaignProfile CampaignEngine::profileSnapshot() const {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  if (!Live.Running || !Opts.Profile.Enabled)
-    return Profile;
-  // Mid-run: merge the live shards' trackers (observer-side, same rules
-  // as the final merge — just a point-in-time prefix of it) and copy the
-  // sampler's current folds.
-  CampaignProfile P;
-  P.Enabled = true;
-  P.TopK = Opts.Profile.TopK;
-  P.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
-  QueryCostTracker Merged(Opts.Profile.TopK);
-  for (const LiveShardRef &R : Live.Shards)
-    if (R.Loop)
-      if (const QueryCostTracker *T = R.Loop->queryCosts())
-        Merged.merge(*T);
   P.TopQueries = Merged.top();
   if (Sampler) {
     P.Collapsed = Sampler->collapsed();
@@ -262,23 +275,48 @@ CampaignProfile CampaignEngine::profileSnapshot() const {
   return P;
 }
 
+void CampaignEngine::finishProfile(
+    const std::vector<const QueryCostTracker *> &Trackers) {
+  std::lock_guard<std::mutex> Lock(LiveM);
+  if (Sampler)
+    Sampler->stop();
+  Profile = Opts.Profile.Enabled ? mergedProfile(Trackers) : CampaignProfile();
+  Sampler.reset();
+}
+
+CampaignProfile CampaignEngine::profileSnapshot() const {
+  std::lock_guard<std::mutex> Lock(LiveM);
+  if (!Live.Running || !Opts.Profile.Enabled)
+    return Profile;
+  // Mid-run: the same merge over the live shards' trackers, a
+  // point-in-time prefix of the final one.
+  std::vector<const QueryCostTracker *> Trackers;
+  for (const LiveShardRef &R : Live.Shards)
+    if (R.Loop && R.Loop->queryCosts())
+      Trackers.push_back(R.Loop->queryCosts());
+  return mergedProfile(Trackers);
+}
+
 namespace {
 
-/// One worker: a private FuzzerLoop over a private master-module clone,
-/// plus the atomic counters the reporter thread reads and the thread's
-/// measured wall time.
+/// One worker thread: a private FuzzerLoop over a private master-module
+/// clone, plus the atomic counters the reporter thread reads.
 struct Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
-  /// Static seed-offset partition [Lo, Hi) (iteration-bounded mode).
+  /// The seed-offset range this worker's checkpoint covers: its static
+  /// partition in a blind campaign, the whole range under feedback (every
+  /// epoch is sliced afresh, so all cursors agree at each barrier), empty
+  /// when time-limited.
   uint64_t Lo = 0, Hi = 0;
-  /// Next seed offset to run; advanced by the dispatch loop, read by the
+  /// Next seed offset to run; advanced by the worker, read by the
   /// checkpoint writer.
   std::atomic<uint64_t> Next{0};
   std::atomic<uint64_t> Done{0};
   /// Live per-stage nanoseconds: mutate, optimize, verify, overhead.
   std::atomic<uint64_t> StageNanos[4] = {};
-  double ThreadSeconds = 0;
+  /// Wall time this worker spent in its slices, summed over epochs.
+  double LegSeconds = 0;
 };
 
 /// Sums every per-iteration counter and phase timer of \p From into
@@ -327,6 +365,46 @@ void settleWorkerSeconds(FuzzerLoop &Loop, double LegSeconds) {
   if (S.WorkerSeconds > Staged)
     S.OverheadSeconds += S.WorkerSeconds - Staged;
   Loop.restoreState(S, Loop.bugs());
+}
+
+/// A worker loop's options: the master's, minus the one-time
+/// preprocessing, restricted to the surviving function set.
+FuzzOptions workerOptions(const FuzzOptions &Opts,
+                          const std::vector<std::string> &Testable,
+                          unsigned Index) {
+  FuzzOptions WOpts = Opts;
+  WOpts.SelfCheckOnLoad = false;
+  WOpts.OnlyFunctions = Testable;
+  WOpts.WorkerIndex = Index;
+  return WOpts;
+}
+
+/// A progress snapshot from raw counters. \p Stage (mutate, optimize,
+/// verify, overhead nanos) may be null when no stage split is known.
+CampaignProgress progressAt(uint64_t Done, uint64_t Target, double Elapsed,
+                            unsigned Workers, double TimeLimit,
+                            const uint64_t *Stage) {
+  CampaignProgress P;
+  P.Done = Done;
+  P.Target = Target;
+  P.Elapsed = Elapsed;
+  P.Workers = Workers;
+  if (P.Elapsed > 0)
+    P.Rate = (double)P.Done / P.Elapsed;
+  if (!Target)
+    P.EtaSeconds = std::max(0.0, TimeLimit - P.Elapsed);
+  else if (P.Rate > 0)
+    P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
+  if (Stage) {
+    double StageSum = (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
+    if (StageSum > 0) {
+      P.MutateShare = Stage[0] / StageSum;
+      P.OptimizeShare = Stage[1] / StageSum;
+      P.VerifyShare = Stage[2] / StageSum;
+      P.OverheadShare = Stage[3] / StageSum;
+    }
+  }
+  return P;
 }
 
 /// The wall-clock backstop: polls each loop's watchdog serial a few times
@@ -409,150 +487,103 @@ private:
 const FuzzStats &CampaignEngine::run() {
   if (!ConfigError.empty())
     return Stats;
-  if (Opts.Iterations == 0 && Opts.TimeLimitSeconds <= 0) {
-    ConfigError = "unbounded campaign: set Iterations (-n) or "
-                  "TimeLimitSeconds (-t)";
-    return Stats;
-  }
   if (!MasterLoop->module()) {
     ConfigError = "no module loaded";
-    return Stats;
-  }
-  const SurvivalOptions &SV = Opts.Survival;
-  const bool TimeLimited = Opts.Iterations == 0;
-  const bool Checkpointing = !SV.CheckpointDir.empty();
-  if ((Checkpointing || SV.Isolate || SV.Fanout) &&
-      (TimeLimited || Opts.TimeLimitSeconds > 0)) {
-    // A time-limited campaign has no reproducible seed schedule: neither a
-    // resumed run nor a harvested shard could reconstruct "where it was".
-    // That includes -n combined with -t: the static dispatch ignores the
-    // time limit, so accepting the combination would silently checkpoint
-    // a campaign whose advertised bound is not the one being enforced.
-    ConfigError = "checkpointing, -isolate and -fanout require an "
-                  "iteration-bounded campaign: replace -t with -n";
-    return Stats;
-  }
-  if (SV.Fanout) {
-    // The supervised fan-out shares -isolate's process-boundary coherence
-    // matrix (shard state lives in children the parent cannot trace,
-    // profile or epoch-merge) and is itself a process supervisor.
-    if (SV.Isolate) {
-      ConfigError = "-fanout and -isolate are both process supervisors: "
-                    "pick one";
-      return Stats;
-    }
-    if (Opts.Feedback.Enabled) {
-      ConfigError = "-feedback cannot run with -fanout: supervised shards "
-                    "have no epoch barrier to merge coverage at";
-      return Stats;
-    }
-    if (Opts.TraceEnabled) {
-      ConfigError = "-fanout cannot collect flight-recorder traces from "
-                    "child processes; drop tracing or -fanout";
-      return Stats;
-    }
-    if (Opts.Profile.Enabled) {
-      ConfigError = "-fanout cannot profile child processes; drop "
-                    "-profile or -fanout";
-      return Stats;
-    }
-  }
-  if (Opts.Feedback.Enabled) {
-    // Feedback's own coherence matrix. The schedule makes a mutant a
-    // function of (seed, campaign history): -t has no deterministic
-    // history; -isolate shards cannot share the epoch barrier; bug
-    // bundles regenerate their mutation trail schedule-free and would
-    // describe a different mutant than the one that failed.
-    if (TimeLimited || Opts.TimeLimitSeconds > 0) {
-      ConfigError = "-feedback requires an iteration-bounded campaign: "
-                    "replace -t with -n";
-      return Stats;
-    }
-    if (SV.Isolate) {
-      ConfigError = "-feedback cannot run with -isolate: isolated shards "
-                    "have no epoch barrier to merge coverage at";
-      return Stats;
-    }
-    if (!Opts.BugBundleDir.empty()) {
-      ConfigError = "-feedback cannot run with -bug-bundles: bundle trails "
-                    "replay seeds without the schedule and would not match "
-                    "the failing mutant";
-      return Stats;
-    }
-  }
-  if (SV.Resume && !Checkpointing) {
-    ConfigError = "resume requires a checkpoint directory";
-    return Stats;
-  }
-  if (SV.Isolate && Opts.TraceEnabled) {
-    ConfigError = "-isolate cannot collect flight-recorder traces from "
-                  "child processes; drop tracing or -isolate";
-    return Stats;
-  }
-  if (SV.Isolate && Opts.Profile.Enabled) {
-    // Same process boundary as tracing: the trackers and live span stacks
-    // live in the children, where the parent can neither sample nor merge.
-    ConfigError = "-isolate cannot profile child processes; drop -profile "
-                  "or -isolate";
     return Stats;
   }
 
   Timer Total;
   const std::vector<std::string> Testable = MasterLoop->testableFunctions();
-
-  // Never spawn idle workers: with fewer iterations than threads the tail
-  // workers would own empty shards.
-  unsigned J = Jobs;
-  if (!TimeLimited)
-    J = (unsigned)std::min<uint64_t>(J, Opts.Iterations);
-
   Interrupted = false;
-  IsolateError.clear();
+  FanoutIncidents.clear();
   DegradedFlag = false;
   LostShardsV.clear();
   TotalDone.store(0, std::memory_order_relaxed);
-  Profile = CampaignProfile();
+  // The merged results start from the master's preprocessing; each path
+  // adds its workers' (or harvested shards') state on top.
+  Stats = FuzzStats();
+  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
+  Bugs.clear();
+  SaveDirError.clear();
+  BundleError.clear();
+  Registry = StatRegistry();
+  Registry.merge(MasterLoop->registry());
+  Traces.clear();
+  TraceNames.clear();
 
+  const bool Fanout = Opts.Survival.Fanout != 0;
   emitEvent(CampaignEvent::Kind::CampaignStart, Opts.BaseSeed, 0,
-            SV.Fanout               ? "fanout"
-            : SV.Isolate            ? "isolate"
+            Fanout                  ? "fanout"
             : Opts.Feedback.Enabled ? "feedback"
-            : TimeLimited           ? "time-limited"
+            : Opts.Iterations == 0  ? "time-limited"
                                     : "blind");
+  if (Fanout)
+    runSupervised(Testable, Total);
+  else
+    runThreads(Testable, Total);
+  if (!ConfigError.empty())
+    return Stats;
 
-  if (SV.Fanout)
-    return runSupervised(Testable, Total);
-  if (SV.Isolate)
-    return runIsolated(J, Testable, Total);
-  if (Opts.Feedback.Enabled)
-    return runFeedback(J, Testable, Total);
+  Stats.TotalSeconds = Total.seconds();
+  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
+            DegradedFlag  ? "degraded"
+            : Interrupted ? "interrupted"
+                          : "completed");
+  return Stats;
+}
 
-  // Checkpoint-directory identity: write it fresh, or verify it against a
-  // resume. The meta pins everything the seed schedule and the partition
-  // depend on, so a stale/mismatched checkpoint is a config error, never
-  // a silently-wrong merge.
-  if (Checkpointing) {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(SV.CheckpointDir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(SV.CheckpointDir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
+bool CampaignEngine::pinCheckpointIdentity(const std::string &Dir,
+                                           unsigned Shards) {
+  // The meta pins everything the seed schedule and the partition depend
+  // on, so a stale or mismatched checkpoint is a config error, never a
+  // silently-wrong merge.
+  CheckpointMeta Cur;
+  Cur.Passes = Opts.Passes;
+  Cur.Iterations = Opts.Iterations;
+  Cur.BaseSeed = Opts.BaseSeed;
+  Cur.Jobs = Shards;
+  Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
+  Cur.InjectBugs = !Opts.Bugs.empty();
+  Cur.FeedbackOn = Opts.Feedback.Enabled;
+  Cur.EpochLength =
+      Cur.FeedbackOn ? std::max(1u, Opts.Feedback.EpochLength) : 0;
+  Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
+  std::string Err;
+  if (Opts.Survival.Resume) {
+    CheckpointMeta Stored;
+    if (!readCheckpointMeta(Dir, Stored, Err) ||
+        !checkpointMetaMatches(Stored, Cur, Err)) {
+      ConfigError = "cannot resume: " + Err;
+      return false;
     }
+  } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
+    ConfigError = Err;
+    return false;
   }
+  return true;
+}
+
+void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
+                                Timer &Total) {
+  const SurvivalOptions &SV = Opts.Survival;
+  const bool TimeLimited = Opts.Iterations == 0;
+  const bool Feedback = Opts.Feedback.Enabled;
+  const bool Checkpointing = !SV.CheckpointDir.empty();
+  // Never spawn idle workers: with fewer iterations than threads the tail
+  // workers would own empty slices.
+  const unsigned J =
+      TimeLimited ? Jobs : (unsigned)std::min<uint64_t>(Jobs, Opts.Iterations);
+  // Blind and time-limited campaigns are one epoch over the whole range.
+  const uint64_t End = TimeLimited ? UINT64_MAX : Opts.Iterations;
+  const uint64_t EpochLen =
+      Feedback ? std::max(1u, Opts.Feedback.EpochLength) : End;
+  if (Checkpointing && !pinCheckpointIdentity(SV.CheckpointDir, J))
+    return;
+
+  // Declared before the workers: their loops point at the schedule.
+  FeedbackMap Global;
+  ScheduleState Schedule;
+  uint64_t EpochStart = 0;
 
   // Build the workers up front on this thread (module cloning allocates
   // into per-module interning contexts; keep that serial and simple).
@@ -560,45 +591,70 @@ const FuzzStats &CampaignEngine::run() {
   for (unsigned I = 0; I != J; ++I) {
     auto W = std::make_unique<Worker>();
     W->Index = I;
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
+    if (!TimeLimited) {
+      W->Lo = Feedback ? 0 : Opts.Iterations * I / J;
+      W->Hi = Feedback ? Opts.Iterations : Opts.Iterations * (I + 1) / J;
+    }
+    W->Next.store(W->Lo, std::memory_order_relaxed);
+    FuzzOptions WOpts = workerOptions(Opts, Testable, I);
     WOpts.Progress = &W->Done;
     WOpts.StageNanos = W->StageNanos;
     WOpts.Events = Events;
-    WOpts.WorkerIndex = I;
-    if (!TimeLimited) {
-      // Static contiguous partition: worker I owns seeds
-      // [BaseSeed + Lo, BaseSeed + Hi) — ascending across workers, so a
-      // merge in worker order reproduces the sequential bug order.
-      W->Lo = Opts.Iterations * I / J;
-      W->Hi = Opts.Iterations * (I + 1) / J;
-      W->Next.store(W->Lo, std::memory_order_relaxed);
-      WOpts.BaseSeed = Opts.BaseSeed + W->Lo;
-      WOpts.Iterations = W->Hi - W->Lo;
-    }
     W->Loop = std::make_unique<FuzzerLoop>(WOpts);
+    W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
     // Workers only fuzz the testable set — hand them a subset clone whose
     // non-testable functions are declaration stubs instead of paying a
     // full deep copy per worker (and per mutant inside the loop).
     W->Loop->loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-    if (SV.Resume) {
-      WorkerCheckpoint WC;
-      std::string Err;
-      if (!readWorkerCheckpoint(SV.CheckpointDir, I, WC, Err)) {
+    Workers.push_back(std::move(W));
+  }
+
+  // Validate and restore all resume state before any thread (sampler,
+  // backstop, reporter, worker) can observe the workers.
+  if (SV.Resume) {
+    std::string Err;
+    if (Feedback) {
+      FeedbackCheckpoint FC;
+      if (!readFeedbackCheckpoint(SV.CheckpointDir, FC, Err)) {
         ConfigError = "cannot resume: " + Err;
-        return Stats;
+        return;
+      }
+      Global = std::move(FC.Global);
+      Schedule = std::move(FC.Schedule);
+      EpochStart = FC.NextOffset;
+      if (EpochStart > Opts.Iterations ||
+          (EpochStart % EpochLen != 0 && EpochStart != Opts.Iterations)) {
+        ConfigError = "cannot resume: feedback.json records offset " +
+                      std::to_string(EpochStart) +
+                      ", which is not an epoch boundary";
+        return;
+      }
+    }
+    for (auto &W : Workers) {
+      WorkerCheckpoint WC;
+      if (!readWorkerCheckpoint(SV.CheckpointDir, W->Index, WC, Err)) {
+        ConfigError = "cannot resume: " + Err;
+        return;
       }
       if (WC.Lo != W->Lo || WC.Hi != W->Hi) {
-        ConfigError = "cannot resume: shard " + std::to_string(I) +
+        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
                       " was checkpointed with a different seed partition";
-        return Stats;
+        return;
+      }
+      if (Feedback && WC.Next != EpochStart) {
+        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
+                      " was checkpointed at a different epoch boundary";
+        return;
       }
       restoreWorker(WC, *W->Loop);
       W->Next.store(WC.Next, std::memory_order_relaxed);
-      W->Done.store(WC.Next - WC.Lo, std::memory_order_relaxed);
+      if (!Feedback) {
+        W->Done.store(WC.Next - WC.Lo, std::memory_order_relaxed);
+        TotalDone.fetch_add(WC.Next - WC.Lo, std::memory_order_relaxed);
+      }
     }
-    Workers.push_back(std::move(W));
+    if (Feedback)
+      TotalDone.store(EpochStart, std::memory_order_relaxed);
   }
 
   // Open the live observer window now that every worker exists. The
@@ -614,8 +670,8 @@ const FuzzStats &CampaignEngine::run() {
   } LG{this};
 
   // The wall-clock sampler rides the workers' live span stacks for the
-  // whole run window. Created under LiveM so profileSnapshot() never sees
-  // a half-built sampler.
+  // whole run window (barrier gaps just sample empty stacks). Created
+  // under LiveM so profileSnapshot() never sees a half-built sampler.
   if (Opts.Profile.Enabled) {
     auto SP =
         std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
@@ -626,91 +682,17 @@ const FuzzStats &CampaignEngine::run() {
     Sampler = std::move(SP);
   }
 
-  // Shared seed counter for the time-limited mode (no fixed partition).
-  std::atomic<uint64_t> NextOffset{0};
-
   // The wall-clock backstop, when configured: one supervisor thread for
   // all workers (it only reads serials and CAS-writes cancel flags).
   std::vector<FuzzerLoop *> WatchedLoops;
   if (SV.WallTimeoutSeconds > 0)
     for (auto &W : Workers)
       WatchedLoops.push_back(W->Loop.get());
-  WallClockSupervisor Supervisor(std::move(WatchedLoops),
-                                 SV.WallTimeoutSeconds);
+  WallClockSupervisor Backstop(std::move(WatchedLoops),
+                               SV.WallTimeoutSeconds);
 
-  std::vector<std::thread> Threads;
-  for (auto &WPtr : Workers) {
-    Worker *W = WPtr.get();
-    if (!TimeLimited) {
-      // The engine drives the iterations itself (instead of Loop->run())
-      // so it can stop at any boundary and checkpoint periodically.
-      uint64_t Base = Opts.BaseSeed;
-      uint64_t Interval =
-          Checkpointing ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
-                        : 0;
-      std::string Dir = SV.CheckpointDir;
-      Threads.emplace_back([this, W, Base, Interval, Dir] {
-        Timer Leg;
-        uint64_t Since = 0;
-        auto Checkpoint = [&] {
-          std::string Err;
-          bool Ok = writeWorkerCheckpoint(
-              Dir,
-              snapshotWorker(W->Index, W->Lo, W->Hi,
-                             W->Next.load(std::memory_order_relaxed),
-                             *W->Loop),
-              Err);
-          ++W->Loop->mutableRegistry().counter(
-              Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
-              Volatility::Volatile);
-          emitEvent(CampaignEvent::Kind::Checkpoint, 0, W->Index,
-                    Ok ? "ok" : "failed");
-        };
-        for (uint64_t Off = W->Next.load(std::memory_order_relaxed);
-             Off != W->Hi; ++Off) {
-          if (StopReq.load(std::memory_order_relaxed))
-            break;
-          uint64_t After = StopAfter.load(std::memory_order_relaxed);
-          if (After && TotalDone.load(std::memory_order_relaxed) >= After)
-            break;
-          W->Loop->runIteration(Base + Off);
-          W->Next.store(Off + 1, std::memory_order_relaxed);
-          W->Done.fetch_add(1, std::memory_order_relaxed);
-          TotalDone.fetch_add(1, std::memory_order_relaxed);
-          if (Interval && ++Since >= Interval) {
-            Since = 0;
-            Checkpoint();
-          }
-        }
-        W->ThreadSeconds = Leg.seconds();
-        settleWorkerSeconds(*W->Loop, W->ThreadSeconds);
-        // Final snapshot after the books are closed: a stopped campaign
-        // resumes from here, a finished one records Next == Hi.
-        if (Interval)
-          Checkpoint();
-      });
-    } else {
-      double Limit = Opts.TimeLimitSeconds;
-      uint64_t Base = Opts.BaseSeed;
-      std::atomic<uint64_t> *Next = &NextOffset;
-      Threads.emplace_back([this, W, Limit, Base, Next, &Total] {
-        Timer Thread;
-        while (Total.seconds() < Limit &&
-               !StopReq.load(std::memory_order_relaxed)) {
-          uint64_t Off = Next->fetch_add(1, std::memory_order_relaxed);
-          W->Loop->runIteration(Base + Off);
-          W->Done.fetch_add(1, std::memory_order_relaxed);
-          TotalDone.fetch_add(1, std::memory_order_relaxed);
-        }
-        // The loops never call run() in this mode, so measure the worker
-        // wall time here for the stage-sum invariant.
-        W->ThreadSeconds = Thread.seconds();
-      });
-    }
-  }
-
-  // The reporter: wakes every ProgressInterval seconds, aggregates the
-  // workers' atomic counters, and hands the snapshot to the callback.
+  // The reporter: wakes every ProgressInterval seconds and hands the
+  // workers' aggregated atomic counters to the callback.
   std::mutex DoneMutex;
   std::condition_variable DoneCV;
   bool AllDone = false;
@@ -718,43 +700,132 @@ const FuzzStats &CampaignEngine::run() {
   if (ProgressInterval > 0 && ProgressFn) {
     Reporter = std::thread([&] {
       std::unique_lock<std::mutex> Lock(DoneMutex);
-      for (;;) {
-        if (DoneCV.wait_for(Lock,
-                            std::chrono::duration<double>(ProgressInterval),
-                            [&] { return AllDone; }))
-          return;
-        CampaignProgress P;
+      while (!DoneCV.wait_for(Lock,
+                              std::chrono::duration<double>(ProgressInterval),
+                              [&] { return AllDone; })) {
         uint64_t Stage[4] = {};
-        for (const auto &W : Workers) {
-          P.Done += W->Done.load(std::memory_order_relaxed);
-          for (unsigned I = 0; I != 4; ++I)
-            Stage[I] += W->StageNanos[I].load(std::memory_order_relaxed);
-        }
-        P.Target = TimeLimited ? 0 : Opts.Iterations;
-        P.Elapsed = Total.seconds();
-        P.Workers = J;
-        if (P.Elapsed > 0)
-          P.Rate = (double)P.Done / P.Elapsed;
-        if (TimeLimited)
-          P.EtaSeconds = std::max(0.0, Opts.TimeLimitSeconds - P.Elapsed);
-        else if (P.Rate > 0)
-          P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-        double StageSum =
-            (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
-        if (StageSum > 0) {
-          P.MutateShare = Stage[0] / StageSum;
-          P.OptimizeShare = Stage[1] / StageSum;
-          P.VerifyShare = Stage[2] / StageSum;
-          P.OverheadShare = Stage[3] / StageSum;
-        }
-        ProgressFn(P);
+        for (const auto &W : Workers)
+          for (unsigned S = 0; S != 4; ++S)
+            Stage[S] += W->StageNanos[S].load(std::memory_order_relaxed);
+        ProgressFn(progressAt(TotalDone.load(std::memory_order_relaxed),
+                              TimeLimited ? 0 : Opts.Iterations,
+                              Total.seconds(), J, Opts.TimeLimitSeconds,
+                              Stage));
       }
     });
   }
 
-  for (std::thread &T : Threads)
-    T.join();
-  Supervisor.stop();
+  auto StopRequested = [&] {
+    uint64_t After = StopAfter.load(std::memory_order_relaxed);
+    return StopReq.load(std::memory_order_relaxed) ||
+           (After && TotalDone.load(std::memory_order_relaxed) >= After);
+  };
+  auto CheckpointWorker = [&](Worker &W) {
+    std::string Err;
+    bool Ok = writeWorkerCheckpoint(
+        SV.CheckpointDir,
+        snapshotWorker(W.Index, W.Lo, W.Hi,
+                       W.Next.load(std::memory_order_relaxed), *W.Loop),
+        Err);
+    ++W.Loop->mutableRegistry().counter(
+        Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
+        Volatility::Volatile);
+    emitEvent(CampaignEvent::Kind::Checkpoint, 0, W.Index,
+              Ok ? "ok" : "failed");
+  };
+  // Every worker's shard, plus the feedback state under feedback. Only
+  // called with the workers parked (epoch barrier or after the join).
+  auto CheckpointAll = [&] {
+    for (auto &W : Workers)
+      CheckpointWorker(*W);
+    if (!Feedback)
+      return;
+    FeedbackCheckpoint FC{Global, Schedule, EpochStart};
+    std::string Err;
+    if (!writeFeedbackCheckpoint(SV.CheckpointDir, FC, Err))
+      ++Workers[0]->Loop->mutableRegistry().counter(
+          "survive.checkpoint.failures", Volatility::Volatile);
+  };
+
+  // A blind worker checkpoints on its own cadence and stops at any
+  // iteration boundary. A feedback worker does neither mid-epoch: its
+  // pending coverage would be lost, and an epoch is bounded work anyway.
+  const uint64_t Interval =
+      Checkpointing && !Feedback
+          ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
+          : 0;
+  std::atomic<uint64_t> SharedNext{0};
+  auto RunSlice = [&](Worker &W, uint64_t SliceEnd) {
+    Timer Leg;
+    uint64_t Since = 0;
+    for (;;) {
+      uint64_t Off;
+      if (TimeLimited) {
+        if (Total.seconds() >= Opts.TimeLimitSeconds || StopRequested())
+          break;
+        Off = SharedNext.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        Off = W.Next.load(std::memory_order_relaxed);
+        if (Off == SliceEnd || (!Feedback && StopRequested()))
+          break;
+      }
+      W.Loop->runIteration(Opts.BaseSeed + Off);
+      W.Next.store(Off + 1, std::memory_order_relaxed);
+      W.Done.fetch_add(1, std::memory_order_relaxed);
+      TotalDone.fetch_add(1, std::memory_order_relaxed);
+      if (Interval && ++Since >= Interval) {
+        Since = 0;
+        CheckpointWorker(W);
+      }
+    }
+    W.LegSeconds += Leg.seconds();
+  };
+
+  while (EpochStart < End) {
+    if (Feedback && StopRequested())
+      break;
+    const uint64_t EpochEnd = std::min(End, EpochStart + EpochLen);
+    std::vector<std::thread> Threads;
+    for (unsigned I = 0; I != J; ++I) {
+      Worker &W = *Workers[I];
+      uint64_t SliceEnd = 0;
+      if (!TimeLimited) {
+        // Worker I runs [EpochStart + L*I/J, EpochStart + L*(I+1)/J). In
+        // a blind campaign that is [Lo, Hi), and a resumed cursor may
+        // already be past its start.
+        const uint64_t L = EpochEnd - EpochStart;
+        W.Next.store(std::max(EpochStart + L * I / J,
+                              W.Next.load(std::memory_order_relaxed)),
+                     std::memory_order_relaxed);
+        SliceEnd = EpochStart + L * (I + 1) / J;
+      }
+      Threads.emplace_back(RunSlice, std::ref(W), SliceEnd);
+    }
+    for (std::thread &T : Threads)
+      T.join();
+    EpochStart = EpochEnd;
+    if (!Feedback)
+      continue;
+
+    // The epoch barrier: merge the coverage deltas (the OR makes the
+    // order irrelevant), then advance the schedule as a pure function of
+    // the cumulative maps. Every worker is now done with the epoch.
+    FeedbackMap Prev = Global;
+    for (auto &W : Workers) {
+      Global.merge(W->Loop->takeFeedback());
+      W->Next.store(EpochStart, std::memory_order_relaxed);
+    }
+    Schedule.update(Prev, Global);
+    publishFeedbackLive((EpochStart + EpochLen - 1) / EpochLen,
+                        (unsigned)Global.Global.popcount(), Schedule);
+    emitEvent(CampaignEvent::Kind::EpochBarrier, 0, 0,
+              "offset " + std::to_string(EpochStart) + ", bits " +
+                  std::to_string(Global.Global.popcount()));
+    if (Checkpointing)
+      CheckpointAll();
+  }
+
+  Backstop.stop();
   if (Reporter.joinable()) {
     {
       std::lock_guard<std::mutex> Lock(DoneMutex);
@@ -767,349 +838,26 @@ const FuzzStats &CampaignEngine::run() {
     Sampler->stop();
   endLive();
 
-  // Deterministic merge. Stats: master preprocessing (FunctionsDropped)
-  // plus every worker's counters. Bugs: worker shards are already in
-  // ascending seed order, so concatenation in worker order equals the
-  // sequential order; the dynamic mode interleaves seeds across workers
-  // and needs the explicit (stable) sort.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  // Collect the flight-recorder tracks now — the workers die with this
-  // scope, the recorders must not. All tracks share one process-global
-  // epoch, so the merged timeline lines up across threads.
-  Traces.clear();
-  TraceNames.clear();
-  if (auto T = MasterLoop->takeTrace()) {
-    Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-        T->dropped();
-    Traces.push_back(std::move(T));
-    TraceNames.push_back("master");
-  }
-  unsigned WorkerIdx = 0;
-  std::vector<const QueryCostTracker *> CostTrackers;
-  for (const auto &W : Workers) {
-    if (const QueryCostTracker *QT = W->Loop->queryCosts())
-      CostTrackers.push_back(QT);
-    const FuzzStats &WS = W->Loop->stats();
-    accumulate(Stats, WS);
-    if (TimeLimited) {
-      // Dynamic-mode loops carry no WorkerSeconds of their own: the
-      // engine measured each thread's wall time instead, and the dispatch
-      // loop's bookkeeping (the part outside runIteration) goes to the
-      // overhead bucket. (Static-mode legs settle this per worker before
-      // their final checkpoint.)
-      Stats.WorkerSeconds += W->ThreadSeconds;
-      double Staged = WS.MutateSeconds + WS.OptimizeSeconds +
-                      WS.VerifySeconds + WS.OverheadSeconds;
-      if (W->ThreadSeconds > Staged)
-        Stats.OverheadSeconds += W->ThreadSeconds - Staged;
-    } else if (W->Next.load(std::memory_order_relaxed) != W->Hi) {
-      Interrupted = true;
-    }
-    Registry.merge(W->Loop->registry());
-    if (SaveDirError.empty())
-      SaveDirError = W->Loop->saveDirError();
-    if (BundleError.empty())
-      BundleError = W->Loop->bundleError();
-    if (auto T = W->Loop->takeTrace()) {
-      // Satellite observability: ring overwrites are a volatile artifact
-      // of scheduling and capacity, surfaced per worker in the report's
-      // "trace" block and summed here for the registry.
-      Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-          T->dropped();
-      Traces.push_back(std::move(T));
-      TraceNames.push_back("worker " + std::to_string(WorkerIdx));
-    }
-    ++WorkerIdx;
-    const std::vector<BugRecord> &WB = W->Loop->bugs();
-    Bugs.insert(Bugs.end(), WB.begin(), WB.end());
-  }
-  finishProfile(CostTrackers);
-  if (TimeLimited) {
-    Interrupted = StopReq.load(std::memory_order_relaxed);
-    std::stable_sort(Bugs.begin(), Bugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
-  }
-  Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            Interrupted ? "interrupted" : "completed");
-  return Stats;
-}
-
-const FuzzStats &
-CampaignEngine::runFeedback(unsigned J,
-                            const std::vector<std::string> &Testable,
-                            Timer &Total) {
-  const SurvivalOptions &SV = Opts.Survival;
-  const bool Checkpointing = !SV.CheckpointDir.empty();
-  const uint64_t EpochLen = std::max(1u, Opts.Feedback.EpochLength);
-
-  if (Checkpointing) {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.FeedbackOn = true;
-    Cur.EpochLength = (unsigned)EpochLen;
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(SV.CheckpointDir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(SV.CheckpointDir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
-
-  // Build the workers. Unlike the blind static path there is no whole-range
-  // partition: each epoch is sliced afresh, so every worker's checkpoint
-  // cursor ranges over the full [0, Iterations) and all cursors agree at
-  // every epoch boundary.
-  std::vector<std::unique_ptr<Worker>> Workers;
-  for (unsigned I = 0; I != J; ++I) {
-    auto W = std::make_unique<Worker>();
-    W->Index = I;
-    W->Lo = 0;
-    W->Hi = Opts.Iterations;
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
-    WOpts.Progress = &W->Done;
-    WOpts.StageNanos = W->StageNanos;
-    WOpts.Events = Events;
-    WOpts.WorkerIndex = I;
-    W->Loop = std::make_unique<FuzzerLoop>(WOpts);
-    W->Loop->loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-    Workers.push_back(std::move(W));
-  }
-
-  beginLive(/*Isolated=*/false, Opts.Iterations, J, &Total);
   for (auto &W : Workers)
-    addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->StageNanos,
-                  W->Loop.get()});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
-  // Workers persist across epochs, so one sampler spans the whole epoch
-  // loop (the barrier gaps just sample empty stacks, i.e. nothing).
-  if (Opts.Profile.Enabled) {
-    auto SP =
-        std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
-    for (auto &W : Workers)
-      SP->attach("w" + std::to_string(W->Index), W->Loop->trace());
-    SP->start();
-    std::lock_guard<std::mutex> G(LiveM);
-    Sampler = std::move(SP);
-  }
-
-  FeedbackMap Global;
-  ScheduleState Schedule;
-  uint64_t EpochStart = 0;
-
-  if (SV.Resume) {
-    FeedbackCheckpoint FC;
-    std::string Err;
-    if (!readFeedbackCheckpoint(SV.CheckpointDir, FC, Err)) {
-      ConfigError = "cannot resume: " + Err;
-      return Stats;
-    }
-    Global = std::move(FC.Global);
-    Schedule = std::move(FC.Schedule);
-    EpochStart = FC.NextOffset;
-    if (EpochStart > Opts.Iterations ||
-        (EpochStart % EpochLen != 0 && EpochStart != Opts.Iterations)) {
-      ConfigError = "cannot resume: feedback.json records offset " +
-                    std::to_string(EpochStart) +
-                    ", which is not an epoch boundary";
-      return Stats;
-    }
-    for (auto &W : Workers) {
-      WorkerCheckpoint WC;
-      if (!readWorkerCheckpoint(SV.CheckpointDir, W->Index, WC, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-      if (WC.Next != EpochStart) {
-        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
-                      " was checkpointed at a different epoch boundary";
-        return Stats;
-      }
-      restoreWorker(WC, *W->Loop);
-      W->Next.store(EpochStart, std::memory_order_relaxed);
-    }
-    TotalDone.store(EpochStart, std::memory_order_relaxed);
-  }
-
-  for (auto &W : Workers)
-    W->Loop->setSchedule(&Schedule);
-
-  std::vector<FuzzerLoop *> WatchedLoops;
-  if (SV.WallTimeoutSeconds > 0)
-    for (auto &W : Workers)
-      WatchedLoops.push_back(W->Loop.get());
-  WallClockSupervisor Supervisor(std::move(WatchedLoops),
-                                 SV.WallTimeoutSeconds);
-
-  auto WriteCheckpoints = [&] {
-    std::string Err;
-    bool Ok = true;
-    for (auto &W : Workers)
-      Ok &= writeWorkerCheckpoint(
-          SV.CheckpointDir,
-          snapshotWorker(W->Index, 0, Opts.Iterations, EpochStart, *W->Loop),
-          Err);
-    FeedbackCheckpoint FC;
-    FC.Global = Global;
-    FC.Schedule = Schedule;
-    FC.NextOffset = EpochStart;
-    Ok &= writeFeedbackCheckpoint(SV.CheckpointDir, FC, Err);
-    // Account on worker 0's (volatile) registry, like the blind path does
-    // per worker — the engine registry is rebuilt by the final merge.
-    ++Workers[0]->Loop->mutableRegistry().counter(
-        Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
-        Volatility::Volatile);
-    emitEvent(CampaignEvent::Kind::Checkpoint, 0, 0,
-              (Ok ? std::string("ok") : std::string("failed")) + " at offset " +
-                  std::to_string(EpochStart));
-  };
-
-  std::vector<double> LegSeconds(J, 0.0);
-  double LastReport = 0;
-  bool Stopped = false;
-  // Stop requests are honored at epoch boundaries only: mid-epoch pending
-  // coverage would otherwise be lost (or worse, half-merged), and an epoch
-  // is bounded work anyway.
-  while (EpochStart < Opts.Iterations) {
-    if (StopReq.load(std::memory_order_relaxed)) {
-      Stopped = true;
-      break;
-    }
-    uint64_t After = StopAfter.load(std::memory_order_relaxed);
-    if (After && TotalDone.load(std::memory_order_relaxed) >= After) {
-      Stopped = true;
-      break;
-    }
-    const uint64_t EpochEnd =
-        std::min<uint64_t>(Opts.Iterations, EpochStart + EpochLen);
-    const uint64_t L = EpochEnd - EpochStart;
-    std::vector<std::thread> Threads;
-    for (unsigned I = 0; I != J; ++I) {
-      Worker *W = Workers[I].get();
-      const uint64_t SLo = EpochStart + L * I / J;
-      const uint64_t SHi = EpochStart + L * (I + 1) / J;
-      Threads.emplace_back([this, W, SLo, SHi, I, &LegSeconds] {
-        Timer Leg;
-        for (uint64_t Off = SLo; Off != SHi; ++Off) {
-          W->Loop->runIteration(Opts.BaseSeed + Off);
-          W->Next.store(Off + 1, std::memory_order_relaxed);
-          W->Done.fetch_add(1, std::memory_order_relaxed);
-          TotalDone.fetch_add(1, std::memory_order_relaxed);
-        }
-        LegSeconds[I] += Leg.seconds();
-      });
-    }
-    for (std::thread &T : Threads)
-      T.join();
-
-    // The epoch barrier: merge the workers' coverage deltas in
-    // worker-index order (the OR is commutative, so the order only
-    // matters for reproducible floating of nothing — any order gives the
-    // same map), then advance the schedule as a pure function of the
-    // cumulative maps.
-    FeedbackMap Prev = Global;
-    for (auto &W : Workers)
-      Global.merge(W->Loop->takeFeedback());
-    Schedule.update(Prev, Global);
-    EpochStart = EpochEnd;
-    publishFeedbackLive((EpochStart + EpochLen - 1) / EpochLen,
-                        (unsigned)Global.Global.popcount(), Schedule);
-    emitEvent(CampaignEvent::Kind::EpochBarrier, 0, 0,
-              "offset " + std::to_string(EpochEnd) + ", bits " +
-                  std::to_string(Global.Global.popcount()));
-    if (Checkpointing)
-      WriteCheckpoints();
-    if (ProgressInterval > 0 && ProgressFn &&
-        Total.seconds() - LastReport >= ProgressInterval) {
-      LastReport = Total.seconds();
-      CampaignProgress P;
-      uint64_t Stage[4] = {};
-      for (const auto &W : Workers)
-        for (unsigned S = 0; S != 4; ++S)
-          Stage[S] += W->StageNanos[S].load(std::memory_order_relaxed);
-      P.Done = TotalDone.load(std::memory_order_relaxed);
-      P.Target = Opts.Iterations;
-      P.Elapsed = Total.seconds();
-      P.Workers = J;
-      if (P.Elapsed > 0)
-        P.Rate = (double)P.Done / P.Elapsed;
-      if (P.Rate > 0)
-        P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-      double StageSum = (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
-      if (StageSum > 0) {
-        P.MutateShare = Stage[0] / StageSum;
-        P.OptimizeShare = Stage[1] / StageSum;
-        P.VerifyShare = Stage[2] / StageSum;
-        P.OverheadShare = Stage[3] / StageSum;
-      }
-      ProgressFn(P);
-    }
-  }
-  Supervisor.stop();
-  if (Sampler)
-    Sampler->stop();
-  endLive();
-  Interrupted = Stopped || EpochStart != Opts.Iterations;
-
-  for (unsigned I = 0; I != J; ++I) {
-    settleWorkerSeconds(*Workers[I]->Loop, LegSeconds[I]);
-    Workers[I]->Loop->setSchedule(nullptr);
-  }
-  // Final snapshot with the settled books (a stopped campaign resumes
-  // from here; a finished one records NextOffset == Iterations).
+    settleWorkerSeconds(*W->Loop, W->LegSeconds);
+  // Final snapshot with the settled books: a stopped campaign resumes
+  // from here, a finished one records Next == Hi.
   if (Checkpointing)
-    WriteCheckpoints();
+    CheckpointAll();
 
-  FinalFeedback = Global;
-  FinalSchedule = Schedule;
-
-  // Deterministic merge — as the blind static path, except the bug lists
-  // interleave across workers (each worker owns one slice per epoch), so
-  // the concatenation needs the explicit seed sort. Same-seed bugs come
-  // from a single worker's list and stable_sort preserves their relative
-  // order, so the result is worker-count independent.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
-  if (auto T = MasterLoop->takeTrace()) {
+  // Deterministic merge in worker order; the seed sort below restores the
+  // sequential bug order where slices interleave seeds across workers
+  // (same-seed bugs come from one worker's list, which stable_sort keeps).
+  // The flight-recorder tracks outlive the workers; they share one
+  // process-global epoch, and their ring overwrites (volatile) are summed.
+  auto KeepTrace = [&](std::unique_ptr<TraceRecorder> T, std::string Name) {
     Registry.counter("trace.dropped_events", Volatility::Volatile) +=
         T->dropped();
     Traces.push_back(std::move(T));
-    TraceNames.push_back("master");
-  }
-  unsigned WorkerIdx = 0;
+    TraceNames.push_back(std::move(Name));
+  };
+  if (auto T = MasterLoop->takeTrace())
+    KeepTrace(std::move(T), "master");
   std::vector<const QueryCostTracker *> CostTrackers;
   for (const auto &W : Workers) {
     if (const QueryCostTracker *QT = W->Loop->queryCosts())
@@ -1120,25 +868,25 @@ CampaignEngine::runFeedback(unsigned J,
       SaveDirError = W->Loop->saveDirError();
     if (BundleError.empty())
       BundleError = W->Loop->bundleError();
-    if (auto T = W->Loop->takeTrace()) {
-      // Satellite observability: ring overwrites are a volatile artifact
-      // of scheduling and capacity, surfaced per worker in the report's
-      // "trace" block and summed here for the registry.
-      Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-          T->dropped();
-      Traces.push_back(std::move(T));
-      TraceNames.push_back("worker " + std::to_string(WorkerIdx));
-    }
-    ++WorkerIdx;
+    if (auto T = W->Loop->takeTrace())
+      KeepTrace(std::move(T), "worker " + std::to_string(W->Index));
     const std::vector<BugRecord> &WB = W->Loop->bugs();
     Bugs.insert(Bugs.end(), WB.begin(), WB.end());
+    if (W->Next.load(std::memory_order_relaxed) != W->Hi)
+      Interrupted = true;
   }
   finishProfile(CostTrackers);
   std::stable_sort(Bugs.begin(), Bugs.end(),
                    [](const BugRecord &A, const BugRecord &B) {
                      return A.MutantSeed < B.MutantSeed;
                    });
+  if (TimeLimited)
+    Interrupted = StopReq.load(std::memory_order_relaxed);
+  if (!Feedback)
+    return;
 
+  FinalFeedback = std::move(Global);
+  FinalSchedule = std::move(Schedule);
   // Engine-level feedback counters, derived from the final state alone
   // (not incremented along the way) so a resumed campaign reports the
   // same numbers as an uninterrupted one.
@@ -1150,439 +898,18 @@ CampaignEngine::runFeedback(unsigned J,
     Registry.counter(std::string("feedback.weight.") +
                      mutationKindName((MutationKind)K)) =
         FinalSchedule.FamilyWeights[K];
-
-  Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            Interrupted ? "interrupted" : "completed");
-  return Stats;
 }
 
-namespace {
-
-/// Per-shard heartbeat slot in the MAP_SHARED control page: the child
-/// stores the offset in flight before each iteration and the idle
-/// sentinel between them, so the parent can attribute a fatal signal to
-/// its seed (or see that the crash fell between iterations).
-struct Heartbeat {
-  std::atomic<uint64_t> Cur;
-  std::atomic<uint64_t> Done;
-};
-
-/// Shared stop flag ahead of the heartbeat slots: the only channel the
-/// parent has into the children.
-struct IsoControl {
-  std::atomic<uint32_t> Stop;
-};
-
-constexpr uint64_t IdleOffset = ~0ull;
-
-} // namespace
-
-const FuzzStats &
-CampaignEngine::runIsolated(unsigned J,
-                            const std::vector<std::string> &Testable,
-                            Timer &Total) {
+void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
+                                   Timer &Total) {
   const SurvivalOptions &SV = Opts.Survival;
   namespace fs = std::filesystem;
 
-  // The checkpoint directory doubles as the harvest channel: children
-  // write their state there, the parent merges from it. Without a
-  // user-provided directory, use (and afterwards remove) a private one.
-  std::string Dir = SV.CheckpointDir;
-  const bool OwnDir = Dir.empty();
-  if (OwnDir) {
-    std::error_code EC;
-    Dir = (fs::temp_directory_path(EC) /
-           ("alive-mutate-isolate-" + std::to_string(getpid())))
-              .string();
-  }
-  {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(Dir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
-
-  const size_t MapSize = sizeof(IsoControl) + J * sizeof(Heartbeat);
-  void *Raw = mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (Raw == MAP_FAILED || faultAt("isolate.mmap")) {
-    if (Raw != MAP_FAILED)
-      munmap(Raw, MapSize);
-    ConfigError = "-isolate: cannot map the shared heartbeat page";
-    return Stats;
-  }
-  IsoControl *Ctl = new (Raw) IsoControl;
-  Ctl->Stop.store(0, std::memory_order_relaxed);
-  Heartbeat *HB =
-      reinterpret_cast<Heartbeat *>(static_cast<char *>(Raw) +
-                                    sizeof(IsoControl));
-  for (unsigned I = 0; I != J; ++I) {
-    new (&HB[I]) Heartbeat;
-    HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    HB[I].Done.store(0, std::memory_order_relaxed);
-  }
-
-  struct Shard {
-    uint64_t Lo = 0, Hi = 0;
-    pid_t Pid = -1;
-    bool Finished = false;
-    unsigned Attempts = 0; ///< forks so far
-    unsigned Stalls = 0;   ///< consecutive exits with no attributable seed
-    uint64_t DoneAtExit = 0;
-    double RestartAt = 0; ///< Total.seconds() timestamp gating the refork
-    std::vector<uint64_t> Skip; ///< crashed offsets, excluded on restart
-    std::vector<BugRecord> CrashBugs;
-  };
-  std::vector<Shard> Shards(J);
-  for (unsigned I = 0; I != J; ++I) {
-    Shards[I].Lo = Opts.Iterations * I / J;
-    Shards[I].Hi = Opts.Iterations * (I + 1) / J;
-  }
-  const uint64_t Interval = SV.CheckpointInterval ? SV.CheckpointInterval : 16;
-
-  // Live view over the heartbeat page: Done counters only (the page has
-  // no stage split and the shard registries live in child processes).
-  // endLive() runs explicitly before each munmap — the refs must never
-  // outlive the mapping — with the guard as the exception backstop.
-  beginLive(/*Isolated=*/true, Opts.Iterations, J, &Total);
-  for (unsigned I = 0; I != J; ++I)
-    addLiveShard({I, Shards[I].Lo, Shards[I].Hi, &HB[I].Done,
-                  /*StageNanos=*/nullptr, /*Loop=*/nullptr});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
-  // Initialize the merged state now: the poll loop below accounts crash
-  // bugs and restart counters live, the final harvest adds the shard
-  // checkpoints on top.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
-
-  auto Spawn = [&](unsigned I) -> bool {
-    Shard &S = Shards[I];
-    HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    // Parent-side injection so the counter persists across respawns.
-    if (faultAt("isolate.fork"))
-      return false;
-    pid_t Pid = fork();
-    if (Pid < 0)
-      return false;
-    if (Pid == 0) {
-      // ------- child: one shard, sequential, in a disposable process.
-      // The address space is a copy-on-write snapshot of the parent, so
-      // the preprocessed master module is already here. A fatal signal
-      // anywhere below kills only this process; the parent classifies it
-      // and restarts the shard from its last checkpoint.
-      if (SV.IsolateMemMB) {
-        rlimit R{SV.IsolateMemMB << 20, SV.IsolateMemMB << 20};
-        setrlimit(RLIMIT_AS, &R);
-      }
-      if (SV.IsolateCpuSeconds) {
-        rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
-        setrlimit(RLIMIT_CPU, &R);
-      }
-      FuzzOptions WOpts = Opts;
-      WOpts.SelfCheckOnLoad = false;
-      WOpts.OnlyFunctions = Testable;
-      WOpts.Survival.Isolate = false;
-      // The event queue lives in the parent's address space; the fork's
-      // copy has no observer draining it.
-      WOpts.Events = nullptr;
-      WOpts.WorkerIndex = I;
-      // The process boundary IS the crash containment; the in-process
-      // guard would only hide the signal from the parent's classifier.
-      WOpts.Survival.SignalGuard = false;
-      WOpts.BaseSeed = Opts.BaseSeed + S.Lo;
-      WOpts.Iterations = S.Hi - S.Lo;
-      FuzzerLoop Loop(WOpts);
-      Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-      uint64_t Cursor = S.Lo;
-      {
-        WorkerCheckpoint WC;
-        std::string Err;
-        if (readWorkerCheckpoint(Dir, I, WC, Err) && WC.Lo == S.Lo &&
-            WC.Hi == S.Hi) {
-          restoreWorker(WC, Loop);
-          Cursor = WC.Next;
-        }
-      }
-      // The parent cannot see into this address space, so the wall-clock
-      // backstop runs as a thread of the child itself.
-      WallClockSupervisor Sup({&Loop}, SV.WallTimeoutSeconds);
-      Timer Leg;
-      uint64_t Since = 0;
-      std::string CkptErr;
-      while (Cursor != S.Hi) {
-        if (Ctl->Stop.load(std::memory_order_relaxed))
-          break;
-        uint64_t Off = Cursor;
-        if (std::find(S.Skip.begin(), S.Skip.end(), Off) != S.Skip.end()) {
-          ++Cursor;
-          HB[I].Done.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        HB[I].Cur.store(Off, std::memory_order_release);
-        Loop.runIteration(Opts.BaseSeed + Off);
-        HB[I].Cur.store(IdleOffset, std::memory_order_release);
-        ++Cursor;
-        HB[I].Done.fetch_add(1, std::memory_order_relaxed);
-        if (++Since >= Interval) {
-          Since = 0;
-          writeWorkerCheckpoint(
-              Dir, snapshotWorker(I, S.Lo, S.Hi, Cursor, Loop), CkptErr);
-        }
-      }
-      settleWorkerSeconds(Loop, Leg.seconds());
-      bool Ok = writeWorkerCheckpoint(
-          Dir, snapshotWorker(I, S.Lo, S.Hi, Cursor, Loop), CkptErr);
-      Sup.stop();
-      // _exit: no static destructors, no double-flush of parent-inherited
-      // stdio buffers. Exit code 3 = "results could not be written" — the
-      // parent abandons the shard instead of retrying forever.
-      _exit(Ok ? 0 : 3);
-    }
-    // ------- parent
-    S.Pid = Pid;
-    ++S.Attempts;
-    return true;
-  };
-
-  auto NoteIsolate = [&](const std::string &Msg) {
-    if (!IsolateError.empty())
-      IsolateError += "; ";
-    IsolateError += Msg;
-  };
-
-  for (unsigned I = 0; I != J; ++I)
-    if (!Spawn(I)) {
-      ConfigError = "-isolate: fork failed";
-      Ctl->Stop.store(1, std::memory_order_relaxed);
-      endLive();
-      munmap(Raw, MapSize);
-      return Stats;
-    }
-
-  uint64_t ParentBundles = 0, ParentBundleFailures = 0;
-  double LastReport = 0;
-  for (;;) {
-    double Now = Total.seconds();
-    uint64_t DoneTotal = 0;
-    for (unsigned I = 0; I != J; ++I)
-      DoneTotal += HB[I].Done.load(std::memory_order_relaxed);
-    TotalDone.store(DoneTotal, std::memory_order_relaxed);
-    uint64_t After = StopAfter.load(std::memory_order_relaxed);
-    if ((StopReq.load(std::memory_order_relaxed) ||
-         (After && DoneTotal >= After)) &&
-        !Ctl->Stop.load(std::memory_order_relaxed))
-      Ctl->Stop.store(1, std::memory_order_relaxed);
-
-    bool AllFinished = true;
-    for (unsigned I = 0; I != J; ++I) {
-      Shard &S = Shards[I];
-      if (S.Finished)
-        continue;
-      AllFinished = false;
-      if (S.Pid < 0) {
-        // Awaiting its backoff-gated restart.
-        if (Now >= S.RestartAt && !Spawn(I)) {
-          S.Finished = true;
-          NoteIsolate("shard " + std::to_string(I) +
-                      " abandoned: fork failed");
-        }
-        continue;
-      }
-      int Status = 0;
-      pid_t R = waitpid(S.Pid, &Status, WNOHANG);
-      if (R == 0)
-        continue;
-      S.Pid = -1;
-      if (WIFEXITED(Status) && WEXITSTATUS(Status) == 0) {
-        S.Finished = true;
-        continue;
-      }
-      if (WIFEXITED(Status) && WEXITSTATUS(Status) == 3) {
-        S.Finished = true;
-        NoteIsolate("shard " + std::to_string(I) +
-                    " abandoned: cannot write its checkpoint");
-        continue;
-      }
-      // A fatal exit. Attribute it to the seed in flight (idle sentinel =
-      // the crash fell between iterations: nothing to skip, just retry).
-      std::string Why =
-          WIFSIGNALED(Status)
-              ? std::string("killed by ") + signalName(WTERMSIG(Status))
-              : "exited with code " + std::to_string(WEXITSTATUS(Status));
-      uint64_t CurOff = HB[I].Cur.load(std::memory_order_acquire);
-      uint64_t DoneNow = HB[I].Done.load(std::memory_order_relaxed);
-      bool Progressed = DoneNow > S.DoneAtExit || CurOff != IdleOffset;
-      S.DoneAtExit = DoneNow;
-      S.Stalls = Progressed ? 0 : S.Stalls + 1;
-      ++Registry.counter("survive.isolate.crashes", Volatility::Volatile);
-      if (CurOff != IdleOffset) {
-        // The iteration at CurOff took the process down: a crash bug of
-        // the compiler-under-test. Record it from the parent side — the
-        // mutant regenerates deterministically from its seed — and make
-        // sure the restarted shard skips this seed.
-        uint64_t Seed = Opts.BaseSeed + CurOff;
-        S.Skip.push_back(CurOff);
-        BugRecord B;
-        B.Kind = BugRecord::Crash;
-        B.MutantSeed = Seed;
-        B.Detail = "optimizer process " + Why + " (isolated shard " +
-                   std::to_string(I) + ", contained by process isolation)";
-        ForensicRecord FR;
-        FR.K = ForensicRecord::Crash;
-        FR.Seed = Seed;
-        FR.VerdictSlug = "crash";
-        FR.Detail = B.Detail;
-        // Regenerating the mutant replays only the (signal-safe) mutator,
-        // but guard anyway: the parent must survive whatever the child
-        // did not.
-        int Sig = 0;
-        bool Survived = runWithSignalGuard(
-            [&] {
-              MutationTrail Trail;
-              std::unique_ptr<Module> Mutant =
-                  MasterLoop->makeMutant(Seed, Trail);
-              B.MutantIR = printModule(*Mutant);
-              if (!Opts.BugBundleDir.empty()) {
-                BundleInputs In{Opts,         Testable, *MasterLoop->module(),
-                                Mutant.get(), nullptr,  &Trail,
-                                FR};
-                std::string Err;
-                B.BundlePath = writeBugBundle(Opts.BugBundleDir, In, Err);
-                if (B.BundlePath.empty()) {
-                  ++ParentBundleFailures;
-                  if (BundleError.empty())
-                    BundleError = Err;
-                } else {
-                  ++ParentBundles;
-                }
-              }
-            },
-            Sig);
-        if (!Survived)
-          B.Detail += "; mutant regeneration raised " +
-                      std::string(signalName(Sig)) + " in the parent too";
-        emitEvent(CampaignEvent::Kind::BugFound, Seed, I, "crash " + Why);
-        S.CrashBugs.push_back(std::move(B));
-      } else if (S.Stalls >= 5) {
-        S.Finished = true;
-        NoteIsolate("shard " + std::to_string(I) + " abandoned after " +
-                    std::to_string(S.Stalls) +
-                    " restarts without progress (last exit: " + Why + ")");
-        continue;
-      }
-      ++Registry.counter("survive.isolate.restarts", Volatility::Volatile);
-      emitEvent(CampaignEvent::Kind::ShardRestart, 0, I, Why);
-      double Backoff = std::min(0.1 * (double)(1ull << std::min(
-                                          S.Attempts - 1, 10u)),
-                                5.0);
-      S.RestartAt = Now + Backoff;
-    }
-    if (AllFinished)
-      break;
-    if (ProgressInterval > 0 && ProgressFn && Now - LastReport >=
-                                                  ProgressInterval) {
-      LastReport = Now;
-      CampaignProgress P;
-      P.Done = DoneTotal;
-      P.Target = Opts.Iterations;
-      P.Elapsed = Now;
-      P.Workers = J;
-      if (P.Elapsed > 0)
-        P.Rate = (double)P.Done / P.Elapsed;
-      if (P.Rate > 0)
-        P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-      ProgressFn(P);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  // Harvest: every shard's final checkpoint, merged exactly like the
-  // threaded path — plus the crash bugs the parent recorded, spliced into
-  // each shard's list in seed order.
-  for (unsigned I = 0; I != J; ++I) {
-    WorkerCheckpoint WC;
-    std::string Err;
-    if (!readWorkerCheckpoint(Dir, I, WC, Err)) {
-      NoteIsolate("shard " + std::to_string(I) + " results lost: " + Err);
-      Interrupted = true;
-      continue;
-    }
-    accumulate(Stats, WC.Stats);
-    StatRegistry Tmp;
-    for (const WorkerCheckpoint::Counter &C : WC.Counters)
-      Tmp.counter(C.Name, C.IsVolatile ? Volatility::Volatile
-                                       : Volatility::Deterministic) = C.Value;
-    Registry.merge(Tmp);
-    std::vector<BugRecord> ShardBugs = WC.Bugs;
-    ShardBugs.insert(ShardBugs.end(), Shards[I].CrashBugs.begin(),
-                     Shards[I].CrashBugs.end());
-    std::stable_sort(ShardBugs.begin(), ShardBugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
-    Bugs.insert(Bugs.end(), ShardBugs.begin(), ShardBugs.end());
-    if (WC.Next != WC.Hi)
-      Interrupted = true;
-    uint64_t NCrash = Shards[I].CrashBugs.size();
-    if (NCrash) {
-      Stats.Crashes += NCrash;
-      Registry.counter("bug.crash") += NCrash;
-    }
-  }
-  Stats.BundlesWritten += ParentBundles;
-  Stats.BundleFailures += ParentBundleFailures;
-
-  endLive();
-  munmap(Raw, MapSize);
-  if (OwnDir) {
-    std::error_code EC;
-    fs::remove_all(Dir, EC);
-  }
-  Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            Interrupted ? "interrupted" : "completed");
-  return Stats;
-}
-
-const FuzzStats &
-CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
-                              Timer &Total) {
-  const SurvivalOptions &SV = Opts.Survival;
-  namespace fs = std::filesystem;
-
-  // As in runIsolated, the checkpoint directory is the harvest channel:
-  // children persist their state there, the parent merges from it (and a
-  // lost lease's last checkpoint is still harvested — partial results are
-  // degraded, never discarded). Without a user-provided directory, use
-  // (and afterwards remove) a private one.
+  // The checkpoint directory is the harvest channel: children persist
+  // their state there, the parent merges from it (and a lost lease's last
+  // checkpoint is still harvested — partial results are degraded, never
+  // discarded). Without a user-provided directory, use (and afterwards
+  // remove) a private one.
   std::string Dir = SV.CheckpointDir;
   const bool OwnDir = Dir.empty();
   if (OwnDir) {
@@ -1591,33 +918,22 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
            ("alive-mutate-fanout-" + std::to_string(getpid())))
               .string();
   }
+  struct DirGuard {
+    const std::string &Dir;
+    bool Own;
+    ~DirGuard() {
+      std::error_code EC;
+      if (Own)
+        fs::remove_all(Dir, EC);
+    }
+  } DG{Dir, OwnDir};
 
   // The lease partition must match the checkpoint identity, so clamp the
   // fanout before writing the meta.
   const unsigned N =
       (unsigned)std::min<uint64_t>(std::max(1u, SV.Fanout), Opts.Iterations);
-  {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = N;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(Dir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
+  if (!pinCheckpointIdentity(Dir, N))
+    return;
 
   const uint64_t Interval = SV.CheckpointInterval ? SV.CheckpointInterval : 16;
 
@@ -1641,19 +957,13 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
       rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
       setrlimit(RLIMIT_CPU, &R);
     }
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
+    FuzzOptions WOpts = workerOptions(Opts, Testable, Ctx.Index);
     WOpts.Survival.Fanout = 0;
-    WOpts.Survival.Isolate = false;
     // The process boundary IS the crash containment; an in-process guard
     // would only hide the signal from the parent's classifier. The event
     // queue lives in the parent's address space.
     WOpts.Survival.SignalGuard = false;
     WOpts.Events = nullptr;
-    WOpts.WorkerIndex = Ctx.Index;
-    WOpts.BaseSeed = Opts.BaseSeed + Ctx.Lo;
-    WOpts.Iterations = Ctx.Hi - Ctx.Lo;
     FuzzerLoop Loop(WOpts);
     Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
     uint64_t Cursor = Ctx.Lo;
@@ -1682,37 +992,32 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     WallClockSupervisor WallSup({&Loop}, SV.WallTimeoutSeconds);
     Timer Leg;
     uint64_t Since = 0;
-    std::string CkptErr;
-    while (Cursor != Ctx.Hi) {
-      if (Ctx.Stop->load(std::memory_order_relaxed))
-        break;
-      uint64_t Off = Cursor;
-      if (std::find(Ctx.Skip->begin(), Ctx.Skip->end(), Off) !=
-          Ctx.Skip->end()) {
-        ++Cursor;
-        Ctx.Next->store(Cursor, std::memory_order_relaxed);
-        Ctx.Done->fetch_add(1, std::memory_order_relaxed);
-        Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
-        continue;
+    auto Checkpoint = [&](uint64_t Next) {
+      std::string Err;
+      return writeWorkerCheckpoint(
+          Dir, snapshotWorker(Ctx.Index, Ctx.Lo, Ctx.Hi, Next, Loop), Err);
+    };
+    for (; Cursor != Ctx.Hi && !Ctx.Stop->load(std::memory_order_relaxed);
+         ++Cursor) {
+      // A skipped offset pinned a crash bug in the parent; it counts as
+      // done but never runs again.
+      bool Skip = std::find(Ctx.Skip->begin(), Ctx.Skip->end(), Cursor) !=
+                  Ctx.Skip->end();
+      if (!Skip) {
+        Ctx.Cur->store(Cursor, std::memory_order_release);
+        Loop.runIteration(Opts.BaseSeed + Cursor);
+        Ctx.Cur->store(Supervisor::IdleOffset, std::memory_order_release);
       }
-      Ctx.Cur->store(Off, std::memory_order_release);
-      Loop.runIteration(Opts.BaseSeed + Off);
-      Ctx.Cur->store(Supervisor::IdleOffset, std::memory_order_release);
-      ++Cursor;
-      Ctx.Next->store(Cursor, std::memory_order_relaxed);
+      Ctx.Next->store(Cursor + 1, std::memory_order_relaxed);
       Ctx.Done->fetch_add(1, std::memory_order_relaxed);
       Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
-      if (++Since >= Interval) {
+      if (!Skip && ++Since >= Interval) {
         Since = 0;
-        writeWorkerCheckpoint(
-            Dir, snapshotWorker(Ctx.Index, Ctx.Lo, Ctx.Hi, Cursor, Loop),
-            CkptErr);
+        Checkpoint(Cursor + 1);
       }
     }
     settleWorkerSeconds(Loop, Leg.seconds());
-    bool Ok = writeWorkerCheckpoint(
-        Dir, snapshotWorker(Ctx.Index, Ctx.Lo, Ctx.Hi, Cursor, Loop),
-        CkptErr);
+    bool Ok = Checkpoint(Cursor);
     WallSup.stop();
     // Exit 3 = "results could not be written": the parent marks the
     // lease Lost instead of retrying forever.
@@ -1722,24 +1027,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   std::string InitErr;
   if (!Sup.init(InitErr)) {
     ConfigError = InitErr;
-    if (OwnDir) {
-      std::error_code EC;
-      fs::remove_all(Dir, EC);
-    }
-    return Stats;
+    return;
   }
-
-  // Initialize the merged state now: the crash hook accounts bugs live,
-  // the final harvest adds the shard checkpoints on top.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
 
   uint64_t ParentBundles = 0, ParentBundleFailures = 0;
   Sup.setCrashHook([&](unsigned I, uint64_t Off,
@@ -1758,6 +1047,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     FR.Seed = Seed;
     FR.VerdictSlug = "crash";
     FR.Detail = B.Detail;
+    // Regenerating the mutant replays only the (signal-safe) mutator, but
+    // guard anyway: the parent must survive whatever the child did not.
     int Sig = 0;
     bool Survived = runWithSignalGuard(
         [&] {
@@ -1796,16 +1087,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   if (ProgressInterval > 0 && ProgressFn)
     Sup.setTick(
         [&](uint64_t Done, double Elapsed) {
-          CampaignProgress P;
-          P.Done = Done;
-          P.Target = Opts.Iterations;
-          P.Elapsed = Elapsed;
-          P.Workers = N;
-          if (P.Elapsed > 0)
-            P.Rate = (double)P.Done / P.Elapsed;
-          if (P.Rate > 0)
-            P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-          ProgressFn(P);
+          ProgressFn(progressAt(Done, Opts.Iterations, Elapsed, N, 0,
+                                /*Stage=*/nullptr));
         },
         ProgressInterval);
 
@@ -1824,11 +1107,7 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   endLive();
   if (!SO.Error.empty()) {
     ConfigError = SO.Error;
-    if (OwnDir) {
-      std::error_code EC;
-      fs::remove_all(Dir, EC);
-    }
-    return Stats;
+    return;
   }
 
   Registry.counter("survive.supervisor.restarts", Volatility::Volatile) +=
@@ -1841,16 +1120,17 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
                    Volatility::Volatile) += SO.LeaseExtensions;
 
   auto NoteIncident = [&](const std::string &Msg) {
-    if (!IsolateError.empty())
-      IsolateError += "; ";
-    IsolateError += Msg;
+    if (!FanoutIncidents.empty())
+      FanoutIncidents += "; ";
+    FanoutIncidents += Msg;
   };
 
-  // Harvest: every lease's last durable checkpoint, merged exactly like
-  // the isolate path, plus the parent-recorded crash bugs spliced into
-  // each shard's list in seed order. Lost leases still contribute
-  // whatever their last checkpoint holds — and exact lost-iteration
-  // accounting is computed against that checkpoint, never estimated.
+  // Harvest: every lease's last durable checkpoint, merged in lease order
+  // like the thread path's workers, plus the parent-recorded crash bugs
+  // spliced into each shard's list in seed order. Lost leases still
+  // contribute whatever their last checkpoint holds — and exact
+  // lost-iteration accounting is computed against that checkpoint, never
+  // estimated.
   for (const ShardOutcome &S : SO.Shards) {
     WorkerCheckpoint WC;
     std::string Err;
@@ -1913,15 +1193,4 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     Registry.counter("survive.degraded.lost_iterations",
                      Volatility::Volatile) += LostTotal;
   }
-
-  if (OwnDir) {
-    std::error_code EC;
-    fs::remove_all(Dir, EC);
-  }
-  Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            DegradedFlag  ? "degraded"
-            : Interrupted ? "interrupted"
-                          : "completed");
-  return Stats;
 }

@@ -5,53 +5,49 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A parallel campaign engine that shards the seed space
-/// [BaseSeed, BaseSeed+Iterations) across J worker threads. Each worker
-/// owns a private FuzzerLoop — its own clone of the master module, its own
+/// The campaign engine: runs the mutate -> optimize -> verify loop over the
+/// seed range [BaseSeed, BaseSeed+Iterations) on one of two paths.
+///
+/// Threads (the default). J worker threads, each owning a private
+/// FuzzerLoop — its own clone of the master module, its own
 /// RandomGenerator stream, PassManager, bug-injection context view and
 /// FuzzStats — so workers share nothing mutable and never synchronize on
-/// the hot path.
+/// the hot path. One epoch loop serves every thread campaign:
+///   - blind: a single epoch over the whole range; each worker's slice is
+///     the static contiguous partition, and the campaign can stop and
+///     checkpoint at any iteration boundary;
+///   - feedback: epochs of Feedback.EpochLength offsets, each sliced
+///     afresh; at the barrier the coverage deltas merge and the schedule
+///     is recomputed, and stops and checkpoints happen only there;
+///   - time-limited (Iterations == 0): a single unbounded epoch in which
+///     workers draw offsets from a shared counter until the budget runs
+///     out. The mutant count then depends on scheduling, but every
+///     reported bug is still reproducible from its logged seed.
 ///
-/// Determinism: one iteration's outcome depends only on its seed (each
-/// iteration clones the master afresh and reseeds the PRNG), so a static
-/// contiguous partition of the seed range, merged in worker order, yields
-/// a bug list and summed statistics byte-identical to the sequential run.
-/// Each worker's loop owns a private TVCache; a cache hit replays the
-/// byte-identical verdict the checker would recompute, so memoization
-/// never perturbs the merged bug report — only the hit/miss split varies
-/// with the worker count. With -shared-tv-cache the engine instead owns
-/// one process-wide SharedTVCache that every worker queries: keys are
-/// canonicalized pairs and verdicts are computed on the canonical pair,
-/// so the same byte-for-byte-replay argument holds across workers (only
-/// the volatile hit/miss counters become scheduling-dependent). Under
-/// -isolate the shared cache is per-child after the fork (copy-on-write
-/// pages), i.e. shared across iterations within a shard but not between
-/// shards.
-/// The §III-A self-check/preprocessing pass runs exactly once, on the
-/// master module; workers inherit the surviving function set.
+/// Processes (Survival.Fanout). Shard leases run in forked children under
+/// core/Supervisor: optional RLIMIT_AS/RLIMIT_CPU, heartbeat deadlines,
+/// backoff restarts, crash attribution (a seed that repeatedly kills its
+/// child becomes a recorded crash bug and is skipped) and exact lost-work
+/// accounting. Children hand their results back through the checkpoint
+/// files; the parent stays single-threaded.
 ///
-/// Time-limited campaigns (Iterations == 0, TimeLimitSeconds > 0) have no
-/// fixed partition: workers draw seeds from a shared atomic counter and
-/// the merged bug list is sorted by mutant seed. The mutant count then
-/// depends on scheduling, but every reported bug is still reproducible
-/// from its logged seed.
+/// Determinism: one iteration's outcome depends only on its seed and the
+/// schedule frozen at its epoch's start (each iteration clones the master
+/// afresh and reseeds the PRNG), so merging worker results in worker order
+/// and sorting the bug list by seed yields a report byte-identical to the
+/// sequential run, on either path. A fresh feedback schedule consumes the
+/// RNG stream exactly like blind. Each worker loop owns a private TVCache;
+/// a hit replays the byte-identical verdict the checker would recompute,
+/// so only the hit/miss split varies with the worker count. With
+/// -shared-tv-cache the engine instead owns one process-wide SharedTVCache
+/// that every worker queries on canonicalized keys, so the same argument
+/// holds across workers. Under -fanout that cache is per child after the
+/// fork (copy-on-write pages). The §III-A self-check/preprocessing pass
+/// runs exactly once, on the master module; workers inherit the surviving
+/// function set.
 ///
-/// Survivability (iteration-bounded campaigns only):
-///   - the engine drives each worker's iterations itself, so a campaign
-///     can be stopped at any iteration boundary (requestStop) and
-///     checkpointed periodically (Survival.CheckpointDir); a resumed
-///     campaign's deterministic report section is byte-identical to an
-///     uninterrupted run;
-///   - a wall-clock supervisor thread watches each worker's iteration
-///     serial and cancels its watchdog token when one iteration overstays
-///     Survival.WallTimeoutSeconds;
-///   - with Survival.Isolate the shards run in supervised child processes
-///     (fork, optional RLIMIT_AS/RLIMIT_CPU). A shard killed by a fatal
-///     signal becomes a recorded crash-bug outcome attributed to the seed
-///     in flight; the shard restarts with exponential backoff from its
-///     last checkpoint, skipping the crashing seed. The parent stays
-///     single-threaded and harvests shard results through the checkpoint
-///     files.
+/// Flag coherence is checked once, in the constructor: configError() names
+/// the first incoherent combination before any module is loaded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,9 +97,10 @@ public:
   CampaignEngine(const CampaignEngine &) = delete;
   CampaignEngine &operator=(const CampaignEngine &) = delete;
 
-  /// Non-empty when the configuration is unusable (bad pipeline, or an
-  /// unbounded campaign detected in run()). An engine with a config error
-  /// refuses to run.
+  /// Non-empty when the configuration is unusable: a bad pipeline or an
+  /// incoherent flag combination (set by the constructor), or a resume
+  /// that does not match its checkpoint (set by run()). An engine with a
+  /// config error refuses to run.
   const std::string &configError() const { return ConfigError; }
 
   unsigned jobs() const { return Jobs; }
@@ -124,9 +121,10 @@ public:
   const FuzzStats &run();
 
   /// Asks the running campaign to stop at the next iteration boundary
-  /// (thread-safe; also honored by isolated shards via the shared control
-  /// page). A checkpointing campaign writes a final snapshot first, so a
-  /// stopped campaign is resumable.
+  /// (the next epoch barrier under feedback; thread-safe; also honored by
+  /// -fanout children via the shared control page). A checkpointing
+  /// campaign writes a final snapshot first, so a stopped campaign is
+  /// resumable.
   void requestStop() { StopReq.store(true, std::memory_order_relaxed); }
 
   /// Test hook: stop once \p N iterations have completed across all
@@ -140,10 +138,10 @@ public:
   /// (requestStop / stopAfterIterations). Resume with Survival.Resume.
   bool interrupted() const { return Interrupted; }
 
-  /// Non-fatal isolation-mode incident log ("" when clean): shards
-  /// abandoned after repeated no-progress restarts, or harvest failures.
-  /// The campaign still completes with every other shard's results.
-  const std::string &isolateError() const { return IsolateError; }
+  /// Non-fatal -fanout incident log ("" when clean): leases lost after
+  /// exhausting their retries, or harvest failures. The campaign still
+  /// completes with every other shard's results.
+  const std::string &fanoutIncidents() const { return FanoutIncidents; }
 
   /// True when the last run() permanently lost at least one shard lease
   /// (-fanout: retry budget exhausted or results unwritable). The run
@@ -209,9 +207,7 @@ public:
 
   /// The finished campaign's cost-attribution profile (Opts.Profile):
   /// deterministic merged top-K queries plus the volatile sampling folds
-  /// and cache shard heat. Enabled=false when profiling was off (and
-  /// always under -isolate: worker state lives in child processes the
-  /// parent cannot sample or merge from).
+  /// and cache shard heat. Enabled=false when profiling was off.
   const CampaignProfile &profile() const { return Profile; }
 
   /// A point-in-time profile for the live endpoints (/profile.json,
@@ -221,33 +217,28 @@ public:
   CampaignProfile profileSnapshot() const;
 
 private:
-  /// The fork/waitpid isolation path (Survival.Isolate). \p J is the
-  /// effective shard count, \p Total the campaign wall clock.
-  const FuzzStats &runIsolated(unsigned J,
-                               const std::vector<std::string> &Testable,
-                               Timer &Total);
+  /// The thread path: one epoch loop for blind, feedback and time-limited
+  /// campaigns (see the file comment). Under feedback, every worker runs a
+  /// static contiguous slice of each epoch under the schedule frozen at
+  /// its start; at the barrier the coverage deltas merge in worker-index
+  /// order (bitwise OR — commutative and associative, so the cumulative
+  /// map is partition-independent) and the schedule is recomputed as a
+  /// pure function of the cumulative maps. Sets ConfigError and returns
+  /// early, before any worker thread starts, when resume state is invalid.
+  void runThreads(const std::vector<std::string> &Testable, Timer &Total);
 
-  /// The feedback-directed path (Opts.Feedback.Enabled): the seed range is
-  /// consumed epoch by epoch. Within an epoch every worker runs a static
-  /// contiguous slice under the schedule frozen at the epoch's start; at
-  /// the barrier the workers' coverage deltas merge in worker-index order
-  /// (bitwise OR — commutative and associative, so the cumulative map is
-  /// partition-independent) and the schedule is recomputed as a pure
-  /// function of the cumulative maps. -j1 == -jN therefore still holds
-  /// for the deterministic report. Checkpoints are written only at epoch
-  /// boundaries, where the complete feedback state is the global map plus
-  /// the schedule.
-  const FuzzStats &runFeedback(unsigned J,
-                               const std::vector<std::string> &Testable,
-                               Timer &Total);
+  /// The process path (Survival.Fanout): shard leases under a
+  /// core/Supervisor control loop — heartbeat deadlines, retry with
+  /// bounded exponential backoff, retry-then-skip crash attribution and
+  /// lost-shard degradation accounting. The merged deterministic section
+  /// is byte-identical to -j1 whenever no lease ends Lost.
+  void runSupervised(const std::vector<std::string> &Testable, Timer &Total);
 
-  /// The supervised multi-process path (Survival.Fanout): shard leases
-  /// under a core/Supervisor control loop — heartbeat deadlines, retry
-  /// with bounded exponential backoff, retry-then-skip crash attribution
-  /// and lost-shard degradation accounting. The merged deterministic
-  /// section is byte-identical to -j1 whenever no lease ends Lost.
-  const FuzzStats &runSupervised(const std::vector<std::string> &Testable,
-                                 Timer &Total);
+  /// Pins the campaign identity in \p Dir: writes meta.json for a fresh
+  /// campaign, or verifies a resumed one against it. \p Shards is the
+  /// effective worker (or lease) count. \returns false with ConfigError
+  /// set on a mismatch or write failure.
+  bool pinCheckpointIdentity(const std::string &Dir, unsigned Shards);
 
   /// The final merged feedback state of a finished feedback campaign
   /// (used by -distill and the run report).
@@ -267,7 +258,7 @@ private:
   std::atomic<uint64_t> StopAfter{0};
   std::atomic<uint64_t> TotalDone{0};
   bool Interrupted = false;
-  std::string IsolateError;
+  std::string FanoutIncidents;
   /// Degradation state of the last -fanout run (degraded()/lostShards()).
   bool DegradedFlag = false;
   std::vector<std::pair<unsigned, uint64_t>> LostShardsV;
@@ -298,20 +289,24 @@ private:
   /// Merges worker trackers (worker order) + sampler folds + shard heat
   /// into Profile after a run path joins its workers.
   void finishProfile(const std::vector<const QueryCostTracker *> &Trackers);
+  /// That merge as a value (finishProfile and live snapshots share it).
+  /// Caller holds LiveM.
+  CampaignProfile
+  mergedProfile(const std::vector<const QueryCostTracker *> &Trackers) const;
 
   // --- Live observability plane (observer-only; see Observability.h) ---
 
   /// One live shard as registered by a run path: borrowed pointers into
-  /// run()-scoped worker state (or the isolation heartbeat page). Valid
+  /// run()-scoped worker state (or the -fanout heartbeat page). Valid
   /// only while registered — endLive() revokes them before the owners die.
   struct LiveShardRef {
     unsigned Index = 0;
     uint64_t Lo = 0, Hi = 0;
     const std::atomic<uint64_t> *Done = nullptr;
     /// Four live stage counters (mutate/optimize/verify/overhead nanos);
-    /// null for isolated shards (the page carries no stage split).
+    /// null for -fanout shards (the page carries no stage split).
     const std::atomic<uint64_t> *StageNanos = nullptr;
-    /// The worker's loop, for registry/trace reads; null for isolated
+    /// The worker's loop, for registry/trace reads; null for -fanout
     /// shards (their state lives in another process).
     const FuzzerLoop *Loop = nullptr;
   };

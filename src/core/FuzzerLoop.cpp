@@ -335,7 +335,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     // runs (null in blind mode: fireRule stays a single untaken branch).
     RuleCoverageScope Rules(FB ? RuleWords : nullptr);
     if (Opts.Survival.SignalGuard) {
-      // In-process containment fallback (no -isolate): a pass raising a
+      // In-process containment fallback (no -fanout): a pass raising a
       // fatal signal becomes a recorded crash instead of killing the
       // campaign. The mutant is torn afterwards; only Source (untouched
       // by the pipeline) is used on that path.

@@ -39,7 +39,7 @@ struct CampaignEvent {
     BugFound,     ///< any recorded bug: miscompile, crash, invalid, timeout
     EpochBarrier, ///< a feedback epoch merged and rescheduled
     Checkpoint,   ///< a checkpoint snapshot hit disk
-    ShardRestart, ///< an isolated shard died and was restarted
+    ShardRestart, ///< a -fanout child died and was restarted
     CampaignEnd,
   };
 
@@ -97,7 +97,7 @@ struct ShardLiveState {
   uint64_t Done = 0;        ///< iterations completed
   uint64_t StageNanos[4] = {}; ///< mutate/optimize/verify/overhead
   uint64_t TraceDropped = 0;   ///< flight-recorder ring overwrites so far
-  bool HasRegistry = false; ///< false for isolated (out-of-process) shards
+  bool HasRegistry = false; ///< false for -fanout (out-of-process) shards
 };
 
 /// A point-in-time view of a running (or finished) campaign. Produced by

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-process campaign runner behind -fanout=N: a from-scratch
-/// control loop that promotes the -isolate prototype into real lease
-/// management. The engine partitions the seed range into N *shard leases*;
+/// The multi-process campaign runner behind -fanout=N, the engine's only
+/// process path: a control loop with real lease management. The engine
+/// partitions the seed range into N *shard leases*;
 /// the Supervisor forks one child per lease and owns everything that can
 /// go wrong on the process boundary:
 ///
@@ -32,7 +32,7 @@
 ///     not perturb the deterministic report. Only when the *same* offset
 ///     takes the process down SeedDeathThreshold times is it skipped and
 ///     handed to the parent-side CrashHook, which synthesizes the crash
-///     BugRecord exactly like the -isolate path.
+///     BugRecord.
 ///
 ///   - **Degradation, never silence.** A lease whose budget is exhausted
 ///     (or whose results cannot be written) becomes *Lost*: counted with

@@ -11,7 +11,7 @@
 ///   - test-slow  — spins until the iteration watchdog trips (or a safety
 ///     cap, so a watchdog-less pipeline still terminates);
 ///   - test-crash — dereferences null when it sees a function whose name
-///     starts with "crashme" (SIGSEGV, for -isolate containment tests);
+///     starts with "crashme" (SIGSEGV, for -fanout containment tests);
 ///   - test-abort — calls std::abort() on functions named "abortme*"
 ///     (SIGABRT, for the in-process signal-guard tests).
 ///

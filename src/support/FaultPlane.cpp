@@ -24,8 +24,6 @@ const std::vector<std::string> &FaultPlane::knownPoints() {
       "checkpoint.write", "checkpoint.fsync", "checkpoint.rename",
       "forensics.write", "forensics.fsync", "forensics.rename",
       "report.write", "report.fsync", "report.rename",
-      // Fork-based crash containment.
-      "isolate.fork", "isolate.mmap",
       // Supervised fan-out control loop (evaluated in the parent, so
       // counters persist across child respawns).
       "supervisor.fork", "supervisor.kill", "supervisor.wedge",

@@ -7,7 +7,7 @@
 /// \file
 /// A deterministic, seed-driven fault-injection plane. Every syscall-shaped
 /// edge the campaign touches is wrapped in a named *fault point*
-/// (checkpoint.write, isolate.fork, http.send, ...). In production nothing
+/// (checkpoint.write, supervisor.fork, http.send, ...). In production nothing
 /// is armed and faultAt() is a single relaxed atomic load. Under test, a
 /// `-inject-fault=<point>:<spec>[,<point>:<spec>...]` flag arms points:
 ///
@@ -24,7 +24,7 @@
 /// can assert "the fault actually fired N times" instead of hoping.
 ///
 /// The plane is process-global and fork-inherited: a child forked by the
-/// isolate/supervisor path sees the same armed table. Counter state is
+/// supervisor sees the same armed table. Counter state is
 /// per-process after the fork (children do not write back), which the
 /// supervisor exploits by evaluating child-kill faults in the parent.
 ///

@@ -8,7 +8,7 @@
 /// The restart policy shared by everything that respawns a failed child:
 /// bounded exponential backoff with deterministic jitter. A RetryPolicy is
 /// plain configuration; a RetryState tracks one retry sequence (a shard
-/// lease, an isolated shard) and hands out delays. Jitter draws from a
+/// lease) and hands out delays. Jitter draws from a
 /// private splitmix64 stream keyed by (policy seed, stream tag), so two
 /// identically-configured supervisors back off on identical schedules —
 /// chaos runs stay reproducible — while distinct leases still de-correlate.

@@ -8,7 +8,7 @@
 /// Best-effort in-process containment of fatal signals for the campaign's
 /// survivability layer: run a callable and, if it raises SIGABRT / SIGFPE /
 /// SIGILL / SIGBUS / SIGSEGV on the calling thread, long-jump back to the
-/// call site instead of dying. This is the cheap fallback used when -isolate
+/// call site instead of dying. This is the cheap fallback used when -fanout
 /// (real child-process containment) is off.
 ///
 /// Hard limitations, by construction:
@@ -21,7 +21,7 @@
 ///     as torn and never touched again;
 ///   - signals on *other* threads, stack overflow, and heap corruption
 ///     that re-faults inside the handler still kill the process — that is
-///     what -isolate is for.
+///     what -fanout is for.
 ///
 /// A signal arriving while no guard is armed on the thread re-raises with
 /// the default disposition, so guarded binaries keep their normal

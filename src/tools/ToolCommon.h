@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,15 @@ public:
                : std::stoull(It->second);
   }
   const std::vector<std::string> &positional() const { return Positional; }
+
+  /// The first flag (in name order) outside \p Known, or "" when every
+  /// flag is known.
+  std::string firstUnknown(const std::set<std::string> &Known) const {
+    for (const auto &KV : Flags)
+      if (!Known.count(KV.first))
+        return KV.first;
+    return "";
+  }
 
 private:
   std::map<std::string, std::string> Flags;

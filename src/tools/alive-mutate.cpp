@@ -10,7 +10,7 @@
 /// files; paper §III and the artifact appendix's CLI: -n, -t, -seed,
 /// -passes, -save-dir, -saveAll), sharded across -j worker threads with a
 /// deterministic merge. The survivability flags (-step-budget,
-/// -iter-timeout, -isolate, -checkpoint/-resume, -quarantine) keep a long
+/// -iter-timeout, -fanout, -checkpoint/-resume, -quarantine) keep a long
 /// campaign alive across hangs and optimizer crashes.
 ///
 //===----------------------------------------------------------------------===//
@@ -73,13 +73,8 @@ static void printHelp() {
       "                    fractional; timeouts are volatile stats)\n"
       "  -quarantine=<n>   back off a function's refinement checks after\n"
       "                    <n> watchdog timeouts (default: off)\n"
-      "  -isolate          run each shard in a supervised child process;\n"
-      "                    fatal signals become recorded crash bugs and\n"
-      "                    the shard restarts (requires -n)\n"
-      "  -isolate-mem-mb=<n> RLIMIT_AS for isolated shards, in MiB\n"
-      "  -isolate-cpu-s=<n>  RLIMIT_CPU for isolated shards, in seconds\n"
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
-      "                    in-process (guard is on by default; -isolate\n"
+      "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
       "  -fanout=<n>       supervised multi-process campaign: <n> shard\n"
       "                    leases with heartbeat deadlines, bounded-backoff\n"
@@ -87,6 +82,8 @@ static void printHelp() {
       "                    result harvest (requires -n; the deterministic\n"
       "                    report stays byte-identical to -j1 unless a\n"
       "                    lease is permanently lost)\n"
+      "  -isolate-mem-mb=<n> RLIMIT_AS for -fanout children, in MiB\n"
+      "  -isolate-cpu-s=<n>  RLIMIT_CPU for -fanout children, in seconds\n"
       "  -retry-max=<n>    restart budget per shard lease; checkpoint\n"
       "                    progress refills it (default 5)\n"
       "  -retry-base=<s>   first restart backoff delay, doubling per\n"
@@ -180,10 +177,34 @@ static int runReplay(const std::string &Bundle) {
 
 int main(int Argc, char **Argv) {
   ArgParser Args(Argc, Argv);
+  // A mistyped or retired flag must not quietly change the campaign (a
+  // misspelled -feedback would run blind), so any other flag is an error.
+  if (std::string Unknown = Args.firstUnknown(
+          {"bug-bundles",     "checkpoint",       "checkpoint-interval",
+           "distill",         "fanout",           "fault-seed",
+           "feedback",        "feedback-epoch",   "health-stale",
+           "help",            "inject-bugs",      "inject-fault",
+           "isolate-cpu-s",   "isolate-mem-mb",   "iter-timeout",
+           "j",               "lease-deadline",   "max-mutations",
+           "metrics-interval", "metrics-port",    "n",
+           "no-signal-guard", "no-skip-unchanged", "no-tv-cache",
+           "passes",          "profile",          "profile-interval",
+           "profile-topk",    "progress",         "quarantine",
+           "replay",          "report",           "resume",
+           "retry-base",      "retry-cap",        "retry-max",
+           "save-dir",        "saveAll",          "seed",
+           "shared-tv-cache", "stats-json",       "step-budget",
+           "t",               "trace-capacity",   "trace-json",
+           "tv-cache-shards", "tv-cache-size",    "tv-prescreen"});
+      !Unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
+                 Unknown.c_str());
+    return 1;
+  }
   if (Args.has("replay")) {
     // A replay re-runs exactly one recorded iteration in-process; campaign
     // flags make no sense next to it. Reject instead of silently ignoring.
-    for (const char *Bad : {"j", "resume", "isolate", "checkpoint"})
+    for (const char *Bad : {"j", "resume", "checkpoint"})
       if (Args.has(Bad)) {
         std::fprintf(stderr,
                      "error: -replay cannot be combined with -%s: a replay "
@@ -247,7 +268,7 @@ int main(int Argc, char **Argv) {
 
   // Survivability. The in-process signal guard is on by default for the
   // fuzzing tool — a real optimizer abort should be a recorded crash bug,
-  // not a dead campaign — and off under -isolate, where process isolation
+  // not a dead campaign — and off under -fanout, where process isolation
   // both contains the signal and survives the signals no in-process
   // handler can (SIGKILL from RLIMIT_AS, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
@@ -255,7 +276,6 @@ int main(int Argc, char **Argv) {
   if (std::string V = Args.get("iter-timeout"); !V.empty())
     SV.WallTimeoutSeconds = std::atof(V.c_str());
   SV.QuarantineThreshold = (unsigned)Args.getInt("quarantine", 0);
-  SV.Isolate = Args.has("isolate");
   SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
   SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
   SV.Fanout = (unsigned)Args.getInt("fanout", 0);
@@ -267,7 +287,7 @@ int main(int Argc, char **Argv) {
     SV.RetryMaxDelay = std::atof(V.c_str());
   if (std::string V = Args.get("lease-deadline"); !V.empty())
     SV.LeaseHeartbeatSeconds = std::atof(V.c_str());
-  SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Isolate && !SV.Fanout;
+  SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Fanout;
   SV.CheckpointDir = Args.get("checkpoint");
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
   SV.Resume = Args.has("resume");
@@ -289,116 +309,22 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  if (SV.Resume && SV.CheckpointDir.empty()) {
-    std::fprintf(stderr,
-                 "error: -resume needs -checkpoint=<dir> naming the "
-                 "checkpoint directory of the interrupted campaign\n");
-    return 1;
-  }
-  if (SV.Isolate && Args.has("t")) {
-    std::fprintf(stderr,
-                 "error: -isolate needs an iteration-bounded campaign: "
-                 "replace -t=<sec> with -n=<count> (shard partitions and "
-                 "crash attribution need a fixed seed range)\n");
-    return 1;
-  }
-  if (SV.Fanout) {
-    if (Args.has("t")) {
-      std::fprintf(stderr,
-                   "error: -fanout needs an iteration-bounded campaign: "
-                   "replace -t=<sec> with -n=<count> (shard leases and "
-                   "lost-work accounting need a fixed seed range)\n");
-      return 1;
-    }
-    if (SV.Isolate) {
-      std::fprintf(stderr,
-                   "error: -isolate and -fanout are both process "
-                   "supervisors: pick one (-fanout adds shard leases, "
-                   "retry budgets and partial-result harvest on top of "
-                   "the same child-process isolation)\n");
-      return 1;
-    }
-    if (Opts.Feedback.Enabled) {
-      std::fprintf(stderr,
-                   "error: -feedback cannot be combined with -fanout: "
-                   "supervised shards have no epoch barrier to merge "
-                   "coverage at; drop one of the two flags\n");
-      return 1;
-    }
-    if (Opts.TraceEnabled) {
-      std::fprintf(stderr,
-                   "error: -trace-json cannot cross the -fanout process "
-                   "boundary: the flight recorder lives in shard memory; "
-                   "drop one of the two flags\n");
-      return 1;
-    }
-    if (Opts.Profile.Enabled) {
-      std::fprintf(stderr,
-                   "error: -profile cannot cross the -fanout process "
-                   "boundary: the cost trackers and span stacks live in "
-                   "shard memory; drop one of the two flags\n");
-      return 1;
-    }
-  }
-  if (!SV.CheckpointDir.empty() && Args.has("t")) {
-    // Time-limited campaigns have no reproducible seed schedule, so a
-    // checkpoint could not record "where the campaign was" — and the
-    // static dispatch ignores -t next to -n anyway. Reject the
-    // combination instead of silently checkpointing something else.
-    std::fprintf(stderr,
-                 "error: -checkpoint/-resume need an iteration-bounded "
-                 "campaign: replace -t=<sec> with -n=<count> (a time "
-                 "budget has no reproducible seed schedule to resume)\n");
-    return 1;
-  }
-  if (Opts.Feedback.Enabled) {
-    if (Args.has("t")) {
-      std::fprintf(stderr,
-                   "error: -feedback needs an iteration-bounded campaign: "
-                   "replace -t=<sec> with -n=<count> (the epoch schedule "
-                   "is defined over a fixed seed range)\n");
-      return 1;
-    }
-    if (SV.Isolate) {
-      std::fprintf(stderr,
-                   "error: -feedback cannot be combined with -isolate: "
-                   "isolated shards have no epoch barrier to merge "
-                   "coverage at; drop one of the two flags\n");
-      return 1;
-    }
-    if (!Opts.BugBundleDir.empty()) {
-      std::fprintf(stderr,
-                   "error: -feedback cannot be combined with -bug-bundles: "
-                   "bundle trails replay seeds without the feedback "
-                   "schedule and would not match the failing mutant; drop "
-                   "one of the two flags\n");
-      return 1;
-    }
-  }
   if (Args.has("distill") && !Opts.Feedback.Enabled) {
     std::fprintf(stderr,
                  "error: -distill needs -feedback: distillation ranks the "
                  "corpus by the coverage a feedback campaign collected\n");
     return 1;
   }
-  if (SV.Isolate && Opts.TraceEnabled) {
-    std::fprintf(stderr,
-                 "error: -trace-json cannot cross the -isolate process "
-                 "boundary: the flight recorder lives in shard memory; "
-                 "drop one of the two flags\n");
-    return 1;
-  }
-  if (SV.Isolate && Opts.Profile.Enabled) {
-    std::fprintf(stderr,
-                 "error: -profile cannot cross the -isolate process "
-                 "boundary: the cost trackers and span stacks live in "
-                 "shard memory; drop one of the two flags\n");
-    return 1;
-  }
 
-  if (Opts.Iterations == 0 && Opts.TimeLimitSeconds <= 0) {
-    std::fprintf(stderr,
-                 "error: unbounded campaign: give -n=<count> or -t=<sec>\n");
+  unsigned Jobs = (unsigned)Args.getInt("j", 1);
+  if (Jobs == 0)
+    Jobs = std::max(1u, std::thread::hardware_concurrency());
+
+  // The engine checks the pipeline and every flag combination on
+  // construction, before the corpus is read.
+  CampaignEngine Engine(Opts, Jobs);
+  if (!Engine.configError().empty()) {
+    std::fprintf(stderr, "error: %s\n", Engine.configError().c_str());
     return 1;
   }
 
@@ -415,21 +341,9 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  unsigned Jobs = (unsigned)Args.getInt("j", 1);
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-
-  CampaignEngine Engine(Opts, Jobs);
-  if (!Engine.configError().empty()) {
-    std::fprintf(stderr, "error: %s\n", Engine.configError().c_str());
-    return 1;
-  }
-
   unsigned Testable = Engine.loadModule(std::move(Corpus.M));
   char Mode[32] = "";
-  if (SV.Isolate)
-    std::snprintf(Mode, sizeof(Mode), " [isolated]");
-  else if (SV.Fanout)
+  if (SV.Fanout)
     std::snprintf(Mode, sizeof(Mode), " [fanout=%u]", SV.Fanout);
   std::printf("alive-mutate: %u testable function(s) from %u corpus "
               "file(s), pipeline '%s', %u worker(s)%s\n",
@@ -549,12 +463,6 @@ int main(int Argc, char **Argv) {
     std::printf("contained:      %llu optimizer signal(s) caught "
                 "in-process\n",
                 (unsigned long long)Contained);
-  if (SV.Isolate)
-    std::printf("isolation:      %llu shard crash(es), %llu restart(s)\n",
-                (unsigned long long)Engine.registry().counterValue(
-                    "survive.isolate.crashes"),
-                (unsigned long long)Engine.registry().counterValue(
-                    "survive.isolate.restarts"));
   if (SV.Fanout)
     std::printf("supervision:    %llu restart(s), %llu wedge kill(s), "
                 "%llu fork failure(s), %zu lost shard(s)\n",
@@ -682,8 +590,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "warning: %s\n", Engine.saveDirError().c_str());
   if (!Engine.bundleError().empty())
     std::fprintf(stderr, "warning: %s\n", Engine.bundleError().c_str());
-  if (!Engine.isolateError().empty())
-    std::fprintf(stderr, "warning: %s\n", Engine.isolateError().c_str());
+  if (!Engine.fanoutIncidents().empty())
+    std::fprintf(stderr, "warning: %s\n", Engine.fanoutIncidents().c_str());
   if (S.SaveFailures > 0)
     std::fprintf(stderr,
                  "warning: %llu mutant(s) could not be saved to '%s'\n",

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <thread>
 
 using namespace alive;
 
@@ -347,21 +348,38 @@ TEST(FeedbackTest, FeedbackReportIsWorkerCountInvariant) {
 }
 
 TEST(FeedbackTest, FeedbackOffReproducesBlindRunExactly) {
-  // -feedback=off must be bit-for-bit the blind engine: same bugs, same
-  // deterministic counters, no feedback counters at all.
-  FuzzOptions Blind = feedbackOptions(80, 16);
+  // A feedback campaign whose single epoch spans the whole seed range runs
+  // every seed under a fresh, uniform schedule, which must consume the
+  // RNG stream exactly like blind: same bugs, same mutant and mutation
+  // counts. The engine's one epoch loop serves both on this property.
+  const uint64_t Iterations = 80;
+  FuzzOptions Blind = feedbackOptions(Iterations, 16);
   Blind.Feedback.Enabled = false;
-  FuzzOptions Off = Blind;
+  FuzzOptions OneEpoch = feedbackOptions(Iterations, Iterations);
+  for (unsigned Jobs : {1u, 2u}) {
+    CampaignEngine A(Blind, Jobs);
+    A.loadModule(parseOk(TwoBugCorpus));
+    A.run();
+    ASSERT_TRUE(A.configError().empty()) << A.configError();
+    CampaignEngine B(OneEpoch, Jobs);
+    B.loadModule(parseOk(TwoBugCorpus));
+    B.run();
+    ASSERT_TRUE(B.configError().empty()) << B.configError();
 
-  CampaignEngine A(Blind, 2);
-  A.loadModule(parseOk(TwoBugCorpus));
-  A.run();
-  CampaignEngine B(Off, 2);
-  B.loadModule(parseOk(TwoBugCorpus));
-  B.run();
-  EXPECT_EQ(deterministicReportPart(A, Blind),
-            deterministicReportPart(B, Off));
-  EXPECT_EQ(A.registry().counterValue("feedback.epochs"), 0u);
+    EXPECT_EQ(B.registry().counterValue("feedback.epochs"), 1u);
+    EXPECT_EQ(A.registry().counterValue("feedback.epochs"), 0u);
+    EXPECT_EQ(A.stats().MutantsGenerated, B.stats().MutantsGenerated);
+    EXPECT_EQ(A.stats().MutationsApplied, B.stats().MutationsApplied);
+    ASSERT_GT(A.bugs().size(), 0u);
+    ASSERT_EQ(A.bugs().size(), B.bugs().size()) << "-j" << Jobs;
+    for (size_t I = 0; I != A.bugs().size(); ++I) {
+      EXPECT_EQ(A.bugs()[I].MutantSeed, B.bugs()[I].MutantSeed);
+      EXPECT_EQ(A.bugs()[I].Kind, B.bugs()[I].Kind);
+      EXPECT_EQ(A.bugs()[I].FunctionName, B.bugs()[I].FunctionName);
+      EXPECT_EQ(A.bugs()[I].Detail, B.bugs()[I].Detail);
+      EXPECT_EQ(A.bugs()[I].MutantIR, B.bugs()[I].MutantIR);
+    }
+  }
 }
 
 TEST(FeedbackTest, FeedbackCampaignResumesByteIdentically) {
@@ -400,6 +418,41 @@ TEST(FeedbackTest, FeedbackCampaignResumesByteIdentically) {
   EXPECT_EQ(deterministicReportPart(Leg2, ResumeOpts), RefReport);
   EXPECT_TRUE(Leg2.feedback() == Ref.feedback());
   EXPECT_TRUE(Leg2.schedule() == Ref.schedule());
+}
+
+TEST(FeedbackTest, ProfiledResumeRejectsTruncatedFeedbackState) {
+  // All resume state is validated before any thread starts. A resume
+  // that fails on a damaged feedback.json must leave no sampling profiler
+  // running over the recorders of workers that died with the failed run.
+  const uint64_t Iterations = 64;
+  ScratchDir Dir("resume_truncated");
+  FuzzOptions Opts = feedbackOptions(Iterations, 16);
+  Opts.Survival.CheckpointDir = Dir.Path;
+  {
+    CampaignEngine Leg1(Opts, 2);
+    Leg1.loadModule(parseOk(TwoBugCorpus));
+    Leg1.stopAfterIterations(20);
+    Leg1.run();
+    ASSERT_TRUE(Leg1.configError().empty()) << Leg1.configError();
+    ASSERT_TRUE(Leg1.interrupted());
+  }
+  const std::string State = Dir.Path + "/feedback.json";
+  ASSERT_TRUE(std::filesystem::exists(State));
+  std::filesystem::resize_file(State, std::filesystem::file_size(State) / 2);
+
+  FuzzOptions ResumeOpts = Opts;
+  ResumeOpts.Survival.Resume = true;
+  ResumeOpts.Profile.Enabled = true;
+  ResumeOpts.Profile.SamplingIntervalMs = 1;
+  auto Engine = std::make_unique<CampaignEngine>(ResumeOpts, 2);
+  Engine->loadModule(parseOk(TwoBugCorpus));
+  Engine->run();
+  EXPECT_NE(Engine->configError().find("cannot resume"), std::string::npos)
+      << Engine->configError();
+  EXPECT_EQ(Engine->stats().MutantsGenerated, 0u);
+  // Give a leaked sampler time to touch the dead recorders, then destroy.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Engine.reset();
 }
 
 TEST(FeedbackTest, FeedbackRejectsIncoherentConfigs) {

@@ -19,6 +19,7 @@
 #include "parser/Parser.h"
 #include "support/FaultPlane.h"
 
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -200,15 +201,18 @@ TEST_F(SupervisorTest, ExhaustedRetriesDegradeWithExactAccounting) {
   EXPECT_EQ(R.counterValue("survive.degraded.lost_iterations"),
             Iterations);
   EXPECT_GE(R.counterValue("survive.supervisor.fork_failures"), 3u);
-  EXPECT_NE(Engine.isolateError().find("lost"), std::string::npos)
-      << Engine.isolateError();
+  EXPECT_NE(Engine.fanoutIncidents().find("lost"), std::string::npos)
+      << Engine.fanoutIncidents();
 }
 
 TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   // A pass that SIGSEGVs deterministically: the first death at a seed is
   // retried (it could have been an external kill), the second pins it,
-  // skips the seed and synthesizes a crash bug — so the campaign
-  // completes with every crashing seed recorded and nothing lost.
+  // skips the seed and synthesizes a crash bug with a forensics bundle —
+  // so the campaign completes with every crashing seed recorded and
+  // nothing lost.
+  const std::string Bundles = ::testing::TempDir() + "amr_sup_bundles";
+  std::filesystem::remove_all(Bundles);
   FuzzOptions Opts;
   Opts.Passes = "test-crash,dce";
   Opts.Iterations = 3;
@@ -216,6 +220,7 @@ TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   Opts.Survival.Fanout = 1;
   Opts.Survival.RetryBaseDelay = 0.005;
   Opts.Survival.RetryMaxDelay = 0.05;
+  Opts.BugBundleDir = Bundles;
   CampaignEngine Engine(Opts, 1);
   Engine.loadModule(parseOk(R"(
 define i8 @crashme(i8 %x) {
@@ -225,7 +230,9 @@ define i8 @crashme(i8 %x) {
 )"));
   const FuzzStats &S = Engine.run();
   ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_TRUE(Engine.fanoutIncidents().empty()) << Engine.fanoutIncidents();
   EXPECT_FALSE(Engine.degraded());
+  EXPECT_FALSE(Engine.interrupted());
   EXPECT_EQ(S.Crashes, 3u);
   ASSERT_EQ(Engine.bugs().size(), 3u);
   for (const BugRecord &B : Engine.bugs()) {
@@ -234,11 +241,15 @@ define i8 @crashme(i8 %x) {
     EXPECT_NE(B.Detail.find("supervised shard"), std::string::npos)
         << B.Detail;
     EXPECT_FALSE(B.MutantIR.empty());
+    EXPECT_FALSE(B.BundlePath.empty());
+    EXPECT_TRUE(std::filesystem::exists(B.BundlePath)) << B.BundlePath;
   }
+  EXPECT_EQ(S.BundlesWritten, 3u);
   EXPECT_EQ(Engine.registry().counterValue("bug.crash"), 3u);
   // Two deaths per seed before the skip.
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             3u);
+  std::filesystem::remove_all(Bundles);
 }
 
 TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
@@ -247,20 +258,13 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   Timed.TimeLimitSeconds = 0.1;
   Timed.Survival.Fanout = 2;
   CampaignEngine T(Timed, 1);
+  // The coherence check runs in the constructor, before any module loads.
+  EXPECT_NE(T.configError().find("iteration-bounded"), std::string::npos)
+      << T.configError();
   T.loadModule(parseOk(TwoBugCorpus));
   T.run();
   EXPECT_NE(T.configError().find("iteration-bounded"), std::string::npos)
       << T.configError();
-
-  // Two process supervisors cannot share the children.
-  FuzzOptions Both = twoBugOptions(20);
-  Both.Survival.Fanout = 2;
-  Both.Survival.Isolate = true;
-  CampaignEngine B(Both, 1);
-  B.loadModule(parseOk(TwoBugCorpus));
-  B.run();
-  EXPECT_NE(B.configError().find("-fanout"), std::string::npos)
-      << B.configError();
 
   // Feedback has no epoch barrier across supervised children.
   FuzzOptions Fb = twoBugOptions(20);
@@ -271,4 +275,14 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   F.run();
   EXPECT_NE(F.configError().find("-feedback"), std::string::npos)
       << F.configError();
+
+  // The flight recorder lives in child memory; the parent cannot flush it.
+  FuzzOptions Trace = twoBugOptions(20);
+  Trace.Survival.Fanout = 2;
+  Trace.TraceEnabled = true;
+  CampaignEngine TE(Trace, 1);
+  TE.loadModule(parseOk(TwoBugCorpus));
+  TE.run();
+  EXPECT_NE(TE.configError().find("-trace-json"), std::string::npos)
+      << TE.configError();
 }

@@ -6,8 +6,9 @@
 ///
 /// End-to-end tests for the survivability layer: the iteration watchdog
 /// (step budgets and the wall-clock backstop), in-process signal
-/// containment, quarantine backoff, checkpoint/resume byte-equality, the
-/// fork-based -isolate mode, and the robust corpus loader.
+/// containment, quarantine backoff, checkpoint/resume byte-equality, and
+/// the robust corpus loader. Process containment (-fanout) is covered by
+/// supervisor_test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -612,99 +613,6 @@ TEST(SurvivabilityTest, CheckpointingRejectsTimeLimitedCampaigns) {
   EXPECT_NE(Engine.configError().find("iteration-bounded"),
             std::string::npos)
       << Engine.configError();
-}
-
-//===----------------------------------------------------------------------===//
-// Process isolation (-isolate).
-//===----------------------------------------------------------------------===//
-
-TEST(SurvivabilityTest, IsolateMatchesThreadedDeterministicSection) {
-  // With nothing crashing, -isolate must be invisible in the
-  // deterministic report: the children checkpoint their shard state and
-  // the parent's harvest merges it exactly like the threaded engine.
-  const uint64_t Iterations = 60;
-  FuzzOptions Plain = twoBugOptions(Iterations);
-  CampaignEngine Ref(Plain, 1);
-  Ref.loadModule(parseOk(TwoBugCorpus));
-  Ref.run();
-  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
-  ASSERT_GT(Ref.bugs().size(), 0u);
-
-  FuzzOptions Iso = twoBugOptions(Iterations);
-  Iso.Survival.Isolate = true;
-  CampaignEngine Engine(Iso, 2);
-  Engine.loadModule(parseOk(TwoBugCorpus));
-  Engine.run();
-  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
-  EXPECT_TRUE(Engine.isolateError().empty()) << Engine.isolateError();
-  EXPECT_FALSE(Engine.interrupted());
-  EXPECT_EQ(deterministicReportPart(Engine, Iso),
-            deterministicReportPart(Ref, Plain));
-}
-
-TEST(SurvivabilityTest, IsolateContainsCrashingPassAndRestartsShard) {
-  // The acceptance scenario: a pass that SIGSEGVs on every iteration
-  // (the corpus has a crashme* function). The isolated campaign must
-  // complete, record each fatal signal as a crash bug with a forensics
-  // bundle, and restart the shard past the crashing seed.
-  ScratchDir Bundles("iso_bundles");
-  FuzzOptions Opts;
-  Opts.Passes = "test-crash,dce";
-  Opts.Iterations = 3;
-  Opts.BaseSeed = 1;
-  Opts.Survival.Isolate = true;
-  Opts.BugBundleDir = Bundles.Path;
-  CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(R"(
-define i8 @crashme(i8 %x) {
-  %r = add i8 %x, 1
-  ret i8 %r
-}
-)"));
-  const FuzzStats &S = Engine.run();
-  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
-  EXPECT_TRUE(Engine.isolateError().empty()) << Engine.isolateError();
-  EXPECT_FALSE(Engine.interrupted());
-
-  // Every seed's optimizer run died on SIGSEGV; all three must be
-  // recorded as crash bugs, each with a bundle.
-  EXPECT_EQ(S.Crashes, 3u);
-  ASSERT_EQ(Engine.bugs().size(), 3u);
-  for (const BugRecord &B : Engine.bugs()) {
-    EXPECT_EQ(B.Kind, BugRecord::Crash);
-    EXPECT_NE(B.Detail.find("SIGSEGV"), std::string::npos) << B.Detail;
-    EXPECT_NE(B.Detail.find("isolated shard"), std::string::npos)
-        << B.Detail;
-    EXPECT_FALSE(B.BundlePath.empty());
-    EXPECT_TRUE(std::filesystem::exists(B.BundlePath)) << B.BundlePath;
-    EXPECT_FALSE(B.MutantIR.empty());
-  }
-  const StatRegistry &R = Engine.registry();
-  EXPECT_EQ(R.counterValue("survive.isolate.crashes"), 3u);
-  EXPECT_GE(R.counterValue("survive.isolate.restarts"), 3u);
-  EXPECT_EQ(R.counterValue("bug.crash"), 3u);
-}
-
-TEST(SurvivabilityTest, IsolateRejectsIncompatibleConfigs) {
-  // Time-limited isolation has no fixed shard partition to restart.
-  FuzzOptions Opts = twoBugOptions(0);
-  Opts.TimeLimitSeconds = 0.1;
-  Opts.Survival.Isolate = true;
-  CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(TwoBugCorpus));
-  Engine.run();
-  EXPECT_NE(Engine.configError().find("iteration-bounded"),
-            std::string::npos)
-      << Engine.configError();
-
-  // The flight recorder lives in shard memory; the parent cannot flush it.
-  FuzzOptions Trace = twoBugOptions(10);
-  Trace.Survival.Isolate = true;
-  Trace.TraceEnabled = true;
-  CampaignEngine TraceEngine(Trace, 1);
-  TraceEngine.loadModule(parseOk(TwoBugCorpus));
-  TraceEngine.run();
-  EXPECT_FALSE(TraceEngine.configError().empty());
 }
 
 //===----------------------------------------------------------------------===//

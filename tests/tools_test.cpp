@@ -195,7 +195,8 @@ TEST_F(ToolsTest, SaveDirWorkflow) {
 }
 
 TEST_F(ToolsTest, AliveMutateRejectsIncoherentFlagCombos) {
-  // Each combo must die with a config error (exit 1) before any work.
+  // Each combo must die with a config error (exit 1) before any work. The
+  // retired -isolate flag is now an unknown flag, rejected like any other.
   std::string In = " " + TmpDir + "/in.ll";
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay=" + TmpDir + " -j=4"), 1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay=" + TmpDir + " -resume"),
@@ -226,9 +227,11 @@ TEST_F(ToolsTest, AliveMutateRejectsTimeLimitedCheckpointAndFeedback) {
                    "/ck_t" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -feedback" + In), 1);
-  // Feedback's epoch barrier excludes isolation and bundle trails, and
+  // Feedback's epoch barrier excludes -fanout and bundle trails, and
   // -distill is meaningless without the coverage a feedback run collects.
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -isolate" + In),
+            1);
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -fanout=2" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -bug-bundles=" +
                    TmpDir + "/bb" + In),
@@ -276,14 +279,29 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
   EXPECT_EQ(R1.substr(0, V1), R2.substr(0, V2));
 }
 
+TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
+  // A retired or mistyped flag must fail loudly, naming the flag: a
+  // script passing -isolate would otherwise quietly run in-process, and
+  // -feedbak would quietly run a blind campaign.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/unknown.err";
+  for (const char *Flag : {"-isolate", "-feedbak"}) {
+    EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Flag + In +
+                     " 2> " + Err + ")"),
+              1)
+        << Flag;
+    EXPECT_NE(readFile(Err).find(Flag), std::string::npos) << readFile(Err);
+  }
+}
+
 TEST_F(ToolsTest, AliveMutateIsolateSurvivesCrashingPass) {
   // The CI acceptance scenario at the CLI: a pass that SIGSEGVs inside
-  // the shard must not kill the campaign; the tool finishes and reports
-  // the contained crashes through the normal bug exit code (2).
+  // a -fanout child must not kill the campaign; the tool finishes and
+  // reports the contained crashes through the normal bug exit code (2).
   writeFile(TmpDir + "/crashme.ll",
             "define i8 @crashme(i8 %x) {\n"
             "  %r = add i8 %x, 1\n  ret i8 %r\n}\n");
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=2 -isolate "
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=2 -fanout=1 "
                    "-passes=test-crash,dce " +
                    TmpDir + "/crashme.ll"),
             2);
