@@ -33,9 +33,8 @@
 /// with the per-file rows and the aggregated skip/cache counters; CI's
 /// smoke job diffs its structure against BENCH_baseline.json), and
 /// AMR_THROUGHPUT_SHARED (default 1: the memoized condition uses the
-/// process-wide canonicalized verdict cache plus the concrete prescreen;
-/// 0 reverts to the per-worker text-keyed cache so CI can compare the
-/// two hit rates).
+/// process-wide canonicalized verdict cache; 0 reverts to the per-worker
+/// text-keyed cache so CI can compare the two hit rates).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -168,7 +167,6 @@ int main(int argc, char **argv) {
     if (Shared) {
       Opts.UseSharedTVCache = true;
       Opts.SharedCache = &ProcessCache; // spans all files, not per-engine
-      Opts.TV.PrescreenTrials = 4; // cheap concrete race before the solver
     }
     // Cost attribution on the memoized condition: the per-file top query
     // names what dominates that file's verify time in the JSON report.
@@ -201,7 +199,6 @@ int main(int argc, char **argv) {
     Bare.SkipUnchanged = false;
     Bare.TVCacheSize = 0;
     Bare.UseSharedTVCache = false;
-    Bare.TV.PrescreenTrials = 0;
     CampaignEngine BareFuzzer(Bare, Jobs);
     auto M2 = parseModule(Files[FI], Err);
     ScopedTimer T1b(&HNoMemo);

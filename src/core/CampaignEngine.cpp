@@ -75,19 +75,16 @@ std::string coherenceError(const FuzzOptions &Opts) {
 
 CampaignEngine::CampaignEngine(const FuzzOptions &Opts, unsigned Jobs)
     : Opts(Opts), Jobs(std::max(1u, Jobs)) {
-  if (this->Opts.UseSharedTVCache && this->Opts.TVCacheSize > 0) {
-    // One cache for the whole campaign; every worker loop gets this
-    // pointer through its copied FuzzOptions. A caller-provided cache
-    // (Opts.SharedCache already set) is kept instead, so one cache can
-    // outlive and span several engines — the bench harness uses this to
-    // share verdicts across its per-file campaigns.
-    if (!this->Opts.SharedCache) {
-      SharedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize,
-                                                    this->Opts.TVCacheShards);
-      this->Opts.SharedCache = SharedCache.get();
-    }
-  } else {
-    this->Opts.SharedCache = nullptr;
+  // One cache for the whole campaign; every worker loop gets this pointer
+  // through its copied FuzzOptions (without -shared-tv-cache each loop
+  // makes its own). A caller-provided cache (Opts.SharedCache already set)
+  // is kept instead, so one cache can outlive and span several engines —
+  // the bench harness uses this to share verdicts across its per-file
+  // campaigns.
+  if (this->Opts.UseSharedTVCache && this->Opts.TVCacheSize > 0 &&
+      !this->Opts.SharedCache) {
+    SharedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize);
+    this->Opts.SharedCache = SharedCache.get();
   }
   MasterLoop = std::make_unique<FuzzerLoop>(this->Opts);
   ConfigError = MasterLoop->configError();
@@ -232,10 +229,10 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
       SS.Hi = R.Hi;
       if (R.Done)
         SS.Done = R.Done->load(std::memory_order_relaxed);
-      if (R.StageNanos)
-        for (unsigned I = 0; I != 4; ++I)
-          SS.StageNanos[I] = R.StageNanos[I].load(std::memory_order_relaxed);
       if (R.Loop) {
+        std::array<double, 4> Stage = R.Loop->stageSeconds();
+        for (unsigned I = 0; I != 4; ++I)
+          SS.StageNanos[I] = (uint64_t)(Stage[I] * 1e9);
         SS.HasRegistry = true;
         S.Stats.merge(R.Loop->registry());
         if (const TraceRecorder *T = R.Loop->trace())
@@ -313,8 +310,6 @@ struct Worker {
   /// checkpoint writer.
   std::atomic<uint64_t> Next{0};
   std::atomic<uint64_t> Done{0};
-  /// Live per-stage nanoseconds: mutate, optimize, verify, overhead.
-  std::atomic<uint64_t> StageNanos[4] = {};
   /// Wall time this worker spent in its slices, summed over epochs.
   double LegSeconds = 0;
 };
@@ -380,10 +375,10 @@ FuzzOptions workerOptions(const FuzzOptions &Opts,
 }
 
 /// A progress snapshot from raw counters. \p Stage (mutate, optimize,
-/// verify, overhead nanos) may be null when no stage split is known.
+/// verify, overhead seconds) may be null when no stage split is known.
 CampaignProgress progressAt(uint64_t Done, uint64_t Target, double Elapsed,
                             unsigned Workers, double TimeLimit,
-                            const uint64_t *Stage) {
+                            const double *Stage) {
   CampaignProgress P;
   P.Done = Done;
   P.Target = Target;
@@ -396,7 +391,7 @@ CampaignProgress progressAt(uint64_t Done, uint64_t Target, double Elapsed,
   else if (P.Rate > 0)
     P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
   if (Stage) {
-    double StageSum = (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
+    double StageSum = Stage[0] + Stage[1] + Stage[2] + Stage[3];
     if (StageSum > 0) {
       P.MutateShare = Stage[0] / StageSum;
       P.OptimizeShare = Stage[1] / StageSum;
@@ -597,8 +592,6 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     }
     W->Next.store(W->Lo, std::memory_order_relaxed);
     FuzzOptions WOpts = workerOptions(Opts, Testable, I);
-    WOpts.Progress = &W->Done;
-    WOpts.StageNanos = W->StageNanos;
     WOpts.Events = Events;
     W->Loop = std::make_unique<FuzzerLoop>(WOpts);
     W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
@@ -662,8 +655,7 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
   // are revoked before the workers they borrow from are destroyed.
   beginLive(/*Isolated=*/false, TimeLimited ? 0 : Opts.Iterations, J, &Total);
   for (auto &W : Workers)
-    addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->StageNanos,
-                  W->Loop.get()});
+    addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->Loop.get()});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }
@@ -703,10 +695,12 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
       while (!DoneCV.wait_for(Lock,
                               std::chrono::duration<double>(ProgressInterval),
                               [&] { return AllDone; })) {
-        uint64_t Stage[4] = {};
-        for (const auto &W : Workers)
+        double Stage[4] = {};
+        for (const auto &W : Workers) {
+          std::array<double, 4> WS = W->Loop->stageSeconds();
           for (unsigned S = 0; S != 4; ++S)
-            Stage[S] += W->StageNanos[S].load(std::memory_order_relaxed);
+            Stage[S] += WS[S];
+        }
         ProgressFn(progressAt(TotalDone.load(std::memory_order_relaxed),
                               TimeLimited ? 0 : Opts.Iterations,
                               Total.seconds(), J, Opts.TimeLimitSeconds,
@@ -1097,7 +1091,7 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   beginLive(/*Isolated=*/true, Opts.Iterations, N, &Total);
   for (unsigned I = 0; I != Sup.shards(); ++I)
     addLiveShard({I, Sup.shardLo(I), Sup.shardHi(I), Sup.doneCounter(I),
-                  /*StageNanos=*/nullptr, /*Loop=*/nullptr});
+                  /*Loop=*/nullptr});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }

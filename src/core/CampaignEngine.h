@@ -260,7 +260,8 @@ private:
   bool Interrupted = false;
   std::string FanoutIncidents;
   /// Degradation state of the last -fanout run (degraded()/lostShards()).
-  bool DegradedFlag = false;
+  /// Atomic: run() resets it while a live observer's liveSnapshot() reads.
+  std::atomic<bool> DegradedFlag{false};
   std::vector<std::pair<unsigned, uint64_t>> LostShardsV;
   /// Preprocesses once, serves testableFunctions() and makeMutant();
   /// never iterates itself.
@@ -303,11 +304,9 @@ private:
     unsigned Index = 0;
     uint64_t Lo = 0, Hi = 0;
     const std::atomic<uint64_t> *Done = nullptr;
-    /// Four live stage counters (mutate/optimize/verify/overhead nanos);
-    /// null for -fanout shards (the page carries no stage split).
-    const std::atomic<uint64_t> *StageNanos = nullptr;
-    /// The worker's loop, for registry/trace reads; null for -fanout
-    /// shards (their state lives in another process).
+    /// The worker's loop, for registry/trace/stage-time reads; null for
+    /// -fanout shards (their state lives in another process, and the
+    /// heartbeat page carries no stage split).
     const FuzzerLoop *Loop = nullptr;
   };
 

@@ -47,18 +47,14 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
   }
   if (this->Opts.Profile.Enabled)
     QueryCosts = std::make_unique<QueryCostTracker>(this->Opts.Profile.TopK);
-  if (this->Opts.UseSharedTVCache && this->Opts.TVCacheSize > 0) {
-    // Shared mode replaces the private memo. A standalone loop owns its
-    // cache; campaign workers get the engine's instance instead.
-    if (!this->Opts.SharedCache) {
-      OwnedSharedCache = std::make_unique<SharedTVCache>(
-          this->Opts.TVCacheSize, this->Opts.TVCacheShards);
-      this->Opts.SharedCache = OwnedSharedCache.get();
-    }
-  } else {
+  if (this->Opts.TVCacheSize == 0) {
     this->Opts.SharedCache = nullptr;
-    if (this->Opts.TVCacheSize > 0)
-      TVC = std::make_unique<TVCache>(this->Opts.TVCacheSize);
+  } else if (!this->Opts.UseSharedTVCache || !this->Opts.SharedCache) {
+    // No engine-provided shared cache: the loop owns one. Only this thread
+    // touches it, so it has one shard, whose hits, misses and evictions are
+    // exactly a TVCache's of the same capacity.
+    OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize, 1);
+    this->Opts.SharedCache = OwnedCache.get();
   }
   // Arm the iteration watchdog when either trigger is configured. One
   // token per loop, shared by the pass manager (one step per
@@ -206,15 +202,13 @@ namespace {
 struct IterationAccounting {
   FuzzStats &S;
   Histogram *HOverhead, *HIteration;
-  std::atomic<uint64_t> *StageNanos;
   Timer T;
   double Mutate0, Optimize0, Verify0;
 
   IterationAccounting(FuzzStats &S, Histogram *HOverhead,
-                      Histogram *HIteration,
-                      std::atomic<uint64_t> *StageNanos)
+                      Histogram *HIteration)
       : S(S), HOverhead(HOverhead), HIteration(HIteration),
-        StageNanos(StageNanos), Mutate0(S.MutateSeconds),
+        Mutate0(S.MutateSeconds),
         Optimize0(S.OptimizeSeconds), Verify0(S.VerifySeconds) {}
 
   ~IterationAccounting() {
@@ -228,9 +222,6 @@ struct IterationAccounting {
       HOverhead->record(Overhead);
     if (HIteration)
       HIteration->record(Total);
-    if (StageNanos)
-      StageNanos[3].fetch_add((uint64_t)(Overhead * 1e9),
-                              std::memory_order_relaxed);
   }
 };
 
@@ -244,10 +235,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   // also tells the wall-clock supervisor a new iteration started.
   if (WatchdogArmed)
     WatchdogToken.beginIteration(Opts.Survival.StepBudget);
-  IterationAccounting Books(Stats, HOverhead, HIteration, Opts.StageNanos);
-  auto StageSink = [&](unsigned I) {
-    return Opts.StageNanos ? Opts.StageNanos + I : nullptr;
-  };
+  IterationAccounting Books(Stats, HOverhead, HIteration);
 
   // Feedback collection. Rule fires land in RuleWords through the
   // thread-local sink installed around the optimize stage; verdict-class
@@ -278,7 +266,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   uint64_t Applied = 0;
   std::unique_ptr<Module> Mutant;
   {
-    ScopedTimer T(HMutate, &Stats.MutateSeconds, StageSink(0));
+    ScopedTimer T(HMutate, &Stats.MutateSeconds);
     TraceSpan Span(Trace.get(), "mutate", Seed);
     Mutant = makeMutantImpl(Seed, nullptr, Applied, &Registry,
                             /*Trail=*/nullptr, Trace.get(),
@@ -329,7 +317,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   int CrashSig = 0;
   bool PipelineSurvived = true;
   try {
-    ScopedTimer T(HOptimize, &Stats.OptimizeSeconds, StageSink(1));
+    ScopedTimer T(HOptimize, &Stats.OptimizeSeconds);
     TraceSpan Span(Trace.get(), "optimize", Seed);
     // Installs the rule-fire sink for this thread while the pipeline
     // runs (null in blind mode: fireRule stays a single untaken branch).
@@ -345,31 +333,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       PM.runToFixpoint(*Mutant, 4, &Changed);
     }
   } catch (const OptimizerCrash &C) {
-    ++Stats.Crashes;
-    ++Registry.counter("bug.crash");
-    ForensicRecord FR;
-    FR.K = ForensicRecord::Crash;
-    FR.Seed = Seed;
-    FR.VerdictSlug = "crash";
-    FR.Detail = C.What;
-    FR.IssueId = bugInfo(C.Id).IssueId;
-    if (Trace)
-      Trace->instant("bug.crash", Seed, Trace->intern(FR.IssueId));
-    BugRecord R;
-    R.Kind = BugRecord::Crash;
-    R.FunctionName = "";
-    R.MutantSeed = Seed;
-    R.Detail = C.What;
-    R.IssueId = FR.IssueId;
-    R.MutantIR = printModule(*Source);
-    R.BundlePath = writeBundle(FR, Source.get(), nullptr);
-    Outcomes.push_back(std::move(FR));
-    Bugs.push_back(std::move(R));
-    noteBugEvent(Seed, "crash", "");
-    if (!Opts.SaveDir.empty()) {
-      TraceSpan Span(Trace.get(), "save", Seed);
-      saveMutant(*Source, Seed, /*Failing=*/true);
-    }
+    const std::string &Issue = bugInfo(C.Id).IssueId;
+    recordCrash(Seed, *Source, C.What, Issue, Issue, "crash");
     // A simulated crash is deterministic per seed: the rules that fired
     // before the throw plus the crash verdict class are valid coverage.
     Cov.setVerdict(CoverageBitmap::VB_Crash);
@@ -377,35 +342,14 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     return;
   }
   if (!PipelineSurvived) {
-    // A fatal signal was contained by the in-process guard. Same
-    // accounting as a simulated OptimizerCrash — it IS a crash bug of the
-    // compiler-under-test — plus a volatile containment counter so the
-    // run report shows the guard earned its keep.
-    ++Stats.Crashes;
-    ++Registry.counter("bug.crash");
+    // A fatal signal was contained by the in-process guard. It IS a crash
+    // bug of the compiler-under-test; the volatile containment counter
+    // shows the guard earned its keep.
     ++Registry.counter("survive.contained-signals", Volatility::Volatile);
-    ForensicRecord FR;
-    FR.K = ForensicRecord::Crash;
-    FR.Seed = Seed;
-    FR.VerdictSlug = "crash";
-    FR.Detail = std::string("optimizer raised ") + signalName(CrashSig) +
-                " (contained by the in-process signal guard)";
-    if (Trace)
-      Trace->instant("bug.crash", Seed, Trace->intern(signalName(CrashSig)));
-    BugRecord R;
-    R.Kind = BugRecord::Crash;
-    R.FunctionName = "";
-    R.MutantSeed = Seed;
-    R.Detail = FR.Detail;
-    R.MutantIR = printModule(*Source);
-    R.BundlePath = writeBundle(FR, Source.get(), nullptr);
-    Outcomes.push_back(std::move(FR));
-    Bugs.push_back(std::move(R));
-    noteBugEvent(Seed, "contained-signal", "");
-    if (!Opts.SaveDir.empty()) {
-      TraceSpan Span(Trace.get(), "save", Seed);
-      saveMutant(*Source, Seed, /*Failing=*/true);
-    }
+    recordCrash(Seed, *Source,
+                std::string("optimizer raised ") + signalName(CrashSig) +
+                    " (contained by the in-process signal guard)",
+                "", signalName(CrashSig), "contained-signal");
     Cov.setVerdict(CoverageBitmap::VB_Crash);
     CommitFeedback();
     return;
@@ -422,7 +366,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
 
   // §III-D: refinement check per testable function — except the ones the
   // pipeline provably left alone, and pairs whose verdict is memoized.
-  ScopedTimer VerifyT(HVerify, &Stats.VerifySeconds, StageSink(2));
+  ScopedTimer VerifyT(HVerify, &Stats.VerifySeconds);
   for (const auto &[Name, Info] : Preprocessed) {
     Function *Src = Source->getFunction(Name);
     Function *Tgt = Mutant->getFunction(Name);
@@ -461,47 +405,31 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       // deterministic across worker counts.
       if (WatchdogArmed)
         WatchdogToken.beginIteration(Opts.Survival.StepBudget);
-      if (Opts.SharedCache) {
-        // Shared-cache path: key on the canonicalized pair, and — on a
-        // miss — check the canonical pair itself. The verdict is then a
-        // pure function of the canonical key, so a hit replays exactly
-        // what a fresh computation would produce no matter which worker
-        // (or run) computed it first; the canonical rewrites preserve
-        // semantics and the argument list, so counterexamples remain
-        // valid for the original pair.
-        CanonicalPair CP = canonicalizePair(*Src, *Tgt);
-        if (CP.M)
-          Key = SharedTVCache::makeKey(CP.SrcText, CP.TgtText, Opts.TV);
-        if (!Key.empty()) {
-          if (Opts.SharedCache->lookup(Key, R)) {
-            FromCache = true;
-            ++Stats.TVCacheHits;
-          } else {
-            R = checkRefinement(*CP.Src, *CP.Tgt, Opts.TV, &Registry);
-          }
-        } else {
-          // Uncacheable pair (calls into defined functions): verify the
-          // originals, skip canonicalization bookkeeping.
-          R = checkRefinement(*Src, *Tgt, Opts.TV, &Registry);
-        }
-      } else if (TVC) {
+      // The checked pair is the keyed one. Under -shared-tv-cache that is
+      // the canonicalized pair, so the verdict is a pure function of the
+      // canonical key: a hit replays exactly what a fresh computation
+      // would produce no matter which worker (or run) computed it first.
+      // The canonical rewrites preserve semantics and the argument list,
+      // so counterexamples remain valid for the original pair. Otherwise
+      // the key is the raw printed pair. Uncacheable pairs (calls into
+      // defined functions, whose bodies lie outside the key) get no key
+      // and are checked on the originals.
+      const Function *CheckSrc = Src, *CheckTgt = Tgt;
+      CanonicalPair CP;
+      if (Opts.SharedCache && !Opts.UseSharedTVCache) {
         Key = TVCache::makeKey(*Src, *Tgt, Opts.TV);
+      } else if (Opts.SharedCache) {
+        CP = canonicalizePair(*Src, *Tgt);
+        if (CP.M)
+          Key = TVCache::makeKey(CP.SrcText, CP.TgtText, Opts.TV);
         if (!Key.empty()) {
-          if (const TVResult *Hit = TVC->lookup(Key)) {
-            R = *Hit;
-            FromCache = true;
-            ++Stats.TVCacheHits;
-          } else {
-            R = checkRefinement(*Src, *Tgt, Opts.TV, &Registry);
-          }
-        } else {
-          // The pair calls into defined functions: the verdict depends on
-          // callee bodies outside the key, so it must not be memoized.
-          R = checkRefinement(*Src, *Tgt, Opts.TV, &Registry);
+          CheckSrc = CP.Src;
+          CheckTgt = CP.Tgt;
         }
-      } else {
-        R = checkRefinement(*Src, *Tgt, Opts.TV, &Registry);
       }
+      FromCache = !Key.empty() && Opts.SharedCache->lookup(Key, R);
+      if (!FromCache)
+        R = checkRefinement(*CheckSrc, *CheckTgt, Opts.TV, &Registry);
     }
     if (!FromCache && WatchdogArmed && WatchdogToken.cancelled()) {
       // Cut off mid-check: no verdict was established. Deliberately NOT
@@ -512,14 +440,12 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       recordTimeout(Seed, Name, "verify", Source.get(), Mutant.get());
       continue;
     }
-    if (!FromCache && (TVC || Opts.SharedCache)) {
+    if (FromCache) {
+      ++Stats.TVCacheHits;
+    } else if (Opts.SharedCache) {
       ++Stats.TVCacheMisses;
-      if (!Key.empty()) {
-        bool Evicted = Opts.SharedCache ? Opts.SharedCache->insert(Key, R)
-                                        : TVC->insert(Key, R);
-        if (Evicted)
-          ++Stats.TVCacheEvictions;
-      }
+      if (!Key.empty() && Opts.SharedCache->insert(Key, R))
+        ++Stats.TVCacheEvictions;
     }
     ++Stats.Verified;
     // Per-verdict breakdown, counted per *established* verdict: a cache
@@ -583,10 +509,11 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       // every field below except the wall seconds is a pure function of
       // the key — the foundation of the -j1 == -jN profile block).
       QueryCostSample QS;
-      QS.KeyHash = !Key.empty()
-                       ? fnv1a64(Key)
-                       : fnv1a64(printFunction(*Src) + '\x1f' +
-                                 printFunction(*Tgt));
+      // Uncacheable pairs hash the text key they would have had.
+      QS.KeyHash = fnv1a64(!Key.empty() ? Key
+                                        : TVCache::makeKey(printFunction(*Src),
+                                                           printFunction(*Tgt),
+                                                           Opts.TV));
       QS.Function = Name;
       QS.Verdict = VerdictSlug;
       QS.Seed = Seed;
@@ -627,14 +554,12 @@ const FuzzStats &FuzzerLoop::run() {
       break;
     runIteration(Opts.BaseSeed + Iter);
     ++Iter;
-    if (Opts.Progress)
-      Opts.Progress->fetch_add(1, std::memory_order_relaxed);
   }
   Stats.TotalSeconds = Total.seconds();
   Stats.WorkerSeconds = Stats.TotalSeconds;
-  // Attribute the loop's own bookkeeping (bound checks, progress ticks —
-  // everything between iterations) to the overhead bucket, so the stage
-  // sum meets the loop wall clock exactly.
+  // Attribute the loop's own bookkeeping (bound checks, everything
+  // between iterations) to the overhead bucket, so the stage sum meets the
+  // loop wall clock exactly.
   double Staged = Stats.MutateSeconds + Stats.OptimizeSeconds +
                   Stats.VerifySeconds + Stats.OverheadSeconds;
   if (Stats.TotalSeconds > Staged)
@@ -771,6 +696,36 @@ void FuzzerLoop::saveMutant(const Module &M, uint64_t Seed, bool Failing) {
     return;
   }
   ++Stats.MutantsSaved;
+}
+
+void FuzzerLoop::recordCrash(uint64_t Seed, const Module &Source,
+                             std::string Detail, std::string IssueId,
+                             const std::string &TraceTag,
+                             const char *EventSlug) {
+  ++Stats.Crashes;
+  ++Registry.counter("bug.crash");
+  if (Trace)
+    Trace->instant("bug.crash", Seed, Trace->intern(TraceTag));
+  ForensicRecord FR;
+  FR.K = ForensicRecord::Crash;
+  FR.Seed = Seed;
+  FR.VerdictSlug = "crash";
+  FR.Detail = Detail;
+  FR.IssueId = IssueId;
+  BugRecord R;
+  R.Kind = BugRecord::Crash;
+  R.MutantSeed = Seed;
+  R.Detail = std::move(Detail);
+  R.IssueId = std::move(IssueId);
+  R.MutantIR = printModule(Source);
+  R.BundlePath = writeBundle(FR, &Source, nullptr);
+  Outcomes.push_back(std::move(FR));
+  Bugs.push_back(std::move(R));
+  noteBugEvent(Seed, EventSlug, "");
+  if (!Opts.SaveDir.empty()) {
+    TraceSpan Span(Trace.get(), "save", Seed);
+    saveMutant(Source, Seed, /*Failing=*/true);
+  }
 }
 
 void FuzzerLoop::noteBugEvent(uint64_t Seed, const char *Slug,

@@ -27,9 +27,8 @@
 #include "support/Profiler.h"
 #include "tv/RefinementChecker.h"
 #include "tv/SharedTVCache.h"
-#include "tv/TVCache.h"
 
-#include <atomic>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -137,24 +136,23 @@ struct FuzzOptions {
   /// already established by the load-time self-check. Escape hatch
   /// (-no-skip-unchanged) so the effect is measurable.
   bool SkipUnchanged = true;
-  /// Entry capacity of the TV verdict cache — the per-loop private one, or
+  /// Entry capacity of the TV verdict cache — the loop's private one, or
   /// the process-wide shared one when UseSharedTVCache is set. 0 disables
   /// memoization entirely (-no-tv-cache).
   size_t TVCacheSize = TVCache::DefaultCapacity;
-  /// Replace the per-worker TVCache with one process-wide, lock-striped
-  /// cache keyed on *canonicalized* pairs (-shared-tv-cache): structurally
-  /// equal queries from any worker or mutation lineage share one verdict.
-  /// On this path the checker runs on the canonical pair itself, so hits
-  /// and fresh computations agree byte-for-byte and the deterministic
-  /// report section stays -j independent; only the hit/miss counters are
-  /// scheduling-dependent (volatile section).
+  /// Key the verdict cache on *canonicalized* pairs and share it across
+  /// workers (-shared-tv-cache): structurally equal queries from any worker
+  /// or mutation lineage share one verdict. On this path the checker runs
+  /// on the canonical pair itself, so hits and fresh computations agree
+  /// byte-for-byte and the deterministic report section stays -j
+  /// independent; only the hit/miss counters are scheduling-dependent
+  /// (volatile section). Off: each loop owns a one-shard cache keyed on the
+  /// raw printed pair.
   bool UseSharedTVCache = false;
-  /// Lock-stripe shard count of the shared cache (-tv-cache-shards;
-  /// rounded up to a power of two, 0 = default).
-  size_t TVCacheShards = SharedTVCache::DefaultShards;
-  /// Non-owning pointer to an externally-owned shared cache. The campaign
-  /// engine creates one and points every worker here; a standalone loop
-  /// with UseSharedTVCache set creates its own.
+  /// The loop's verdict cache. Callers set it only with UseSharedTVCache:
+  /// the campaign engine creates one shared cache and points every worker
+  /// here. Otherwise the loop points it at a private one-shard cache of
+  /// its own.
   SharedTVCache *SharedCache = nullptr;
   /// The seeded defects this campaign's compiler-under-test carries.
   /// Owned per campaign: concurrent campaigns cannot cross-contaminate.
@@ -176,14 +174,6 @@ struct FuzzOptions {
   /// Event capacity of the ring; oldest events are overwritten when the
   /// campaign outruns it (flight-recorder semantics).
   size_t TraceCapacity = TraceRecorder::DefaultCapacity;
-  /// Optional external progress counter, incremented once per completed
-  /// iteration (relaxed). Read by the campaign engine's reporter thread.
-  std::atomic<uint64_t> *Progress = nullptr;
-  /// Optional live per-stage time sinks: an array of 4 atomics (mutate,
-  /// optimize, verify, overhead) that runIteration adds nanosecond deltas
-  /// to (relaxed). Read by the reporter thread for the per-stage share of
-  /// the enriched progress line.
-  std::atomic<uint64_t> *StageNanos = nullptr;
   /// Optional live campaign-event sink: every recorded bug pushes a
   /// bug-found instant (bounded queue, drop-on-full — the worker never
   /// blocks on a slow observer). Observer-only plumbing: consulted after
@@ -397,6 +387,15 @@ public:
   /// the join; a live observer may snapshot it mid-run.
   const QueryCostTracker *queryCosts() const { return QueryCosts.get(); }
 
+  /// Live per-stage wall seconds (mutate, optimize, verify, overhead): the
+  /// sums of the stage.*.seconds histograms. Relaxed atomic reads, safe
+  /// while the loop runs — the campaign engine's progress reporter and
+  /// liveSnapshot() read them mid-run.
+  std::array<double, 4> stageSeconds() const {
+    return {HMutate->sum(), HOptimize->sum(), HVerify->sum(),
+            HOverhead->sum()};
+  }
+
   /// Non-empty when the save directory could not be created: the error is
   /// recorded once, here, and the loop stops attempting per-file writes
   /// into a directory that does not exist (each lost artifact still counts
@@ -428,6 +427,14 @@ private:
   void recordTimeout(uint64_t Seed, const std::string &Function,
                      const char *Phase, const Module *Mutant,
                      const Module *Optimized);
+  /// Records one optimizer crash of \p Source — a simulated OptimizerCrash
+  /// or a fatal signal contained by the in-process guard: the crash
+  /// counters, forensic and bug records, bundle, bug-found event
+  /// \p EventSlug and failing-mutant save. \p TraceTag labels the trace
+  /// instant.
+  void recordCrash(uint64_t Seed, const Module &Source, std::string Detail,
+                   std::string IssueId, const std::string &TraceTag,
+                   const char *EventSlug);
   /// Streams a bug-found instant to Opts.Events (no-op when unset).
   /// Called after the bug is recorded; never blocks, never touches RNG.
   void noteBugEvent(uint64_t Seed, const char *Slug,
@@ -449,13 +456,10 @@ private:
     uint64_t SkipUntilSeed = 0;
   };
   std::unordered_map<std::string, QuarantineState> Quarantine;
-  /// Per-loop verdict memo (null when disabled or when the shared cache is
-  /// active). Private to this loop: campaign workers never share this.
-  std::unique_ptr<TVCache> TVC;
-  /// Owned shared cache for a standalone loop running with
-  /// UseSharedTVCache and no engine-provided instance; Opts.SharedCache
-  /// points at it.
-  std::unique_ptr<SharedTVCache> OwnedSharedCache;
+  /// The loop's own one-shard verdict cache, behind Opts.SharedCache when
+  /// no shared cache was provided. Null when memoization is off or the
+  /// engine's shared cache is in use.
+  std::unique_ptr<SharedTVCache> OwnedCache;
   std::string ConfigError;
   bool SaveDirReady = false;
   std::string SaveDirError;

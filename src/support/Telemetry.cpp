@@ -361,7 +361,5 @@ double ScopedTimer::stop() {
     H->record(Elapsed);
   if (Accum)
     *Accum += Elapsed;
-  if (Nanos)
-    Nanos->fetch_add((uint64_t)(Elapsed * 1e9), std::memory_order_relaxed);
   return Elapsed;
 }

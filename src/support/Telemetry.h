@@ -214,14 +214,12 @@ private:
 };
 
 /// RAII wall-clock timer: on destruction (or an explicit stop()) records
-/// the elapsed seconds into any subset of {histogram, double accumulator,
-/// atomic nanosecond counter}. Replaces the hand-rolled
-/// Timer-start/seconds()/+= pattern.
+/// the elapsed seconds into any subset of {histogram, double accumulator}.
+/// Replaces the hand-rolled Timer-start/seconds()/+= pattern.
 class ScopedTimer {
 public:
-  explicit ScopedTimer(Histogram *H = nullptr, double *Accum = nullptr,
-                       std::atomic<uint64_t> *Nanos = nullptr)
-      : H(H), Accum(Accum), Nanos(Nanos) {}
+  explicit ScopedTimer(Histogram *H = nullptr, double *Accum = nullptr)
+      : H(H), Accum(Accum) {}
   ScopedTimer(const ScopedTimer &) = delete;
   ScopedTimer &operator=(const ScopedTimer &) = delete;
   ~ScopedTimer() { stop(); }
@@ -240,7 +238,6 @@ private:
   Timer T;
   Histogram *H;
   double *Accum;
-  std::atomic<uint64_t> *Nanos;
   bool Armed = true;
   double Elapsed = 0;
 };

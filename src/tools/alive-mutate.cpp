@@ -52,11 +52,6 @@ static void printHelp() {
       "  -shared-tv-cache  share one canonicalized verdict cache across\n"
       "                    all workers (alpha-renamed, commutative-\n"
       "                    normalized keys; bug report stays -j invariant)\n"
-      "  -tv-cache-shards=<n> lock-stripe count of the shared cache\n"
-      "                    (rounded up to a power of two; default 16)\n"
-      "  -tv-prescreen=<n> concrete trials before each symbolic check;\n"
-      "                    cheap counterexamples skip the SAT query\n"
-      "                    (default 0 = off)\n"
       "  -feedback         feedback-directed scheduling: per-rule coverage\n"
       "                    steers seed energy and family weights (needs -n;\n"
       "                    -feedback=off is the default blind schedule)\n"
@@ -195,7 +190,7 @@ int main(int Argc, char **Argv) {
            "save-dir",        "saveAll",          "seed",
            "shared-tv-cache", "stats-json",       "step-budget",
            "t",               "trace-capacity",   "trace-json",
-           "tv-cache-shards", "tv-cache-size",    "tv-prescreen"});
+           "tv-cache-size"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
@@ -242,9 +237,6 @@ int main(int Argc, char **Argv) {
                          : (size_t)Args.getInt("tv-cache-size",
                                                Opts.TVCacheSize);
   Opts.UseSharedTVCache = Args.has("shared-tv-cache");
-  Opts.TVCacheShards =
-      (size_t)Args.getInt("tv-cache-shards", Opts.TVCacheShards);
-  Opts.TV.PrescreenTrials = (unsigned)Args.getInt("tv-prescreen", 0);
   Opts.SkipUnchanged = !Args.has("no-skip-unchanged");
   Opts.Feedback.Enabled = Args.has("feedback") && Args.get("feedback") != "off";
   Opts.Feedback.EpochLength = (unsigned)Args.getInt("feedback-epoch", 256);

@@ -547,28 +547,6 @@ TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
           Cost += Quadratic ? (uint64_t)W * W : W;
         }
     if (Cost <= 1u << 17) {
-      // Concrete prescreen: a handful of cheap sampled interpreter trials
-      // before bit-blasting, so mutants with blatant counterexamples never
-      // pay for a SAT query. Sequential rather than a true race, which
-      // keeps the verdict a pure function of (Src, Tgt, Opts) — the
-      // property the verdict caches rely on.
-      if (Opts.PrescreenTrials) {
-        TVOptions POpts = Opts;
-        POpts.ConcreteTrials = Opts.PrescreenTrials;
-        POpts.ExhaustiveBits = 0; // always sample: the prescreen stays cheap
-        ScopedTimer PT(Stats ? &Stats->histogram("tv.prescreen.seconds")
-                             : nullptr);
-        TVResult PR = checkConcrete(Src, Tgt, POpts, Stats);
-        if (Stats)
-          ++Stats->counter("tv.prescreen", Volatility::Volatile);
-        if (PR.Verdict == TVVerdict::Incorrect) {
-          if (Stats)
-            ++Stats->counter("tv.prescreen.hit", Volatility::Volatile);
-          return PR;
-        }
-        // No violation found (or vacuous/cancelled): fall through to the
-        // symbolic proof, which also handles the cancelled case.
-      }
       TVResult R = instrumentedSymbolic(Src, Tgt, Opts, Stats);
       // Solver budget exhausted (Alive2's SMT-timeout analog): degrade to
       // the bounded concrete check rather than giving up entirely.

@@ -65,14 +65,6 @@ struct TVOptions {
   uint64_t Fuel = 200000;
   /// Base seed for sampled trials.
   uint64_t Seed = 0xA11CE;
-  /// Concrete prescreen before the symbolic path: this many cheap sampled
-  /// interpreter trials run first, and a violation short-circuits the SAT
-  /// query entirely (the in-process analogue of racing the interpreter
-  /// against the solver — but sequential, so the verdict stays a pure
-  /// function of the inputs). 0 disables. Part of the cache-key
-  /// fingerprint: the prescreen changes which Detail/counterexample an
-  /// Incorrect verdict carries.
-  unsigned PrescreenTrials = 0;
   /// Optional iteration watchdog, threaded into the solver and the
   /// interpreter. Not part of the verdict: TVCache::makeKey deliberately
   /// excludes it (a cancelled check is never cached).

@@ -1,4 +1,4 @@
-//===- tv/SharedTVCache.cpp - Cross-worker TV verdict cache -----------------===//
+//===- tv/SharedTVCache.cpp - Lock-striped TV verdict cache -----------------===//
 //
 // Part of the alive-mutate reproduction. MIT license.
 //
@@ -6,8 +6,7 @@
 
 #include "tv/SharedTVCache.h"
 
-#include "tv/TVCache.h"
-
+#include <algorithm>
 #include <functional>
 
 using namespace alive;
@@ -25,26 +24,15 @@ size_t roundUpPow2(size_t N) {
 
 SharedTVCache::SharedTVCache(size_t Capacity, size_t Shards_) {
   size_t N = roundUpPow2(Shards_ ? Shards_ : DefaultShards);
-  CapacityPerShard = std::max<size_t>(1, (Capacity ? Capacity : 1) / N);
+  size_t PerShard = std::max<size_t>(1, (Capacity ? Capacity : 1) / N);
   Shards.reserve(N);
   for (size_t I = 0; I != N; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-}
-
-std::string SharedTVCache::makeKey(std::string_view CanonSrcText,
-                                   std::string_view CanonTgtText,
-                                   const TVOptions &Opts) {
-  std::string Key;
-  Key.reserve(64 + CanonSrcText.size() + CanonTgtText.size() + 1);
-  if (!TVCache::appendKeyHeader(Key, CanonSrcText, CanonTgtText, Opts))
-    return std::string();
-  Key += CanonSrcText;
-  Key += '\x1f';
-  Key += CanonTgtText;
-  return Key;
+    Shards.push_back(std::make_unique<Shard>(PerShard));
 }
 
 SharedTVCache::Shard &SharedTVCache::shardFor(const std::string &Key) {
+  if (Shards.size() == 1)
+    return *Shards.front();
   // Shard count is a power of two, so the hash's low bits pick the stripe.
   return *Shards[std::hash<std::string_view>()(Key) & (Shards.size() - 1)];
 }
@@ -61,33 +49,22 @@ std::unique_lock<std::mutex> SharedTVCache::lockShard(Shard &S) {
 bool SharedTVCache::lookup(const std::string &Key, TVResult &Out) {
   Shard &S = shardFor(Key);
   auto G = lockShard(S);
-  auto It = S.Map.find(std::string_view(Key));
-  if (It == S.Map.end()) {
-    S.Misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  S.Hits.fetch_add(1, std::memory_order_relaxed);
-  S.LRU.splice(S.LRU.begin(), S.LRU, It->second);
-  Out = It->second->second; // by value: safe past a concurrent eviction
-  return true;
+  const TVResult *Hit = S.Cache.lookup(Key);
+  (Hit ? S.Hits : S.Misses).fetch_add(1, std::memory_order_relaxed);
+  if (Hit)
+    Out = *Hit; // by value: safe past a concurrent eviction
+  return Hit;
 }
 
 bool SharedTVCache::insert(const std::string &Key, const TVResult &R) {
   Shard &S = shardFor(Key);
   auto G = lockShard(S);
-  if (S.Map.count(std::string_view(Key)))
-    return false;
-  bool Evicted = false;
-  if (S.Map.size() >= CapacityPerShard) {
-    Entry &Old = S.LRU.back();
-    S.Map.erase(std::string_view(Old.first));
-    S.LRU.pop_back();
-    Evicted = true;
+  size_t Before = S.Cache.size();
+  bool Evicted = S.Cache.insert(Key, R);
+  if (Evicted)
     S.Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  S.LRU.emplace_front(Key, R);
-  S.Map.emplace(std::string_view(S.LRU.front().first), S.LRU.begin());
-  S.Inserts.fetch_add(1, std::memory_order_relaxed);
+  if (Evicted || S.Cache.size() != Before)
+    S.Inserts.fetch_add(1, std::memory_order_relaxed);
   return Evicted;
 }
 
@@ -95,7 +72,7 @@ size_t SharedTVCache::size() const {
   size_t N = 0;
   for (const auto &S : Shards) {
     std::lock_guard<std::mutex> G(S->Lock);
-    N += S->Map.size();
+    N += S->Cache.size();
   }
   return N;
 }

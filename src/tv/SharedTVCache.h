@@ -5,27 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide, lock-striped LRU cache of translation-validation
-/// verdicts, shared by every campaign worker. Where the per-worker TVCache
-/// keys on raw printed text, this cache keys on *canonicalized* pairs
-/// (tv/Canonicalize.h): alpha-renamed, commutative-normalized clones — so
-/// structurally-equal queries from different workers and different mutation
-/// lineages collapse onto one entry.
+/// A lock-striped LRU cache of translation-validation verdicts: each shard
+/// is a mutex around a TVCache. FuzzerLoop reaches every verdict through
+/// one of these. By default each loop owns a private one-shard instance
+/// keyed on raw printed text (TVCache::makeKey on the functions), whose
+/// hits, misses and evictions are exactly a TVCache's of the same
+/// capacity. Under -shared-tv-cache the campaign shares one instance keyed
+/// on *canonicalized* pairs (tv/Canonicalize.h): alpha-renamed,
+/// commutative-normalized clones, so structurally-equal queries from
+/// different workers and mutation lineages collapse onto one entry.
 ///
 /// Concurrency: the key hash selects one of a power-of-two number of
-/// shards; each shard is an independent mutex + LRU map sized
-/// capacity/shards. Workers querying different shards never contend, and a
-/// shard's critical section is a hash-map probe plus a list splice — the
-/// verdict is copied out by value so no reference can dangle past an
-/// eviction by another worker.
+/// shards (a one-shard cache skips the hash), each holding
+/// max(1, capacity/shards) entries. Workers querying different shards never
+/// contend, and a shard's critical section is a TVCache probe — the verdict
+/// is copied out by value so no reference can dangle past an eviction by
+/// another worker.
 ///
-/// Determinism: verdicts are computed *on the canonical pair*, making them
-/// a pure function of the key — whichever worker computes first, a hit
-/// replays byte-for-byte what a fresh computation would produce, so the
-/// deterministic report section stays byte-equal across -j values. Only
-/// the hit/miss/eviction *counters* are scheduling-dependent (two workers
-/// can race to compute the same key and both count a miss); they live in
-/// the volatile section of the run report.
+/// Determinism: on the shared path verdicts are computed *on the canonical
+/// pair*, making them a pure function of the key — whichever worker
+/// computes first, a hit replays byte-for-byte what a fresh computation
+/// would produce, so the deterministic report section stays byte-equal
+/// across -j values. Only the hit/miss/eviction *counters* are
+/// scheduling-dependent (two workers can race to compute the same key and
+/// both count a miss); they live in the volatile section of the run report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,16 +36,13 @@
 #define TV_SHAREDTVCACHE_H
 
 #include "support/Profiler.h"
-#include "tv/RefinementChecker.h"
+#include "tv/TVCache.h"
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace alive {
@@ -54,16 +54,8 @@ public:
   /// \p Capacity bounds total resident verdicts across all shards;
   /// \p Shards is rounded up to a power of two (0 = DefaultShards). Each
   /// shard holds an independent LRU of max(1, Capacity/Shards) entries.
-  explicit SharedTVCache(size_t Capacity = 4096,
+  explicit SharedTVCache(size_t Capacity = TVCache::DefaultCapacity,
                          size_t Shards = DefaultShards);
-
-  /// Builds the cache key from the canonical pair texts — same header
-  /// fingerprint and hash-then-full-text layout as TVCache::makeKey, so a
-  /// hash collision can never smuggle in a wrong verdict. \returns the
-  /// empty string when the header does not fit (fail open to uncacheable).
-  static std::string makeKey(std::string_view CanonSrcText,
-                             std::string_view CanonTgtText,
-                             const TVOptions &Opts);
 
   /// Copies the memoized verdict for \p Key into \p Out, refreshing its
   /// recency. \returns false on a miss.
@@ -75,7 +67,9 @@ public:
   bool insert(const std::string &Key, const TVResult &R);
 
   size_t shardCount() const { return Shards.size(); }
-  size_t capacity() const { return CapacityPerShard * Shards.size(); }
+  size_t capacity() const {
+    return Shards.front()->Cache.capacity() * Shards.size();
+  }
   /// Total resident entries (takes every shard lock; diagnostics only).
   size_t size() const;
 
@@ -86,13 +80,10 @@ public:
   std::vector<ShardHeat> shardHeat() const;
 
 private:
-  using Entry = std::pair<std::string, TVResult>;
   struct Shard {
+    explicit Shard(size_t Capacity) : Cache(Capacity) {}
     std::mutex Lock;
-    /// Front = most recently used. Map string_view keys alias the entry's
-    /// own key string (stable for the entry's lifetime).
-    std::list<Entry> LRU;
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> Map;
+    TVCache Cache;
     /// Heat counters (relaxed: read by the profile endpoints mid-run).
     std::atomic<uint64_t> Hits{0}, Misses{0}, Evictions{0}, Inserts{0};
     /// Lock acquisitions that found the mutex held (try_lock failed first)
@@ -105,7 +96,6 @@ private:
 
   Shard &shardFor(const std::string &Key);
 
-  size_t CapacityPerShard;
   std::vector<std::unique_ptr<Shard>> Shards;
 };
 

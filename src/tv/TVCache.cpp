@@ -50,40 +50,32 @@ bool TVCache::isCacheable(const Function &F) {
   return !dependsOnModuleContext(F);
 }
 
-bool TVCache::appendKeyHeader(std::string &Out, std::string_view SrcText,
-                              std::string_view TgtText,
-                              const TVOptions &Opts) {
-  // Header: structural hashes + every TVOptions field that can steer the
-  // verdict. The caller appends the full texts so equal keys imply equal
-  // inputs.
-  char Head[160];
-  int N = std::snprintf(
-      Head, sizeof Head, "%016llx:%016llx|b%llu,t%u,e%u,f%llu,s%llx,p%u|",
-      (unsigned long long)fnv1a(SrcText), (unsigned long long)fnv1a(TgtText),
-      (unsigned long long)Opts.SolverConflictBudget, Opts.ConcreteTrials,
-      Opts.ExhaustiveBits, (unsigned long long)Opts.Fuel,
-      (unsigned long long)Opts.Seed, Opts.PrescreenTrials);
-  // A truncated header would silently merge distinct option
-  // configurations into one key — fail open to "uncacheable" instead.
-  assert(N > 0 && (size_t)N < sizeof Head);
-  if (N <= 0 || (size_t)N >= sizeof Head)
-    return false;
-  Out.append(Head, (size_t)N);
-  return true;
-}
-
 std::string TVCache::makeKey(const Function &Src, const Function &Tgt,
                              const TVOptions &Opts) {
   if (dependsOnModuleContext(Src) || dependsOnModuleContext(Tgt))
     return std::string();
+  return makeKey(printFunction(Src), printFunction(Tgt), Opts);
+}
 
-  std::string SrcText = printFunction(Src);
-  std::string TgtText = printFunction(Tgt);
-
-  std::string Key;
-  Key.reserve(64 + SrcText.size() + TgtText.size() + 1);
-  if (!appendKeyHeader(Key, SrcText, TgtText, Opts))
+std::string TVCache::makeKey(std::string_view SrcText,
+                             std::string_view TgtText, const TVOptions &Opts) {
+  // Header: structural hashes + every TVOptions field that can steer the
+  // verdict. The full texts follow so equal keys imply equal inputs.
+  char Head[160];
+  int N = std::snprintf(
+      Head, sizeof Head, "%016llx:%016llx|b%llu,t%u,e%u,f%llu,s%llx|",
+      (unsigned long long)fnv1a(SrcText), (unsigned long long)fnv1a(TgtText),
+      (unsigned long long)Opts.SolverConflictBudget, Opts.ConcreteTrials,
+      Opts.ExhaustiveBits, (unsigned long long)Opts.Fuel,
+      (unsigned long long)Opts.Seed);
+  // A truncated header would silently merge distinct option
+  // configurations into one key — fail open to "uncacheable" instead.
+  assert(N > 0 && (size_t)N < sizeof Head);
+  if (N <= 0 || (size_t)N >= sizeof Head)
     return std::string();
+  std::string Key;
+  Key.reserve((size_t)N + SrcText.size() + TgtText.size() + 1);
+  Key.append(Head, (size_t)N);
   Key += SrcText;
   Key += '\x1f'; // unit separator: printed IR never contains it
   Key += TgtText;

@@ -20,14 +20,14 @@
 /// functions, whose bodies are mutated independently — are not cacheable
 /// and makeKey refuses them.
 ///
-/// This cache is per-worker (each CampaignEngine worker's FuzzerLoop owns
-/// one): workers share nothing on the hot path, and a hit replays a verdict
-/// byte-identical to what the checker would recompute, so the -j N bug
-/// report stays byte-identical to -j 1 even though each worker's hit
-/// pattern differs. The opt-in SharedTVCache (tv/SharedTVCache.h) trades
-/// this isolation for cross-worker and cross-lineage sharing via
-/// canonicalized keys; both caches use the same cacheability rule
-/// (isCacheable) and the same bound-checked key header (appendKeyHeader).
+/// This is the one LRU of the validator. A FuzzerLoop reaches it through
+/// SharedTVCache (tv/SharedTVCache.h), whose shards are each a mutex plus a
+/// TVCache: by default a private one-shard instance per worker keyed on raw
+/// printed text, or under -shared-tv-cache one process-wide instance keyed
+/// on canonicalized pairs. Workers of the default mode share nothing on the
+/// hot path, and a hit replays a verdict byte-identical to what the checker
+/// would recompute, so the -j N bug report stays byte-identical to -j 1
+/// even though each worker's hit pattern differs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,20 +67,21 @@ public:
   static std::string makeKey(const Function &Src, const Function &Tgt,
                              const TVOptions &Opts);
 
+  /// Builds the key for two printed (or canonicalized) function texts:
+  /// structural hashes of both plus a fingerprint of every TVOptions field
+  /// that can steer the verdict, followed by the full texts so a hash
+  /// collision can never smuggle in a wrong verdict. \returns the empty
+  /// string when the header does not fit its fixed buffer: the pair is then
+  /// uncacheable rather than keyed on a truncated fingerprint that would
+  /// merge distinct option configurations.
+  static std::string makeKey(std::string_view SrcText,
+                             std::string_view TgtText, const TVOptions &Opts);
+
   /// True when \p F 's verdict is a function of its own printed text:
   /// no calls into defined non-intrinsic functions (their bodies belong to
   /// the surrounding module and are mutated independently). Shared by
   /// makeKey and the canonicalization pass of the shared cache.
   static bool isCacheable(const Function &F);
-
-  /// Appends the bound-checked key header — structural hashes of the two
-  /// texts plus a fingerprint of every TVOptions field that can steer the
-  /// verdict — to \p Out. \returns false (leaving \p Out untouched) if the
-  /// header would not fit its fixed buffer: the caller must then treat the
-  /// pair as uncacheable rather than key on a truncated fingerprint that
-  /// would merge distinct option configurations.
-  static bool appendKeyHeader(std::string &Out, std::string_view SrcText,
-                              std::string_view TgtText, const TVOptions &Opts);
 
   /// 64-bit FNV-1a hash of a function's printed form: identical text (the
   /// parser/printer round-trip normal form) hashes identically regardless

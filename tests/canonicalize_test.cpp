@@ -8,7 +8,8 @@
 /// alpha-renamed and commutative-operand-swapped variants of a pair onto
 /// one canonical text (one cache key) while refusing pairs whose verdict
 /// depends on module context, and SharedTVCache must behave as a bounded
-/// sharded LRU that is safe to hammer from many threads.
+/// sharded LRU that is safe to hammer from many threads — and, with one
+/// shard, exactly as the TVCache it wraps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
+#include <random>
 #include <thread>
 
 using namespace alive;
@@ -260,15 +262,54 @@ TEST(SharedTVCacheTest, ShardCountRoundsUpToPowerOfTwo) {
 
 TEST(SharedTVCacheTest, MakeKeyMatchesCanonicalTextsAndOptions) {
   TVOptions Opts;
-  std::string K1 = SharedTVCache::makeKey("srcA", "tgtA", Opts);
-  std::string K2 = SharedTVCache::makeKey("srcA", "tgtB", Opts);
-  std::string K3 = SharedTVCache::makeKey("tgtA", "srcA", Opts);
+  std::string K1 = TVCache::makeKey("srcA", "tgtA", Opts);
+  std::string K2 = TVCache::makeKey("srcA", "tgtB", Opts);
+  std::string K3 = TVCache::makeKey("tgtA", "srcA", Opts);
   ASSERT_FALSE(K1.empty());
   EXPECT_NE(K1, K2);
   EXPECT_NE(K1, K3); // direction matters
   TVOptions P = Opts;
-  P.PrescreenTrials = 4; // prescreen changes Incorrect details -> new key
-  EXPECT_NE(SharedTVCache::makeKey("srcA", "tgtA", P), K1);
+  P.ConcreteTrials = Opts.ConcreteTrials + 1; // steers the verdict -> new key
+  EXPECT_NE(TVCache::makeKey("srcA", "tgtA", P), K1);
+}
+
+TEST(SharedTVCacheTest, OneShardMatchesTVCacheOnRandomTrace) {
+  // A one-shard SharedTVCache must be a TVCache of the same capacity: the
+  // fuzzing loop's per-worker cache is one, while perfbench's traced
+  // replay drives a bare TVCache and requires identical hit, miss and
+  // eviction counts. Feed both one randomized lookup/insert trace over a
+  // key space larger than the capacity, so recency and eviction matter.
+  TVCache Ref(4);
+  SharedTVCache One(4, 1);
+  std::mt19937_64 RNG(20241017);
+  for (unsigned I = 0; I != 4000; ++I) {
+    std::string Key = "k" + std::to_string(RNG() % 9);
+    if (RNG() % 4 == 0) {
+      // A bare insert, resident key or not.
+      ASSERT_EQ(One.insert(Key, verdict(TVVerdict::Correct, Key)),
+                Ref.insert(Key, verdict(TVVerdict::Correct, Key)))
+          << "insert at step " << I;
+      continue;
+    }
+    // The loop's sequence: lookup, and insert on a miss.
+    TVResult Out;
+    const TVResult *Hit = Ref.lookup(Key);
+    ASSERT_EQ(One.lookup(Key, Out), Hit != nullptr) << "lookup at step " << I;
+    if (Hit) {
+      EXPECT_EQ(Out.Detail, Hit->Detail);
+      continue;
+    }
+    ASSERT_EQ(One.insert(Key, verdict(TVVerdict::Correct, Key)),
+              Ref.insert(Key, verdict(TVVerdict::Correct, Key)))
+        << "insert after miss at step " << I;
+  }
+  ShardHeat H = One.shardHeat().at(0);
+  EXPECT_EQ(H.Hits, Ref.stats().Hits);
+  EXPECT_EQ(H.Misses, Ref.stats().Misses);
+  EXPECT_EQ(H.Evictions, Ref.stats().Evictions);
+  EXPECT_GT(Ref.stats().Evictions, 0u);
+  EXPECT_GT(Ref.stats().Hits, 0u);
+  EXPECT_EQ(One.size(), Ref.size());
 }
 
 TEST(SharedTVCacheTest, ConcurrentMixedUseIsSafe) {

@@ -282,15 +282,19 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
 TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
   // A retired or mistyped flag must fail loudly, naming the flag: a
   // script passing -isolate would otherwise quietly run in-process, and
-  // -feedbak would quietly run a blind campaign.
+  // -feedbak would quietly run a blind campaign. -tv-prescreen and
+  // -tv-cache-shards are retired too.
   std::string In = " " + TmpDir + "/in.ll";
   std::string Err = TmpDir + "/unknown.err";
-  for (const char *Flag : {"-isolate", "-feedbak"}) {
+  for (std::string Flag : {"-isolate", "-feedbak", "-tv-prescreen=4",
+                           "-tv-cache-shards=8"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Flag + In +
                      " 2> " + Err + ")"),
               1)
         << Flag;
-    EXPECT_NE(readFile(Err).find(Flag), std::string::npos) << readFile(Err);
+    std::string Name = Flag.substr(0, Flag.find('='));
+    EXPECT_NE(readFile(Err).find("unknown flag " + Name), std::string::npos)
+        << readFile(Err);
   }
 }
 
