@@ -7,9 +7,9 @@
 /// \file
 /// google-benchmark microbenchmarks for the hot primitives of the fuzzing
 /// loop: module cloning (the in-process substitute for parse/print),
-/// parsing, printing, one mutation round, single-pass optimization, and
-/// one interpreter execution. These are the quantities the Figure 2
-/// overhead argument is made of.
+/// parsing, printing, one mutation round, single-pass optimization, one
+/// interpreter execution, and bit-blasted solver queries. These are the
+/// quantities the Figure 2 overhead argument is made of.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,6 +155,24 @@ void BM_SatEquivalenceQuery(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SatEquivalenceQuery);
+
+// The budget-bound query shape that dominates Table I wall time: a
+// violation of zext(x) * zext(y) ule zext(x) * 0xffffffff over a widened
+// i64 multiply, stopped by the validator's 4000-conflict budget.
+void BM_SatBudgetQuery(benchmark::State &State) {
+  for (auto _ : State) {
+    TermBuilder B;
+    TermRef X = B.mkZExt(B.mkVar(32, "x"), 64);
+    TermRef Y = B.mkZExt(B.mkVar(32, "y"), 64);
+    SatSolver S;
+    BitBlaster BB(S);
+    BB.assertTrue(B.mkNot(B.mkUle(B.mkMul(X, Y),
+                                  B.mkMul(X, B.mkConst(64, 0xffffffffULL)))));
+    auto R = S.solve(/*ConflictBudget=*/4000);
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_SatBudgetQuery)->Unit(benchmark::kMillisecond);
 
 void BM_APIntMul64(benchmark::State &State) {
   APInt A(64, 0x123456789ABCDEFULL), Bv(64, 0xFEDCBA987654321ULL);

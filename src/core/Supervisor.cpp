@@ -40,11 +40,17 @@ struct HeartbeatSlot {
   std::atomic<uint64_t> Beat; ///< liveness tick for the wedge detector
 };
 
+/// The slot array starts at the first HeartbeatSlot-aligned offset past the
+/// Control block: the 8-byte atomics must not sit right after a 4-byte one.
+constexpr size_t SlotsOffset = (sizeof(Control) + alignof(HeartbeatSlot) - 1) /
+                               alignof(HeartbeatSlot) *
+                               alignof(HeartbeatSlot);
+
 Control *control(void *Page) { return static_cast<Control *>(Page); }
 
 HeartbeatSlot *slots(void *Page) {
   return reinterpret_cast<HeartbeatSlot *>(static_cast<char *>(Page) +
-                                           sizeof(Control));
+                                           SlotsOffset);
 }
 
 /// A beat-silent child is only wedged if it also sat idle on the CPU: it
@@ -114,7 +120,7 @@ bool Supervisor::init(std::string &Error) {
   unsigned N = Cfg.Iterations
                    ? (unsigned)std::min<uint64_t>(Cfg.Fanout, Cfg.Iterations)
                    : Cfg.Fanout;
-  PageSize = sizeof(Control) + N * sizeof(HeartbeatSlot);
+  PageSize = SlotsOffset + N * sizeof(HeartbeatSlot);
   void *Raw = mmap(nullptr, PageSize, PROT_READ | PROT_WRITE,
                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (Raw == MAP_FAILED || faultAt("supervisor.mmap")) {

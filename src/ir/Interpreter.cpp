@@ -76,6 +76,14 @@ unsigned laneBitsOf(const Type *T) {
   return T->getScalarType()->getIntegerBitWidth();
 }
 
+/// True if the index operand \p Idx of extractelement/insertelement names
+/// a lane of a vector with \p NumLanes lanes. The index is unsigned and may
+/// be narrower than the lane count (an i1 index into <2 x i8>), so compare
+/// its zero-extended value, never the lane count truncated to its width.
+bool laneInRange(const APInt &Idx, size_t NumLanes) {
+  return Idx.getActiveBits() <= 64 && Idx.getZExtValue() < NumLanes;
+}
+
 unsigned laneCountOf(const Type *T) {
   if (const auto *VT = dyn_cast<VectorType>(T))
     return VT->getNumElements();
@@ -636,8 +644,7 @@ ExecResult Interpreter::runFrame(const Function &F,
         ConcVal Vec = getVal(E->getVector());
         Lane Idx = getVal(E->getIndex()).lane();
         unsigned W = laneBitsOf(I->getType());
-        if (Idx.Poison || Idx.Val.uge(APInt(Idx.Val.getBitWidth(),
-                                            Vec.Lanes.size())))
+        if (Idx.Poison || !laneInRange(Idx.Val, Vec.Lanes.size()))
           Vals[I] = ConcVal::scalarPoison(W);
         else
           Vals[I] = ConcVal{{Vec.Lanes[(size_t)Idx.Val.getZExtValue()]}};
@@ -648,8 +655,7 @@ ExecResult Interpreter::runFrame(const Function &F,
         ConcVal Vec = getVal(E->getVector());
         Lane Elt = getVal(E->getElement()).lane();
         Lane Idx = getVal(E->getIndex()).lane();
-        if (Idx.Poison ||
-            Idx.Val.uge(APInt(Idx.Val.getBitWidth(), Vec.Lanes.size()))) {
+        if (Idx.Poison || !laneInRange(Idx.Val, Vec.Lanes.size())) {
           for (Lane &L : Vec.Lanes)
             L = Lane::poison(L.Val.getBitWidth());
         } else {

@@ -10,8 +10,8 @@
 ///
 ///   - test-slow  — spins until the iteration watchdog trips (or a safety
 ///     cap, so a watchdog-less pipeline still terminates);
-///   - test-crash — dereferences null when it sees a function whose name
-///     starts with "crashme" (SIGSEGV, for -fanout containment tests);
+///   - test-crash — raises SIGSEGV when it sees a function whose name
+///     starts with "crashme" (for -fanout containment tests);
 ///   - test-abort — calls std::abort() on functions named "abortme*"
 ///     (SIGABRT, for the in-process signal-guard tests).
 ///
@@ -25,6 +25,7 @@
 
 #include "support/Cancellation.h"
 
+#include <csignal>
 #include <cstdlib>
 
 using namespace alive;
@@ -62,12 +63,11 @@ public:
   std::string getName() const override { return "test-crash"; }
 
   bool runOnFunction(Function &F) override {
-    if (F.getName().rfind("crashme", 0) == 0) {
-      // Volatile null dereference: a genuine SIGSEGV the isolation layer
-      // must contain, not something the compiler can fold away.
-      volatile int *Null = nullptr;
-      *Null = 42;
-    }
+    // A SIGSEGV the isolation layer must contain. Raised rather than
+    // provoked by a null store: the store is undefined behaviour, which
+    // UBSan reports (and aborts on) before any fault happens.
+    if (F.getName().rfind("crashme", 0) == 0)
+      std::raise(SIGSEGV);
     return false;
   }
 };

@@ -54,9 +54,13 @@ private:
     if (!IdxC)
       return false;
     auto *VT = cast<VectorType>(E->getVector()->getType());
-    uint64_t Lane = IdxC->getValue().getLoBits64();
-    bool OutOfRange = IdxC->getValue().uge(
-        APInt(IdxC->getValue().getBitWidth(), VT->getNumElements()));
+    // Lane indices are unsigned and may be narrower than the lane count
+    // (i1 into <2 x i8>): compare zero-extended values, never the lane
+    // count truncated to the index width.
+    const APInt &IdxV = IdxC->getValue();
+    uint64_t Lane = IdxV.getLoBits64();
+    bool OutOfRange =
+        IdxV.getActiveBits() > 64 || Lane >= VT->getNumElements();
 
     // Seeded crash 56377: building a shuffle for the extract-extract
     // pattern without validating the lane (scalable-vector analog).
@@ -72,8 +76,8 @@ private:
     // extract(insert(v, x, Lane), Lane) -> x.
     if (auto *Ins = dyn_cast<InsertElementInst>(E->getVector())) {
       const ConstantInt *InsIdx = matchConstInt(Ins->getIndex());
-      if (InsIdx && InsIdx->getValue() == IdxC->getValue().zextOrTrunc(
-                                              InsIdx->getValue().getBitWidth())) {
+      if (InsIdx && InsIdx->getValue().getActiveBits() <= 64 &&
+          InsIdx->getValue().getLoBits64() == Lane) {
         replaceAndErase(E, Ins->getElement());
         return true;
       }

@@ -16,9 +16,10 @@ using namespace alive;
 
 SatSolver::SatSolver() {
   // Variable 0 is unused; keep the vectors 1-based.
-  Assign.push_back(Undef);
+  Value.resize(2, Undef);
   Level.push_back(0);
-  Reason.push_back(-1);
+  Reason.push_back(NoRef);
+  BinaryReason.push_back(0);
   Activity.push_back(0);
   SavedPhase.push_back(0);
   Seen.push_back(0);
@@ -27,15 +28,16 @@ SatSolver::SatSolver() {
 }
 
 int SatSolver::newVar() {
-  Assign.push_back(Undef);
+  Value.resize(Value.size() + 2, Undef);
   Level.push_back(0);
-  Reason.push_back(-1);
+  Reason.push_back(NoRef);
+  BinaryReason.push_back(0);
   Activity.push_back(0);
   SavedPhase.push_back(0);
   Seen.push_back(0);
   HeapPos.push_back(-1);
   Watches.resize(Watches.size() + 2);
-  int V = (int)Assign.size() - 1;
+  int V = numVars();
   heapInsert(V);
   return V;
 }
@@ -93,60 +95,73 @@ void SatSolver::heapRebuild() {
     heapSiftDown(I);
 }
 
-void SatSolver::addClause(const std::vector<Lit> &Literals) {
+void SatSolver::addClause(const Lit *Literals, size_t Size) {
   assert(TrailLimits.empty() && "clauses must be added at decision level 0");
   if (Unsatisfiable)
     return;
 
   // Simplify: drop duplicate/false literals, detect tautologies and
-  // already-satisfied clauses.
-  std::vector<Lit> Ls = Literals;
-  std::sort(Ls.begin(), Ls.end(),
+  // already-satisfied clauses. The sort order fixes which two literals the
+  // clause watches first.
+  AddBuf.assign(Literals, Literals + Size);
+  std::sort(AddBuf.begin(), AddBuf.end(),
             [](Lit A, Lit B) { return std::abs(A) < std::abs(B) ||
                                       (std::abs(A) == std::abs(B) && A < B); });
-  std::vector<Lit> Clean;
-  for (Lit L : Ls) {
-    assert(std::abs(L) >= 1 && std::abs(L) < (int)Assign.size() &&
+  size_t N = 0;
+  for (Lit L : AddBuf) {
+    assert(std::abs(L) >= 1 && std::abs(L) <= numVars() &&
            "literal for unknown variable");
-    if (!Clean.empty() && Clean.back() == L)
+    if (N != 0 && AddBuf[N - 1] == L)
       continue;
-    if (!Clean.empty() && Clean.back() == -L)
+    if (N != 0 && AddBuf[N - 1] == -L)
       return; // tautology
     if (valueOf(L) == 1)
       return; // already satisfied at level 0
     if (valueOf(L) == 0)
       continue; // already false at level 0
-    Clean.push_back(L);
+    AddBuf[N++] = L;
   }
+  AddBuf.resize(N);
 
-  if (Clean.empty()) {
+  if (N == 0) {
     Unsatisfiable = true;
     return;
   }
-  if (Clean.size() == 1) {
-    if (valueOf(Clean[0]) == Undef)
-      enqueue(Clean[0], -1);
-    if (propagate() != -1)
+  if (N == 1) {
+    if (valueOf(AddBuf[0]) == Undef)
+      enqueue(AddBuf[0], NoRef);
+    if (propagate() != NoRef)
       Unsatisfiable = true;
     return;
   }
-
-  Clauses.push_back({Clean, /*Learned=*/false});
-  unsigned Idx = (unsigned)Clauses.size() - 1;
-  Watches[watchIndex(-Clean[0])].push_back({Idx, Clean[1]});
-  Watches[watchIndex(-Clean[1])].push_back({Idx, Clean[0]});
+  attachClause(AddBuf);
 }
 
-void SatSolver::enqueue(Lit L, int ReasonClause) {
+SatSolver::CRef SatSolver::attachClause(const std::vector<Lit> &Lits) {
+  CRef Ref = BinaryRef;
+  if (Lits.size() > 2) {
+    assert(Arena.size() + Lits.size() < BinaryRef && "clause arena full");
+    Ref = (CRef)Arena.size();
+    Arena.push_back((Lit)Lits.size());
+    Arena.insert(Arena.end(), Lits.begin(), Lits.end());
+  }
+  Watches[watchIndex(-Lits[0])].push_back({Ref, Lits[1]});
+  Watches[watchIndex(-Lits[1])].push_back({Ref, Lits[0]});
+  return Ref;
+}
+
+void SatSolver::enqueue(Lit L, CRef R, Lit BinaryOther) {
   int V = std::abs(L);
-  assert(Assign[V] == Undef && "enqueue of assigned variable");
-  Assign[V] = L > 0 ? 1 : 0;
+  assert(valueOf(L) == Undef && "enqueue of assigned variable");
+  Value[watchIndex(L)] = 1;
+  Value[watchIndex(-L)] = 0;
   Level[V] = (int)TrailLimits.size();
-  Reason[V] = ReasonClause;
+  Reason[V] = R;
+  BinaryReason[V] = BinaryOther;
   Trail.push_back(L);
 }
 
-int SatSolver::propagate() {
+SatSolver::CRef SatSolver::propagate() {
   while (PropHead < Trail.size()) {
     Lit P = Trail[PropHead++];
     ++Statistics.Propagations;
@@ -159,43 +174,51 @@ int SatSolver::propagate() {
         WL[Keep++] = W;
         continue;
       }
-      Clause &C = Clauses[W.ClauseIdx];
-      // Normalize: the false literal (-P) goes to position 1.
-      if (C.Lits[0] == -P)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == -P);
-      if (valueOf(C.Lits[0]) == 1) {
-        WL[Keep++] = {W.ClauseIdx, C.Lits[0]};
-        continue;
-      }
-      // Search for a non-false literal to watch.
-      bool FoundWatch = false;
-      for (size_t K = 2; K != C.Lits.size(); ++K) {
-        if (valueOf(C.Lits[K]) != 0) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[watchIndex(-C.Lits[1])].push_back(
-              {W.ClauseIdx, C.Lits[0]});
-          FoundWatch = true;
-          break;
+      Lit Implied = W.Blocker;
+      if (W.Ref != BinaryRef) {
+        Lit *C = clauseLits(W.Ref);
+        unsigned Size = clauseSize(W.Ref);
+        // Normalize: the false literal (-P) goes to position 1.
+        if (C[0] == -P)
+          std::swap(C[0], C[1]);
+        assert(C[1] == -P);
+        if (valueOf(C[0]) == 1) {
+          WL[Keep++] = {W.Ref, C[0]};
+          continue;
         }
+        // Search for a non-false literal to watch.
+        bool FoundWatch = false;
+        for (unsigned K = 2; K != Size; ++K) {
+          if (valueOf(C[K]) != 0) {
+            std::swap(C[1], C[K]);
+            Watches[watchIndex(-C[1])].push_back({W.Ref, C[0]});
+            FoundWatch = true;
+            break;
+          }
+        }
+        if (FoundWatch)
+          continue;
+        Implied = C[0];
       }
-      if (FoundWatch)
-        continue;
-      // Unit or conflicting.
+      // Unit or conflicting. A binary clause takes the same path with its
+      // blocker as the other literal: it never finds a new watch.
       WL[Keep++] = W;
-      if (valueOf(C.Lits[0]) == 0) {
-        // Conflict: restore untouched watchers and report.
+      if (valueOf(Implied) == 0) {
+        // Conflict: restore untouched watchers and report. Only a binary
+        // conflict reads BinaryConflict, only a binary reason -P.
         for (size_t K = I + 1; K != WL.size(); ++K)
           WL[Keep++] = WL[K];
         WL.resize(Keep);
         PropHead = Trail.size();
-        return (int)W.ClauseIdx;
+        BinaryConflict[0] = Implied;
+        BinaryConflict[1] = -P;
+        return W.Ref;
       }
-      enqueue(C.Lits[0], (int)W.ClauseIdx);
+      enqueue(Implied, W.Ref, -P);
     }
     WL.resize(Keep);
   }
-  return -1;
+  return NoRef;
 }
 
 void SatSolver::bumpVar(int V) {
@@ -216,8 +239,7 @@ void SatSolver::bumpVar(int V) {
 
 void SatSolver::decayActivities() { VarInc /= 0.95; }
 
-void SatSolver::analyze(int ConflictClause, std::vector<Lit> &Learnt,
-                        int &BacktrackLevel) {
+void SatSolver::analyze(CRef Conflict, int &BacktrackLevel) {
   // Standard 1UIP scheme.
   Learnt.clear();
   Learnt.push_back(0); // slot for the asserting literal
@@ -225,13 +247,23 @@ void SatSolver::analyze(int ConflictClause, std::vector<Lit> &Learnt,
   Lit P = 0;
   size_t TrailIdx = Trail.size();
   int CurLevel = (int)TrailLimits.size();
-  int ClauseIdx = ConflictClause;
+  CRef Ref = Conflict;
+  // A binary clause is read back in the literal order propagate()'s swap
+  // would have left it in the arena: [blocker, -P] as the conflict,
+  // [implied, other] as a reason. Learned clauses, and with them the
+  // whole search, are therefore the same as if binaries were stored.
+  Lit Binary[2] = {BinaryConflict[0], BinaryConflict[1]};
 
   do {
-    assert(ClauseIdx != -1 && "reason missing during conflict analysis");
-    Clause &C = Clauses[ClauseIdx];
-    for (size_t K = (P == 0 ? 0 : 1); K != C.Lits.size(); ++K) {
-      Lit Q = C.Lits[K];
+    assert(Ref != NoRef && "reason missing during conflict analysis");
+    const Lit *C = Binary;
+    unsigned Size = 2;
+    if (Ref != BinaryRef) {
+      C = clauseLits(Ref);
+      Size = clauseSize(Ref);
+    }
+    for (unsigned K = (P == 0 ? 0 : 1); K != Size; ++K) {
+      Lit Q = C[K];
       int V = std::abs(Q);
       if (Seen[V] || Level[V] == 0)
         continue;
@@ -246,12 +278,14 @@ void SatSolver::analyze(int ConflictClause, std::vector<Lit> &Learnt,
     while (!Seen[std::abs(Trail[--TrailIdx])])
       ;
     P = Trail[TrailIdx];
-    Seen[std::abs(P)] = 0;
-    ClauseIdx = Reason[std::abs(P)];
+    int PV = std::abs(P);
+    Seen[PV] = 0;
+    Ref = Reason[PV];
+    Binary[0] = P;
+    Binary[1] = BinaryReason[PV];
     --PathCount;
   } while (PathCount > 0);
   Learnt[0] = -P;
-
   // Compute backtrack level = max level among the other literals.
   BacktrackLevel = 0;
   size_t MaxIdx = 1;
@@ -274,9 +308,8 @@ void SatSolver::backtrack(int TargetLevel) {
   unsigned Limit = TrailLimits[TargetLevel];
   for (size_t I = Trail.size(); I > Limit; --I) {
     int V = std::abs(Trail[I - 1]);
-    SavedPhase[V] = Assign[V];
-    Assign[V] = Undef;
-    Reason[V] = -1;
+    SavedPhase[V] = Value[watchIndex(V)];
+    Value[watchIndex(V)] = Value[watchIndex(-V)] = Undef;
     heapInsert(V);
   }
   Trail.resize(Limit);
@@ -290,7 +323,7 @@ int SatSolver::pickBranchVar() {
   // (highest activity, lowest index on ties — matching the scan this heap
   // replaced, so search paths and solver stats are unchanged).
   while (!Heap.empty()) {
-    if (Assign[Heap[0]] != Undef) {
+    if (Value[watchIndex(Heap[0])] != Undef) {
       heapPopTop();
       continue;
     }
@@ -318,7 +351,7 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
   LastStop = Stop::None;
   if (Unsatisfiable)
     return Result::Unsat;
-  if (propagate() != -1) {
+  if (propagate() != NoRef) {
     Unsatisfiable = true;
     return Result::Unsat;
   }
@@ -328,8 +361,8 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
   uint64_t ConflictsAtRestart = 0;
 
   for (;;) {
-    int Conflict = propagate();
-    if (Conflict != -1) {
+    CRef Conflict = propagate();
+    if (Conflict != NoRef) {
       ++Statistics.Conflicts;
       ++ConflictsAtRestart;
       if (TrailLimits.empty()) {
@@ -345,21 +378,16 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
         return Result::Unknown;
       }
 
-      std::vector<Lit> Learnt;
       int BTLevel;
-      analyze(Conflict, Learnt, BTLevel);
+      analyze(Conflict, BTLevel);
       backtrack(BTLevel);
 
       Statistics.LearnedLiterals += Learnt.size();
       if (Learnt.size() == 1) {
-        enqueue(Learnt[0], -1);
+        enqueue(Learnt[0], NoRef);
       } else {
-        Clauses.push_back({Learnt, /*Learned=*/true});
-        unsigned Idx = (unsigned)Clauses.size() - 1;
-        Watches[watchIndex(-Learnt[0])].push_back({Idx, Learnt[1]});
-        Watches[watchIndex(-Learnt[1])].push_back({Idx, Learnt[0]});
         ++Statistics.LearnedClauses;
-        enqueue(Learnt[0], (int)Idx);
+        enqueue(Learnt[0], attachClause(Learnt), Learnt[1]);
       }
       decayActivities();
 
@@ -384,11 +412,11 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
     }
     ++Statistics.Decisions;
     TrailLimits.push_back((unsigned)Trail.size());
-    enqueue(SavedPhase[V] == 1 ? V : -V, -1);
+    enqueue(SavedPhase[V] == 1 ? V : -V, NoRef);
   }
 }
 
 bool SatSolver::modelValue(int Var) const {
-  assert(Var >= 1 && Var < (int)Assign.size());
-  return Assign[Var] == 1;
+  assert(Var >= 1 && Var <= numVars());
+  return valueOf(Var) == 1;
 }

@@ -63,15 +63,21 @@ public:
 
   /// Allocates a fresh variable; \returns its index (>= 1).
   int newVar();
-  int numVars() const { return (int)Assign.size() - 1; }
+  int numVars() const { return (int)Level.size() - 1; }
 
   /// Adds a clause (disjunction of literals). An empty clause makes the
   /// instance trivially unsatisfiable.
-  void addClause(const std::vector<Lit> &Literals);
-  void addClause(Lit A) { addClause(std::vector<Lit>{A}); }
-  void addClause(Lit A, Lit B) { addClause(std::vector<Lit>{A, B}); }
+  void addClause(const std::vector<Lit> &Literals) {
+    addClause(Literals.data(), Literals.size());
+  }
+  void addClause(Lit A) { addClause(&A, 1); }
+  void addClause(Lit A, Lit B) {
+    Lit Ls[] = {A, B};
+    addClause(Ls, 2);
+  }
   void addClause(Lit A, Lit B, Lit C) {
-    addClause(std::vector<Lit>{A, B, C});
+    Lit Ls[] = {A, B, C};
+    addClause(Ls, 3);
   }
 
   /// Solves the current formula. \p ConflictBudget bounds the search
@@ -93,32 +99,41 @@ public:
 
 private:
   enum : uint8_t { Undef = 2 };
-  struct Clause {
-    std::vector<Lit> Lits;
-    bool Learned;
-    double Activity = 0;
-  };
+
+  /// A clause reference. Clauses of three or more literals live in Arena
+  /// as [size, lit0, lit1, ...] and are named by the offset of their size
+  /// word. Binary clauses never enter the arena: they exist only as a pair
+  /// of watchers, so a binary reason or conflict is a tag (BinaryRef), with
+  /// the literals carried alongside.
+  using CRef = uint32_t;
+  static constexpr CRef NoRef = ~CRef(0);
+  static constexpr CRef BinaryRef = NoRef - 1;
+
+  /// An entry in the watch list of literal P: a clause with -P among its
+  /// first two literals. For a binary clause Ref is BinaryRef and Blocker
+  /// is always the clause's other literal.
   struct Watcher {
-    unsigned ClauseIdx;
+    CRef Ref;
     Lit Blocker;
   };
 
-  unsigned watchIndex(Lit L) const {
+  static unsigned watchIndex(Lit L) {
     int V = L > 0 ? L : -L;
     return 2 * V + (L < 0 ? 1 : 0);
   }
-  uint8_t valueOf(Lit L) const {
-    int V = L > 0 ? L : -L;
-    uint8_t A = Assign[V];
-    if (A == Undef)
-      return Undef;
-    return (L > 0) == (A == 1) ? 1 : 0;
-  }
-  void enqueue(Lit L, int ReasonClause);
-  /// Propagates; \returns conflicting clause index or -1.
-  int propagate();
-  void analyze(int ConflictClause, std::vector<Lit> &Learnt,
-               int &BacktrackLevel);
+  uint8_t valueOf(Lit L) const { return Value[watchIndex(L)]; }
+  Lit *clauseLits(CRef C) { return &Arena[C + 1]; }
+  unsigned clauseSize(CRef C) const { return (unsigned)Arena[C]; }
+
+  void addClause(const Lit *Literals, size_t Size);
+  /// Stores Lits (already simplified, >= 2 literals) and watches its first
+  /// two literals; \returns the reason to record for Lits[0].
+  CRef attachClause(const std::vector<Lit> &Lits);
+  void enqueue(Lit L, CRef Reason, Lit BinaryOther = 0);
+  /// Propagates; \returns the conflicting clause or NoRef. A binary
+  /// conflict is BinaryRef, with its literals left in BinaryConflict.
+  CRef propagate();
+  void analyze(CRef Conflict, int &BacktrackLevel);
   void backtrack(int Level);
   void bumpVar(int V);
   void decayActivities();
@@ -126,15 +141,17 @@ private:
   static uint64_t luby(uint64_t I);
 
   // Assignment trail.
-  std::vector<uint8_t> Assign;       // per var: 0/1/Undef
-  std::vector<int> Level;            // decision level per var
-  std::vector<int> Reason;           // reason clause index per var (-1 none)
+  std::vector<uint8_t> Value;      // per literal (watchIndex): 0/1/Undef
+  std::vector<int> Level;          // decision level per var
+  std::vector<CRef> Reason;        // reason clause per var (NoRef none)
+  std::vector<Lit> BinaryReason;   // other literal of a BinaryRef reason
   std::vector<Lit> Trail;
   std::vector<unsigned> TrailLimits; // trail size at each decision level
   size_t PropHead = 0;
 
-  std::vector<Clause> Clauses;
+  std::vector<Lit> Arena;                    // every clause of >= 3 literals
   std::vector<std::vector<Watcher>> Watches; // indexed by watchIndex
+  Lit BinaryConflict[2] = {0, 0};            // [blocker, -P] of a conflict
   bool Unsatisfiable = false;
 
   // Branching heuristic.
@@ -159,8 +176,11 @@ private:
   std::vector<int> Heap;    // heap array of variable indices
   std::vector<int> HeapPos; // var -> position in Heap, -1 when absent
 
-  // Scratch for analyze().
+  // Scratch reused across calls so that no clause allocates: addClause's
+  // simplified copy, analyze()'s marks and its learned clause.
+  std::vector<Lit> AddBuf;
   std::vector<uint8_t> Seen;
+  std::vector<Lit> Learnt;
 
   Stats Statistics;
   Stop LastStop = Stop::None;

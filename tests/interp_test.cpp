@@ -446,6 +446,42 @@ TEST(InterpTest, VectorLanes) {
   EXPECT_EQ(R.Ret.lane().Val.getZExtValue(), 23u); // 20 + 3
 }
 
+// An index narrower than the lane count still selects by its unsigned
+// value: i1 1 and i2 3 are in range, i2 2 into <2 x i8> is out of range.
+TEST(InterpTest, NarrowLaneIndex) {
+  std::string Err;
+  auto M = parseModule(R"(define i8 @f(<2 x i8> %v, <4 x i8> %u) {
+  %a = extractelement <2 x i8> %v, i1 1
+  %w = insertelement <2 x i8> %v, i8 7, i1 1
+  %b = extractelement <2 x i8> %w, i32 1
+  %c = extractelement <4 x i8> %u, i2 3
+  %s = add i8 %a, %b
+  %r = add i8 %s, %c
+  ret i8 %r
+}
+define i8 @oob(<2 x i8> %v) {
+  %r = extractelement <2 x i8> %v, i2 2
+  ret i8 %r
+})",
+                       Err);
+  ASSERT_NE(M, nullptr) << Err;
+  ConcVal V, U;
+  V.Lanes.push_back(Lane::of(APInt(8, 5)));
+  V.Lanes.push_back(Lane::of(APInt(8, 9)));
+  for (int I = 0; I != 4; ++I)
+    U.Lanes.push_back(Lane::of(APInt(8, 10 * I)));
+  ExecOptions Opts;
+  Memory Mem;
+  Interpreter Interp(Mem, Opts);
+  ExecResult R = Interp.run(*M->getFunction("f"), {V, U});
+  ASSERT_EQ(R.Status, ExecStatus::Ok);
+  ASSERT_FALSE(R.Ret.lane().Poison);
+  EXPECT_EQ(R.Ret.lane().Val.getZExtValue(), 46u); // 9 + 7 + 30
+  R = Interp.run(*M->getFunction("oob"), {V});
+  ASSERT_EQ(R.Status, ExecStatus::Ok);
+  EXPECT_TRUE(R.Ret.lane().Poison);
+}
+
 TEST(InterpTest, ShuffleAndPoisonLanes) {
   std::string Err;
   auto M = parseModule(R"(define i8 @f(<2 x i8> %v) {

@@ -476,6 +476,26 @@ define i32 @f(<4 x i32> %v, i32 %e) {
   EXPECT_TRUE(contains(Out, "ret i32 %e")) << Out;
 }
 
+// Lane indices narrower than the lane count select by unsigned value: an
+// i1 0 insert is lane 0, not the lane 2 an i32 2 extract reads, and i1 1
+// is an in-range lane of a two-lane constant.
+TEST_F(OptTest, VectorCombineNarrowLaneIndex) {
+  std::string Out = optimizeChecked(R"(
+define i8 @f(<4 x i8> %v, i8 %x) {
+  %w = insertelement <4 x i8> %v, i8 %x, i1 0
+  %r = extractelement <4 x i8> %w, i32 2
+  ret i8 %r
+}
+define i8 @g() {
+  %r = extractelement <2 x i8> <i8 5, i8 9>, i1 1
+  ret i8 %r
+}
+)",
+                                    "vector-combine,dce");
+  EXPECT_FALSE(contains(Out, "ret i8 %x")) << Out;
+  EXPECT_TRUE(contains(Out, "ret i8 9")) << Out;
+}
+
 TEST_F(OptTest, VectorCombineScalarizesExtractOfBinop) {
   std::string Out = optimizeChecked(R"(
 define i8 @f(<4 x i8> %a, <4 x i8> %b) {

@@ -398,6 +398,28 @@ define <4 x i8> @tgt(<4 x i8> %v) {
   EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
 }
 
+// Narrowing a constant lane index keeps its meaning: lane 1 is lane 1
+// whether the index is i32, i2 or i1.
+TEST(TVTest, NarrowLaneIndexIsRefinement) {
+  for (const char *Ty : {"i1", "i2"}) {
+    TVResult R = check(std::string(R"(
+define i8 @src(<2 x i8> %v, i8 %x) {
+  %w = insertelement <2 x i8> %v, i8 %x, i32 1
+  %r = extractelement <2 x i8> %w, i32 1
+  ret i8 %r
+}
+define i8 @tgt(<2 x i8> %v, i8 %x) {
+  %w = insertelement <2 x i8> %v, i8 %x, )") +
+                       Ty + R"( 1
+  %r = extractelement <2 x i8> %w, )" + Ty + R"( 1
+  ret i8 %r
+}
+)");
+    EXPECT_TRUE(R.UsedConcretePath) << Ty;
+    EXPECT_EQ(R.Verdict, TVVerdict::Correct) << Ty << ": " << R.Detail;
+  }
+}
+
 TEST(TVTest, SignatureMismatchUnsupported) {
   TVResult R = check(R"(
 define i32 @src(i32 %x) {
