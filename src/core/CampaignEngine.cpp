@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -103,12 +102,6 @@ unsigned CampaignEngine::loadModule(std::unique_ptr<Module> M) {
 
 std::vector<std::string> CampaignEngine::testableFunctions() const {
   return MasterLoop->testableFunctions();
-}
-
-void CampaignEngine::setProgress(
-    double IntervalSeconds, std::function<void(const CampaignProgress &)> Fn) {
-  ProgressInterval = IntervalSeconds;
-  ProgressFn = std::move(Fn);
 }
 
 std::unique_ptr<Module>
@@ -297,7 +290,7 @@ CampaignProfile CampaignEngine::profileSnapshot() const {
 namespace {
 
 /// One worker thread: a private FuzzerLoop over a private master-module
-/// clone, plus the atomic counters the reporter thread reads.
+/// clone, plus the atomic counters live observers read.
 struct Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
@@ -309,6 +302,7 @@ struct Worker {
   /// Next seed offset to run; advanced by the worker, read by the
   /// checkpoint writer.
   std::atomic<uint64_t> Next{0};
+  /// Iterations this worker has finished, resumed prefix included.
   std::atomic<uint64_t> Done{0};
   /// Wall time this worker spent in its slices, summed over epochs.
   double LegSeconds = 0;
@@ -317,34 +311,15 @@ struct Worker {
 /// Sums every per-iteration counter and phase timer of \p From into
 /// \p Into. TotalSeconds is deliberately excluded: summing wall-clock
 /// across concurrent workers would double-count; the engine reports its
-/// own wall time.
+/// own wall time. WorkerSeconds does sum — the denominator of the
+/// stage-sum invariant (the engine's own wall clock would be ~J times
+/// smaller than the summed stage times).
 void accumulate(FuzzStats &Into, const FuzzStats &From) {
-  Into.MutantsGenerated += From.MutantsGenerated;
-  Into.MutationsApplied += From.MutationsApplied;
-  Into.Optimized += From.Optimized;
-  Into.Verified += From.Verified;
-  Into.VerifySkipped += From.VerifySkipped;
-  Into.TVCacheHits += From.TVCacheHits;
-  Into.TVCacheMisses += From.TVCacheMisses;
-  Into.TVCacheEvictions += From.TVCacheEvictions;
-  Into.RefinementFailures += From.RefinementFailures;
-  Into.Crashes += From.Crashes;
-  Into.Inconclusive += From.Inconclusive;
-  Into.FunctionsDropped += From.FunctionsDropped;
-  Into.InvalidMutants += From.InvalidMutants;
-  Into.MutantsSaved += From.MutantsSaved;
-  Into.SaveFailures += From.SaveFailures;
-  Into.BundlesWritten += From.BundlesWritten;
-  Into.BundleFailures += From.BundleFailures;
-  Into.Timeouts += From.Timeouts;
-  Into.MutateSeconds += From.MutateSeconds;
-  Into.OptimizeSeconds += From.OptimizeSeconds;
-  Into.VerifySeconds += From.VerifySeconds;
-  Into.OverheadSeconds += From.OverheadSeconds;
-  // WorkerSeconds sums loop wall times across workers — the denominator
-  // of the stage-sum invariant (the engine's own wall clock would be ~J
-  // times smaller than the summed stage times).
-  Into.WorkerSeconds += From.WorkerSeconds;
+  for (const auto &F : FuzzStatsCounters)
+    Into.*F.Member += From.*F.Member;
+  for (const auto &F : FuzzStatsSeconds)
+    if (F.Member != &FuzzStats::TotalSeconds)
+      Into.*F.Member += From.*F.Member;
 }
 
 /// Closes one dispatch leg's books: the leg's wall time joins the
@@ -373,109 +348,6 @@ FuzzOptions workerOptions(const FuzzOptions &Opts,
   WOpts.WorkerIndex = Index;
   return WOpts;
 }
-
-/// A progress snapshot from raw counters. \p Stage (mutate, optimize,
-/// verify, overhead seconds) may be null when no stage split is known.
-CampaignProgress progressAt(uint64_t Done, uint64_t Target, double Elapsed,
-                            unsigned Workers, double TimeLimit,
-                            const double *Stage) {
-  CampaignProgress P;
-  P.Done = Done;
-  P.Target = Target;
-  P.Elapsed = Elapsed;
-  P.Workers = Workers;
-  if (P.Elapsed > 0)
-    P.Rate = (double)P.Done / P.Elapsed;
-  if (!Target)
-    P.EtaSeconds = std::max(0.0, TimeLimit - P.Elapsed);
-  else if (P.Rate > 0)
-    P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-  if (Stage) {
-    double StageSum = Stage[0] + Stage[1] + Stage[2] + Stage[3];
-    if (StageSum > 0) {
-      P.MutateShare = Stage[0] / StageSum;
-      P.OptimizeShare = Stage[1] / StageSum;
-      P.VerifyShare = Stage[2] / StageSum;
-      P.OverheadShare = Stage[3] / StageSum;
-    }
-  }
-  return P;
-}
-
-/// The wall-clock backstop: polls each loop's watchdog serial a few times
-/// per timeout period and CAS-cancels a token that sat on one serial for
-/// longer than the timeout. Fires only through CancellationToken's
-/// cancelIfStillOn, so a worker that advanced in the meantime is never
-/// hit (and a stale hit is cleared by the next beginIteration anyway).
-class WallClockSupervisor {
-public:
-  WallClockSupervisor(std::vector<FuzzerLoop *> WatchedLoops, double Timeout)
-      : Loops(std::move(WatchedLoops)), Timeout(Timeout) {
-    if (Loops.empty() || Timeout <= 0)
-      return;
-    Last.resize(Loops.size());
-    Th = std::thread([this] { poll(); });
-  }
-  ~WallClockSupervisor() { stop(); }
-
-  void stop() {
-    if (!Th.joinable())
-      return;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Done = true;
-    }
-    CV.notify_all();
-    Th.join();
-  }
-
-private:
-  struct Seen {
-    uint64_t Serial = 0;
-    std::chrono::steady_clock::time_point Since;
-    bool Init = false;
-  };
-
-  void poll() {
-    // The interval must genuinely subdivide the timeout or sub-interval
-    // stalls are invisible: a floor of 5ms once made any timeout below
-    // ~20ms a no-op (the serial always advanced between ticks). The
-    // 100us floor bounds the busy-poll cost while keeping millisecond
-    // backstops — the kind the tests use — honest.
-    double PollSeconds = std::clamp(Timeout / 4, 0.0001, 0.05);
-    std::unique_lock<std::mutex> Lock(M);
-    while (!CV.wait_for(Lock, std::chrono::duration<double>(PollSeconds),
-                        [this] { return Done; })) {
-      auto Now = std::chrono::steady_clock::now();
-      for (size_t I = 0; I != Loops.size(); ++I) {
-        CancellationToken *T = Loops[I]->watchdog();
-        if (!T)
-          continue;
-        uint64_t S = T->serial();
-        if (!Last[I].Init || Last[I].Serial != S) {
-          Last[I] = {S, Now, true};
-          continue;
-        }
-        if (std::chrono::duration<double>(Now - Last[I].Since).count() >=
-            Timeout) {
-          T->cancelIfStillOn(S);
-          // Re-arm: if the worker stays wedged despite the cancel (it
-          // should not — every instrumented stage polls), fire again a
-          // full period later rather than every poll tick.
-          Last[I].Since = Now;
-        }
-      }
-    }
-  }
-
-  std::vector<FuzzerLoop *> Loops;
-  double Timeout;
-  std::vector<Seen> Last;
-  std::thread Th;
-  std::mutex M;
-  std::condition_variable CV;
-  bool Done = false;
-};
 
 } // namespace
 
@@ -603,7 +475,7 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
   }
 
   // Validate and restore all resume state before any thread (sampler,
-  // backstop, reporter, worker) can observe the workers.
+  // worker, live observer) can observe the workers.
   if (SV.Resume) {
     std::string Err;
     if (Feedback) {
@@ -641,13 +513,18 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
       }
       restoreWorker(WC, *W->Loop);
       W->Next.store(WC.Next, std::memory_order_relaxed);
-      if (!Feedback) {
-        W->Done.store(WC.Next - WC.Lo, std::memory_order_relaxed);
-        TotalDone.fetch_add(WC.Next - WC.Lo, std::memory_order_relaxed);
-      }
+      // The worker's share of the finished prefix: its checkpointed slice
+      // prefix, or under feedback its slices of every completed epoch (all
+      // full, except a final partial one when EpochStart == Iterations).
+      auto Slice = [&](uint64_t L) {
+        return L * (W->Index + 1) / J - L * W->Index / J;
+      };
+      uint64_t Done = Feedback ? EpochStart / EpochLen * Slice(EpochLen) +
+                                     Slice(EpochStart % EpochLen)
+                               : WC.Next - WC.Lo;
+      W->Done.store(Done, std::memory_order_relaxed);
+      TotalDone.fetch_add(Done, std::memory_order_relaxed);
     }
-    if (Feedback)
-      TotalDone.store(EpochStart, std::memory_order_relaxed);
   }
 
   // Open the live observer window now that every worker exists. The
@@ -672,41 +549,6 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     SP->start();
     std::lock_guard<std::mutex> G(LiveM);
     Sampler = std::move(SP);
-  }
-
-  // The wall-clock backstop, when configured: one supervisor thread for
-  // all workers (it only reads serials and CAS-writes cancel flags).
-  std::vector<FuzzerLoop *> WatchedLoops;
-  if (SV.WallTimeoutSeconds > 0)
-    for (auto &W : Workers)
-      WatchedLoops.push_back(W->Loop.get());
-  WallClockSupervisor Backstop(std::move(WatchedLoops),
-                               SV.WallTimeoutSeconds);
-
-  // The reporter: wakes every ProgressInterval seconds and hands the
-  // workers' aggregated atomic counters to the callback.
-  std::mutex DoneMutex;
-  std::condition_variable DoneCV;
-  bool AllDone = false;
-  std::thread Reporter;
-  if (ProgressInterval > 0 && ProgressFn) {
-    Reporter = std::thread([&] {
-      std::unique_lock<std::mutex> Lock(DoneMutex);
-      while (!DoneCV.wait_for(Lock,
-                              std::chrono::duration<double>(ProgressInterval),
-                              [&] { return AllDone; })) {
-        double Stage[4] = {};
-        for (const auto &W : Workers) {
-          std::array<double, 4> WS = W->Loop->stageSeconds();
-          for (unsigned S = 0; S != 4; ++S)
-            Stage[S] += WS[S];
-        }
-        ProgressFn(progressAt(TotalDone.load(std::memory_order_relaxed),
-                              TimeLimited ? 0 : Opts.Iterations,
-                              Total.seconds(), J, Opts.TimeLimitSeconds,
-                              Stage));
-      }
-    });
   }
 
   auto StopRequested = [&] {
@@ -819,15 +661,6 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
       CheckpointAll();
   }
 
-  Backstop.stop();
-  if (Reporter.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(DoneMutex);
-      AllDone = true;
-    }
-    DoneCV.notify_all();
-    Reporter.join();
-  }
   if (Sampler)
     Sampler->stop();
   endLive();
@@ -981,9 +814,6 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       return 0;
     }
-    // The parent cannot see into this address space, so the wall-clock
-    // backstop runs as a thread of the child itself.
-    WallClockSupervisor WallSup({&Loop}, SV.WallTimeoutSeconds);
     Timer Leg;
     uint64_t Since = 0;
     auto Checkpoint = [&](uint64_t Next) {
@@ -1012,7 +842,6 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     }
     settleWorkerSeconds(Loop, Leg.seconds());
     bool Ok = Checkpoint(Cursor);
-    WallSup.stop();
     // Exit 3 = "results could not be written": the parent marks the
     // lease Lost instead of retrying forever.
     return Ok ? 0 : 3;
@@ -1078,13 +907,6 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     return StopReq.load(std::memory_order_relaxed) ||
            (After && DoneTotal >= After);
   });
-  if (ProgressInterval > 0 && ProgressFn)
-    Sup.setTick(
-        [&](uint64_t Done, double Elapsed) {
-          ProgressFn(progressAt(Done, Opts.Iterations, Elapsed, N, 0,
-                                /*Stage=*/nullptr));
-        },
-        ProgressInterval);
 
   // Live view over the supervisor's heartbeat page: Done counters only
   // (shard registries live in child processes).

@@ -59,32 +59,12 @@
 #include "support/Timer.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace alive {
-
-/// A snapshot handed to the progress callback by the reporter thread.
-struct CampaignProgress {
-  uint64_t Done = 0;     ///< iterations completed so far, all workers
-  uint64_t Target = 0;   ///< total iterations (0 when time-limited)
-  double Elapsed = 0;    ///< seconds since run() started
-  unsigned Workers = 0;  ///< number of worker threads
-  double Rate = 0;       ///< iterations per second since run() started
-  /// Estimated seconds to completion: from the rate for iteration-bounded
-  /// campaigns, from the remaining budget for time-limited ones; negative
-  /// when unknown (no completed iteration yet).
-  double EtaSeconds = -1;
-  /// Fraction of summed worker time spent per stage so far (0 when no
-  /// stage time has been recorded yet). Shares sum to ~1.
-  double MutateShare = 0;
-  double OptimizeShare = 0;
-  double VerifyShare = 0;
-  double OverheadShare = 0;
-};
 
 /// Runs a fuzzing campaign across J worker threads with a deterministic
 /// merge. With Jobs == 1 the result is identical to a plain FuzzerLoop run
@@ -111,11 +91,6 @@ public:
 
   /// Names of functions that survived preprocessing.
   std::vector<std::string> testableFunctions() const;
-
-  /// Installs a progress reporter: while run() executes, a monitor thread
-  /// invokes \p Fn every \p IntervalSeconds (<= 0 disables reporting).
-  void setProgress(double IntervalSeconds,
-                   std::function<void(const CampaignProgress &)> Fn);
 
   /// Runs the campaign across the worker pool and merges the results.
   const FuzzStats &run();
@@ -270,8 +245,6 @@ private:
   /// null unless enabled. Created once here and handed to every worker
   /// via FuzzOptions::SharedCache.
   std::unique_ptr<SharedTVCache> SharedCache;
-  double ProgressInterval = 0;
-  std::function<void(const CampaignProgress &)> ProgressFn;
   FuzzStats Stats;
   std::vector<BugRecord> Bugs;
   StatRegistry Registry;

@@ -55,69 +55,28 @@ std::string shardPath(const std::string &Dir, unsigned Index) {
   return Dir + "/shard-" + std::to_string(Index) + ".json";
 }
 
-/// The FuzzStats fields, serialized by name. Doubles go out as raw bit
-/// patterns (the "_bits" suffix marks them) so they restore exactly.
+/// The FuzzStats fields, serialized by name in FuzzStatsCounters /
+/// FuzzStatsSeconds order. Doubles go out as raw bit patterns (the "_bits"
+/// suffix marks them) so they restore exactly.
 void writeStats(std::ostream &OS, const FuzzStats &S,
                 const std::string &Ind) {
-  auto U = [&](const char *Name, uint64_t V, bool Comma = true) {
-    OS << Ind << "\"" << Name << "\": " << V << (Comma ? ",\n" : "\n");
-  };
-  auto D = [&](const char *Name, double V, bool Comma = true) {
-    U((std::string(Name) + "_bits").c_str(), doubleBits(V), Comma);
-  };
   OS << "{\n";
-  U("mutants_generated", S.MutantsGenerated);
-  U("mutations_applied", S.MutationsApplied);
-  U("optimized", S.Optimized);
-  U("verified", S.Verified);
-  U("verify_skipped", S.VerifySkipped);
-  U("tv_cache_hits", S.TVCacheHits);
-  U("tv_cache_misses", S.TVCacheMisses);
-  U("tv_cache_evictions", S.TVCacheEvictions);
-  U("refinement_failures", S.RefinementFailures);
-  U("crashes", S.Crashes);
-  U("inconclusive", S.Inconclusive);
-  U("functions_dropped", S.FunctionsDropped);
-  U("invalid_mutants", S.InvalidMutants);
-  U("mutants_saved", S.MutantsSaved);
-  U("save_failures", S.SaveFailures);
-  U("bundles_written", S.BundlesWritten);
-  U("bundle_failures", S.BundleFailures);
-  U("timeouts", S.Timeouts);
-  D("mutate_seconds", S.MutateSeconds);
-  D("optimize_seconds", S.OptimizeSeconds);
-  D("verify_seconds", S.VerifySeconds);
-  D("overhead_seconds", S.OverheadSeconds);
-  D("worker_seconds", S.WorkerSeconds);
-  D("total_seconds", S.TotalSeconds, /*Comma=*/false);
-  OS << Ind.substr(2) << "}";
+  for (const auto &F : FuzzStatsCounters)
+    OS << Ind << "\"" << F.Name << "\": " << S.*F.Member << ",\n";
+  const char *Sep = "";
+  for (const auto &F : FuzzStatsSeconds) {
+    OS << Sep << Ind << "\"" << F.Name
+       << "_bits\": " << doubleBits(S.*F.Member);
+    Sep = ",\n";
+  }
+  OS << "\n" << Ind.substr(2) << "}";
 }
 
 void readStats(const JSONValue &J, FuzzStats &S) {
-  S.MutantsGenerated = J.getUInt("mutants_generated");
-  S.MutationsApplied = J.getUInt("mutations_applied");
-  S.Optimized = J.getUInt("optimized");
-  S.Verified = J.getUInt("verified");
-  S.VerifySkipped = J.getUInt("verify_skipped");
-  S.TVCacheHits = J.getUInt("tv_cache_hits");
-  S.TVCacheMisses = J.getUInt("tv_cache_misses");
-  S.TVCacheEvictions = J.getUInt("tv_cache_evictions");
-  S.RefinementFailures = J.getUInt("refinement_failures");
-  S.Crashes = J.getUInt("crashes");
-  S.Inconclusive = J.getUInt("inconclusive");
-  S.FunctionsDropped = J.getUInt("functions_dropped");
-  S.InvalidMutants = J.getUInt("invalid_mutants");
-  S.MutantsSaved = J.getUInt("mutants_saved");
-  S.SaveFailures = J.getUInt("save_failures");
-  S.BundlesWritten = J.getUInt("bundles_written");
-  S.BundleFailures = J.getUInt("bundle_failures");
-  S.Timeouts = J.getUInt("timeouts");
-  S.MutateSeconds = bitsDouble(J.getUInt("mutate_seconds_bits"));
-  S.OptimizeSeconds = bitsDouble(J.getUInt("optimize_seconds_bits"));
-  S.VerifySeconds = bitsDouble(J.getUInt("verify_seconds_bits"));
-  S.OverheadSeconds = bitsDouble(J.getUInt("overhead_seconds_bits"));
-  S.WorkerSeconds = bitsDouble(J.getUInt("worker_seconds_bits"));
-  S.TotalSeconds = bitsDouble(J.getUInt("total_seconds_bits"));
+  for (const auto &F : FuzzStatsCounters)
+    S.*F.Member = J.getUInt(F.Name);
+  for (const auto &F : FuzzStatsSeconds)
+    S.*F.Member = bitsDouble(J.getUInt(std::string(F.Name) + "_bits"));
 }
 
 } // namespace

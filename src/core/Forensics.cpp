@@ -126,8 +126,6 @@ void writeManifest(std::ostream &OS, const BundleInputs &In) {
      << ", \"fuel\": " << O.TV.Fuel << ", \"seed\": " << O.TV.Seed << "},\n";
   OS << "    \"skip_unchanged\": " << (O.SkipUnchanged ? "true" : "false")
      << ",\n";
-  OS << "    \"verify_mutants\": " << (O.VerifyMutants ? "true" : "false")
-     << ",\n";
   OS << "    \"step_budget\": " << O.Survival.StepBudget << ",\n";
   OS << "    \"testable_functions\": [";
   for (size_t I = 0; I != In.TestableFunctions.size(); ++I) {
@@ -268,7 +266,6 @@ ReplayResult alive::replayBundle(const std::string &BundleDir) {
     O.TV.Seed = TV->getUInt("seed", O.TV.Seed);
   }
   O.SkipUnchanged = Cfg->getBool("skip_unchanged", true);
-  O.VerifyMutants = Cfg->getBool("verify_mutants", true);
   // Step-budget timeouts are deterministic, so replaying a timeout bundle
   // needs the same budget; the wall-clock backstop stays off in replay.
   O.Survival.StepBudget = Cfg->getUInt("step_budget", 0);

@@ -59,7 +59,9 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
   // Arm the iteration watchdog when either trigger is configured. One
   // token per loop, shared by the pass manager (one step per
   // pass-on-function), the solver (per conflict/decision) and the
-  // interpreter (per 64 instructions) — TV reaches it via TV.Token.
+  // interpreter (per 64 instructions) — TV reaches it via TV.Token. The
+  // token checks its own deadline, so a bare loop, an engine worker and a
+  // -fanout child all honor WallTimeoutSeconds the same way.
   WatchdogArmed = this->Opts.Survival.StepBudget > 0 ||
                   this->Opts.Survival.WallTimeoutSeconds > 0;
   if (WatchdogArmed) {
@@ -99,8 +101,9 @@ unsigned FuzzerLoop::loadModule(std::unique_ptr<Module> M) {
       // dropped: there is no point mutating these."
       TraceSpan Span(Trace.get(), "self-check", /*Seed=*/0,
                      Trace ? Trace->intern(F->getName()) : nullptr);
-      // The self-check gets its own budget per function: a pathological
-      // input function must not wedge preprocessing either.
+      // The self-check gets its own step budget per function: a
+      // pathological input function must not wedge preprocessing either.
+      // Never a deadline: the surviving set must not depend on the clock.
       if (WatchdogArmed)
         WatchdogToken.beginIteration(Opts.Survival.StepBudget);
       TVResult Self = checkSelfRefinement(*F, Opts.TV);
@@ -231,10 +234,10 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   if (!ConfigError.empty())
     return;
   Outcomes.clear();
-  // Fresh watchdog budget for the mutate+optimize phase. The serial bump
-  // also tells the wall-clock supervisor a new iteration started.
+  // Fresh watchdog budget and deadline for the mutate+optimize phase.
   if (WatchdogArmed)
-    WatchdogToken.beginIteration(Opts.Survival.StepBudget);
+    WatchdogToken.beginIteration(Opts.Survival.StepBudget,
+                                 Opts.Survival.WallTimeoutSeconds);
   IterationAccounting Books(Stats, HOverhead, HIteration);
 
   // Feedback collection. Rule fires land in RuleWords through the
@@ -275,31 +278,30 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   Stats.MutationsApplied += Applied;
   ++Stats.MutantsGenerated;
 
-  if (Opts.VerifyMutants) {
-    std::vector<std::string> Errors;
-    if (!verifyModule(*Mutant, Errors)) {
-      // Must never happen: the paper's core validity claim.
-      ++Stats.InvalidMutants;
-      if (Trace)
-        Trace->instant("bug.invalid-mutant", Seed);
-      ForensicRecord FR;
-      FR.K = ForensicRecord::InvalidMutant;
-      FR.Seed = Seed;
-      FR.Function = "<mutator>";
-      FR.VerdictSlug = "invalid-mutant";
-      FR.Detail = "INVALID MUTANT: " + Errors.front();
-      BugRecord R;
-      R.Kind = BugRecord::Crash;
-      R.FunctionName = "<mutator>";
-      R.MutantSeed = Seed;
-      R.Detail = FR.Detail;
-      R.MutantIR = printModule(*Mutant);
-      R.BundlePath = writeBundle(FR, Mutant.get(), nullptr);
-      Outcomes.push_back(std::move(FR));
-      Bugs.push_back(std::move(R));
-      noteBugEvent(Seed, "invalid-mutant", "<mutator>");
-      return;
-    }
+  // Every mutant goes through the verifier: the paper's "valid IR 100% of
+  // the time" claim, and cheap.
+  if (std::vector<std::string> Errors; !verifyModule(*Mutant, Errors)) {
+    // Must never happen: the paper's core validity claim.
+    ++Stats.InvalidMutants;
+    if (Trace)
+      Trace->instant("bug.invalid-mutant", Seed);
+    ForensicRecord FR;
+    FR.K = ForensicRecord::InvalidMutant;
+    FR.Seed = Seed;
+    FR.Function = "<mutator>";
+    FR.VerdictSlug = "invalid-mutant";
+    FR.Detail = "INVALID MUTANT: " + Errors.front();
+    BugRecord R;
+    R.Kind = BugRecord::Crash;
+    R.FunctionName = "<mutator>";
+    R.MutantSeed = Seed;
+    R.Detail = FR.Detail;
+    R.MutantIR = printModule(*Mutant);
+    R.BundlePath = writeBundle(FR, Mutant.get(), nullptr);
+    Outcomes.push_back(std::move(FR));
+    Bugs.push_back(std::move(R));
+    noteBugEvent(Seed, "invalid-mutant", "<mutator>");
+    return;
   }
   if (!Opts.SaveDir.empty() && Opts.SaveAll) {
     TraceSpan Span(Trace.get(), "save", Seed);
@@ -355,10 +357,10 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     return;
   }
   if (WatchdogArmed && WatchdogToken.cancelled()) {
-    // The optimize phase blew its budget (or the wall-clock backstop
-    // fired). The mutant is only partially optimized; verifying it would
-    // conflate a cut-off pipeline with the configured one. Record the
-    // timeout and move on to the next seed.
+    // The optimize phase blew its budget (or its wall-clock deadline).
+    // The mutant is only partially optimized; verifying it would conflate
+    // a cut-off pipeline with the configured one. Record the timeout and
+    // move on to the next seed.
     recordTimeout(Seed, "", "optimize", Source.get(), nullptr);
     return;
   }
@@ -404,7 +406,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       // much the cache elided earlier — which keeps step-budget timeouts
       // deterministic across worker counts.
       if (WatchdogArmed)
-        WatchdogToken.beginIteration(Opts.Survival.StepBudget);
+        WatchdogToken.beginIteration(Opts.Survival.StepBudget,
+                                     Opts.Survival.WallTimeoutSeconds);
       // The checked pair is the keyed one. Under -shared-tv-cache that is
       // the canonicalized pair, so the verdict is a pure function of the
       // canonical key: a hit replays exactly what a fresh computation

@@ -140,8 +140,7 @@ try{
 } // namespace
 
 MetricsServer::MetricsServer(const MetricsOptions &Opts)
-    : Opts(Opts), Queue(Opts.EventQueueCapacity) {
-  Series.resize(std::max<size_t>(1, Opts.SeriesCapacity));
+    : Opts(Opts), Series(SeriesCapacity) {
   Server.setHandler([this](const HttpRequest &R) { return handle(R); });
   Server.setTick([this] { tick(); });
 }

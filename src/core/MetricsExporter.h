@@ -72,10 +72,6 @@ struct MetricsOptions {
   /// A live shard whose iteration counter has not advanced for this many
   /// seconds flips /healthz to 503 (-health-stale; <= 0 disables).
   double HealthStaleSeconds = 10.0;
-  /// Ring capacity of the /series buffer (oldest samples evicted).
-  size_t SeriesCapacity = 600;
-  /// Bounded event-queue capacity (drop-on-full).
-  size_t EventQueueCapacity = 1024;
 };
 
 /// One /series sample: a flattened counter snapshot at time T.
@@ -135,8 +131,12 @@ private:
   /// \returns true when healthy; fills \p Body with the JSON verdict.
   bool renderHealth(const CampaignLiveSnapshot &S, std::string &Body);
 
+  /// Ring capacity of the /series buffer (oldest samples evicted).
+  static constexpr size_t SeriesCapacity = 600;
+
   MetricsOptions Opts;
   HttpServer Server;
+  /// Bounded at CampaignEventQueue's default capacity (drop-on-full).
   CampaignEventQueue Queue;
   Timer Clock;
 

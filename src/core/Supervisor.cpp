@@ -226,7 +226,6 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
   }
   Control *Ctl = control(Page);
   HeartbeatSlot *HB = slots(Page);
-  double LastTick = 0;
 
   for (;;) {
     double Now = Total.seconds();
@@ -361,10 +360,6 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
 
     if (AllSettled)
       break;
-    if (OnTick && TickSeconds > 0 && Now - LastTick >= TickSeconds) {
-      LastTick = Now;
-      OnTick(DoneTotal, Now);
-    }
     std::this_thread::sleep_for(
         std::chrono::duration<double>(Cfg.PollSeconds));
   }

@@ -166,10 +166,6 @@ public:
   /// true raises the cooperative stop flag (children checkpoint + exit 0).
   using StopCheck = std::function<bool(uint64_t DoneTotal)>;
 
-  /// Observer tick (progress lines, event drains), called every
-  /// \p TickSeconds with (done total, elapsed).
-  using TickFn = std::function<void(uint64_t DoneTotal, double Elapsed)>;
-
   Supervisor(SupervisorConfig C, ShardBody Body);
   ~Supervisor();
   Supervisor(const Supervisor &) = delete;
@@ -190,10 +186,6 @@ public:
 
   void setCrashHook(CrashHook H) { OnCrash = std::move(H); }
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
-  void setTick(TickFn T, double Seconds) {
-    OnTick = std::move(T);
-    TickSeconds = Seconds;
-  }
 
   /// Runs the control loop to completion: every lease Done or Lost.
   /// \p Total is the campaign wall clock (backoff deadlines and the
@@ -242,8 +234,6 @@ private:
   ShardBody Body;
   CrashHook OnCrash;
   StopCheck ShouldStop;
-  TickFn OnTick;
-  double TickSeconds = 0;
 
   /// The MAP_SHARED control page: Control block + one HeartbeatSlot per
   /// lease (layout in Supervisor.cpp).

@@ -112,7 +112,7 @@ bool HttpServer::start(uint16_t Port, std::string &Error) {
     return false;
   }
   BoundPort = ntohs(Addr.sin_port);
-  Token.beginIteration(0); // arm a fresh serial; cancel = shutdown
+  Stopping = false;
   Thread = std::thread([this] { loop(); });
   return true;
 }
@@ -120,9 +120,7 @@ bool HttpServer::start(uint16_t Port, std::string &Error) {
 void HttpServer::stop() {
   if (!running())
     return;
-  // The same serial-gated cancel the watchdog uses; here the serial is
-  // always current because only start() advances it.
-  Token.cancelIfStillOn(Token.serial());
+  Stopping = true;
   Thread.join();
 }
 
@@ -201,7 +199,7 @@ void HttpServer::loop() {
   Timer LoopClock;
   double LastPing = 0;
   std::vector<pollfd> PFDs;
-  while (!Token.cancelled()) {
+  while (!Stopping) {
     if (OnTick)
       OnTick();
 

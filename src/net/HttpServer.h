@@ -17,12 +17,9 @@
 /// initial body are written, the connection stays open, and later
 /// broadcast() calls append chunks to every streaming connection).
 ///
-/// Shutdown is tied to the existing CancellationToken primitive: the
-/// server owns a token, polls it every loop, and stop() cancels it via
-/// the same serial-gated CAS the iteration watchdog uses — so an external
-/// holder of token() can also wind the server down (e.g. a signal path).
-/// On shutdown streaming connections get a final "shutdown" SSE comment
-/// before the close.
+/// Shutdown is a plain atomic flag: the server loop polls it every cycle
+/// and stop() raises it. On shutdown streaming connections get a final
+/// "shutdown" SSE comment before the close.
 ///
 /// Threading: start() spawns the server thread; the Handler and Tick
 /// callbacks run *on that thread*. broadcast() may be called from the
@@ -36,8 +33,7 @@
 #ifndef NET_HTTPSERVER_H
 #define NET_HTTPSERVER_H
 
-#include "support/Cancellation.h"
-
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -108,15 +104,10 @@ public:
 
   bool running() const { return Thread.joinable(); }
 
-  /// Graceful shutdown: cancels the token, lets the loop flush a final
+  /// Graceful shutdown: raises the stop flag, lets the loop flush a final
   /// SSE farewell to streaming clients, joins the thread, closes every
   /// socket. Idempotent.
   void stop();
-
-  /// The shutdown token; external holders may cancel it (serial-gated,
-  /// same idiom as the iteration watchdog) to wind the server down
-  /// without calling stop() first — stop() must still run to join.
-  CancellationToken &token() { return Token; }
 
   /// Appends \p Chunk to every streaming connection's output buffer.
   /// Server thread only (handler / tick).
@@ -136,7 +127,7 @@ private:
   double KeepAliveSeconds = 15;
   double ReadDeadlineSeconds = 10;
   double WriteDeadlineSeconds = 10;
-  CancellationToken Token;
+  std::atomic<bool> Stopping{false};
   std::thread Thread;
   int ListenFD = -1;
   uint16_t BoundPort = 0;

@@ -13,26 +13,25 @@
 /// Two triggers, deliberately separate:
 ///   - a *step budget*: the instrumented stages consume abstract steps
 ///     (interpreter instructions, solver conflicts, pass sweeps) and the
-///     token trips when the per-iteration budget is exhausted. Steps are
-///     consumed only by the owning worker thread, so the trip point is
-///     deterministic per seed — step-budget timeouts reproduce exactly,
-///     across runs and across worker counts;
-///   - a *wall-clock backstop*: a supervisor thread watches each worker's
-///     iteration serial and cancels the token when one iteration sits on
-///     the same serial for too long. Inherently nondeterministic — the
-///     engine keeps wall-clock timeout counts out of the deterministic
-///     report section.
+///     token trips when the per-iteration budget is exhausted. The trip
+///     point is deterministic per seed — step-budget timeouts reproduce
+///     exactly, across runs and across worker counts;
+///   - a *wall-clock deadline*: beginIteration may also arm a deadline,
+///     and consume()/cancelled() trip once it has passed. The clock is
+///     read on every ClockCadence-th poll only, so a deadline costs the
+///     hot paths one counter increment per poll. Inherently
+///     nondeterministic — the engine keeps wall-clock timeout counts out
+///     of the deterministic report section.
 ///
-/// The token is all-atomic: the worker consumes and polls it on hot paths
-/// (relaxed operations, no fences), the supervisor only reads the serial
-/// and CAS-writes the cancel flag.
+/// Only the owning thread touches a token: every trigger is evaluated
+/// inside its own polls, so no other thread ever needs to reach in.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_CANCELLATION_H
 #define SUPPORT_CANCELLATION_H
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 
 namespace alive {
@@ -43,71 +42,68 @@ public:
   enum class Reason : uint32_t {
     None = 0,
     StepBudget = 1, ///< deterministic: the per-iteration step budget ran out
-    WallClock = 2,  ///< nondeterministic: the supervisor's backstop fired
+    WallClock = 2,  ///< nondeterministic: the wall-clock deadline passed
   };
 
+  /// Polls (consume/cancelled calls) between two reads of the clock while
+  /// a deadline is armed.
+  static constexpr unsigned ClockCadence = 16;
+
   /// Starts a new iteration: resets the step counter and the cancel flag,
-  /// sets the budget (0 = unlimited) and advances the serial so a stale
-  /// wall-clock cancel aimed at the previous iteration cannot land here.
-  void beginIteration(uint64_t Budget) {
+  /// sets the step budget (0 = unlimited) and arms a deadline
+  /// \p WallSeconds from now (0 = none).
+  void beginIteration(uint64_t Budget, double WallSeconds = 0) {
     StepBudget = Budget;
-    StepsUsed.store(0, std::memory_order_relaxed);
-    CancelFlag.store((uint32_t)Reason::None, std::memory_order_relaxed);
-    Serial.fetch_add(1, std::memory_order_release);
+    StepsUsed = 0;
+    Flag = Reason::None;
+    Polls = 0;
+    HasDeadline = WallSeconds > 0;
+    if (HasDeadline)
+      Deadline = Clock::now() +
+                 std::chrono::duration_cast<Clock::duration>(
+                     std::chrono::duration<double>(WallSeconds));
   }
 
   /// Consumes \p N steps. \returns true when the token is (now) cancelled —
-  /// callers unwind cooperatively. Only the owning thread consumes, so
-  /// budget trips are deterministic.
+  /// callers unwind cooperatively. A budget that runs out trips before
+  /// the deadline is consulted.
   bool consume(uint64_t N = 1) {
-    if (CancelFlag.load(std::memory_order_relaxed) != (uint32_t)Reason::None)
+    if (Flag != Reason::None)
       return true;
     if (StepBudget) {
-      uint64_t Used = StepsUsed.fetch_add(N, std::memory_order_relaxed) + N;
-      if (Used > StepBudget) {
-        CancelFlag.store((uint32_t)Reason::StepBudget,
-                         std::memory_order_relaxed);
+      StepsUsed += N;
+      if (StepsUsed > StepBudget) {
+        Flag = Reason::StepBudget;
         return true;
       }
     }
-    return false;
+    return pastDeadline();
   }
 
-  bool cancelled() const {
-    return CancelFlag.load(std::memory_order_relaxed) !=
-           (uint32_t)Reason::None;
-  }
+  bool cancelled() const { return Flag != Reason::None || pastDeadline(); }
 
-  Reason reason() const {
-    return (Reason)CancelFlag.load(std::memory_order_relaxed);
-  }
-
-  /// Monotonic iteration counter, read by the wall-clock supervisor.
-  uint64_t serial() const { return Serial.load(std::memory_order_acquire); }
-
-  /// Supervisor-side wall-clock cancel: fires only when the worker is
-  /// still on iteration \p SerialSeen. The residual race (the worker
-  /// advances the serial between the check and the store) is benign — the
-  /// next beginIteration clears the flag, and wall-clock timeouts are
-  /// volatile-only by design.
-  void cancelIfStillOn(uint64_t SerialSeen) {
-    if (Serial.load(std::memory_order_acquire) == SerialSeen) {
-      uint32_t Expected = (uint32_t)Reason::None;
-      CancelFlag.compare_exchange_strong(Expected, (uint32_t)Reason::WallClock,
-                                         std::memory_order_relaxed);
-    }
-  }
-
-  uint64_t stepsUsed() const {
-    return StepsUsed.load(std::memory_order_relaxed);
-  }
-  uint64_t stepBudget() const { return StepBudget; }
+  Reason reason() const { return Flag; }
 
 private:
-  std::atomic<uint64_t> StepsUsed{0};
-  uint64_t StepBudget = 0; // written at beginIteration, read by the owner
-  std::atomic<uint32_t> CancelFlag{(uint32_t)Reason::None};
-  std::atomic<uint64_t> Serial{0};
+  using Clock = std::chrono::steady_clock;
+
+  /// Trips the token with WallClock when this poll is a clock poll and the
+  /// deadline has passed.
+  bool pastDeadline() const {
+    if (!HasDeadline || ++Polls % ClockCadence != 0 ||
+        Clock::now() < Deadline)
+      return false;
+    Flag = Reason::WallClock;
+    return true;
+  }
+
+  uint64_t StepsUsed = 0;
+  uint64_t StepBudget = 0;
+  Clock::time_point Deadline;
+  bool HasDeadline = false;
+  // Mutable: cancelled() is a const poll that may trip the deadline.
+  mutable unsigned Polls = 0;
+  mutable Reason Flag = Reason::None;
 };
 
 /// Installs \p Token as the calling thread's ambient cancellation token for

@@ -12,11 +12,16 @@
 #ifndef TOOLS_TOOLCOMMON_H
 #define TOOLS_TOOLCOMMON_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -49,11 +54,37 @@ public:
     auto It = Flags.find(Key);
     return It == Flags.end() || It->second.empty() ? Default : It->second;
   }
-  uint64_t getInt(const std::string &Key, uint64_t Default) const {
-    auto It = Flags.find(Key);
-    return It == Flags.end() || It->second.empty()
-               ? Default
-               : std::stoull(It->second);
+  /// The value of -\p Key as a T (\p Default when unset). Only plain
+  /// decimal digits that fit T are accepted: a sign, trailing junk or an
+  /// overflow prints an error naming the flag and exits 1.
+  template <typename T = uint64_t>
+  T getInt(const std::string &Key, std::type_identity_t<T> Default) const {
+    std::string V = get(Key);
+    if (V.empty())
+      return Default;
+    uint64_t N = 0;
+    auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
+    if (Ec != std::errc() || End != V.data() + V.size() ||
+        N > std::numeric_limits<T>::max())
+      reject(Key, V,
+             "an integer from 0 to " +
+                 std::to_string(std::numeric_limits<T>::max()));
+    return (T)N;
+  }
+
+  /// The value of -\p Key as seconds (\p Default when unset): a finite,
+  /// non-negative decimal such as 2 or 0.5. Anything else prints an error
+  /// naming the flag and exits 1.
+  double getSeconds(const std::string &Key, double Default) const {
+    std::string V = get(Key);
+    if (V.empty())
+      return Default;
+    double D = 0;
+    auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), D);
+    if (Ec != std::errc() || End != V.data() + V.size() || V[0] == '-' ||
+        !std::isfinite(D))
+      reject(Key, V, "a non-negative number of seconds");
+    return D;
   }
   const std::vector<std::string> &positional() const { return Positional; }
 
@@ -67,6 +98,14 @@ public:
   }
 
 private:
+  [[noreturn]] static void reject(const std::string &Key,
+                                  const std::string &Value,
+                                  const std::string &Expected) {
+    std::fprintf(stderr, "error: -%s expects %s, got '%s'\n", Key.c_str(),
+                 Expected.c_str(), Value.c_str());
+    std::exit(1);
+  }
+
   std::map<std::string, std::string> Flags;
   std::vector<std::string> Positional;
 };

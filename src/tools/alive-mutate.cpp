@@ -25,12 +25,16 @@
 #include "support/FaultPlane.h"
 #include "tools/ToolCommon.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include <unistd.h>
@@ -41,7 +45,8 @@ static void printHelp() {
   std::puts(
       "usage: alive-mutate [options] input.ll [more.ll ...]\n"
       "  -n=<count>        number of mutants to generate (default 1000)\n"
-      "  -t=<seconds>      time budget instead of a mutant count\n"
+      "  -t=<seconds>      time budget instead of a mutant count (may be\n"
+      "                    fractional)\n"
       "  -seed=<n>         base PRNG seed (default 1)\n"
       "  -j=<n>            worker threads (0 = all hardware threads; "
       "default 1)\n"
@@ -96,6 +101,7 @@ static void printHelp() {
       "  -checkpoint-interval=<n> iterations between checkpoints\n"
       "  -resume           resume the campaign recorded in -checkpoint\n"
       "  -progress=<sec>   print campaign progress every <sec> seconds\n"
+      "                    (may be fractional)\n"
       "  -metrics-port=<p> serve live observability HTTP endpoints on\n"
       "                    127.0.0.1:<p> (/metrics /status /healthz /readyz\n"
       "                    /events /series /dashboard, plus /profile.json\n"
@@ -150,6 +156,43 @@ static void installTerminateHandler(alive::CampaignEngine *E) {
   sigemptyset(&SA.sa_mask);
   sigaction(SIGINT, &SA, nullptr);
   sigaction(SIGTERM, &SA, nullptr);
+}
+
+/// One -progress line from a live snapshot: done/target, rate, ETA (from
+/// the rate, or from the remaining -t budget when time-limited) and each
+/// stage's share of the summed shard stage time (0% under -fanout, whose
+/// shards carry no stage split).
+static std::string progressLine(const CampaignLiveSnapshot &S,
+                                double TimeLimit) {
+  double Rate = S.Elapsed > 0 ? (double)S.Done / S.Elapsed : 0;
+  char Eta[32] = "eta ?";
+  if (!S.Target)
+    std::snprintf(Eta, sizeof(Eta), "eta %.0fs",
+                  std::max(0.0, TimeLimit - S.Elapsed));
+  else if (Rate > 0)
+    std::snprintf(Eta, sizeof(Eta), "eta %.0fs",
+                  (double)(S.Target - S.Done) / Rate);
+  double Stage[4] = {}, StageSum = 0;
+  for (const ShardLiveState &SS : S.Shards)
+    for (unsigned I = 0; I != 4; ++I) {
+      Stage[I] += (double)SS.StageNanos[I];
+      StageSum += (double)SS.StageNanos[I];
+    }
+  for (double &Share : Stage)
+    Share = StageSum > 0 ? 100 * Share / StageSum : 0;
+  char Done[48];
+  if (S.Target)
+    std::snprintf(Done, sizeof(Done), "%llu/%llu", (unsigned long long)S.Done,
+                  (unsigned long long)S.Target);
+  else
+    std::snprintf(Done, sizeof(Done), "%llu", (unsigned long long)S.Done);
+  char Line[256];
+  std::snprintf(Line, sizeof(Line),
+                "[campaign] %s mutants, %.1fs, %.0f/s, %s (mut %.0f%% opt "
+                "%.0f%% tv %.0f%% ovh %.0f%%, %u workers)",
+                Done, S.Elapsed, Rate, Eta, Stage[0], Stage[1], Stage[2],
+                Stage[3], S.Workers);
+  return Line;
 }
 
 /// The -replay mode: everything the iteration needs is inside the bundle.
@@ -226,31 +269,31 @@ int main(int Argc, char **Argv) {
   FuzzOptions Opts;
   Opts.Passes = Args.get("passes", "O2");
   Opts.Iterations = Args.getInt("n", Args.has("t") ? 0 : 1000);
-  Opts.TimeLimitSeconds = (double)Args.getInt("t", 0);
+  Opts.TimeLimitSeconds = Args.getSeconds("t", 0);
   Opts.BaseSeed = Args.getInt("seed", 1);
   Opts.Mutation.MaxMutationsPerFunction =
-      (unsigned)Args.getInt("max-mutations", 3);
+      Args.getInt<unsigned>("max-mutations", 3);
   Opts.SaveDir = Args.get("save-dir");
   Opts.SaveAll = Args.has("saveAll");
   Opts.TVCacheSize = Args.has("no-tv-cache")
                          ? 0
-                         : (size_t)Args.getInt("tv-cache-size",
+                         : Args.getInt<size_t>("tv-cache-size",
                                                Opts.TVCacheSize);
   Opts.UseSharedTVCache = Args.has("shared-tv-cache");
   Opts.SkipUnchanged = !Args.has("no-skip-unchanged");
   Opts.Feedback.Enabled = Args.has("feedback") && Args.get("feedback") != "off";
-  Opts.Feedback.EpochLength = (unsigned)Args.getInt("feedback-epoch", 256);
+  Opts.Feedback.EpochLength = Args.getInt<unsigned>("feedback-epoch", 256);
   if (Args.has("inject-bugs"))
     Opts.Bugs.enableAll();
   Opts.BugBundleDir = Args.get("bug-bundles");
   std::string TracePath = Args.get("trace-json");
   Opts.TraceEnabled = !TracePath.empty();
   Opts.TraceCapacity =
-      (size_t)Args.getInt("trace-capacity", TraceRecorder::DefaultCapacity);
+      Args.getInt<size_t>("trace-capacity", TraceRecorder::DefaultCapacity);
   Opts.Profile.Enabled = Args.has("profile");
-  Opts.Profile.TopK = (unsigned)Args.getInt("profile-topk", 16);
+  Opts.Profile.TopK = Args.getInt<unsigned>("profile-topk", 16);
   Opts.Profile.SamplingIntervalMs =
-      (unsigned)Args.getInt("profile-interval", 10);
+      Args.getInt<unsigned>("profile-interval", 10);
   if (!Opts.Profile.Enabled &&
       (Args.has("profile-topk") || Args.has("profile-interval"))) {
     std::fprintf(stderr, "error: -profile-topk/-profile-interval tune "
@@ -265,20 +308,17 @@ int main(int Argc, char **Argv) {
   // handler can (SIGKILL from RLIMIT_AS, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
   SV.StepBudget = Args.getInt("step-budget", 0);
-  if (std::string V = Args.get("iter-timeout"); !V.empty())
-    SV.WallTimeoutSeconds = std::atof(V.c_str());
-  SV.QuarantineThreshold = (unsigned)Args.getInt("quarantine", 0);
+  SV.WallTimeoutSeconds = Args.getSeconds("iter-timeout", 0);
+  SV.QuarantineThreshold = Args.getInt<unsigned>("quarantine", 0);
   SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
   SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
-  SV.Fanout = (unsigned)Args.getInt("fanout", 0);
+  SV.Fanout = Args.getInt<unsigned>("fanout", 0);
   SV.RetryMaxAttempts =
-      (unsigned)Args.getInt("retry-max", SV.RetryMaxAttempts);
-  if (std::string V = Args.get("retry-base"); !V.empty())
-    SV.RetryBaseDelay = std::atof(V.c_str());
-  if (std::string V = Args.get("retry-cap"); !V.empty())
-    SV.RetryMaxDelay = std::atof(V.c_str());
-  if (std::string V = Args.get("lease-deadline"); !V.empty())
-    SV.LeaseHeartbeatSeconds = std::atof(V.c_str());
+      Args.getInt<unsigned>("retry-max", SV.RetryMaxAttempts);
+  SV.RetryBaseDelay = Args.getSeconds("retry-base", SV.RetryBaseDelay);
+  SV.RetryMaxDelay = Args.getSeconds("retry-cap", SV.RetryMaxDelay);
+  SV.LeaseHeartbeatSeconds =
+      Args.getSeconds("lease-deadline", SV.LeaseHeartbeatSeconds);
   SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Fanout;
   SV.CheckpointDir = Args.get("checkpoint");
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
@@ -289,7 +329,7 @@ int main(int Argc, char **Argv) {
   // test that silently armed nothing would prove nothing.
   if (std::string Faults = Args.get("inject-fault"); !Faults.empty()) {
     if (Args.has("fault-seed"))
-      FaultPlane::instance().setSeed((uint64_t)Args.getInt("fault-seed", 0));
+      FaultPlane::instance().setSeed(Args.getInt("fault-seed", 0));
     std::string FaultErr;
     if (!FaultPlane::instance().arm(Faults, FaultErr)) {
       std::fprintf(stderr, "error: %s\n", FaultErr.c_str());
@@ -308,7 +348,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  unsigned Jobs = (unsigned)Args.getInt("j", 1);
+  unsigned Jobs = Args.getInt<unsigned>("j", 1);
   if (Jobs == 0)
     Jobs = std::max(1u, std::thread::hardware_concurrency());
 
@@ -354,11 +394,11 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<MetricsServer> Metrics;
   if (Args.has("metrics-port")) {
     MetricsOptions MO;
-    MO.Port = (uint16_t)Args.getInt("metrics-port", 0);
-    if (std::string V = Args.get("metrics-interval"); !V.empty())
-      MO.SnapshotInterval = std::atof(V.c_str());
-    if (std::string V = Args.get("health-stale"); !V.empty())
-      MO.HealthStaleSeconds = std::atof(V.c_str());
+    MO.Port = Args.getInt<uint16_t>("metrics-port", 0);
+    MO.SnapshotInterval =
+        Args.getSeconds("metrics-interval", MO.SnapshotInterval);
+    MO.HealthStaleSeconds =
+        Args.getSeconds("health-stale", MO.HealthStaleSeconds);
     Metrics = std::make_unique<MetricsServer>(MO);
     Metrics->setEngine(&Engine);
     RunReportConfig Echo;
@@ -384,38 +424,33 @@ int main(int Argc, char **Argv) {
   // killing the process: checkpoints and -stats-json still flush.
   installTerminateHandler(&Engine);
 
-  // On a TTY the progress line rewrites itself in place; redirected
-  // stderr (CI logs) gets plain periodic lines instead.
+  // -progress reads the engine's live snapshot every interval. On a TTY
+  // the line rewrites itself in place; redirected stderr (CI logs) gets
+  // plain periodic lines instead.
   ProgressPrinter Printer;
-  double ProgressSec = (double)Args.getInt("progress", 0);
-  if (ProgressSec > 0)
-    Engine.setProgress(ProgressSec, [&Printer](const CampaignProgress &P) {
-      char Eta[32] = "eta ?";
-      if (P.EtaSeconds >= 0)
-        std::snprintf(Eta, sizeof(Eta), "eta %.0fs", P.EtaSeconds);
-      char Line[256];
-      if (P.Target)
-        std::snprintf(Line, sizeof(Line),
-                      "[campaign] %llu/%llu mutants, %.1fs, %.0f/s, %s "
-                      "(mut %.0f%% opt %.0f%% tv %.0f%% ovh %.0f%%, %u "
-                      "workers)",
-                      (unsigned long long)P.Done, (unsigned long long)P.Target,
-                      P.Elapsed, P.Rate, Eta, 100 * P.MutateShare,
-                      100 * P.OptimizeShare, 100 * P.VerifyShare,
-                      100 * P.OverheadShare, P.Workers);
-      else
-        std::snprintf(Line, sizeof(Line),
-                      "[campaign] %llu mutants, %.1fs, %.0f/s, %s "
-                      "(mut %.0f%% opt %.0f%% tv %.0f%% ovh %.0f%%, %u "
-                      "workers)",
-                      (unsigned long long)P.Done, P.Elapsed, P.Rate, Eta,
-                      100 * P.MutateShare, 100 * P.OptimizeShare,
-                      100 * P.VerifyShare, 100 * P.OverheadShare, P.Workers);
-      Printer.update(Line);
+  std::mutex ProgressM;
+  std::condition_variable ProgressCV;
+  bool Finished = false;
+  std::thread Reporter;
+  if (double Interval = Args.getSeconds("progress", 0); Interval > 0)
+    Reporter = std::thread([&, Interval] {
+      std::unique_lock<std::mutex> Lock(ProgressM);
+      while (!ProgressCV.wait_for(Lock, std::chrono::duration<double>(Interval),
+                                  [&] { return Finished; }))
+        if (CampaignLiveSnapshot Live = Engine.liveSnapshot(); Live.Running)
+          Printer.update(progressLine(Live, Opts.TimeLimitSeconds));
     });
 
   const FuzzStats &S = Engine.run();
   GSignalEngine.store(nullptr, std::memory_order_relaxed);
+  if (Reporter.joinable()) {
+    {
+      std::lock_guard<std::mutex> Lock(ProgressM);
+      Finished = true;
+    }
+    ProgressCV.notify_all();
+    Reporter.join();
+  }
   Printer.finish();
   if (!Engine.configError().empty()) {
     std::fprintf(stderr, "error: %s\n", Engine.configError().c_str());

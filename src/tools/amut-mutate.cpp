@@ -39,7 +39,7 @@ int main(int Argc, char **Argv) {
 
   FuzzOptions Opts;
   Opts.Mutation.MaxMutationsPerFunction =
-      (unsigned)Args.getInt("max-mutations", 3);
+      Args.getInt<unsigned>("max-mutations", 3);
   // Validation is the separate alive-tv step in the discrete pipeline.
   Opts.SelfCheckOnLoad = false;
   FuzzerLoop Fuzzer(Opts);

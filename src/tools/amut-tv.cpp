@@ -40,7 +40,7 @@ int main(int Argc, char **Argv) {
 
   TVOptions Opts;
   Opts.SolverConflictBudget = Args.getInt("budget", Opts.SolverConflictBudget);
-  Opts.ConcreteTrials = (unsigned)Args.getInt("trials", Opts.ConcreteTrials);
+  Opts.ConcreteTrials = Args.getInt<unsigned>("trials", Opts.ConcreteTrials);
 
   int Failures = 0;
   for (Function *SF : Src->functions()) {

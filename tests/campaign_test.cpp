@@ -375,20 +375,6 @@ TEST(CampaignTest, MoreWorkersThanIterations) {
   ASSERT_EQ(Seq.bugs().size(), Engine.bugs().size());
 }
 
-TEST(CampaignTest, ProgressReporterFires) {
-  FuzzOptions Opts = twoBugOptions(0);
-  Opts.TimeLimitSeconds = 0.3;
-  CampaignEngine Engine(Opts, 2);
-  Engine.loadModule(parseOk(TwoBugCorpus));
-  std::atomic<unsigned> Calls{0};
-  Engine.setProgress(0.05, [&](const CampaignProgress &P) {
-    EXPECT_EQ(P.Workers, 2u);
-    ++Calls;
-  });
-  Engine.run();
-  EXPECT_GT(Calls.load(), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Telemetry: stage-time accounting and the merged run report.
 //===----------------------------------------------------------------------===//

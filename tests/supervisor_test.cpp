@@ -286,3 +286,22 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   EXPECT_NE(TE.configError().find("-trace-json"), std::string::npos)
       << TE.configError();
 }
+
+TEST_F(SupervisorTest, FanoutChildrenHonorWallTimeout) {
+  // Each child's loop carries the deadline in its own token, so test-slow
+  // is cut off by the clock inside the forked children too, and the
+  // timeouts come back through the harvested checkpoints.
+  FuzzOptions Opts = fanoutOptions(4, 2);
+  Opts.Passes = "test-slow,dce";
+  Opts.Survival.WallTimeoutSeconds = 0.0005;
+  CampaignEngine Engine(Opts, 1);
+  Engine.loadModule(parseOk(TwoBugCorpus));
+  const FuzzStats &S = Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded());
+  EXPECT_EQ(S.MutantsGenerated, 4u);
+  EXPECT_GT(S.Timeouts, 0u);
+  EXPECT_EQ(Engine.registry().counterValue(
+                "survive.timeout.reason.wall-clock"),
+            S.Timeouts);
+}

@@ -19,12 +19,14 @@
 #include "opt/BugInjection.h"
 #include "parser/Parser.h"
 #include "parser/Printer.h"
+#include "support/Cancellation.h"
 
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -177,8 +179,8 @@ TEST(SurvivabilityTest, StepBudgetTimeoutsAreWorkerCountInvariant) {
 //===----------------------------------------------------------------------===//
 
 TEST(SurvivabilityTest, WallClockBackstopCancelsHungIteration) {
-  // No step budget at all: only the engine's supervisor thread can save
-  // the campaign. test-slow's busy-work (1M multiplies per function, two
+  // No step budget at all: only the wall-clock deadline can save the
+  // campaign. test-slow's busy-work (1M multiplies per function, two
   // functions) far outlasts a 0.5ms backstop, so at least one iteration
   // must be cut off; the campaign itself must finish.
   FuzzOptions Opts;
@@ -194,6 +196,95 @@ TEST(SurvivabilityTest, WallClockBackstopCancelsHungIteration) {
   EXPECT_GT(Engine.registry().counterValue(
                 "survive.timeout.reason.wall-clock"),
             0u);
+}
+
+TEST(SurvivabilityTest, TokenDeadlineTripsWithWallClockReason) {
+  // Polls until the token trips; the clock is read every ClockCadence-th
+  // poll, so a passed deadline shows within one cadence.
+  auto PollsToTrip = [](auto Poll) {
+    for (unsigned I = 1; I <= 4 * CancellationToken::ClockCadence; ++I)
+      if (Poll())
+        return I;
+    return 0u;
+  };
+  CancellationToken T;
+  T.beginIteration(0, 0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(PollsToTrip([&] { return T.consume(); }),
+            CancellationToken::ClockCadence);
+  EXPECT_EQ(T.reason(), CancellationToken::Reason::WallClock);
+  EXPECT_TRUE(T.consume());
+
+  // beginIteration re-arms: a fresh deadline far away never trips, and the
+  // old cancel is gone.
+  T.beginIteration(0, 60);
+  EXPECT_EQ(PollsToTrip([&] { return T.cancelled(); }), 0u);
+  EXPECT_EQ(T.reason(), CancellationToken::Reason::None);
+
+  // cancelled() trips on its own polls, without any consume().
+  T.beginIteration(0, 0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_NE(PollsToTrip([&] { return T.cancelled(); }), 0u);
+  EXPECT_EQ(T.reason(), CancellationToken::Reason::WallClock);
+
+  // No deadline at all: the clock never cancels.
+  T.beginIteration(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(PollsToTrip([&] { return T.consume(); }), 0u);
+
+  // A step budget that runs out before the deadline is read reports the
+  // deterministic reason, even with the deadline long past.
+  T.beginIteration(10, 0.001);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(T.consume(11));
+  EXPECT_EQ(T.reason(), CancellationToken::Reason::StepBudget);
+}
+
+TEST(SurvivabilityTest, StandaloneLoopHonorsWallTimeout) {
+  // The deadline lives in the loop's own token: a bare FuzzerLoop, with no
+  // engine around it, cuts test-slow's busy-work off by the clock.
+  FuzzOptions Opts;
+  Opts.Passes = "test-slow,dce";
+  Opts.Iterations = 4;
+  Opts.Survival.WallTimeoutSeconds = 0.0005;
+  FuzzerLoop Loop(Opts);
+  Loop.loadModule(parseOk(TwoBugCorpus));
+  const FuzzStats &S = Loop.run();
+  EXPECT_EQ(S.MutantsGenerated, 4u);
+  EXPECT_GT(S.Timeouts, 0u);
+  EXPECT_EQ(Loop.registry().counterValue("survive.timeout.reason.wall-clock"),
+            S.Timeouts);
+}
+
+TEST(SurvivabilityTest, SelfCheckIgnoresWallTimeout) {
+  // The load-time self-check arms the step budget only: even a deadline
+  // that has always passed leaves the testable set as it is without one.
+  // @wide is too costly to bit-blast, so its self-check runs interpreter
+  // trials long enough to poll the token many clock cadences over.
+  std::string Wide = "define i64 @wide(i64 %x, i64 %y) {\n";
+  std::string Prev = "%x";
+  for (int I = 0; I != 34; ++I) {
+    std::string N = std::to_string(I);
+    Wide += "  %m" + N + " = mul i64 " + Prev + ", %y\n";
+    Wide += "  %a" + N + " = add i64 %m" + N + ", " + N + "\n";
+    Prev = "%a" + N;
+  }
+  Wide += "  ret i64 " + Prev + "\n}\n";
+  const std::string Corpus = std::string(TwoBugCorpus) + Wide;
+
+  FuzzOptions Opts;
+  std::vector<std::string> Plain;
+  {
+    FuzzerLoop Loop(Opts);
+    Loop.loadModule(parseOk(Corpus));
+    Plain = Loop.testableFunctions();
+  }
+  ASSERT_EQ(Plain.size(), 3u);
+  Opts.Survival.WallTimeoutSeconds = 1e-9;
+  FuzzerLoop Loop(Opts);
+  Loop.loadModule(parseOk(Corpus));
+  EXPECT_EQ(Loop.testableFunctions(), Plain);
+  EXPECT_EQ(Loop.stats().FunctionsDropped, 0u);
 }
 
 //===----------------------------------------------------------------------===//

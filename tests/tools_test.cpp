@@ -310,3 +310,55 @@ TEST_F(ToolsTest, AliveMutateIsolateSurvivesCrashingPass) {
                    TmpDir + "/crashme.ll"),
             2);
 }
+
+TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
+  // Numeric flags parse strictly. A malformed, negative, trailing-junk or
+  // out-of-range value is a config error naming the flag: never an
+  // uncaught exception (-n=abc), a wrapped worker count (-j=-1), a
+  // silently shortened campaign (-n=5x) or a truncated duration.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/numeric.err";
+  for (std::string Flag :
+       {"-n=abc", "-j=-1", "-n=5x", "-j=4294967296", "-n=99999999999999999999",
+        "-metrics-port=65536", "-t=-1", "-t=1s", "-progress=abc",
+        "-iter-timeout=nan", "-lease-deadline=inf"}) {
+    EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " " + Flag + In + " 2> " +
+                     Err + ")"),
+              1)
+        << Flag;
+    std::string Name = Flag.substr(0, Flag.find('='));
+    EXPECT_NE(readFile(Err).find("error: " + Name + " expects"),
+              std::string::npos)
+        << Flag << ": " << readFile(Err);
+  }
+  // -t takes decimals, like -iter-timeout: 0.5 used to truncate to 0 and
+  // fail as an "unbounded campaign".
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=0.5" + In), 0);
+}
+
+TEST_F(ToolsTest, AliveMutateProgressReportsOnBothRunPaths) {
+  // -progress polls the engine's live snapshot, so the thread path and
+  // the -fanout process path print the same [campaign] line.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/progress.err";
+  auto ProgressLines = [&] {
+    std::stringstream SS(readFile(Err));
+    unsigned N = 0;
+    for (std::string Line; std::getline(SS, Line);)
+      if (Line.rfind("[campaign] ", 0) == 0 &&
+          Line.find(", 2 workers)") != std::string::npos)
+        ++N;
+    return N;
+  };
+  ASSERT_EQ(runCmd("(" + tool("alive-mutate") + " -t=0.3 -j=2 -progress=0.05" +
+                   In + " 2> " + Err + ")"),
+            0);
+  EXPECT_GT(ProgressLines(), 0u) << readFile(Err);
+  ASSERT_EQ(runCmd("(" + tool("alive-mutate") +
+                   " -n=2000 -fanout=2 -progress=0.05" + In + " 2> " + Err +
+                   ")"),
+            0);
+  EXPECT_GT(ProgressLines(), 0u) << readFile(Err);
+  EXPECT_NE(readFile(Err).find("/2000 mutants"), std::string::npos)
+      << readFile(Err);
+}
