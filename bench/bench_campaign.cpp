@@ -39,7 +39,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CampaignEngine.h"
-#include "core/MetricsExporter.h"
 #include "core/RunReport.h"
 #include "corpus/Corpus.h"
 #include "opt/BugInjection.h"
@@ -53,7 +52,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,12 +109,6 @@ unsigned GFanout = 0;
 bool DegradedAgg = false;
 std::vector<std::pair<unsigned, uint64_t>> LostAgg;
 
-/// One metrics server spanning every per-defect campaign (-metrics-port /
-/// AMR_CAMPAIGN_METRICS_PORT): each batch's engine is bound for its run
-/// and detached before it dies, so /status always reflects the campaign
-/// in flight.
-std::unique_ptr<MetricsServer> GMetrics;
-
 /// The engine currently running, for the SIGINT/SIGTERM path.
 std::atomic<CampaignEngine *> GEngine{nullptr};
 volatile std::sig_atomic_t GSignalSeen = 0;
@@ -134,22 +126,13 @@ void onTerminateSignal(int) {
     E->requestStop();
 }
 
-/// Scoped engine<->observer binding: metrics rebinding plus the signal
-/// target, detached on every exit path before the engine is destroyed.
+/// Scoped signal-target binding, detached on every exit path before the
+/// engine is destroyed.
 struct EngineBinding {
-  CampaignEngine &E;
-  explicit EngineBinding(CampaignEngine &E) : E(E) {
-    if (GMetrics) {
-      GMetrics->setEngine(&E);
-      E.setEventQueue(&GMetrics->events());
-    }
+  explicit EngineBinding(CampaignEngine &E) {
     GEngine.store(&E, std::memory_order_relaxed);
   }
-  ~EngineBinding() {
-    GEngine.store(nullptr, std::memory_order_relaxed);
-    if (GMetrics)
-      GMetrics->setEngine(nullptr);
-  }
+  ~EngineBinding() { GEngine.store(nullptr, std::memory_order_relaxed); }
 };
 
 void aggregateForReport(const CampaignEngine &Engine) {
@@ -322,35 +305,6 @@ int main(int Argc, char **Argv) {
     if (std::strncmp(Argv[I], "-stats-json=", 12) == 0)
       StatsPath = Argv[I] + 12;
 
-  // Live observability for long table regenerations: -metrics-port=<p>
-  // (or AMR_CAMPAIGN_METRICS_PORT). 0 binds an ephemeral port, printed
-  // on stdout.
-  {
-    std::string PortStr;
-    if (const char *P = std::getenv("AMR_CAMPAIGN_METRICS_PORT"))
-      PortStr = P;
-    for (int I = 1; I < Argc; ++I)
-      if (std::strncmp(Argv[I], "-metrics-port=", 14) == 0)
-        PortStr = Argv[I] + 14;
-    if (!PortStr.empty()) {
-      MetricsOptions MO;
-      MO.Port = (uint16_t)std::strtoul(PortStr.c_str(), nullptr, 10);
-      GMetrics = std::make_unique<MetricsServer>(MO);
-      RunReportConfig Echo;
-      Echo.Tool = "bench_campaign";
-      Echo.Passes = "per-component";
-      GMetrics->setConfigEcho(Echo);
-      std::string MetricsErr;
-      if (!GMetrics->start(MetricsErr)) {
-        std::fprintf(stderr, "error: metrics server: %s\n",
-                     MetricsErr.c_str());
-        return 1;
-      }
-      std::printf("metrics: listening on http://127.0.0.1:%u\n",
-                  (unsigned)GMetrics->port());
-      std::fflush(stdout);
-    }
-  }
   {
     struct sigaction SA;
     std::memset(&SA, 0, sizeof(SA));

@@ -142,40 +142,24 @@ CampaignEngine::traceDropped() const {
   return Out;
 }
 
-void CampaignEngine::beginLive(bool Isolated, uint64_t Target,
-                               unsigned Workers, const Timer *Clock) {
+void CampaignEngine::beginLive(uint64_t Target, unsigned Workers,
+                               uint64_t Restored, const Timer *Clock) {
   std::lock_guard<std::mutex> Lock(LiveM);
   Live.Running = true;
-  Live.Isolated = Isolated;
   Live.Target = Target;
   Live.Workers = Workers;
+  Live.Restored = Restored;
   Live.Clock = Clock;
   Live.Shards.clear();
-  Live.FeedbackEpochs = 0;
-  Live.FeedbackBits = 0;
-  Live.FamilyWeights.clear();
 }
 
 void CampaignEngine::addLiveShard(LiveShardRef R) {
   std::lock_guard<std::mutex> Lock(LiveM);
-  Live.Shards.push_back(std::move(R));
-}
-
-void CampaignEngine::publishFeedbackLive(uint64_t Epochs, unsigned Bits,
-                                         const ScheduleState &Schedule) {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  Live.FeedbackEpochs = Epochs;
-  Live.FeedbackBits = Bits;
-  Live.FamilyWeights.clear();
-  for (size_t K = 0; K != Schedule.FamilyWeights.size(); ++K)
-    Live.FamilyWeights.emplace_back(mutationKindName((MutationKind)K),
-                                    Schedule.FamilyWeights[K]);
+  Live.Shards.push_back(R);
 }
 
 void CampaignEngine::endLive() {
   std::lock_guard<std::mutex> Lock(LiveM);
-  if (Live.Running)
-    HasRun = true;
   Live.Running = false;
   Live.Clock = nullptr;
   // Revoke the borrowed pointers: the workers (or the heartbeat page)
@@ -183,108 +167,57 @@ void CampaignEngine::endLive() {
   Live.Shards.clear();
 }
 
-void CampaignEngine::emitEvent(CampaignEvent::Kind K, uint64_t Seed,
-                               unsigned Shard, std::string Detail) {
-  if (!Events)
-    return;
-  CampaignEvent E;
-  E.K = K;
-  E.Seed = Seed;
-  E.Shard = Shard;
-  E.Nanos = TraceRecorder::now();
-  E.Detail = std::move(Detail);
-  Events->push(std::move(E));
-}
-
 CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   CampaignLiveSnapshot S;
   std::lock_guard<std::mutex> Lock(LiveM);
   S.Running = Live.Running;
-  S.Isolated = Live.Isolated;
-  S.Degraded = DegradedFlag;
+  S.Restored = Live.Restored;
   S.Workers = Live.Running ? Live.Workers : Jobs;
   S.Target = Live.Running ? Live.Target : Opts.Iterations;
-  S.FeedbackEnabled = Opts.Feedback.Enabled;
-  S.FeedbackEpochs = Live.FeedbackEpochs;
-  S.FeedbackBits = Live.FeedbackBits;
-  S.FamilyWeights = Live.FamilyWeights;
-  if (Live.Running) {
-    if (Live.Clock)
-      S.Elapsed = Live.Clock->seconds();
-    // Point-in-time, not linearizable: each shard's counters are relaxed
-    // atomic loads, each registry snapshot is internally consistent
-    // enough for monitoring (Telemetry.h documents the contract).
-    S.Stats = MasterLoop->registry().snapshot();
-    for (const LiveShardRef &R : Live.Shards) {
-      ShardLiveState SS;
-      SS.Index = R.Index;
-      SS.Lo = R.Lo;
-      SS.Hi = R.Hi;
-      if (R.Done)
-        SS.Done = R.Done->load(std::memory_order_relaxed);
-      if (R.Loop) {
-        std::array<double, 4> Stage = R.Loop->stageSeconds();
-        for (unsigned I = 0; I != 4; ++I)
-          SS.StageNanos[I] = (uint64_t)(Stage[I] * 1e9);
-        SS.HasRegistry = true;
-        S.Stats.merge(R.Loop->registry());
-        if (const TraceRecorder *T = R.Loop->trace())
-          SS.TraceDropped = T->dropped();
-      }
-      S.Done += SS.Done;
-      S.Shards.push_back(std::move(SS));
-    }
-  } else {
+  if (!Live.Running) {
     S.Done = TotalDone.load(std::memory_order_relaxed);
-    // After a run: the final merged registry (every worker folded in).
-    // Before the first: the master's preprocessing stats are all there is.
-    S.Stats = HasRun ? Registry.snapshot() : MasterLoop->registry().snapshot();
+    return S;
+  }
+  if (Live.Clock)
+    S.Elapsed = Live.Clock->seconds();
+  // Point-in-time, not linearizable: every counter is a relaxed atomic.
+  for (const LiveShardRef &R : Live.Shards) {
+    ShardLiveState SS;
+    SS.Done = R.Done->load(std::memory_order_relaxed);
+    if (R.Loop) {
+      std::array<double, 4> Stage = R.Loop->stageSeconds();
+      for (unsigned I = 0; I != 4; ++I)
+        SS.StageNanos[I] = (uint64_t)(Stage[I] * 1e9);
+    }
+    S.Done += SS.Done;
+    S.Shards.push_back(SS);
   }
   return S;
 }
 
-CampaignProfile CampaignEngine::mergedProfile(
-    const std::vector<const QueryCostTracker *> &Trackers) const {
-  CampaignProfile P;
-  P.Enabled = true;
-  P.TopK = Opts.Profile.TopK;
-  P.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
+void CampaignEngine::finishProfile(
+    const std::vector<const QueryCostTracker *> &Trackers) {
+  Profile = CampaignProfile();
+  if (!Opts.Profile.Enabled)
+    return;
+  Profile.Enabled = true;
+  Profile.TopK = Opts.Profile.TopK;
+  Profile.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
   // Worker-order merge of the K-bounded trackers yields the exact global
   // top-K (Profiler.h has the proof sketch), so this block lands in the
   // report's deterministic section.
   QueryCostTracker Merged(Opts.Profile.TopK);
   for (const QueryCostTracker *T : Trackers)
     Merged.merge(*T);
-  P.TopQueries = Merged.top();
+  Profile.TopQueries = Merged.top();
   if (Sampler) {
-    P.Collapsed = Sampler->collapsed();
-    P.Samples = Sampler->samples();
+    Sampler->stop();
+    Profile.Collapsed = Sampler->collapsed();
+    Profile.Samples = Sampler->samples();
+    Sampler.reset();
   }
   if (SharedCache)
-    P.CacheShards = SharedCache->shardHeat();
-  return P;
-}
-
-void CampaignEngine::finishProfile(
-    const std::vector<const QueryCostTracker *> &Trackers) {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  if (Sampler)
-    Sampler->stop();
-  Profile = Opts.Profile.Enabled ? mergedProfile(Trackers) : CampaignProfile();
-  Sampler.reset();
-}
-
-CampaignProfile CampaignEngine::profileSnapshot() const {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  if (!Live.Running || !Opts.Profile.Enabled)
-    return Profile;
-  // Mid-run: the same merge over the live shards' trackers, a
-  // point-in-time prefix of the final one.
-  std::vector<const QueryCostTracker *> Trackers;
-  for (const LiveShardRef &R : Live.Shards)
-    if (R.Loop && R.Loop->queryCosts())
-      Trackers.push_back(R.Loop->queryCosts());
-  return mergedProfile(Trackers);
+    Profile.CacheShards = SharedCache->shardHeat();
 }
 
 namespace {
@@ -340,12 +273,10 @@ void settleWorkerSeconds(FuzzerLoop &Loop, double LegSeconds) {
 /// A worker loop's options: the master's, minus the one-time
 /// preprocessing, restricted to the surviving function set.
 FuzzOptions workerOptions(const FuzzOptions &Opts,
-                          const std::vector<std::string> &Testable,
-                          unsigned Index) {
+                          const std::vector<std::string> &Testable) {
   FuzzOptions WOpts = Opts;
   WOpts.SelfCheckOnLoad = false;
   WOpts.OnlyFunctions = Testable;
-  WOpts.WorkerIndex = Index;
   return WOpts;
 }
 
@@ -378,13 +309,7 @@ const FuzzStats &CampaignEngine::run() {
   Traces.clear();
   TraceNames.clear();
 
-  const bool Fanout = Opts.Survival.Fanout != 0;
-  emitEvent(CampaignEvent::Kind::CampaignStart, Opts.BaseSeed, 0,
-            Fanout                  ? "fanout"
-            : Opts.Feedback.Enabled ? "feedback"
-            : Opts.Iterations == 0  ? "time-limited"
-                                    : "blind");
-  if (Fanout)
+  if (Opts.Survival.Fanout)
     runSupervised(Testable, Total);
   else
     runThreads(Testable, Total);
@@ -392,10 +317,6 @@ const FuzzStats &CampaignEngine::run() {
     return Stats;
 
   Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            DegradedFlag  ? "degraded"
-            : Interrupted ? "interrupted"
-                          : "completed");
   return Stats;
 }
 
@@ -463,9 +384,7 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
       W->Hi = Feedback ? Opts.Iterations : Opts.Iterations * (I + 1) / J;
     }
     W->Next.store(W->Lo, std::memory_order_relaxed);
-    FuzzOptions WOpts = workerOptions(Opts, Testable, I);
-    WOpts.Events = Events;
-    W->Loop = std::make_unique<FuzzerLoop>(WOpts);
+    W->Loop = std::make_unique<FuzzerLoop>(workerOptions(Opts, Testable));
     W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
     // Workers only fuzz the testable set — hand them a subset clone whose
     // non-testable functions are declaration stubs instead of paying a
@@ -530,25 +449,23 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
   // Open the live observer window now that every worker exists. The
   // guard sits after the Workers vector, so on every exit path the refs
   // are revoked before the workers they borrow from are destroyed.
-  beginLive(/*Isolated=*/false, TimeLimited ? 0 : Opts.Iterations, J, &Total);
+  beginLive(TimeLimited ? 0 : Opts.Iterations, J,
+            TotalDone.load(std::memory_order_relaxed), &Total);
   for (auto &W : Workers)
-    addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->Loop.get()});
+    addLiveShard({&W->Done, W->Loop.get()});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }
   } LG{this};
 
   // The wall-clock sampler rides the workers' live span stacks for the
-  // whole run window (barrier gaps just sample empty stacks). Created
-  // under LiveM so profileSnapshot() never sees a half-built sampler.
+  // whole run window (barrier gaps just sample empty stacks).
   if (Opts.Profile.Enabled) {
-    auto SP =
+    Sampler =
         std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
     for (auto &W : Workers)
-      SP->attach("w" + std::to_string(W->Index), W->Loop->trace());
-    SP->start();
-    std::lock_guard<std::mutex> G(LiveM);
-    Sampler = std::move(SP);
+      Sampler->attach("w" + std::to_string(W->Index), W->Loop->trace());
+    Sampler->start();
   }
 
   auto StopRequested = [&] {
@@ -566,8 +483,6 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     ++W.Loop->mutableRegistry().counter(
         Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
         Volatility::Volatile);
-    emitEvent(CampaignEvent::Kind::Checkpoint, 0, W.Index,
-              Ok ? "ok" : "failed");
   };
   // Every worker's shard, plus the feedback state under feedback. Only
   // called with the workers parked (epoch barrier or after the join).
@@ -652,11 +567,6 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
       W->Next.store(EpochStart, std::memory_order_relaxed);
     }
     Schedule.update(Prev, Global);
-    publishFeedbackLive((EpochStart + EpochLen - 1) / EpochLen,
-                        (unsigned)Global.Global.popcount(), Schedule);
-    emitEvent(CampaignEvent::Kind::EpochBarrier, 0, 0,
-              "offset " + std::to_string(EpochStart) + ", bits " +
-                  std::to_string(Global.Global.popcount()));
     if (Checkpointing)
       CheckpointAll();
   }
@@ -784,13 +694,11 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
       rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
       setrlimit(RLIMIT_CPU, &R);
     }
-    FuzzOptions WOpts = workerOptions(Opts, Testable, Ctx.Index);
+    FuzzOptions WOpts = workerOptions(Opts, Testable);
     WOpts.Survival.Fanout = 0;
     // The process boundary IS the crash containment; an in-process guard
-    // would only hide the signal from the parent's classifier. The event
-    // queue lives in the parent's address space.
+    // would only hide the signal from the parent's classifier.
     WOpts.Survival.SignalGuard = false;
-    WOpts.Events = nullptr;
     FuzzerLoop Loop(WOpts);
     Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
     uint64_t Cursor = Ctx.Lo;
@@ -897,7 +805,6 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     if (!Survived)
       B.Detail += "; mutant regeneration raised " +
                   std::string(signalName(Sig)) + " in the parent too";
-    emitEvent(CampaignEvent::Kind::BugFound, Seed, I, "crash " + Why);
     return B;
   });
 
@@ -909,11 +816,11 @@ void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   });
 
   // Live view over the supervisor's heartbeat page: Done counters only
-  // (shard registries live in child processes).
-  beginLive(/*Isolated=*/true, Opts.Iterations, N, &Total);
+  // (shard registries live in child processes). A heartbeat counter
+  // starts at 0 in every run, so nothing in it is restored.
+  beginLive(Opts.Iterations, N, /*Restored=*/0, &Total);
   for (unsigned I = 0; I != Sup.shards(); ++I)
-    addLiveShard({I, Sup.shardLo(I), Sup.shardHi(I), Sup.doneCounter(I),
-                  /*Loop=*/nullptr});
+    addLiveShard({Sup.doneCounter(I), /*Loop=*/nullptr});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }

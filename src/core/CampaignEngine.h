@@ -55,7 +55,6 @@
 #define CORE_CAMPAIGNENGINE_H
 
 #include "core/FuzzerLoop.h"
-#include "core/Observability.h"
 #include "support/Timer.h"
 
 #include <atomic>
@@ -65,6 +64,29 @@
 #include <vector>
 
 namespace alive {
+
+/// One shard's live progress as seen by an observer thread.
+struct ShardLiveState {
+  /// Iterations completed, resumed prefix included.
+  uint64_t Done = 0;
+  /// Mutate/optimize/verify/overhead nanoseconds (all 0 under -fanout).
+  uint64_t StageNanos[4] = {};
+};
+
+/// A point-in-time view of a running (or finished) campaign, produced by
+/// CampaignEngine::liveSnapshot() and read by -progress. Every field is
+/// copied out, so readers hold no locks while rendering.
+struct CampaignLiveSnapshot {
+  bool Running = false;  ///< run() is currently between setup and join
+  double Elapsed = 0;    ///< seconds since run() started
+  uint64_t Done = 0;     ///< iterations completed, all shards
+  /// The part of Done restored from a checkpoint by -resume: Done minus
+  /// Restored is what this run has completed in Elapsed seconds.
+  uint64_t Restored = 0;
+  uint64_t Target = 0;   ///< planned iterations (0 = time-limited)
+  unsigned Workers = 0;
+  std::vector<ShardLiveState> Shards;
+};
 
 /// Runs a fuzzing campaign across J worker threads with a deterministic
 /// merge. With Jobs == 1 the result is identical to a plain FuzzerLoop run
@@ -121,8 +143,8 @@ public:
   /// True when the last run() permanently lost at least one shard lease
   /// (-fanout: retry budget exhausted or results unwritable). The run
   /// report then carries `degraded: true` with exact lost-shard
-  /// accounting, and /healthz turns 503 — a lost shard is never a silent
-  /// gap in the merged results.
+  /// accounting, and alive-mutate exits 3 — a lost shard is never a
+  /// silent gap in the merged results.
   bool degraded() const { return DegradedFlag; }
 
   /// (shard index, lost iteration count) for every permanently lost
@@ -162,17 +184,10 @@ public:
   makeMutant(uint64_t Seed,
              std::vector<std::string> *AppliedOut = nullptr) const;
 
-  /// Attaches the campaign-event stream: workers and the engine push
-  /// bug-found / epoch-barrier / checkpoint / shard-restart instants into
-  /// \p Q (bounded, drop-on-full — a slow observer never stalls the
-  /// campaign). Call before run(); pass nullptr to detach.
-  void setEventQueue(CampaignEventQueue *Q) { Events = Q; }
-
-  /// A point-in-time observer view of the campaign: per-shard progress,
-  /// merged registry snapshot, feedback state. Safe to call from any
-  /// thread at any time — before, during and after run(). Strictly
-  /// read-side (see Observability.h): it never perturbs the deterministic
-  /// report.
+  /// A point-in-time observer view of the campaign's progress. Safe to
+  /// call from any thread at any time — before, during and after run().
+  /// It reads only relaxed atomics (shard Done counters, stage-time
+  /// histogram sums), so it never perturbs the deterministic report.
   CampaignLiveSnapshot liveSnapshot() const;
 
   /// Per-track flight-recorder ring overwrites of the finished campaign
@@ -184,12 +199,6 @@ public:
   /// deterministic merged top-K queries plus the volatile sampling folds
   /// and cache shard heat. Enabled=false when profiling was off.
   const CampaignProfile &profile() const { return Profile; }
-
-  /// A point-in-time profile for the live endpoints (/profile.json,
-  /// /flamegraph.json): mid-run it snapshots the live workers' trackers
-  /// and the sampler's current folds; after run() it returns the final
-  /// merged profile. Safe from any thread, like liveSnapshot().
-  CampaignProfile profileSnapshot() const;
 
 private:
   /// The thread path: one epoch loop for blind, feedback and time-limited
@@ -235,8 +244,7 @@ private:
   bool Interrupted = false;
   std::string FanoutIncidents;
   /// Degradation state of the last -fanout run (degraded()/lostShards()).
-  /// Atomic: run() resets it while a live observer's liveSnapshot() reads.
-  std::atomic<bool> DegradedFlag{false};
+  bool DegradedFlag = false;
   std::vector<std::pair<unsigned, uint64_t>> LostShardsV;
   /// Preprocesses once, serves testableFunctions() and makeMutant();
   /// never iterates itself.
@@ -256,65 +264,46 @@ private:
   std::vector<std::string> TraceNames;
   /// The finished campaign's merged cost-attribution profile.
   CampaignProfile Profile;
-  /// The wall-clock sampler, alive only while workers run (guarded by
-  /// LiveM for profileSnapshot()); its folds are moved into Profile at
-  /// teardown.
+  /// The wall-clock sampler, alive only while thread-path workers run;
+  /// its folds are moved into Profile at teardown.
   std::unique_ptr<SamplingProfiler> Sampler;
   /// Merges worker trackers (worker order) + sampler folds + shard heat
   /// into Profile after a run path joins its workers.
   void finishProfile(const std::vector<const QueryCostTracker *> &Trackers);
-  /// That merge as a value (finishProfile and live snapshots share it).
-  /// Caller holds LiveM.
-  CampaignProfile
-  mergedProfile(const std::vector<const QueryCostTracker *> &Trackers) const;
 
-  // --- Live observability plane (observer-only; see Observability.h) ---
+  // --- Live progress (observer-only; read by liveSnapshot()) ---
 
   /// One live shard as registered by a run path: borrowed pointers into
   /// run()-scoped worker state (or the -fanout heartbeat page). Valid
   /// only while registered — endLive() revokes them before the owners die.
   struct LiveShardRef {
-    unsigned Index = 0;
-    uint64_t Lo = 0, Hi = 0;
     const std::atomic<uint64_t> *Done = nullptr;
-    /// The worker's loop, for registry/trace/stage-time reads; null for
-    /// -fanout shards (their state lives in another process, and the
-    /// heartbeat page carries no stage split).
+    /// The worker's loop, for stage-time reads; null for -fanout shards
+    /// (the heartbeat page carries no stage split).
     const FuzzerLoop *Loop = nullptr;
   };
 
   /// Opens the live window: run() is now between setup and join.
-  void beginLive(bool Isolated, uint64_t Target, unsigned Workers,
+  /// \p Restored iterations were completed by the interrupted run a
+  /// -resume continues.
+  void beginLive(uint64_t Target, unsigned Workers, uint64_t Restored,
                  const Timer *Clock);
   void addLiveShard(LiveShardRef R);
-  /// Publishes feedback-barrier state to observers (engine thread only).
-  void publishFeedbackLive(uint64_t Epochs, unsigned Bits,
-                           const ScheduleState &Schedule);
   /// Closes the live window and revokes every shard ref. Idempotent —
   /// the run paths call it explicitly before borrowed state dies, and a
   /// scope guard repeats it on every exit path.
   void endLive();
-  /// Streams one campaign event (no-op without a queue; never blocks).
-  void emitEvent(CampaignEvent::Kind K, uint64_t Seed, unsigned Shard,
-                 std::string Detail);
 
-  CampaignEventQueue *Events = nullptr;
-  /// Guards everything below it; liveSnapshot() copies out under it.
+  /// Guards Live; liveSnapshot() copies out under it.
   mutable std::mutex LiveM;
   struct LiveState {
     bool Running = false;
-    bool Isolated = false;
     uint64_t Target = 0;
     unsigned Workers = 0;
+    uint64_t Restored = 0;
     const Timer *Clock = nullptr;
     std::vector<LiveShardRef> Shards;
-    uint64_t FeedbackEpochs = 0;
-    unsigned FeedbackBits = 0;
-    std::vector<std::pair<std::string, uint32_t>> FamilyWeights;
   } Live;
-  /// run() has completed at least once: snapshots switch from the master
-  /// registry to the final merged one.
-  bool HasRun = false;
 };
 
 } // namespace alive

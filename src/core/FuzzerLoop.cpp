@@ -7,7 +7,6 @@
 #include "core/FuzzerLoop.h"
 
 #include "analysis/Verifier.h"
-#include "core/Observability.h"
 #include "opt/BugInjection.h"
 #include "parser/Printer.h"
 #include "support/AtomicFile.h"
@@ -300,7 +299,6 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     R.BundlePath = writeBundle(FR, Mutant.get(), nullptr);
     Outcomes.push_back(std::move(FR));
     Bugs.push_back(std::move(R));
-    noteBugEvent(Seed, "invalid-mutant", "<mutator>");
     return;
   }
   if (!Opts.SaveDir.empty() && Opts.SaveAll) {
@@ -336,7 +334,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     }
   } catch (const OptimizerCrash &C) {
     const std::string &Issue = bugInfo(C.Id).IssueId;
-    recordCrash(Seed, *Source, C.What, Issue, Issue, "crash");
+    recordCrash(Seed, *Source, C.What, Issue, Issue);
     // A simulated crash is deterministic per seed: the rules that fired
     // before the throw plus the crash verdict class are valid coverage.
     Cov.setVerdict(CoverageBitmap::VB_Crash);
@@ -351,7 +349,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     recordCrash(Seed, *Source,
                 std::string("optimizer raised ") + signalName(CrashSig) +
                     " (contained by the in-process signal guard)",
-                "", signalName(CrashSig), "contained-signal");
+                "", signalName(CrashSig));
     Cov.setVerdict(CoverageBitmap::VB_Crash);
     CommitFeedback();
     return;
@@ -496,7 +494,6 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
                      printFunction(*Tgt);
         B.BundlePath = Bundle;
         Bugs.push_back(std::move(B));
-        noteBugEvent(Seed, "miscompile", Name);
         if (!Opts.SaveDir.empty()) {
           TraceSpan Span(Trace.get(), "save", Seed);
           saveMutant(*Source, Seed, /*Failing=*/true);
@@ -703,8 +700,7 @@ void FuzzerLoop::saveMutant(const Module &M, uint64_t Seed, bool Failing) {
 
 void FuzzerLoop::recordCrash(uint64_t Seed, const Module &Source,
                              std::string Detail, std::string IssueId,
-                             const std::string &TraceTag,
-                             const char *EventSlug) {
+                             const std::string &TraceTag) {
   ++Stats.Crashes;
   ++Registry.counter("bug.crash");
   if (Trace)
@@ -724,22 +720,8 @@ void FuzzerLoop::recordCrash(uint64_t Seed, const Module &Source,
   R.BundlePath = writeBundle(FR, &Source, nullptr);
   Outcomes.push_back(std::move(FR));
   Bugs.push_back(std::move(R));
-  noteBugEvent(Seed, EventSlug, "");
   if (!Opts.SaveDir.empty()) {
     TraceSpan Span(Trace.get(), "save", Seed);
     saveMutant(Source, Seed, /*Failing=*/true);
   }
-}
-
-void FuzzerLoop::noteBugEvent(uint64_t Seed, const char *Slug,
-                              const std::string &Function) {
-  if (!Opts.Events)
-    return;
-  CampaignEvent E;
-  E.K = CampaignEvent::Kind::BugFound;
-  E.Seed = Seed;
-  E.Shard = Opts.WorkerIndex;
-  E.Nanos = TraceRecorder::now();
-  E.Detail = Function.empty() ? std::string(Slug) : Slug + (" " + Function);
-  Opts.Events->push(std::move(E));
 }

@@ -37,8 +37,9 @@
 ///   - **Degradation, never silence.** A lease whose budget is exhausted
 ///     (or whose results cannot be written) becomes *Lost*: counted with
 ///     its exact missing iteration range, surfaced as Degraded in the
-///     outcome — the run report flags `degraded: true` and /healthz turns
-///     503, but the campaign completes with every other shard's results.
+///     outcome — the run report flags `degraded: true` and alive-mutate
+///     exits 3, but the campaign completes with every other shard's
+///     results.
 ///
 /// Determinism: the merged deterministic report section is byte-identical
 /// to -j1 whenever no lease ends Lost — restarts, backoff and external
@@ -177,11 +178,9 @@ public:
   bool init(std::string &Error);
 
   unsigned shards() const { return (unsigned)Leases.size(); }
-  uint64_t shardLo(unsigned I) const { return Leases[I].Lo; }
-  uint64_t shardHi(unsigned I) const { return Leases[I].Hi; }
 
   /// The lease's live done counter in the control page (for the engine's
-  /// observability shard refs). Valid between init() and destruction.
+  /// -progress shard refs). Valid between init() and destruction.
   const std::atomic<uint64_t> *doneCounter(unsigned I) const;
 
   void setCrashHook(CrashHook H) { OnCrash = std::move(H); }

@@ -28,8 +28,6 @@ const std::vector<std::string> &FaultPlane::knownPoints() {
       // counters persist across child respawns).
       "supervisor.fork", "supervisor.kill", "supervisor.wedge",
       "supervisor.mmap",
-      // HTTP observability plane.
-      "http.accept", "http.send",
       // Corpus ingestion.
       "corpus.open", "corpus.read",
   };

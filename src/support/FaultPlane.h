@@ -7,9 +7,10 @@
 /// \file
 /// A deterministic, seed-driven fault-injection plane. Every syscall-shaped
 /// edge the campaign touches is wrapped in a named *fault point*
-/// (checkpoint.write, supervisor.fork, http.send, ...). In production nothing
-/// is armed and faultAt() is a single relaxed atomic load. Under test, a
-/// `-inject-fault=<point>:<spec>[,<point>:<spec>...]` flag arms points:
+/// (checkpoint.write, supervisor.fork, corpus.read, ...). In production
+/// nothing is armed and faultAt() is a single relaxed atomic load. Under
+/// test, a `-inject-fault=<point>:<spec>[,<point>:<spec>...]` flag arms
+/// points:
 ///
 ///   <point>:nth:<N>    fail exactly the Nth call (1-based), once
 ///   <point>:every:<K>  fail every Kth call
@@ -20,7 +21,7 @@
 ///                      perturb which mutants a campaign generates.
 ///
 /// Per-point call and trigger counters are kept for every armed point and
-/// surfaced in the volatile run-report block and /status, so a chaos run
+/// surfaced in the volatile run-report block, so a chaos run
 /// can assert "the fault actually fired N times" instead of hoping.
 ///
 /// The plane is process-global and fork-inherited: a child forked by the

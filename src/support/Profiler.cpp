@@ -269,22 +269,3 @@ void alive::writeProfileVolatileJSON(std::ostream &OS,
   }
   OS << (First ? "" : "\n" + Indent + " ") << "]}";
 }
-
-void alive::writeFlamegraphJSON(std::ostream &OS, const CampaignProfile &P) {
-  OS << "{\"interval_ms\": " << P.SamplingIntervalMs
-     << ", \"samples\": " << P.Samples << ", \"stacks\": [";
-  bool First = true;
-  for (const auto &[Stack, Count] : P.Collapsed) {
-    OS << (First ? "\n" : ",\n") << "  {\"stack\": ";
-    First = false;
-    writeJSONString(OS, Stack);
-    OS << ", \"count\": " << Count << "}";
-  }
-  OS << (First ? "" : "\n") << "]}\n";
-}
-
-void alive::writeCollapsedStacks(
-    std::ostream &OS, const std::map<std::string, uint64_t> &Folded) {
-  for (const auto &[Stack, Count] : Folded)
-    OS << Stack << " " << Count << "\n";
-}

@@ -35,8 +35,7 @@
 ///      quiet.
 ///
 /// CampaignProfile bundles both (plus the shared TV cache's per-shard
-/// heat counters) for the run report, /profile.json, /flamegraph.json
-/// and the dashboard.
+/// heat counters) for the run report's profile blocks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -176,8 +175,7 @@ struct ShardHeat {
 /// attach() recorders (one per worker) before start(); the sampler folds
 /// every tick into collapsed stacks "label;span;span..." -> sample count.
 /// Workers push/pop their stacks lock-free; the sampler's fold map is
-/// guarded for concurrent collapsed() snapshots (the live /flamegraph.json
-/// endpoint reads it mid-campaign).
+/// guarded for concurrent collapsed() snapshots.
 class SamplingProfiler {
 public:
   explicit SamplingProfiler(unsigned IntervalMs = 10);
@@ -237,16 +235,6 @@ void writeTopQueriesJSON(std::ostream &OS, const std::vector<QueryCost> &Top,
 /// seconds) as a JSON object.
 void writeProfileVolatileJSON(std::ostream &OS, const CampaignProfile &P,
                               const std::string &Indent = "");
-
-/// The flamegraph export: {"interval_ms", "samples", "stacks": [{"stack",
-/// "count"}]} with stacks in lexicographic order.
-void writeFlamegraphJSON(std::ostream &OS, const CampaignProfile &P);
-
-/// The classic collapsed-stack text format ("frame;frame;frame count"
-/// per line, lexicographic), directly consumable by flamegraph.pl /
-/// speedscope.
-void writeCollapsedStacks(std::ostream &OS,
-                          const std::map<std::string, uint64_t> &Folded);
 
 } // namespace alive
 

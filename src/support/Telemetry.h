@@ -23,7 +23,8 @@
 ///     gauges — all commutative and associative, so any merge order yields
 ///     byte-identical serialized output.
 ///
-/// Concurrency contract (relied on by the live observability plane):
+/// Concurrency contract (CampaignEngine::liveSnapshot() relies on it to
+/// read live stage-time histogram sums):
 ///   - stat *values* are relaxed atomics, so the owning worker may bump a
 ///     counter or record a histogram sample while an observer thread takes
 ///     a snapshot() — no torn reads, no locks on the value fast path;

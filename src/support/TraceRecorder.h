@@ -148,8 +148,8 @@ private:
   std::vector<Event> Ring;
   size_t Cap;
   size_t Head = 0; ///< next write slot
-  /// Events ever recorded. Atomic so live /status reads of dropped() are
-  /// race-free against the recording worker; the single writer still
+  /// Events ever recorded. Atomic so an observer thread's dropped() reads
+  /// are race-free against the recording worker; the single writer still
   /// updates it with a plain relaxed increment.
   std::atomic<uint64_t> Total{0};
   /// Interned dynamic labels. std::set nodes never move, so the stored

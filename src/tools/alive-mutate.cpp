@@ -17,7 +17,6 @@
 
 #include "core/CampaignEngine.h"
 #include "core/Forensics.h"
-#include "core/MetricsExporter.h"
 #include "core/RunReport.h"
 #include "corpus/CorpusLoader.h"
 #include "corpus/Distill.h"
@@ -102,16 +101,6 @@ static void printHelp() {
       "  -resume           resume the campaign recorded in -checkpoint\n"
       "  -progress=<sec>   print campaign progress every <sec> seconds\n"
       "                    (may be fractional)\n"
-      "  -metrics-port=<p> serve live observability HTTP endpoints on\n"
-      "                    127.0.0.1:<p> (/metrics /status /healthz /readyz\n"
-      "                    /events /series /dashboard, plus /profile.json\n"
-      "                    and /flamegraph.json with -profile; 0 = ephemeral\n"
-      "                    port, printed on stdout). Observer-only: the\n"
-      "                    report stays byte-identical with or without the\n"
-      "                    server\n"
-      "  -metrics-interval=<s> seconds between /series samples (default 1)\n"
-      "  -health-stale=<s> /healthz flips to 503 when a live shard makes no\n"
-      "                    progress for <s> seconds (default 10; 0 = off)\n"
       "  -profile          deep cost attribution: per-query solver effort\n"
       "                    (top-K table in the report, -j invariant), a\n"
       "                    wall-clock sampling profiler over the worker\n"
@@ -161,10 +150,12 @@ static void installTerminateHandler(alive::CampaignEngine *E) {
 /// One -progress line from a live snapshot: done/target, rate, ETA (from
 /// the rate, or from the remaining -t budget when time-limited) and each
 /// stage's share of the summed shard stage time (0% under -fanout, whose
-/// shards carry no stage split).
+/// shards carry no stage split). The rate counts only this run's
+/// iterations: a -resume'd prefix was done before Elapsed started.
 static std::string progressLine(const CampaignLiveSnapshot &S,
                                 double TimeLimit) {
-  double Rate = S.Elapsed > 0 ? (double)S.Done / S.Elapsed : 0;
+  double Rate =
+      S.Elapsed > 0 ? (double)(S.Done - S.Restored) / S.Elapsed : 0;
   char Eta[32] = "eta ?";
   if (!S.Target)
     std::snprintf(Eta, sizeof(Eta), "eta %.0fs",
@@ -220,11 +211,10 @@ int main(int Argc, char **Argv) {
   if (std::string Unknown = Args.firstUnknown(
           {"bug-bundles",     "checkpoint",       "checkpoint-interval",
            "distill",         "fanout",           "fault-seed",
-           "feedback",        "feedback-epoch",   "health-stale",
-           "help",            "inject-bugs",      "inject-fault",
-           "isolate-cpu-s",   "isolate-mem-mb",   "iter-timeout",
-           "j",               "lease-deadline",   "max-mutations",
-           "metrics-interval", "metrics-port",    "n",
+           "feedback",        "feedback-epoch",   "help",
+           "inject-bugs",     "inject-fault",     "isolate-cpu-s",
+           "isolate-mem-mb",  "iter-timeout",     "j",
+           "lease-deadline",  "max-mutations",    "n",
            "no-signal-guard", "no-skip-unchanged", "no-tv-cache",
            "passes",          "profile",          "profile-interval",
            "profile-topk",    "progress",         "quarantine",
@@ -387,38 +377,6 @@ int main(int Argc, char **Argv) {
                 Corpus.FilesSkipped, Corpus.Renamed);
   if (Testable == 0)
     return 0;
-
-  // The live observability plane (-metrics-port): strictly observer-only,
-  // so attaching it cannot perturb the deterministic report. The resolved
-  // port goes to stdout so scripts can use -metrics-port=0.
-  std::unique_ptr<MetricsServer> Metrics;
-  if (Args.has("metrics-port")) {
-    MetricsOptions MO;
-    MO.Port = Args.getInt<uint16_t>("metrics-port", 0);
-    MO.SnapshotInterval =
-        Args.getSeconds("metrics-interval", MO.SnapshotInterval);
-    MO.HealthStaleSeconds =
-        Args.getSeconds("health-stale", MO.HealthStaleSeconds);
-    Metrics = std::make_unique<MetricsServer>(MO);
-    Metrics->setEngine(&Engine);
-    RunReportConfig Echo;
-    Echo.Tool = "alive-mutate";
-    Echo.Passes = Opts.Passes;
-    Echo.Iterations = Opts.Iterations;
-    Echo.BaseSeed = Opts.BaseSeed;
-    Echo.FeedbackOn = Opts.Feedback.Enabled;
-    Echo.Jobs = Engine.jobs();
-    Metrics->setConfigEcho(Echo);
-    Engine.setEventQueue(&Metrics->events());
-    std::string MetricsErr;
-    if (!Metrics->start(MetricsErr)) {
-      std::fprintf(stderr, "error: metrics server: %s\n", MetricsErr.c_str());
-      return 1;
-    }
-    std::printf("metrics: listening on http://127.0.0.1:%u\n",
-                (unsigned)Metrics->port());
-    std::fflush(stdout);
-  }
 
   // From here a SIGINT/SIGTERM stops the campaign cleanly instead of
   // killing the process: checkpoints and -stats-json still flush.
@@ -636,5 +594,5 @@ int main(int Argc, char **Argv) {
                  "checkpoint\n");
   if (S.RefinementFailures || S.Crashes)
     return 2;
-  return S.SaveFailures ? 3 : 0;
+  return S.SaveFailures || Engine.degraded() ? 3 : 0;
 }

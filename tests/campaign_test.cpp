@@ -20,9 +20,13 @@
 #include "parser/Printer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <thread>
 
 using namespace alive;
 
@@ -610,4 +614,130 @@ TEST(CampaignTest, SharedCacheBugSetMatchesSequentialRun) {
   for (size_t I = 0; I != E1.bugs().size(); ++I)
     expectSameRecord(E1.bugs()[I], E4.bugs()[I]);
   EXPECT_GT(E1.bugs().size(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The live snapshot -progress reads.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Polls \p Engine's liveSnapshot() from a second thread until stopped,
+/// keeping every snapshot taken while run() was live.
+class SnapshotPoller {
+public:
+  explicit SnapshotPoller(const CampaignEngine &Engine)
+      : Th([this, &Engine] {
+          while (!Stop.load(std::memory_order_acquire)) {
+            CampaignLiveSnapshot S = Engine.liveSnapshot();
+            if (S.Running)
+              Live.push_back(S);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }) {}
+
+  /// Joins the poller; \returns the live snapshots in poll order.
+  std::vector<CampaignLiveSnapshot> finish() {
+    Stop.store(true, std::memory_order_release);
+    Th.join();
+    return std::move(Live);
+  }
+
+private:
+  std::atomic<bool> Stop{false};
+  std::vector<CampaignLiveSnapshot> Live;
+  std::thread Th;
+};
+
+std::string deterministicReport(const CampaignEngine &Engine,
+                                const FuzzOptions &Opts, unsigned Jobs) {
+  RunReportConfig RC;
+  RC.Tool = "campaign_test";
+  RC.Passes = Opts.Passes;
+  RC.Iterations = Opts.Iterations;
+  RC.BaseSeed = Opts.BaseSeed;
+  RC.FeedbackOn = Opts.Feedback.Enabled;
+  RC.FeedbackEpochLength = Opts.Feedback.EpochLength;
+  RC.Jobs = Jobs;
+  std::ostringstream OS;
+  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry());
+  std::string R = OS.str();
+  size_t Pos = R.find("\"volatile\"");
+  EXPECT_NE(Pos, std::string::npos);
+  return R.substr(0, Pos);
+}
+
+} // namespace
+
+TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
+  // An observer polling liveSnapshot() every millisecond during a -j2
+  // feedback campaign cannot move the deterministic report, and every
+  // snapshot it sees is a plausible progress reading.
+  FuzzOptions Opts = twoBugOptions(200);
+  Opts.Feedback.Enabled = true;
+  Opts.Feedback.EpochLength = 32;
+
+  CampaignEngine Plain(Opts, 2);
+  Plain.loadModule(parseOk(TwoBugCorpus));
+  Plain.run();
+
+  CampaignEngine Polled(Opts, 2);
+  Polled.loadModule(parseOk(TwoBugCorpus));
+  SnapshotPoller Poller(Polled);
+  Polled.run();
+  std::vector<CampaignLiveSnapshot> Seen = Poller.finish();
+
+  EXPECT_EQ(deterministicReport(Plain, Opts, 2),
+            deterministicReport(Polled, Opts, 2));
+  uint64_t Prev = 0;
+  for (const CampaignLiveSnapshot &S : Seen) {
+    EXPECT_GE(S.Done, Prev);
+    EXPECT_LE(S.Done, S.Target);
+    EXPECT_EQ(S.Target, 200u);
+    EXPECT_EQ(S.Workers, 2u);
+    EXPECT_EQ(S.Shards.size(), 2u);
+    EXPECT_EQ(S.Restored, 0u);
+    Prev = S.Done;
+  }
+  EXPECT_EQ(Polled.liveSnapshot().Done, 200u);
+}
+
+TEST(CampaignTest, ResumedSnapshotCarriesRestoredPrefix) {
+  // -progress divides this run's iterations by this run's elapsed time,
+  // so the snapshot of a resumed campaign must say how much of Done the
+  // checkpoint restored.
+  std::string Dir = ::testing::TempDir() + "amr_campaign_resume_live";
+  std::filesystem::remove_all(Dir);
+  FuzzOptions Opts = twoBugOptions(400);
+  Opts.Survival.CheckpointDir = Dir;
+  Opts.Survival.CheckpointInterval = 16;
+
+  CampaignEngine First(Opts, 2);
+  First.loadModule(parseOk(TwoBugCorpus));
+  First.stopAfterIterations(100);
+  First.run();
+  ASSERT_TRUE(First.configError().empty()) << First.configError();
+  ASSERT_TRUE(First.interrupted());
+  const uint64_t Completed = First.liveSnapshot().Done;
+  ASSERT_GE(Completed, 100u);
+  ASSERT_LT(Completed, 400u);
+
+  FuzzOptions ResumeOpts = Opts;
+  ResumeOpts.Survival.Resume = true;
+  CampaignEngine Second(ResumeOpts, 2);
+  Second.loadModule(parseOk(TwoBugCorpus));
+  SnapshotPoller Poller(Second);
+  Second.run();
+  std::vector<CampaignLiveSnapshot> Seen = Poller.finish();
+  ASSERT_TRUE(Second.configError().empty()) << Second.configError();
+  EXPECT_FALSE(Second.interrupted());
+
+  ASSERT_FALSE(Seen.empty()) << "no snapshot caught the resumed run live";
+  for (const CampaignLiveSnapshot &S : Seen) {
+    EXPECT_EQ(S.Restored, Completed);
+    EXPECT_GE(S.Done, Completed);
+    EXPECT_LE(S.Done, 400u);
+  }
+  EXPECT_EQ(Second.liveSnapshot().Done, 400u);
+  std::filesystem::remove_all(Dir);
 }

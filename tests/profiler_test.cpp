@@ -8,16 +8,18 @@
 /// hash, the (cost desc, key asc) total order, the bounded top-K tracker's
 /// record/evict/merge semantics and its exact-merge guarantee, the
 /// sampling profiler folding synthetic live-span stacks into collapsed
-/// stacks, the JSON/flamegraph serializers, and — at engine scale — the
-/// headline invariant that a -j4 campaign's merged top-K table serializes
-/// byte-identically to -j1's. The concurrent record/snapshot tests double
-/// as the TSan targets for the lock-free live-stack path.
+/// stacks, the JSON serializers, the run report's profile blocks, and —
+/// at engine scale — the headline invariant that a -j4 campaign's merged
+/// top-K table serializes byte-identically to -j1's. The concurrent
+/// record/snapshot tests double as the TSan targets for the lock-free
+/// live-stack path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Profiler.h"
 
 #include "core/CampaignEngine.h"
+#include "core/RunReport.h"
 #include "opt/BugInjection.h"
 #include "parser/Parser.h"
 #include "support/TraceRecorder.h"
@@ -264,25 +266,6 @@ TEST(ProfilerTest, TopQueriesJSONShape) {
   EXPECT_NE(J.find("\"symbolic\": true"), std::string::npos);
 }
 
-TEST(ProfilerTest, FlamegraphAndCollapsedFormats) {
-  CampaignProfile P;
-  P.Enabled = true;
-  P.SamplingIntervalMs = 5;
-  P.Collapsed = {{"w0;iteration;verify", 7}, {"w1;iteration;optimize", 3}};
-  P.Samples = 10;
-
-  std::ostringstream FG;
-  writeFlamegraphJSON(FG, P);
-  EXPECT_NE(FG.str().find("\"interval_ms\": 5"), std::string::npos);
-  EXPECT_NE(FG.str().find("\"samples\": 10"), std::string::npos);
-  EXPECT_NE(FG.str().find("{\"stack\": \"w0;iteration;verify\", \"count\": 7}"),
-            std::string::npos);
-
-  std::ostringstream CS;
-  writeCollapsedStacks(CS, P.Collapsed);
-  EXPECT_EQ(CS.str(), "w0;iteration;verify 7\nw1;iteration;optimize 3\n");
-}
-
 //===----------------------------------------------------------------------===//
 // Engine scale: the -j1 == -j4 byte-identity of the merged table.
 //===----------------------------------------------------------------------===//
@@ -303,13 +286,10 @@ define i8 @opposite_shifts(i8 %x) {
 }
 )";
 
-std::string runProfiledCampaign(unsigned Jobs) {
-  std::string Err;
-  auto M = parseModule(ProfiledCorpus, Err);
-  EXPECT_NE(M, nullptr) << Err;
+FuzzOptions profiledOptions(uint64_t Iterations) {
   FuzzOptions Opts;
   Opts.Passes = "instsimplify,constfold,instcombine,dce";
-  Opts.Iterations = 60;
+  Opts.Iterations = Iterations;
   Opts.BaseSeed = 1;
   Opts.TV.ConcreteTrials = 16;
   Opts.Bugs.enable(BugId::PR52884);
@@ -317,7 +297,14 @@ std::string runProfiledCampaign(unsigned Jobs) {
   Opts.Profile.Enabled = true;
   Opts.Profile.TopK = 8;
   Opts.Profile.SamplingIntervalMs = 5;
-  CampaignEngine Engine(Opts, Jobs);
+  return Opts;
+}
+
+std::string runProfiledCampaign(unsigned Jobs) {
+  std::string Err;
+  auto M = parseModule(ProfiledCorpus, Err);
+  EXPECT_NE(M, nullptr) << Err;
+  CampaignEngine Engine(profiledOptions(60), Jobs);
   EXPECT_GT(Engine.loadModule(std::move(M)), 0u);
   Engine.run();
   const CampaignProfile &P = Engine.profile();
@@ -343,4 +330,50 @@ TEST(ProfilerTest, MergedTopKIsByteIdenticalAcrossWorkerCounts) {
   std::string J1 = runProfiledCampaign(1);
   std::string J4 = runProfiledCampaign(4);
   EXPECT_EQ(J1, J4);
+}
+
+//===----------------------------------------------------------------------===//
+// Run report schema v6: the profile blocks.
+//===----------------------------------------------------------------------===//
+
+TEST(ProfilerTest, RunReportV6ProfileBlocks) {
+  std::string Err;
+  auto M = parseModule(ProfiledCorpus, Err);
+  ASSERT_NE(M, nullptr) << Err;
+  FuzzOptions Opts = profiledOptions(100);
+  CampaignEngine Engine(Opts, 2);
+  Engine.loadModule(std::move(M));
+  const FuzzStats &S = Engine.run();
+
+  RunReportConfig RC;
+  RC.Tool = "profiler_test";
+  RC.Passes = Opts.Passes;
+  RC.Iterations = Opts.Iterations;
+  RC.BaseSeed = Opts.BaseSeed;
+  RC.Jobs = 2;
+  RC.WallSeconds = S.TotalSeconds;
+  std::ostringstream OS;
+  writeRunReport(OS, RC, S, Engine.bugs(), Engine.registry(),
+                 &Engine.profile());
+  std::string R = OS.str();
+
+  EXPECT_NE(R.find("\"schema_version\": 7"), std::string::npos);
+  // Both sections carry a profile block: the deterministic top-K table
+  // and the volatile sampling/shard-heat data.
+  size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");
+  ASSERT_NE(Det, std::string::npos) << R;
+  EXPECT_NE(R.find("\"queries\"", Det), std::string::npos);
+  size_t Vol = R.find("\"profile\": {\"enabled\": true, \"data\"", Det + 1);
+  ASSERT_NE(Vol, std::string::npos) << R;
+  EXPECT_NE(R.find("\"sampling\"", Vol), std::string::npos);
+  EXPECT_NE(R.find("\"query_seconds\"", Vol), std::string::npos);
+
+  // Without a profile, both blocks collapse to {"enabled": false}.
+  std::ostringstream OS2;
+  writeRunReport(OS2, RC, S, Engine.bugs(), Engine.registry());
+  std::string Plain = OS2.str();
+  size_t First = Plain.find("\"profile\": {\"enabled\": false}");
+  EXPECT_NE(First, std::string::npos);
+  EXPECT_NE(Plain.find("\"profile\": {\"enabled\": false}", First + 1),
+            std::string::npos);
 }

