@@ -51,11 +51,8 @@ std::string coherenceError(const FuzzOptions &Opts) {
              "-n=<count>";
   }
   if (SV.Fanout) {
-    // Shard state lives in child processes the parent cannot epoch-merge,
-    // trace or sample.
-    if (Opts.Feedback.Enabled)
-      return "-feedback cannot run with -fanout: supervised shards have no "
-             "epoch barrier to merge coverage at";
+    // The flight recorder, cost trackers and sampler live in child memory
+    // and are not part of the shard checkpoint the parent restores.
     if (Opts.TraceEnabled)
       return "-trace-json cannot cross the -fanout process boundary: the "
              "flight recorder lives in shard memory";
@@ -222,8 +219,10 @@ void CampaignEngine::finishProfile(
 
 namespace {
 
-/// One worker thread: a private FuzzerLoop over a private master-module
-/// clone, plus the atomic counters live observers read.
+/// One worker: a private FuzzerLoop over a private master-module clone,
+/// plus the atomic counters live observers read. Threads run it in place;
+/// under -fanout a forked child runs a copy and the parent restores the
+/// child's shard checkpoint into it.
 struct Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
@@ -277,6 +276,10 @@ FuzzOptions workerOptions(const FuzzOptions &Opts,
   FuzzOptions WOpts = Opts;
   WOpts.SelfCheckOnLoad = false;
   WOpts.OnlyFunctions = Testable;
+  // Under -fanout the process boundary IS the crash containment; an
+  // in-process guard would only hide the signal from the supervisor.
+  if (Opts.Survival.Fanout)
+    WOpts.Survival.SignalGuard = false;
   return WOpts;
 }
 
@@ -297,8 +300,8 @@ const FuzzStats &CampaignEngine::run() {
   DegradedFlag = false;
   LostShardsV.clear();
   TotalDone.store(0, std::memory_order_relaxed);
-  // The merged results start from the master's preprocessing; each path
-  // adds its workers' (or harvested shards') state on top.
+  // The merged results start from the master's preprocessing; the epoch
+  // loop adds its workers' state on top.
   Stats = FuzzStats();
   Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
   Bugs.clear();
@@ -309,10 +312,7 @@ const FuzzStats &CampaignEngine::run() {
   Traces.clear();
   TraceNames.clear();
 
-  if (Opts.Survival.Fanout)
-    runSupervised(Testable, Total);
-  else
-    runThreads(Testable, Total);
+  runEpochs(Testable, Total);
   if (!ConfigError.empty())
     return Stats;
 
@@ -351,21 +351,54 @@ bool CampaignEngine::pinCheckpointIdentity(const std::string &Dir,
   return true;
 }
 
-void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
-                                Timer &Total) {
+void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
+                               Timer &Total) {
+  namespace fs = std::filesystem;
   const SurvivalOptions &SV = Opts.Survival;
   const bool TimeLimited = Opts.Iterations == 0;
   const bool Feedback = Opts.Feedback.Enabled;
-  const bool Checkpointing = !SV.CheckpointDir.empty();
-  // Never spawn idle workers: with fewer iterations than threads the tail
+  const bool Fanout = SV.Fanout != 0;
+
+  // Under -fanout the checkpoint directory is also the harvest channel:
+  // children leave their shard state there and the parent restores it.
+  // Without a user-provided directory, use (and afterwards remove) a
+  // private one.
+  std::string Dir = SV.CheckpointDir;
+  const bool OwnDir = Fanout && Dir.empty();
+  if (OwnDir) {
+    std::error_code EC;
+    Dir = (fs::temp_directory_path(EC) /
+           ("alive-mutate-fanout-" + std::to_string(getpid())))
+              .string();
+  }
+  struct DirGuard {
+    const std::string &Dir;
+    bool Own;
+    ~DirGuard() {
+      std::error_code EC;
+      if (Own)
+        fs::remove_all(Dir, EC);
+    }
+  } DG{Dir, OwnDir};
+  const bool Checkpointing = !Dir.empty();
+
+  // Never spawn idle workers: with fewer iterations than workers the tail
   // workers would own empty slices.
+  const unsigned Want = Fanout ? SV.Fanout : Jobs;
   const unsigned J =
-      TimeLimited ? Jobs : (unsigned)std::min<uint64_t>(Jobs, Opts.Iterations);
+      TimeLimited ? Want : (unsigned)std::min<uint64_t>(Want, Opts.Iterations);
   // Blind and time-limited campaigns are one epoch over the whole range.
   const uint64_t End = TimeLimited ? UINT64_MAX : Opts.Iterations;
   const uint64_t EpochLen =
       Feedback ? std::max(1u, Opts.Feedback.EpochLength) : End;
-  if (Checkpointing && !pinCheckpointIdentity(SV.CheckpointDir, J))
+  // Worker I's slice of the epoch starting at Start: the contiguous share
+  // [Start + L*I/J, Start + L*(I+1)/J) of its L offsets. A blind campaign
+  // is one epoch, so there this is the worker's static partition.
+  auto SliceOf = [&](unsigned I, uint64_t Start) {
+    const uint64_t L = std::min(End, Start + EpochLen) - Start;
+    return std::make_pair(Start + L * I / J, Start + L * (I + 1) / J);
+  };
+  if (Checkpointing && !pinCheckpointIdentity(Dir, J))
     return;
 
   // Declared before the workers: their loops point at the schedule.
@@ -379,10 +412,10 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
   for (unsigned I = 0; I != J; ++I) {
     auto W = std::make_unique<Worker>();
     W->Index = I;
-    if (!TimeLimited) {
-      W->Lo = Feedback ? 0 : Opts.Iterations * I / J;
-      W->Hi = Feedback ? Opts.Iterations : Opts.Iterations * (I + 1) / J;
-    }
+    if (!TimeLimited)
+      std::tie(W->Lo, W->Hi) =
+          Feedback ? std::make_pair(uint64_t(0), Opts.Iterations)
+                   : SliceOf(I, 0);
     W->Next.store(W->Lo, std::memory_order_relaxed);
     W->Loop = std::make_unique<FuzzerLoop>(workerOptions(Opts, Testable));
     W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
@@ -393,13 +426,42 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     Workers.push_back(std::move(W));
   }
 
+  // The one reader of shard checkpoints (-resume, a restarted child, the
+  // -fanout harvest): the shard must cover this worker's partition.
+  auto ReadShard = [&](const Worker &W, WorkerCheckpoint &WC,
+                       std::string &Err) {
+    if (!readWorkerCheckpoint(Dir, W.Index, WC, Err))
+      return false;
+    if (WC.Lo == W.Lo && WC.Hi == W.Hi)
+      return true;
+    Err = "shard " + std::to_string(W.Index) +
+          " was checkpointed with a different seed partition";
+    return false;
+  };
+  // Restores W's shard checkpoint if it is ahead of W's cursor and inside
+  // the slice ending at SliceEnd: how a restarted child continues its
+  // predecessor and how the parent harvests a child. \returns false with
+  // Err set when the shard cannot be read.
+  auto AdoptShard = [&](Worker &W, uint64_t SliceEnd, std::string &Err) {
+    WorkerCheckpoint WC;
+    if (!ReadShard(W, WC, Err))
+      return false;
+    const uint64_t From = W.Next.load(std::memory_order_relaxed);
+    if (WC.Next > From && WC.Next <= SliceEnd) {
+      restoreWorker(WC, *W.Loop);
+      W.Next.store(WC.Next, std::memory_order_relaxed);
+      W.Done.fetch_add(WC.Next - From, std::memory_order_relaxed);
+    }
+    return true;
+  };
+
   // Validate and restore all resume state before any thread (sampler,
-  // worker, live observer) can observe the workers.
+  // worker, live observer) or child can observe the workers.
   if (SV.Resume) {
     std::string Err;
     if (Feedback) {
       FeedbackCheckpoint FC;
-      if (!readFeedbackCheckpoint(SV.CheckpointDir, FC, Err)) {
+      if (!readFeedbackCheckpoint(Dir, FC, Err)) {
         ConfigError = "cannot resume: " + Err;
         return;
       }
@@ -416,43 +478,296 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     }
     for (auto &W : Workers) {
       WorkerCheckpoint WC;
-      if (!readWorkerCheckpoint(SV.CheckpointDir, W->Index, WC, Err)) {
+      if (!ReadShard(*W, WC, Err)) {
         ConfigError = "cannot resume: " + Err;
         return;
       }
-      if (WC.Lo != W->Lo || WC.Hi != W->Hi) {
-        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
-                      " was checkpointed with a different seed partition";
-        return;
-      }
-      if (Feedback && WC.Next != EpochStart) {
-        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
-                      " was checkpointed at a different epoch boundary";
-        return;
+      // The worker's share of the finished prefix: its checkpointed slice
+      // prefix, or under feedback its slices of every completed epoch.
+      uint64_t Done = WC.Next - WC.Lo;
+      if (Feedback) {
+        // A shard sits at the last barrier or, when a -fanout campaign
+        // ended mid-epoch (a lost lease, a killed parent), inside its slice
+        // of the next epoch with that slice's coverage pending.
+        auto [SliceLo, SliceHi] = SliceOf(W->Index, EpochStart);
+        if (WC.Next != EpochStart && (WC.Next < SliceLo || WC.Next > SliceHi)) {
+          ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
+                        " was checkpointed at a different epoch boundary";
+          return;
+        }
+        Done = WC.Next > SliceLo ? WC.Next - SliceLo : 0;
+        for (uint64_t S = 0; S < EpochStart; S += EpochLen) {
+          auto [Lo, Hi] = SliceOf(W->Index, S);
+          Done += Hi - Lo;
+        }
       }
       restoreWorker(WC, *W->Loop);
       W->Next.store(WC.Next, std::memory_order_relaxed);
-      // The worker's share of the finished prefix: its checkpointed slice
-      // prefix, or under feedback its slices of every completed epoch (all
-      // full, except a final partial one when EpochStart == Iterations).
-      auto Slice = [&](uint64_t L) {
-        return L * (W->Index + 1) / J - L * W->Index / J;
-      };
-      uint64_t Done = Feedback ? EpochStart / EpochLen * Slice(EpochLen) +
-                                     Slice(EpochStart % EpochLen)
-                               : WC.Next - WC.Lo;
       W->Done.store(Done, std::memory_order_relaxed);
       TotalDone.fetch_add(Done, std::memory_order_relaxed);
     }
   }
 
+  auto StopRequested = [&] {
+    uint64_t After = StopAfter.load(std::memory_order_relaxed);
+    return StopReq.load(std::memory_order_relaxed) ||
+           (After && TotalDone.load(std::memory_order_relaxed) >= After);
+  };
+  auto CheckpointWorker = [&](Worker &W) {
+    std::string Err;
+    bool Ok = writeWorkerCheckpoint(
+        Dir,
+        snapshotWorker(W.Index, W.Lo, W.Hi,
+                       W.Next.load(std::memory_order_relaxed), *W.Loop),
+        Err);
+    ++W.Loop->mutableRegistry().counter(
+        Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
+        Volatility::Volatile);
+    return Ok;
+  };
+  // Every worker's shard, plus the feedback state under feedback. Only
+  // called with the workers parked (epoch barrier or after the join).
+  auto CheckpointAll = [&] {
+    for (auto &W : Workers)
+      CheckpointWorker(*W);
+    if (!Feedback)
+      return;
+    FeedbackCheckpoint FC{Global, Schedule, EpochStart};
+    std::string Err;
+    if (!writeFeedbackCheckpoint(Dir, FC, Err))
+      ++Workers[0]->Loop->mutableRegistry().counter(
+          "survive.checkpoint.failures", Volatility::Volatile);
+  };
+  // A fresh campaign's first snapshot: from here on the directory holds
+  // only this campaign's shards, whatever an earlier one left there.
+  if (Checkpointing && !SV.Resume)
+    CheckpointAll();
+
+  // A blind worker checkpoints on its own cadence and stops at any
+  // iteration boundary. A feedback worker does neither mid-epoch: its
+  // pending coverage would be lost, and an epoch is bounded work anyway.
+  const uint64_t Interval =
+      Checkpointing && !Feedback
+          ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
+          : 0;
+  std::atomic<uint64_t> SharedNext{0};
+  // One worker's share of an epoch: offsets [W.Next, SliceEnd), or offsets
+  // drawn from SharedNext when time-limited. A -fanout child passes its
+  // lease: the stop flag, the heartbeat and the offset in flight then live
+  // in the supervisor's control page, and offsets that already crashed a
+  // predecessor count as done without running again.
+  auto RunSlice = [&](Worker &W, uint64_t SliceEnd,
+                      const Supervisor::ShardContext *Lease) {
+    Timer Leg;
+    uint64_t Since = 0;
+    for (;;) {
+      uint64_t Off;
+      if (TimeLimited) {
+        if (Total.seconds() >= Opts.TimeLimitSeconds || StopRequested())
+          break;
+        Off = SharedNext.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        Off = W.Next.load(std::memory_order_relaxed);
+        if (Off == SliceEnd ||
+            (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
+                                 : StopRequested())))
+          break;
+      }
+      const bool Skip =
+          Lease && std::count(Lease->Skip->begin(), Lease->Skip->end(), Off);
+      if (!Skip) {
+        if (Lease)
+          Lease->Cur->store(Off, std::memory_order_release);
+        W.Loop->runIteration(Opts.BaseSeed + Off);
+        if (Lease)
+          Lease->Cur->store(Supervisor::IdleOffset, std::memory_order_release);
+      }
+      W.Next.store(Off + 1, std::memory_order_relaxed);
+      W.Done.fetch_add(1, std::memory_order_relaxed);
+      TotalDone.fetch_add(1, std::memory_order_relaxed);
+      if (Lease) {
+        Lease->Done->fetch_add(1, std::memory_order_relaxed);
+        Lease->Beat->fetch_add(1, std::memory_order_relaxed);
+      }
+      if (Interval && !Skip && ++Since >= Interval) {
+        Since = 0;
+        CheckpointWorker(W);
+      }
+    }
+    W.LegSeconds += Leg.seconds();
+  };
+
+  // The -fanout executor: one supervised lease per worker slice, run by a
+  // forked copy of the parent, whose barrier state is already in memory.
+  std::unique_ptr<Supervisor> Sup;
+  if (Fanout) {
+    SupervisorConfig SC;
+    SC.Retry.MaxAttempts = SV.RetryMaxAttempts;
+    SC.Retry.BaseDelaySeconds = SV.RetryBaseDelay;
+    SC.Retry.MaxDelaySeconds = SV.RetryMaxDelay;
+    SC.LeaseHeartbeatSeconds = SV.LeaseHeartbeatSeconds;
+    Sup = std::make_unique<Supervisor>(
+        SC, [&](const Supervisor::ShardContext &Ctx) -> int {
+          // ------- child: runs its worker's slice, checkpoints the shard
+          // and exits.
+          if (SV.IsolateMemMB) {
+            rlimit R{SV.IsolateMemMB << 20, SV.IsolateMemMB << 20};
+            setrlimit(RLIMIT_AS, &R);
+          }
+          if (SV.IsolateCpuSeconds) {
+            rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
+            setrlimit(RLIMIT_CPU, &R);
+          }
+          Worker &W = *Workers[Ctx.Index];
+          // A restart continues from its predecessor's checkpoint.
+          std::string Err;
+          AdoptShard(W, Ctx.Hi, Err);
+          // First beat after the restore: the wedge clock should measure
+          // iteration progress only.
+          Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
+          if (faultAt("supervisor.wedge")) {
+            // Chaos hook: hang without beating until the wedge detector
+            // reaps us (or the campaign stops).
+            while (!Ctx.Stop->load(std::memory_order_relaxed))
+              std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            return 0;
+          }
+          RunSlice(W, Ctx.Hi, &Ctx);
+          settleWorkerSeconds(*W.Loop, W.LegSeconds);
+          W.LegSeconds = 0;
+          // Exit 3 = "results could not be written": the parent marks the
+          // lease Lost instead of retrying forever.
+          return CheckpointWorker(W) ? 0 : 3;
+        });
+    std::string InitErr;
+    if (!Sup->init(J, InitErr)) {
+      ConfigError = InitErr;
+      return;
+    }
+    Sup->setCrashHook([&](unsigned I, uint64_t Off,
+                          const std::string &Why) -> BugRecord {
+      // The offset took the process down repeatedly: a crash bug of the
+      // compiler-under-test. Record it from the parent side — the mutant
+      // regenerates deterministically from its seed.
+      uint64_t Seed = Opts.BaseSeed + Off;
+      BugRecord B;
+      B.Kind = BugRecord::Crash;
+      B.MutantSeed = Seed;
+      B.Detail = "optimizer process " + Why + " (supervised shard " +
+                 std::to_string(I) + ", contained by process isolation)";
+      ForensicRecord FR;
+      FR.K = ForensicRecord::Crash;
+      FR.Seed = Seed;
+      FR.VerdictSlug = "crash";
+      FR.Detail = B.Detail;
+      // Regenerating the mutant replays only the (signal-safe) mutator,
+      // but guard anyway: the parent must survive whatever the child did
+      // not.
+      int Sig = 0;
+      bool Survived = runWithSignalGuard(
+          [&] {
+            MutationTrail Trail;
+            std::unique_ptr<Module> Mutant =
+                MasterLoop->makeMutant(Seed, Trail);
+            B.MutantIR = printModule(*Mutant);
+            if (!Opts.BugBundleDir.empty()) {
+              BundleInputs In{Opts,         Testable, *MasterLoop->module(),
+                              Mutant.get(), nullptr,  &Trail,
+                              FR};
+              std::string Err;
+              B.BundlePath = writeBugBundle(Opts.BugBundleDir, In, Err);
+              if (B.BundlePath.empty() && BundleError.empty())
+                BundleError = Err;
+            }
+          },
+          Sig);
+      if (!Survived)
+        B.Detail += "; mutant regeneration raised " +
+                    std::string(signalName(Sig)) + " in the parent too";
+      return B;
+    });
+    Sup->setStopCheck([&](uint64_t DoneTotal) {
+      TotalDone.store(DoneTotal, std::memory_order_relaxed);
+      return !Feedback && StopRequested();
+    });
+  }
+
+  auto NoteIncident = [&](const std::string &Msg) {
+    if (!FanoutIncidents.empty())
+      FanoutIncidents += "; ";
+    FanoutIncidents += Msg;
+  };
+  // Runs one epoch's slices as leases, then restores each child's shard
+  // checkpoint into its worker and splices in the crash bugs the
+  // supervisor recorded. A lost lease keeps whatever its last readable
+  // checkpoint holds, and its loss is counted exactly against that.
+  auto RunLeases = [&](const std::vector<uint64_t> &SliceEnd) {
+    std::vector<LeaseSlice> Slices;
+    for (auto &W : Workers) {
+      // The live view and the stop check read these counters.
+      Sup->doneCounter(W->Index)->store(
+          W->Done.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      uint64_t From = W->Next.load(std::memory_order_relaxed);
+      if (From != SliceEnd[W->Index])
+        Slices.push_back({W->Index, From, SliceEnd[W->Index]});
+    }
+    SupervisorOutcome SO = Sup->run(Slices, Total);
+    Registry.counter("survive.supervisor.restarts", Volatility::Volatile) +=
+        SO.Restarts;
+    Registry.counter("survive.supervisor.wedges", Volatility::Volatile) +=
+        SO.Wedges;
+    Registry.counter("survive.supervisor.fork_failures",
+                     Volatility::Volatile) += SO.ForkFailures;
+    Registry.counter("survive.supervisor.lease_extensions",
+                     Volatility::Volatile) += SO.LeaseExtensions;
+    for (const ShardOutcome &S : SO.Shards) {
+      Worker &W = *Workers[S.Index];
+      std::string Err;
+      const bool Read = AdoptShard(W, SliceEnd[S.Index], Err);
+      if (!S.CrashBugs.empty()) {
+        FuzzStats St = W.Loop->stats();
+        std::vector<BugRecord> Bugs = W.Loop->bugs();
+        for (const BugRecord &B : S.CrashBugs) {
+          ++St.Crashes;
+          if (!Opts.BugBundleDir.empty())
+            ++(B.BundlePath.empty() ? St.BundleFailures : St.BundlesWritten);
+          Bugs.push_back(B);
+        }
+        W.Loop->restoreState(St, std::move(Bugs));
+        W.Loop->mutableRegistry().counter("bug.crash") += S.CrashBugs.size();
+      }
+      // A lease that finished but whose results cannot be read back is a
+      // lost shard by any other name: count it, never drop it silently.
+      if (!S.Lost && !Read)
+        NoteIncident("shard " + std::to_string(S.Index) +
+                     " results lost: " + Err);
+      if (S.Lost || !Read) {
+        const uint64_t Missing =
+            SliceEnd[S.Index] - W.Next.load(std::memory_order_relaxed);
+        DegradedFlag = true;
+        LostShardsV.emplace_back(S.Index, Missing);
+        if (!S.Note.empty())
+          NoteIncident(S.Note + " (" + std::to_string(Missing) +
+                       " iterations lost)");
+      } else if (!S.Note.empty()) {
+        NoteIncident(S.Note);
+      }
+    }
+    uint64_t Done = 0;
+    for (auto &W : Workers)
+      Done += W->Done.load(std::memory_order_relaxed);
+    TotalDone.store(Done, std::memory_order_relaxed);
+  };
+
   // Open the live observer window now that every worker exists. The
-  // guard sits after the Workers vector, so on every exit path the refs
-  // are revoked before the workers they borrow from are destroyed.
+  // guard sits after the Workers vector and the supervisor, so on every
+  // exit path the refs are revoked before the state they borrow from is
+  // destroyed.
   beginLive(TimeLimited ? 0 : Opts.Iterations, J,
             TotalDone.load(std::memory_order_relaxed), &Total);
   for (auto &W : Workers)
-    addLiveShard({&W->Done, W->Loop.get()});
+    addLiveShard(Sup ? LiveShardRef{Sup->doneCounter(W->Index), nullptr}
+                     : LiveShardRef{&W->Done, W->Loop.get()});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }
@@ -468,95 +783,38 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     Sampler->start();
   }
 
-  auto StopRequested = [&] {
-    uint64_t After = StopAfter.load(std::memory_order_relaxed);
-    return StopReq.load(std::memory_order_relaxed) ||
-           (After && TotalDone.load(std::memory_order_relaxed) >= After);
-  };
-  auto CheckpointWorker = [&](Worker &W) {
-    std::string Err;
-    bool Ok = writeWorkerCheckpoint(
-        SV.CheckpointDir,
-        snapshotWorker(W.Index, W.Lo, W.Hi,
-                       W.Next.load(std::memory_order_relaxed), *W.Loop),
-        Err);
-    ++W.Loop->mutableRegistry().counter(
-        Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
-        Volatility::Volatile);
-  };
-  // Every worker's shard, plus the feedback state under feedback. Only
-  // called with the workers parked (epoch barrier or after the join).
-  auto CheckpointAll = [&] {
-    for (auto &W : Workers)
-      CheckpointWorker(*W);
-    if (!Feedback)
-      return;
-    FeedbackCheckpoint FC{Global, Schedule, EpochStart};
-    std::string Err;
-    if (!writeFeedbackCheckpoint(SV.CheckpointDir, FC, Err))
-      ++Workers[0]->Loop->mutableRegistry().counter(
-          "survive.checkpoint.failures", Volatility::Volatile);
-  };
-
-  // A blind worker checkpoints on its own cadence and stops at any
-  // iteration boundary. A feedback worker does neither mid-epoch: its
-  // pending coverage would be lost, and an epoch is bounded work anyway.
-  const uint64_t Interval =
-      Checkpointing && !Feedback
-          ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
-          : 0;
-  std::atomic<uint64_t> SharedNext{0};
-  auto RunSlice = [&](Worker &W, uint64_t SliceEnd) {
-    Timer Leg;
-    uint64_t Since = 0;
-    for (;;) {
-      uint64_t Off;
-      if (TimeLimited) {
-        if (Total.seconds() >= Opts.TimeLimitSeconds || StopRequested())
-          break;
-        Off = SharedNext.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        Off = W.Next.load(std::memory_order_relaxed);
-        if (Off == SliceEnd || (!Feedback && StopRequested()))
-          break;
-      }
-      W.Loop->runIteration(Opts.BaseSeed + Off);
-      W.Next.store(Off + 1, std::memory_order_relaxed);
-      W.Done.fetch_add(1, std::memory_order_relaxed);
-      TotalDone.fetch_add(1, std::memory_order_relaxed);
-      if (Interval && ++Since >= Interval) {
-        Since = 0;
-        CheckpointWorker(W);
-      }
-    }
-    W.LegSeconds += Leg.seconds();
-  };
-
   while (EpochStart < End) {
     if (Feedback && StopRequested())
       break;
     const uint64_t EpochEnd = std::min(End, EpochStart + EpochLen);
-    std::vector<std::thread> Threads;
-    for (unsigned I = 0; I != J; ++I) {
-      Worker &W = *Workers[I];
-      uint64_t SliceEnd = 0;
-      if (!TimeLimited) {
-        // Worker I runs [EpochStart + L*I/J, EpochStart + L*(I+1)/J). In
-        // a blind campaign that is [Lo, Hi), and a resumed cursor may
-        // already be past its start.
-        const uint64_t L = EpochEnd - EpochStart;
-        W.Next.store(std::max(EpochStart + L * I / J,
-                              W.Next.load(std::memory_order_relaxed)),
-                     std::memory_order_relaxed);
-        SliceEnd = EpochStart + L * (I + 1) / J;
+    std::vector<uint64_t> SliceEnd(J, 0);
+    if (!TimeLimited)
+      for (auto &W : Workers) {
+        // A resumed cursor may already be past its slice's start.
+        auto [Lo, Hi] = SliceOf(W->Index, EpochStart);
+        W->Next.store(std::max(Lo, W->Next.load(std::memory_order_relaxed)),
+                      std::memory_order_relaxed);
+        SliceEnd[W->Index] = Hi;
       }
-      Threads.emplace_back(RunSlice, std::ref(W), SliceEnd);
+    if (Sup) {
+      RunLeases(SliceEnd);
+    } else {
+      std::vector<std::thread> Threads;
+      for (auto &W : Workers)
+        Threads.emplace_back(RunSlice, std::ref(*W), SliceEnd[W->Index],
+                             nullptr);
+      for (std::thread &T : Threads)
+        T.join();
     }
-    for (std::thread &T : Threads)
-      T.join();
+    // Blind and time-limited campaigns are one epoch. A feedback epoch
+    // left unfinished by a lost -fanout lease ends the campaign before its
+    // barrier; the checkpoint keeps it resumable.
+    if (!Feedback || std::any_of(Workers.begin(), Workers.end(), [&](auto &W) {
+          return W->Next.load(std::memory_order_relaxed) !=
+                 SliceEnd[W->Index];
+        }))
+      break;
     EpochStart = EpochEnd;
-    if (!Feedback)
-      continue;
 
     // The epoch barrier: merge the coverage deltas (the OR makes the
     // order irrelevant), then advance the schedule as a pure function of
@@ -619,6 +877,15 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
                    });
   if (TimeLimited)
     Interrupted = StopReq.load(std::memory_order_relaxed);
+  if (DegradedFlag) {
+    uint64_t LostTotal = 0;
+    for (const auto &LS : LostShardsV)
+      LostTotal += LS.second;
+    Registry.counter("survive.degraded.shards", Volatility::Volatile) +=
+        LostShardsV.size();
+    Registry.counter("survive.degraded.lost_iterations",
+                     Volatility::Volatile) += LostTotal;
+  }
   if (!Feedback)
     return;
 
@@ -635,285 +902,4 @@ void CampaignEngine::runThreads(const std::vector<std::string> &Testable,
     Registry.counter(std::string("feedback.weight.") +
                      mutationKindName((MutationKind)K)) =
         FinalSchedule.FamilyWeights[K];
-}
-
-void CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
-                                   Timer &Total) {
-  const SurvivalOptions &SV = Opts.Survival;
-  namespace fs = std::filesystem;
-
-  // The checkpoint directory is the harvest channel: children persist
-  // their state there, the parent merges from it (and a lost lease's last
-  // checkpoint is still harvested — partial results are degraded, never
-  // discarded). Without a user-provided directory, use (and afterwards
-  // remove) a private one.
-  std::string Dir = SV.CheckpointDir;
-  const bool OwnDir = Dir.empty();
-  if (OwnDir) {
-    std::error_code EC;
-    Dir = (fs::temp_directory_path(EC) /
-           ("alive-mutate-fanout-" + std::to_string(getpid())))
-              .string();
-  }
-  struct DirGuard {
-    const std::string &Dir;
-    bool Own;
-    ~DirGuard() {
-      std::error_code EC;
-      if (Own)
-        fs::remove_all(Dir, EC);
-    }
-  } DG{Dir, OwnDir};
-
-  // The lease partition must match the checkpoint identity, so clamp the
-  // fanout before writing the meta.
-  const unsigned N =
-      (unsigned)std::min<uint64_t>(std::max(1u, SV.Fanout), Opts.Iterations);
-  if (!pinCheckpointIdentity(Dir, N))
-    return;
-
-  const uint64_t Interval = SV.CheckpointInterval ? SV.CheckpointInterval : 16;
-
-  SupervisorConfig SC;
-  SC.Fanout = N;
-  SC.Iterations = Opts.Iterations;
-  SC.Retry.MaxAttempts = SV.RetryMaxAttempts;
-  SC.Retry.BaseDelaySeconds = SV.RetryBaseDelay;
-  SC.Retry.MaxDelaySeconds = SV.RetryMaxDelay;
-  SC.LeaseHeartbeatSeconds = SV.LeaseHeartbeatSeconds;
-
-  Supervisor Sup(SC, [&](const Supervisor::ShardContext &Ctx) -> int {
-    // ------- child: one lease, sequential, in a disposable process. The
-    // address space is a copy-on-write snapshot of the parent, so the
-    // preprocessed master module is already here.
-    if (SV.IsolateMemMB) {
-      rlimit R{SV.IsolateMemMB << 20, SV.IsolateMemMB << 20};
-      setrlimit(RLIMIT_AS, &R);
-    }
-    if (SV.IsolateCpuSeconds) {
-      rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
-      setrlimit(RLIMIT_CPU, &R);
-    }
-    FuzzOptions WOpts = workerOptions(Opts, Testable);
-    WOpts.Survival.Fanout = 0;
-    // The process boundary IS the crash containment; an in-process guard
-    // would only hide the signal from the parent's classifier.
-    WOpts.Survival.SignalGuard = false;
-    FuzzerLoop Loop(WOpts);
-    Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-    uint64_t Cursor = Ctx.Lo;
-    {
-      WorkerCheckpoint WC;
-      std::string Err;
-      if (readWorkerCheckpoint(Dir, Ctx.Index, WC, Err) && WC.Lo == Ctx.Lo &&
-          WC.Hi == Ctx.Hi) {
-        restoreWorker(WC, Loop);
-        Cursor = WC.Next;
-      }
-    }
-    // First beat before the loop: module cloning and restore are done,
-    // the wedge clock should measure iteration progress only.
-    Ctx.Next->store(Cursor, std::memory_order_relaxed);
-    Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
-    if (faultAt("supervisor.wedge")) {
-      // Chaos hook: hang without beating until the wedge detector reaps
-      // us (or the campaign stops).
-      while (!Ctx.Stop->load(std::memory_order_relaxed))
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      return 0;
-    }
-    Timer Leg;
-    uint64_t Since = 0;
-    auto Checkpoint = [&](uint64_t Next) {
-      std::string Err;
-      return writeWorkerCheckpoint(
-          Dir, snapshotWorker(Ctx.Index, Ctx.Lo, Ctx.Hi, Next, Loop), Err);
-    };
-    for (; Cursor != Ctx.Hi && !Ctx.Stop->load(std::memory_order_relaxed);
-         ++Cursor) {
-      // A skipped offset pinned a crash bug in the parent; it counts as
-      // done but never runs again.
-      bool Skip = std::find(Ctx.Skip->begin(), Ctx.Skip->end(), Cursor) !=
-                  Ctx.Skip->end();
-      if (!Skip) {
-        Ctx.Cur->store(Cursor, std::memory_order_release);
-        Loop.runIteration(Opts.BaseSeed + Cursor);
-        Ctx.Cur->store(Supervisor::IdleOffset, std::memory_order_release);
-      }
-      Ctx.Next->store(Cursor + 1, std::memory_order_relaxed);
-      Ctx.Done->fetch_add(1, std::memory_order_relaxed);
-      Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
-      if (!Skip && ++Since >= Interval) {
-        Since = 0;
-        Checkpoint(Cursor + 1);
-      }
-    }
-    settleWorkerSeconds(Loop, Leg.seconds());
-    bool Ok = Checkpoint(Cursor);
-    // Exit 3 = "results could not be written": the parent marks the
-    // lease Lost instead of retrying forever.
-    return Ok ? 0 : 3;
-  });
-
-  std::string InitErr;
-  if (!Sup.init(InitErr)) {
-    ConfigError = InitErr;
-    return;
-  }
-
-  uint64_t ParentBundles = 0, ParentBundleFailures = 0;
-  Sup.setCrashHook([&](unsigned I, uint64_t Off,
-                       const std::string &Why) -> BugRecord {
-    // The offset took the process down repeatedly: a crash bug of the
-    // compiler-under-test. Record it from the parent side — the mutant
-    // regenerates deterministically from its seed.
-    uint64_t Seed = Opts.BaseSeed + Off;
-    BugRecord B;
-    B.Kind = BugRecord::Crash;
-    B.MutantSeed = Seed;
-    B.Detail = "optimizer process " + Why + " (supervised shard " +
-               std::to_string(I) + ", contained by process isolation)";
-    ForensicRecord FR;
-    FR.K = ForensicRecord::Crash;
-    FR.Seed = Seed;
-    FR.VerdictSlug = "crash";
-    FR.Detail = B.Detail;
-    // Regenerating the mutant replays only the (signal-safe) mutator, but
-    // guard anyway: the parent must survive whatever the child did not.
-    int Sig = 0;
-    bool Survived = runWithSignalGuard(
-        [&] {
-          MutationTrail Trail;
-          std::unique_ptr<Module> Mutant = MasterLoop->makeMutant(Seed, Trail);
-          B.MutantIR = printModule(*Mutant);
-          if (!Opts.BugBundleDir.empty()) {
-            BundleInputs In{Opts,         Testable, *MasterLoop->module(),
-                            Mutant.get(), nullptr,  &Trail,
-                            FR};
-            std::string Err;
-            B.BundlePath = writeBugBundle(Opts.BugBundleDir, In, Err);
-            if (B.BundlePath.empty()) {
-              ++ParentBundleFailures;
-              if (BundleError.empty())
-                BundleError = Err;
-            } else {
-              ++ParentBundles;
-            }
-          }
-        },
-        Sig);
-    if (!Survived)
-      B.Detail += "; mutant regeneration raised " +
-                  std::string(signalName(Sig)) + " in the parent too";
-    return B;
-  });
-
-  Sup.setStopCheck([&](uint64_t DoneTotal) {
-    TotalDone.store(DoneTotal, std::memory_order_relaxed);
-    uint64_t After = StopAfter.load(std::memory_order_relaxed);
-    return StopReq.load(std::memory_order_relaxed) ||
-           (After && DoneTotal >= After);
-  });
-
-  // Live view over the supervisor's heartbeat page: Done counters only
-  // (shard registries live in child processes). A heartbeat counter
-  // starts at 0 in every run, so nothing in it is restored.
-  beginLive(Opts.Iterations, N, /*Restored=*/0, &Total);
-  for (unsigned I = 0; I != Sup.shards(); ++I)
-    addLiveShard({Sup.doneCounter(I), /*Loop=*/nullptr});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
-  SupervisorOutcome SO = Sup.run(Total);
-  endLive();
-  if (!SO.Error.empty()) {
-    ConfigError = SO.Error;
-    return;
-  }
-
-  Registry.counter("survive.supervisor.restarts", Volatility::Volatile) +=
-      SO.Restarts;
-  Registry.counter("survive.supervisor.wedges", Volatility::Volatile) +=
-      SO.Wedges;
-  Registry.counter("survive.supervisor.fork_failures", Volatility::Volatile) +=
-      SO.ForkFailures;
-  Registry.counter("survive.supervisor.lease_extensions",
-                   Volatility::Volatile) += SO.LeaseExtensions;
-
-  auto NoteIncident = [&](const std::string &Msg) {
-    if (!FanoutIncidents.empty())
-      FanoutIncidents += "; ";
-    FanoutIncidents += Msg;
-  };
-
-  // Harvest: every lease's last durable checkpoint, merged in lease order
-  // like the thread path's workers, plus the parent-recorded crash bugs
-  // spliced into each shard's list in seed order. Lost leases still
-  // contribute whatever their last checkpoint holds — and exact
-  // lost-iteration accounting is computed against that checkpoint, never
-  // estimated.
-  for (const ShardOutcome &S : SO.Shards) {
-    WorkerCheckpoint WC;
-    std::string Err;
-    bool Read = readWorkerCheckpoint(Dir, S.Index, WC, Err) &&
-                WC.Lo == S.Lo && WC.Hi == S.Hi;
-    bool ShardLost = S.Lost;
-    uint64_t LostIters = 0;
-    if (ShardLost) {
-      LostIters =
-          Read ? S.Hi - std::min(std::max(WC.Next, S.Lo), S.Hi) : S.Hi - S.Lo;
-    } else if (!Read) {
-      // Lease finished but its results cannot be read back: a lost shard
-      // by any other name. Count it the same way, never drop it silently.
-      ShardLost = true;
-      LostIters = S.Hi - S.Lo;
-      NoteIncident("shard " + std::to_string(S.Index) +
-                   " results lost: " + Err);
-    }
-    if (ShardLost) {
-      DegradedFlag = true;
-      LostShardsV.emplace_back(S.Index, LostIters);
-      Interrupted = true;
-      if (!S.Note.empty())
-        NoteIncident(S.Note + " (" + std::to_string(LostIters) +
-                     " iterations lost)");
-    } else if (!S.Note.empty()) {
-      NoteIncident(S.Note);
-    }
-    if (!Read)
-      continue;
-    accumulate(Stats, WC.Stats);
-    StatRegistry Tmp;
-    for (const WorkerCheckpoint::Counter &C : WC.Counters)
-      Tmp.counter(C.Name, C.IsVolatile ? Volatility::Volatile
-                                       : Volatility::Deterministic) = C.Value;
-    Registry.merge(Tmp);
-    std::vector<BugRecord> ShardBugs = WC.Bugs;
-    ShardBugs.insert(ShardBugs.end(), S.CrashBugs.begin(), S.CrashBugs.end());
-    std::stable_sort(ShardBugs.begin(), ShardBugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
-    Bugs.insert(Bugs.end(), ShardBugs.begin(), ShardBugs.end());
-    if (!ShardLost && WC.Next != WC.Hi)
-      Interrupted = true;
-    uint64_t NCrash = S.CrashBugs.size();
-    if (NCrash) {
-      Stats.Crashes += NCrash;
-      Registry.counter("bug.crash") += NCrash;
-    }
-  }
-  Stats.BundlesWritten += ParentBundles;
-  Stats.BundleFailures += ParentBundleFailures;
-  if (DegradedFlag) {
-    uint64_t LostTotal = 0;
-    for (const auto &LS : LostShardsV)
-      LostTotal += LS.second;
-    Registry.counter("survive.degraded.shards", Volatility::Volatile) +=
-        LostShardsV.size();
-    Registry.counter("survive.degraded.lost_iterations",
-                     Volatility::Volatile) += LostTotal;
-  }
 }

@@ -6,45 +6,55 @@
 ///
 /// \file
 /// The campaign engine: runs the mutate -> optimize -> verify loop over the
-/// seed range [BaseSeed, BaseSeed+Iterations) on one of two paths.
+/// seed range [BaseSeed, BaseSeed+Iterations) as one epoch loop with two
+/// executors.
 ///
-/// Threads (the default). J worker threads, each owning a private
-/// FuzzerLoop — its own clone of the master module, its own
-/// RandomGenerator stream, PassManager, bug-injection context view and
-/// FuzzStats — so workers share nothing mutable and never synchronize on
-/// the hot path. One epoch loop serves every thread campaign:
-///   - blind: a single epoch over the whole range; each worker's slice is
-///     the static contiguous partition, and the campaign can stop and
-///     checkpoint at any iteration boundary;
+/// The epoch loop. J workers, each owning a private FuzzerLoop — its own
+/// clone of the master module, its own RandomGenerator stream, PassManager,
+/// bug-injection context view and FuzzStats — so workers share nothing
+/// mutable and never synchronize on the hot path. Each epoch is sliced into
+/// J contiguous shares, one per worker:
+///   - blind: a single epoch over the whole range, so a worker's slice is
+///     its static partition; the campaign can stop and checkpoint at any
+///     iteration boundary;
 ///   - feedback: epochs of Feedback.EpochLength offsets, each sliced
 ///     afresh; at the barrier the coverage deltas merge and the schedule
 ///     is recomputed, and stops and checkpoints happen only there;
-///   - time-limited (Iterations == 0): a single unbounded epoch in which
-///     workers draw offsets from a shared counter until the budget runs
-///     out. The mutant count then depends on scheduling, but every
-///     reported bug is still reproducible from its logged seed.
+///   - time-limited (Iterations == 0, threads only): a single unbounded
+///     epoch in which workers draw offsets from a shared counter until the
+///     budget runs out. The mutant count then depends on scheduling, but
+///     every reported bug is still reproducible from its logged seed.
+/// Partition, resume validation, checkpoint cadence, the stop rule, the
+/// barrier and the worker-order final merge exist once, for both
+/// executors.
 ///
-/// Processes (Survival.Fanout). Shard leases run in forked children under
-/// core/Supervisor: optional RLIMIT_AS/RLIMIT_CPU, heartbeat deadlines,
-/// backoff restarts, crash attribution (a seed that repeatedly kills its
-/// child becomes a recorded crash bug and is skipped) and exact lost-work
-/// accounting. Children hand their results back through the checkpoint
-/// files; the parent stays single-threaded.
+/// Executors. Threads (the default, -j) run every worker's slice in place.
+/// Under Survival.Fanout a core/Supervisor forks one child per slice
+/// instead, with optional RLIMIT_AS/RLIMIT_CPU, heartbeat deadlines,
+/// backoff restarts and crash attribution (a seed that repeatedly kills
+/// its child becomes a recorded crash bug and is skipped). The child is a
+/// copy-on-write copy of the parent's worker at the barrier: it runs the
+/// same slice, checkpoints its shard (stats, bugs, counters and pending
+/// coverage) and exits, and the parent restores that checkpoint into its
+/// worker before the barrier. A lost lease is counted exactly against its
+/// last readable checkpoint; it ends the campaign degraded, and under
+/// feedback before that epoch's barrier, so the checkpoint stays
+/// resumable. The parent never runs an iteration itself.
 ///
 /// Determinism: one iteration's outcome depends only on its seed and the
 /// schedule frozen at its epoch's start (each iteration clones the master
 /// afresh and reseeds the PRNG), so merging worker results in worker order
 /// and sorting the bug list by seed yields a report byte-identical to the
-/// sequential run, on either path. A fresh feedback schedule consumes the
-/// RNG stream exactly like blind. Each worker loop owns a private TVCache;
-/// a hit replays the byte-identical verdict the checker would recompute,
-/// so only the hit/miss split varies with the worker count. With
-/// -shared-tv-cache the engine instead owns one process-wide SharedTVCache
-/// that every worker queries on canonicalized keys, so the same argument
-/// holds across workers. Under -fanout that cache is per child after the
-/// fork (copy-on-write pages). The §III-A self-check/preprocessing pass
-/// runs exactly once, on the master module; workers inherit the surviving
-/// function set.
+/// sequential run, on either executor. A fresh feedback schedule consumes
+/// the RNG stream exactly like blind. Each worker loop owns a one-shard
+/// SharedTVCache; a hit replays the byte-identical verdict the checker
+/// would recompute, so only the hit/miss split varies with the worker
+/// count. With -shared-tv-cache the engine instead owns one process-wide
+/// cache that every worker queries on canonicalized keys, so the same
+/// argument holds across workers. Under -fanout each child works on its
+/// own copy of its worker's cache. The §III-A self-check/preprocessing
+/// pass runs exactly once, on the master module; workers inherit the
+/// surviving function set.
 ///
 /// Flag coherence is checked once, in the constructor: configError() names
 /// the first incoherent combination before any module is loaded.
@@ -69,7 +79,8 @@ namespace alive {
 struct ShardLiveState {
   /// Iterations completed, resumed prefix included.
   uint64_t Done = 0;
-  /// Mutate/optimize/verify/overhead nanoseconds (all 0 under -fanout).
+  /// Mutate/optimize/verify/overhead nanoseconds (all 0 under -fanout,
+  /// whose stage split lives in the children).
   uint64_t StageNanos[4] = {};
 };
 
@@ -88,7 +99,7 @@ struct CampaignLiveSnapshot {
   std::vector<ShardLiveState> Shards;
 };
 
-/// Runs a fuzzing campaign across J worker threads with a deterministic
+/// Runs a fuzzing campaign across J workers with a deterministic
 /// merge. With Jobs == 1 the result is identical to a plain FuzzerLoop run
 /// (minus wall-clock); with Jobs == N the bug set stays byte-identical.
 class CampaignEngine {
@@ -201,22 +212,16 @@ public:
   const CampaignProfile &profile() const { return Profile; }
 
 private:
-  /// The thread path: one epoch loop for blind, feedback and time-limited
-  /// campaigns (see the file comment). Under feedback, every worker runs a
-  /// static contiguous slice of each epoch under the schedule frozen at
-  /// its start; at the barrier the coverage deltas merge in worker-index
-  /// order (bitwise OR — commutative and associative, so the cumulative
-  /// map is partition-independent) and the schedule is recomputed as a
-  /// pure function of the cumulative maps. Sets ConfigError and returns
-  /// early, before any worker thread starts, when resume state is invalid.
-  void runThreads(const std::vector<std::string> &Testable, Timer &Total);
-
-  /// The process path (Survival.Fanout): shard leases under a
-  /// core/Supervisor control loop — heartbeat deadlines, retry with
-  /// bounded exponential backoff, retry-then-skip crash attribution and
-  /// lost-shard degradation accounting. The merged deterministic section
-  /// is byte-identical to -j1 whenever no lease ends Lost.
-  void runSupervised(const std::vector<std::string> &Testable, Timer &Total);
+  /// The epoch loop behind every campaign (see the file comment): each
+  /// worker runs a static contiguous slice of each epoch under the
+  /// schedule frozen at its start, on a thread or in a supervised child;
+  /// at a feedback barrier the coverage deltas merge in worker-index order
+  /// (bitwise OR — commutative and associative, so the cumulative map is
+  /// partition-independent) and the schedule is recomputed as a pure
+  /// function of the cumulative maps. Sets ConfigError and returns early,
+  /// before any worker thread or child starts, when resume state is
+  /// invalid.
+  void runEpochs(const std::vector<std::string> &Testable, Timer &Total);
 
   /// Pins the campaign identity in \p Dir: writes meta.json for a fresh
   /// campaign, or verifies a resumed one against it. \p Shards is the
@@ -264,17 +269,17 @@ private:
   std::vector<std::string> TraceNames;
   /// The finished campaign's merged cost-attribution profile.
   CampaignProfile Profile;
-  /// The wall-clock sampler, alive only while thread-path workers run;
+  /// The wall-clock sampler, alive only while worker threads run;
   /// its folds are moved into Profile at teardown.
   std::unique_ptr<SamplingProfiler> Sampler;
   /// Merges worker trackers (worker order) + sampler folds + shard heat
-  /// into Profile after a run path joins its workers.
+  /// into Profile after the epoch loop joins its workers.
   void finishProfile(const std::vector<const QueryCostTracker *> &Trackers);
 
   // --- Live progress (observer-only; read by liveSnapshot()) ---
 
-  /// One live shard as registered by a run path: borrowed pointers into
-  /// run()-scoped worker state (or the -fanout heartbeat page). Valid
+  /// One live shard as registered by the epoch loop: borrowed pointers
+  /// into run()-scoped worker state (or the -fanout heartbeat page). Valid
   /// only while registered — endLive() revokes them before the owners die.
   struct LiveShardRef {
     const std::atomic<uint64_t> *Done = nullptr;
@@ -290,7 +295,7 @@ private:
                  const Timer *Clock);
   void addLiveShard(LiveShardRef R);
   /// Closes the live window and revokes every shard ref. Idempotent —
-  /// the run paths call it explicitly before borrowed state dies, and a
+  /// the epoch loop calls it explicitly before borrowed state dies, and a
   /// scope guard repeats it on every exit path.
   void endLive();
 

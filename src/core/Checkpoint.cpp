@@ -224,8 +224,10 @@ bool alive::writeWorkerCheckpoint(const std::string &Dir,
     OS << ", \"value\": " << C.Value << ", \"volatile\": "
        << (C.IsVolatile ? "true" : "false") << "}";
   }
-  OS << (W.Counters.empty() ? "" : "\n  ") << "]\n";
-  OS << "}\n";
+  OS << (W.Counters.empty() ? "" : "\n  ") << "],\n";
+  OS << "  \"pending\": ";
+  W.Pending.writeJSON(OS, "  ");
+  OS << "\n}\n";
   return writeFileAtomic(shardPath(Dir, W.Index), OS.str(), Error);
 }
 
@@ -282,6 +284,12 @@ bool alive::readWorkerCheckpoint(const std::string &Dir, unsigned Index,
       C.IsVolatile = E.getBool("volatile", false);
       W.Counters.push_back(std::move(C));
     }
+  const JSONValue *Pending = J.find("pending");
+  if (!Pending || !FeedbackMap::readJSON(*Pending, W.Pending, Error)) {
+    Error = "corrupt checkpoint '" + Path + "': " +
+            (Error.empty() ? "missing pending coverage" : Error);
+    return false;
+  }
   return true;
 }
 
@@ -295,6 +303,7 @@ WorkerCheckpoint alive::snapshotWorker(unsigned Index, uint64_t Lo,
   W.Next = Next;
   W.Stats = Loop.stats();
   W.Bugs = Loop.bugs();
+  W.Pending = Loop.pendingFeedback();
   Loop.registry().forEachCounter(
       Volatility::Deterministic, [&](const std::string &Name, uint64_t V) {
         W.Counters.push_back({Name, V, /*IsVolatile=*/false});
@@ -308,6 +317,7 @@ WorkerCheckpoint alive::snapshotWorker(unsigned Index, uint64_t Lo,
 
 void alive::restoreWorker(const WorkerCheckpoint &W, FuzzerLoop &Loop) {
   Loop.restoreState(W.Stats, W.Bugs);
+  Loop.restoreFeedback(W.Pending);
   for (const WorkerCheckpoint::Counter &C : W.Counters)
     Loop.mutableRegistry().counter(C.Name, C.IsVolatile
                                                ? Volatility::Volatile

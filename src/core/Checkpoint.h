@@ -37,8 +37,9 @@ namespace alive {
 
 /// Bump when the checkpoint layout changes incompatibly; resume refuses
 /// other versions rather than guessing. v2 added the feedback pins to the
-/// meta and the <dir>/feedback.json state file.
-constexpr unsigned CheckpointSchemaVersion = 2;
+/// meta and the <dir>/feedback.json state file; v3 added each shard's
+/// pending coverage.
+constexpr unsigned CheckpointSchemaVersion = 3;
 
 /// Campaign identity, pinned at checkpoint time and verified at resume:
 /// resuming under a different module, pipeline, seed range or job count
@@ -67,6 +68,9 @@ struct WorkerCheckpoint {
   /// Next seed offset to run (== Hi when the worker finished).
   uint64_t Next = 0;
   FuzzStats Stats;
+  /// Feedback coverage not yet merged at an epoch barrier: empty at every
+  /// barrier, the finished slice's delta in a -fanout child's checkpoint.
+  FeedbackMap Pending;
   std::vector<BugRecord> Bugs;
   /// Registry counters with their volatility, name-ordered.
   struct Counter {
@@ -108,8 +112,8 @@ bool readWorkerCheckpoint(const std::string &Dir, unsigned Index,
 WorkerCheckpoint snapshotWorker(unsigned Index, uint64_t Lo, uint64_t Hi,
                                 uint64_t Next, const FuzzerLoop &Loop);
 
-/// Restores a snapshot into a freshly-constructed worker loop (stats,
-/// bugs, registry counters).
+/// Restores a snapshot into a worker loop (stats, bugs, registry counters,
+/// pending coverage).
 void restoreWorker(const WorkerCheckpoint &W, FuzzerLoop &Loop);
 
 /// Feedback-mode campaign state, checkpointed only at epoch boundaries

@@ -30,12 +30,12 @@ struct Control {
   std::atomic<uint32_t> Stop;
 };
 
-/// Per-lease slot in the MAP_SHARED control page. The child is the only
-/// writer of its slot; the parent only reads (and re-initializes Cur
-/// between spawns, when no child is alive to race with).
+/// Per-shard slot in the MAP_SHARED control page. A running child is the
+/// only writer of its slot; the parent only reads (and re-initializes Cur
+/// between spawns and the engine seeds Done between runs, when no child
+/// is alive to race with).
 struct HeartbeatSlot {
   std::atomic<uint64_t> Cur;  ///< offset in flight; IdleOffset between
-  std::atomic<uint64_t> Next; ///< first offset not yet completed
   std::atomic<uint64_t> Done; ///< iterations completed, cumulative
   std::atomic<uint64_t> Beat; ///< liveness tick for the wedge detector
 };
@@ -92,18 +92,8 @@ double childCpuSeconds(pid_t Pid) {
 
 } // namespace
 
-std::vector<std::pair<unsigned, uint64_t>>
-SupervisorOutcome::lostShards() const {
-  std::vector<std::pair<unsigned, uint64_t>> Out;
-  for (const ShardOutcome &S : Shards)
-    if (S.Lost)
-      Out.emplace_back(S.Index, S.LostIterations);
-  return Out;
-}
-
 Supervisor::Supervisor(SupervisorConfig C, ShardBody B)
     : Cfg(std::move(C)), Body(std::move(B)) {
-  Cfg.Fanout = std::max(1u, Cfg.Fanout);
   if (Cfg.PollSeconds <= 0)
     Cfg.PollSeconds = 0.01;
 }
@@ -113,13 +103,7 @@ Supervisor::~Supervisor() {
     munmap(Page, PageSize);
 }
 
-bool Supervisor::init(std::string &Error) {
-  if (Initialized)
-    return true;
-  // Never more leases than iterations: tail leases would own empty slices.
-  unsigned N = Cfg.Iterations
-                   ? (unsigned)std::min<uint64_t>(Cfg.Fanout, Cfg.Iterations)
-                   : Cfg.Fanout;
+bool Supervisor::init(unsigned N, std::string &Error) {
   PageSize = SlotsOffset + N * sizeof(HeartbeatSlot);
   void *Raw = mmap(nullptr, PageSize, PROT_READ | PROT_WRITE,
                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -135,26 +119,18 @@ bool Supervisor::init(std::string &Error) {
   HeartbeatSlot *HB = slots(Page);
   Leases.reserve(N);
   for (unsigned I = 0; I != N; ++I) {
-    // Same contiguous partition as every other run path: lease I owns
-    // seed offsets [Iterations*I/N, Iterations*(I+1)/N).
     Leases.emplace_back(Cfg.Retry, /*StreamTag=*/I + 1);
-    Lease &L = Leases.back();
-    L.Index = I;
-    L.Lo = Cfg.Iterations * I / N;
-    L.Hi = Cfg.Iterations * (I + 1) / N;
+    Leases.back().Index = I;
+    Leases.back().St = Lease::State::Done;
     new (&HB[I]) HeartbeatSlot;
     HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    HB[I].Next.store(L.Lo, std::memory_order_relaxed);
     HB[I].Done.store(0, std::memory_order_relaxed);
     HB[I].Beat.store(0, std::memory_order_relaxed);
   }
-  Initialized = true;
   return true;
 }
 
-const std::atomic<uint64_t> *Supervisor::doneCounter(unsigned I) const {
-  if (!Page || I >= Leases.size())
-    return nullptr;
+std::atomic<uint64_t> *Supervisor::doneCounter(unsigned I) {
   return &slots(Page)[I].Done;
 }
 
@@ -164,15 +140,9 @@ void Supervisor::appendNote(Lease &L, const std::string &Msg) {
   L.Note += Msg;
 }
 
-void Supervisor::markLost(Lease &L, const std::string &Why,
-                          SupervisorOutcome &Out) {
+void Supervisor::markLost(Lease &L, const std::string &Why) {
   L.St = Lease::State::Lost;
-  HeartbeatSlot &S = slots(Page)[L.Index];
-  uint64_t Next = S.Next.load(std::memory_order_relaxed);
-  Next = std::min(std::max(Next, L.Lo), L.Hi);
   appendNote(L, "shard " + std::to_string(L.Index) + " lost: " + Why);
-  Out.Degraded = true;
-  (void)Next; // exact loss is refined from the last checkpoint at harvest
 }
 
 bool Supervisor::spawn(Lease &L, double Now) {
@@ -195,7 +165,6 @@ bool Supervisor::spawn(Lease &L, double Now) {
     Ctx.Hi = L.Hi;
     Ctx.Skip = &L.Skip;
     Ctx.Cur = &S.Cur;
-    Ctx.Next = &S.Next;
     Ctx.Done = &S.Done;
     Ctx.Beat = &S.Beat;
     Ctx.Stop = &control(Page)->Stop;
@@ -203,7 +172,6 @@ bool Supervisor::spawn(Lease &L, double Now) {
   }
   // ------- parent
   L.Pid = Pid;
-  ++L.Spawns;
   L.St = Lease::State::Running;
   L.LastBeat = S.Beat.load(std::memory_order_relaxed);
   L.LastBeatAt = Now;
@@ -218,14 +186,25 @@ bool Supervisor::spawn(Lease &L, double Now) {
   return true;
 }
 
-SupervisorOutcome Supervisor::run(Timer &Total) {
+SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
+                                   Timer &Total) {
   SupervisorOutcome Out;
-  if (!Initialized) {
-    Out.Error = "supervisor not initialized";
-    return Out;
-  }
   Control *Ctl = control(Page);
   HeartbeatSlot *HB = slots(Page);
+  Ctl->Stop.store(0, std::memory_order_relaxed);
+  // Re-aim each slice's lease; the retry budget and the done count at the
+  // last death carry over from earlier runs.
+  for (const LeaseSlice &S : Slices) {
+    Lease &L = Leases[S.Index];
+    L.Lo = S.Lo;
+    L.Hi = S.Hi;
+    L.St = Lease::State::Pending;
+    L.RestartAt = 0;
+    L.DeathsAt.clear();
+    L.Skip.clear();
+    L.CrashBugs.clear();
+    L.Note.clear();
+  }
 
   for (;;) {
     double Now = Total.seconds();
@@ -257,10 +236,8 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
         ++Out.ForkFailures;
         double Delay = L.Retry.nextDelaySeconds();
         if (L.Retry.exhausted())
-          markLost(L,
-                   "fork failed " + std::to_string(L.Retry.attempts()) +
-                       " times (" + describeRetryPolicy(Cfg.Retry) + ")",
-                   Out);
+          markLost(L, "fork failed " + std::to_string(L.Retry.attempts()) +
+                          " times (" + describeRetryPolicy(Cfg.Retry) + ")");
         else
           L.RestartAt = Now + Delay;
         continue;
@@ -314,7 +291,7 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
         continue;
       }
       if (WIFEXITED(Status) && WEXITSTATUS(Status) == 3) {
-        markLost(L, "cannot write its results", Out);
+        markLost(L, "cannot write its results");
         continue;
       }
 
@@ -347,10 +324,8 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
 
       double Delay = L.Retry.nextDelaySeconds();
       if (L.Retry.exhausted()) {
-        markLost(L,
-                 "retry budget exhausted (last exit: " + Why + "; " +
-                     describeRetryPolicy(Cfg.Retry) + ")",
-                 Out);
+        markLost(L, "retry budget exhausted (last exit: " + Why + "; " +
+                        describeRetryPolicy(Cfg.Retry) + ")");
       } else {
         ++Out.Restarts;
         L.St = Lease::State::Pending;
@@ -364,21 +339,11 @@ SupervisorOutcome Supervisor::run(Timer &Total) {
         std::chrono::duration<double>(Cfg.PollSeconds));
   }
 
-  // Final accounting snapshot.
-  for (Lease &L : Leases) {
+  for (const LeaseSlice &S : Slices) {
+    Lease &L = Leases[S.Index];
     ShardOutcome SO;
     SO.Index = L.Index;
-    SO.Lo = L.Lo;
-    SO.Hi = L.Hi;
     SO.Lost = L.St == Lease::State::Lost;
-    if (SO.Lost) {
-      uint64_t Next = HB[L.Index].Next.load(std::memory_order_relaxed);
-      Next = std::min(std::max(Next, L.Lo), L.Hi);
-      // Estimate from the live cursor; the engine refines it against the
-      // last durable checkpoint at harvest time.
-      SO.LostIterations = L.Hi - Next;
-    }
-    SO.Spawns = L.Spawns;
     std::stable_sort(L.CrashBugs.begin(), L.CrashBugs.end(),
                      [](const BugRecord &A, const BugRecord &B) {
                        return A.MutantSeed < B.MutantSeed;

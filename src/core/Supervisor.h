@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-process campaign runner behind -fanout=N, the engine's only
-/// process path: a control loop with real lease management. The engine
-/// partitions the seed range into N *shard leases*;
-/// the Supervisor forks one child per lease and owns everything that can
-/// go wrong on the process boundary:
+/// The process executor behind -fanout=N: a control loop with real lease
+/// management. The engine slices each epoch across its workers and hands
+/// the Supervisor one *lease* per non-empty slice; the Supervisor forks
+/// one child per lease and owns everything that can go wrong on the
+/// process boundary:
 ///
-///   - **Heartbeats.** Every child publishes (current offset, cursor,
-///     done count, beat tick) into a MAP_SHARED control page. A running
+///   - **Heartbeats.** Every child publishes (current offset, done count,
+///     beat tick) into a MAP_SHARED control page. A running
 ///     lease whose beat tick stops advancing for LeaseHeartbeatSeconds is
 ///     a wedge *suspect* — but silence alone cannot distinguish a wedge
 ///     (deadlock, hung syscall) from one legitimately long solver query
@@ -24,8 +24,9 @@
 ///
 ///   - **Restarts.** A dead or wedged child is restarted under a
 ///     support/Retry bounded-exponential-backoff policy (deterministic
-///     jitter, per-lease stream). Checkpoint progress refills the budget:
-///     only a lease that keeps dying *without advancing* exhausts it.
+///     jitter, per-shard stream that lives for the whole campaign).
+///     Progress refills the budget: only a shard that keeps dying
+///     *without advancing* exhausts it.
 ///
 ///   - **Crash attribution.** A death with a seed in flight is retried
 ///     first — an externally killed child (chaos fault, OOM killer) must
@@ -35,21 +36,20 @@
 ///     BugRecord.
 ///
 ///   - **Degradation, never silence.** A lease whose budget is exhausted
-///     (or whose results cannot be written) becomes *Lost*: counted with
-///     its exact missing iteration range, surfaced as Degraded in the
-///     outcome — the run report flags `degraded: true` and alive-mutate
-///     exits 3, but the campaign completes with every other shard's
-///     results.
+///     (or whose results cannot be written) becomes *Lost*; the engine
+///     counts its exact missing iterations from the shard's last
+///     checkpoint, the run report flags `degraded: true` and alive-mutate
+///     exits 3.
 ///
 /// Determinism: the merged deterministic report section is byte-identical
 /// to -j1 whenever no lease ends Lost — restarts, backoff and external
 /// kills only cost wall clock, never outcomes.
 ///
 /// The Supervisor is deliberately generic: it knows processes, leases,
-/// heartbeats and retries, but not fuzzing. The child's work is a
-/// ShardBody callback (run after fork, returns the exit code) and crash
-/// bugs come from the CrashHook — CampaignEngine::runSupervised wires
-/// both to FuzzerLoop.
+/// heartbeats and retries, but not fuzzing or partitions. The child's work
+/// is a ShardBody callback (run after fork, returns the exit code) and
+/// crash bugs come from the CrashHook — CampaignEngine wires both to the
+/// same worker slice its threads run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,12 +70,8 @@
 
 namespace alive {
 
-/// Supervisor tunables (the -fanout / -retry-* / -lease-deadline knobs).
+/// Supervisor tunables (the -retry-* / -lease-deadline knobs).
 struct SupervisorConfig {
-  /// Number of shard leases == child processes.
-  unsigned Fanout = 2;
-  /// Total iteration range [0, Iterations) to partition across leases.
-  uint64_t Iterations = 0;
   /// Restart policy per lease (budget, backoff bounds, jitter).
   RetryPolicy Retry;
   /// A running lease whose beat tick stalls this long is declared wedged
@@ -89,16 +85,18 @@ struct SupervisorConfig {
   double PollSeconds = 0.01;
 };
 
+/// One lease of an epoch: shard \p Index runs seed offsets [Lo, Hi).
+struct LeaseSlice {
+  unsigned Index = 0;
+  uint64_t Lo = 0, Hi = 0;
+};
+
 /// Final accounting for one shard lease.
 struct ShardOutcome {
   unsigned Index = 0;
-  uint64_t Lo = 0, Hi = 0;
   /// Lease permanently lost: retry budget exhausted or results
-  /// unwritable. LostIterations = Hi - last known cursor.
+  /// unwritable.
   bool Lost = false;
-  uint64_t LostIterations = 0;
-  /// Child processes forked for this lease (1 == clean single run).
-  unsigned Spawns = 0;
   /// Crash bugs the parent synthesized (seed-attributed deaths past the
   /// threshold), in seed order.
   std::vector<BugRecord> CrashBugs;
@@ -106,21 +104,14 @@ struct ShardOutcome {
   std::string Note;
 };
 
-/// What the control loop observed, campaign-wide.
+/// What the control loop observed over one run().
 struct SupervisorOutcome {
-  /// Fatal setup error (mmap/initial state); "" when the loop ran.
-  std::string Error;
-  /// At least one lease was permanently lost.
-  bool Degraded = false;
   uint64_t Restarts = 0;        ///< child respawns (all causes)
   uint64_t Wedges = 0;          ///< heartbeat-deadline kills
   uint64_t ForkFailures = 0;    ///< failed/injected fork attempts
   uint64_t LeaseExtensions = 0; ///< beat-silent children spared for CPU progress
+  /// One outcome per lease, in the order run() was given them.
   std::vector<ShardOutcome> Shards;
-
-  /// (shard index, lost iteration count) for every Lost lease — the run
-  /// report's `lost_shards` array.
-  std::vector<std::pair<unsigned, uint64_t>> lostShards() const;
 };
 
 /// Forks, watches, restarts and accounts shard leases.
@@ -140,10 +131,8 @@ public:
     /// Offset in flight (IdleOffset between iterations). Release-stored
     /// by the child, acquire-read by the parent's crash attributor.
     std::atomic<uint64_t> *Cur = nullptr;
-    /// Resume cursor: first offset NOT yet completed. The parent's lost-
-    /// iteration accounting reads this when a lease dies for good.
-    std::atomic<uint64_t> *Next = nullptr;
-    /// Iterations completed by this lease across all of its processes.
+    /// The shard's done counter (see doneCounter()); the child bumps it
+    /// once per finished iteration.
     std::atomic<uint64_t> *Done = nullptr;
     /// Liveness tick: bump at least once per iteration (and once at
     /// body start); the wedge detector watches it.
@@ -172,24 +161,24 @@ public:
   Supervisor(const Supervisor &) = delete;
   Supervisor &operator=(const Supervisor &) = delete;
 
-  /// Maps the control page and computes the lease partition. \returns
-  /// false with \p Error filled when the page cannot be mapped; run() on
-  /// an uninitialized supervisor fails the same way.
-  bool init(std::string &Error);
+  /// Maps the control page with one heartbeat slot per shard. \returns
+  /// false with \p Error filled when the page cannot be mapped. Must
+  /// succeed before run().
+  bool init(unsigned Shards, std::string &Error);
 
-  unsigned shards() const { return (unsigned)Leases.size(); }
-
-  /// The lease's live done counter in the control page (for the engine's
-  /// -progress shard refs). Valid between init() and destruction.
-  const std::atomic<uint64_t> *doneCounter(unsigned I) const;
+  /// Shard \p I's done counter in the control page: iterations finished
+  /// by its children, for the engine's -progress refs and the stop check.
+  /// The engine seeds it with the shard's harvested total before each
+  /// run(). Valid between init() and destruction.
+  std::atomic<uint64_t> *doneCounter(unsigned I);
 
   void setCrashHook(CrashHook H) { OnCrash = std::move(H); }
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
 
-  /// Runs the control loop to completion: every lease Done or Lost.
-  /// \p Total is the campaign wall clock (backoff deadlines and the
-  /// outcome's timing are expressed against it).
-  SupervisorOutcome run(Timer &Total);
+  /// Runs one lease per slice to completion: every lease Done or Lost.
+  /// Shards keep their retry budgets from earlier runs. \p Total is the
+  /// campaign wall clock (backoff deadlines are expressed against it).
+  SupervisorOutcome run(const std::vector<LeaseSlice> &Slices, Timer &Total);
 
 private:
   struct Lease {
@@ -198,7 +187,6 @@ private:
     uint64_t Lo = 0, Hi = 0;
     State St = State::Pending;
     pid_t Pid = -1;
-    unsigned Spawns = 0;
     /// Restart budget + backoff schedule (support/Retry).
     RetryState Retry;
     /// Backoff gate: do not respawn before this Total.seconds() stamp.
@@ -226,7 +214,7 @@ private:
   };
 
   bool spawn(Lease &L, double Now);
-  void markLost(Lease &L, const std::string &Why, SupervisorOutcome &Out);
+  void markLost(Lease &L, const std::string &Why);
   void appendNote(Lease &L, const std::string &Msg);
 
   SupervisorConfig Cfg;
@@ -235,11 +223,11 @@ private:
   StopCheck ShouldStop;
 
   /// The MAP_SHARED control page: Control block + one HeartbeatSlot per
-  /// lease (layout in Supervisor.cpp).
+  /// shard (layout in Supervisor.cpp).
   void *Page = nullptr;
   size_t PageSize = 0;
+  /// One lease per shard; run() re-aims them at each epoch's slices.
   std::vector<Lease> Leases;
-  bool Initialized = false;
 };
 
 } // namespace alive

@@ -75,12 +75,12 @@ static void printHelp() {
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
       "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
-      "  -fanout=<n>       supervised multi-process campaign: <n> shard\n"
-      "                    leases with heartbeat deadlines, bounded-backoff\n"
-      "                    restart of dead/wedged children and partial-\n"
-      "                    result harvest (requires -n; the deterministic\n"
-      "                    report stays byte-identical to -j1 unless a\n"
-      "                    lease is permanently lost)\n"
+      "  -fanout=<n>       run the <n> workers' epoch slices in supervised\n"
+      "                    child processes: heartbeat deadlines, bounded-\n"
+      "                    backoff restart of dead/wedged children, shard\n"
+      "                    results restored at each epoch (requires -n; the\n"
+      "                    deterministic report stays byte-identical to -j1\n"
+      "                    unless a lease is permanently lost)\n"
       "  -isolate-mem-mb=<n> RLIMIT_AS for -fanout children, in MiB\n"
       "  -isolate-cpu-s=<n>  RLIMIT_CPU for -fanout children, in seconds\n"
       "  -retry-max=<n>    restart budget per shard lease; checkpoint\n"

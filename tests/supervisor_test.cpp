@@ -9,7 +9,8 @@
 /// children, crash attribution through retry-then-skip, and the
 /// degradation ladder — a permanently lost lease is counted and flagged,
 /// never a silent gap, while every recovered fault leaves the
-/// deterministic report section byte-identical to an undisturbed -j1 run.
+/// deterministic report section byte-identical to an undisturbed -j1 run,
+/// blind and under -feedback, fresh and resumed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,6 +74,21 @@ std::string deterministicReportPart(const CampaignEngine &Engine,
   size_t Pos = R.find("\"volatile\"");
   EXPECT_NE(Pos, std::string::npos);
   return R.substr(0, Pos);
+}
+
+/// A feedback campaign with a short epoch, so it crosses several barriers.
+FuzzOptions feedbackOptions(uint64_t Iterations) {
+  FuzzOptions Opts = twoBugOptions(Iterations);
+  Opts.Feedback.Enabled = true;
+  Opts.Feedback.EpochLength = 16;
+  return Opts;
+}
+
+/// A fresh (emptied) directory under the test temp dir.
+std::string scratchDir(const std::string &Name) {
+  std::string Dir = ::testing::TempDir() + "amr_sup_" + Name;
+  std::filesystem::remove_all(Dir);
+  return Dir;
 }
 
 /// Every test starts and ends with the process-global fault plane
@@ -266,17 +282,17 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   EXPECT_NE(T.configError().find("iteration-bounded"), std::string::npos)
       << T.configError();
 
-  // Feedback has no epoch barrier across supervised children.
+  // Feedback runs through the same epoch barrier as the thread path.
   FuzzOptions Fb = twoBugOptions(20);
   Fb.Survival.Fanout = 2;
   Fb.Feedback.Enabled = true;
   CampaignEngine F(Fb, 1);
   F.loadModule(parseOk(TwoBugCorpus));
   F.run();
-  EXPECT_NE(F.configError().find("-feedback"), std::string::npos)
-      << F.configError();
+  EXPECT_TRUE(F.configError().empty()) << F.configError();
 
-  // The flight recorder lives in child memory; the parent cannot flush it.
+  // The flight recorder and the cost trackers live in child memory, outside
+  // the shard checkpoint the parent restores.
   FuzzOptions Trace = twoBugOptions(20);
   Trace.Survival.Fanout = 2;
   Trace.TraceEnabled = true;
@@ -285,6 +301,12 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   TE.run();
   EXPECT_NE(TE.configError().find("-trace-json"), std::string::npos)
       << TE.configError();
+  FuzzOptions Prof = twoBugOptions(20);
+  Prof.Survival.Fanout = 2;
+  Prof.Profile.Enabled = true;
+  CampaignEngine PE(Prof, 1);
+  EXPECT_NE(PE.configError().find("-profile"), std::string::npos)
+      << PE.configError();
 }
 
 TEST_F(SupervisorTest, FanoutChildrenHonorWallTimeout) {
@@ -304,4 +326,177 @@ TEST_F(SupervisorTest, FanoutChildrenHonorWallTimeout) {
   EXPECT_EQ(Engine.registry().counterValue(
                 "survive.timeout.reason.wall-clock"),
             S.Timeouts);
+}
+
+//===----------------------------------------------------------------------===//
+// Feedback under -fanout: the children run the same epoch loop's slices,
+// and the parent's barrier merges their harvested coverage.
+//===----------------------------------------------------------------------===//
+
+TEST_F(SupervisorTest, FanoutFeedbackMatchesThreadedFeedback) {
+  const uint64_t Iterations = 64;
+  FuzzOptions Plain = feedbackOptions(Iterations);
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+  ASSERT_GT(Ref.bugs().size(), 0u);
+  const std::string RefReport = deterministicReportPart(Ref, Plain);
+
+  CampaignEngine Threads(Plain, 2);
+  Threads.loadModule(parseOk(TwoBugCorpus));
+  Threads.run();
+  ASSERT_TRUE(Threads.configError().empty()) << Threads.configError();
+  EXPECT_EQ(deterministicReportPart(Threads, Plain), RefReport);
+
+  FuzzOptions Fan = feedbackOptions(Iterations);
+  Fan.Survival.Fanout = 2;
+  CampaignEngine Engine(Fan, 1);
+  Engine.loadModule(parseOk(TwoBugCorpus));
+  Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded());
+  EXPECT_FALSE(Engine.interrupted());
+  EXPECT_EQ(Engine.registry().counterValue("feedback.epochs"), 4u);
+  EXPECT_EQ(deterministicReportPart(Engine, Fan), RefReport);
+  EXPECT_TRUE(Engine.feedback() == Ref.feedback());
+  EXPECT_TRUE(Engine.schedule() == Ref.schedule());
+}
+
+TEST_F(SupervisorTest, InjectedChildKillUnderFeedbackIsByteStable) {
+  // A feedback child never checkpoints mid-epoch, so its restart re-runs
+  // the whole slice from the parent's barrier state: the report must not
+  // move.
+  const uint64_t Iterations = 64;
+  FuzzOptions Plain = feedbackOptions(Iterations);
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+
+  std::string Err;
+  // Call 3 is the first child of the second epoch.
+  ASSERT_TRUE(FaultPlane::instance().arm("supervisor.kill:nth:3", Err))
+      << Err;
+  FuzzOptions Fan = fanoutOptions(Iterations, 2);
+  Fan.Feedback = Plain.Feedback;
+  CampaignEngine Engine(Fan, 1);
+  Engine.loadModule(parseOk(TwoBugCorpus));
+  Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded());
+  EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
+            1u);
+  EXPECT_EQ(deterministicReportPart(Engine, Fan),
+            deterministicReportPart(Ref, Plain));
+  EXPECT_TRUE(Engine.feedback() == Ref.feedback());
+}
+
+TEST_F(SupervisorTest, InterruptedFanoutFeedbackResumeMatchesUninterrupted) {
+  const uint64_t Iterations = 64;
+  const std::string Dir = scratchDir("fb_resume");
+  FuzzOptions Plain = feedbackOptions(Iterations);
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+
+  // A stop lands at the next epoch barrier, which is checkpointed.
+  FuzzOptions Fan = fanoutOptions(Iterations, 2);
+  Fan.Feedback = Plain.Feedback;
+  Fan.Survival.CheckpointDir = Dir;
+  CampaignEngine Leg1(Fan, 1);
+  Leg1.loadModule(parseOk(TwoBugCorpus));
+  Leg1.stopAfterIterations(20);
+  Leg1.run();
+  ASSERT_TRUE(Leg1.configError().empty()) << Leg1.configError();
+  ASSERT_TRUE(Leg1.interrupted());
+  EXPECT_EQ(Leg1.stats().MutantsGenerated, 32u);
+
+  FuzzOptions ResumeOpts = Fan;
+  ResumeOpts.Survival.Resume = true;
+  CampaignEngine Leg2(ResumeOpts, 1);
+  Leg2.loadModule(parseOk(TwoBugCorpus));
+  Leg2.run();
+  ASSERT_TRUE(Leg2.configError().empty()) << Leg2.configError();
+  EXPECT_FALSE(Leg2.interrupted());
+  EXPECT_EQ(deterministicReportPart(Leg2, ResumeOpts),
+            deterministicReportPart(Ref, Plain));
+  EXPECT_TRUE(Leg2.feedback() == Ref.feedback());
+  EXPECT_TRUE(Leg2.schedule() == Ref.schedule());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST_F(SupervisorTest, LostFeedbackLeaseEndsCampaignResumably) {
+  // A lease lost under feedback ends the campaign before that epoch's
+  // barrier: degraded with the lost slice counted exactly, interrupted,
+  // and resumable to the uninterrupted report.
+  const uint64_t Iterations = 64;
+  const std::string Dir = scratchDir("fb_lost");
+  FuzzOptions Plain = feedbackOptions(Iterations);
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+
+  std::string Err;
+  // Kill the first child of the second epoch, with no restart budget.
+  ASSERT_TRUE(FaultPlane::instance().arm("supervisor.kill:nth:3", Err))
+      << Err;
+  FuzzOptions Fan = fanoutOptions(Iterations, 2);
+  Fan.Feedback = Plain.Feedback;
+  Fan.Survival.CheckpointDir = Dir;
+  Fan.Survival.RetryMaxAttempts = 1;
+  CampaignEngine Leg1(Fan, 1);
+  Leg1.loadModule(parseOk(TwoBugCorpus));
+  Leg1.run();
+  ASSERT_TRUE(Leg1.configError().empty()) << Leg1.configError();
+  EXPECT_TRUE(Leg1.degraded());
+  EXPECT_TRUE(Leg1.interrupted());
+  ASSERT_EQ(Leg1.lostShards().size(), 1u);
+  EXPECT_EQ(Leg1.lostShards()[0], std::make_pair(0u, uint64_t(8)));
+  // Epoch 0 plus shard 1's half of epoch 1.
+  EXPECT_EQ(Leg1.stats().MutantsGenerated, 24u);
+  EXPECT_EQ(Leg1.registry().counterValue("feedback.epochs"), 1u);
+
+  FaultPlane::instance().reset();
+  FuzzOptions ResumeOpts = Fan;
+  ResumeOpts.Survival.Resume = true;
+  CampaignEngine Leg2(ResumeOpts, 1);
+  Leg2.loadModule(parseOk(TwoBugCorpus));
+  Leg2.run();
+  ASSERT_TRUE(Leg2.configError().empty()) << Leg2.configError();
+  EXPECT_FALSE(Leg2.degraded());
+  EXPECT_FALSE(Leg2.interrupted());
+  EXPECT_EQ(deterministicReportPart(Leg2, ResumeOpts),
+            deterministicReportPart(Ref, Plain));
+  EXPECT_TRUE(Leg2.feedback() == Ref.feedback());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST_F(SupervisorTest, FreshFanoutRunIgnoresStaleShardCheckpoints) {
+  // Regression: a fresh -fanout campaign pointed at another campaign's
+  // checkpoint directory used to adopt that campaign's shards. Without
+  // -resume the directory's old contents must not matter.
+  const std::string Dir = scratchDir("stale");
+  auto RunSeed = [&](uint64_t Seed, const std::string &CkDir) {
+    FuzzOptions Opts = fanoutOptions(100, 2);
+    Opts.BaseSeed = Seed;
+    Opts.Survival.CheckpointDir = CkDir;
+    CampaignEngine Engine(Opts, 1);
+    Engine.loadModule(parseOk(TwoBugCorpus));
+    Engine.run();
+    EXPECT_TRUE(Engine.configError().empty()) << Engine.configError();
+    return deterministicReportPart(Engine, Opts);
+  };
+  const std::string Seed7 = RunSeed(7, Dir);
+  const std::string Clean = RunSeed(9, "");
+  ASSERT_NE(Seed7, Clean);
+  // The killed first child's restart reads its shard file, which must
+  // already be this campaign's.
+  std::string Err;
+  ASSERT_TRUE(FaultPlane::instance().arm("supervisor.kill:nth:1", Err))
+      << Err;
+  EXPECT_EQ(RunSeed(9, Dir), Clean);
+  std::filesystem::remove_all(Dir);
 }

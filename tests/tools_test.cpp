@@ -227,12 +227,14 @@ TEST_F(ToolsTest, AliveMutateRejectsTimeLimitedCheckpointAndFeedback) {
                    "/ck_t" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -feedback" + In), 1);
-  // Feedback's epoch barrier excludes -fanout and bundle trails, and
-  // -distill is meaningless without the coverage a feedback run collects.
+  // Feedback's epoch barrier excludes bundle trails, and -distill is
+  // meaningless without the coverage a feedback run collects. -fanout
+  // children run the same epochs, so feedback crosses the process
+  // boundary.
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -isolate" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -fanout=2" + In),
-            1);
+            0);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -bug-bundles=" +
                    TmpDir + "/bb" + In),
             1);
@@ -242,6 +244,27 @@ TEST_F(ToolsTest, AliveMutateRejectsTimeLimitedCheckpointAndFeedback) {
                    " -n=8 -feedback -feedback-epoch=4 -distill" + In),
             0);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=8 -feedback=off" + In), 0);
+}
+
+TEST_F(ToolsTest, AliveMutateFanoutResumeNeedsEveryShard) {
+  // Regression: -fanout -resume with a shard file missing used to exit 0
+  // and silently re-run that lease from scratch. It is the thread path's
+  // config error now: resume needs every shard.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Ckpt = TmpDir + "/ckpt_missing_shard";
+  std::string Err = TmpDir + "/missing_shard.err";
+  ASSERT_EQ(runCmd("rm -rf " + Ckpt), 0);
+  ASSERT_EQ(runCmd(tool("alive-mutate") + " -n=20 -fanout=2 -checkpoint=" +
+                   Ckpt + In),
+            0);
+  ASSERT_EQ(runCmd("rm " + Ckpt + "/shard-1.json"), 0);
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=20 -fanout=2 -resume" +
+                   " -checkpoint=" + Ckpt + In + " 2> " + Err + ")"),
+            1);
+  EXPECT_NE(readFile(Err).find("cannot resume: cannot read '" + Ckpt +
+                               "/shard-1.json'"),
+            std::string::npos)
+      << readFile(Err);
 }
 
 TEST_F(ToolsTest, AliveMutateSkipsBrokenCorpusFiles) {
