@@ -160,6 +160,7 @@ BENCHMARK(BM_SatEquivalenceQuery);
 // violation of zext(x) * zext(y) ule zext(x) * 0xffffffff over a widened
 // i64 multiply, stopped by the validator's 4000-conflict budget.
 void BM_SatBudgetQuery(benchmark::State &State) {
+  int Vars = 0;
   for (auto _ : State) {
     TermBuilder B;
     TermRef X = B.mkZExt(B.mkVar(32, "x"), 64);
@@ -170,9 +171,30 @@ void BM_SatBudgetQuery(benchmark::State &State) {
                                   B.mkMul(X, B.mkConst(64, 0xffffffffULL)))));
     auto R = S.solve(/*ConflictBudget=*/4000);
     benchmark::DoNotOptimize(R);
+    Vars = S.numVars();
   }
+  State.counters["vars"] = Vars;
 }
 BENCHMARK(BM_SatBudgetQuery)->Unit(benchmark::kMillisecond);
+
+// Lowering only: the quotient and remainder of one i64 division. Dividers
+// repeat the most gates (one shared restoring core for udiv and urem, and
+// the divisor's negation at every step), so they gain most from gate
+// hashing; "vars" is the formula's size.
+void BM_BlastUDiv64(benchmark::State &State) {
+  int Vars = 0;
+  for (auto _ : State) {
+    TermBuilder B;
+    TermRef X = B.mkVar(64, "x"), Y = B.mkVar(64, "y");
+    SatSolver S;
+    BitBlaster BB(S);
+    benchmark::DoNotOptimize(BB.blast(B.mkUDiv(X, Y)).data());
+    benchmark::DoNotOptimize(BB.blast(B.mkURem(X, Y)).data());
+    Vars = S.numVars();
+  }
+  State.counters["vars"] = Vars;
+}
+BENCHMARK(BM_BlastUDiv64)->Unit(benchmark::kMillisecond);
 
 void BM_APIntMul64(benchmark::State &State) {
   APInt A(64, 0x123456789ABCDEFULL), Bv(64, 0xFEDCBA987654321ULL);

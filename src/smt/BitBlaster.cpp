@@ -7,8 +7,18 @@
 #include "smt/BitBlaster.h"
 
 #include <cassert>
+#include <cstdlib>
 
 using namespace alive;
+
+namespace {
+
+/// The gate tables' key for the input pair (A, B).
+uint64_t gateKey(Lit A, Lit B) {
+  return (uint64_t)(uint32_t)A << 32 | (uint32_t)B;
+}
+
+} // namespace
 
 BitBlaster::BitBlaster(SatSolver &Solver) : Solver(Solver) {
   TrueLit = Solver.newVar();
@@ -26,7 +36,12 @@ Lit BitBlaster::mkAnd(Lit A, Lit B) {
     return A;
   if (A == -B)
     return -TrueLit;
-  Lit R = freshLit();
+  if (A > B)
+    std::swap(A, B);
+  Lit &R = AndGates[gateKey(A, B)];
+  if (R)
+    return R;
+  R = freshLit();
   Solver.addClause(-R, A);
   Solver.addClause(-R, B);
   Solver.addClause(R, -A, -B);
@@ -48,12 +63,21 @@ Lit BitBlaster::mkXor(Lit A, Lit B) {
     return -TrueLit;
   if (A == -B)
     return TrueLit;
-  Lit R = freshLit();
-  Solver.addClause(-R, A, B);
-  Solver.addClause(-R, -A, -B);
-  Solver.addClause(R, -A, B);
-  Solver.addClause(R, A, -B);
-  return R;
+  // xor(-a, b) == -xor(a, b): key on the positive inputs, apply the parity.
+  bool Flip = (A < 0) != (B < 0);
+  A = std::abs(A);
+  B = std::abs(B);
+  if (A > B)
+    std::swap(A, B);
+  Lit &R = XorGates[gateKey(A, B)];
+  if (!R) {
+    R = freshLit();
+    Solver.addClause(-R, A, B);
+    Solver.addClause(-R, -A, -B);
+    Solver.addClause(R, -A, B);
+    Solver.addClause(R, A, -B);
+  }
+  return Flip ? -R : R;
 }
 
 Lit BitBlaster::mkMux(Lit Sel, Lit T, Lit E) {
@@ -133,6 +157,7 @@ void BitBlaster::udivrem(const std::vector<Lit> &A, const std::vector<Lit> &B,
   size_t W = A.size();
   Quot.assign(W, -TrueLit);
   Rem.assign(W, -TrueLit);
+  std::vector<Lit> NegB = negate(B);
   for (size_t Step = W; Step-- > 0;) {
     // Rem = (Rem << 1) | A[Step]
     for (size_t I = W; I-- > 1;)
@@ -140,13 +165,13 @@ void BitBlaster::udivrem(const std::vector<Lit> &A, const std::vector<Lit> &B,
     Rem[0] = A[Step];
     // If Rem >= B: Rem -= B, Quot[Step] = 1.
     Lit GE = -ultBit(Rem, B);
-    std::vector<Lit> Diff = addBits(Rem, negate(B), -TrueLit);
+    std::vector<Lit> Diff = addBits(Rem, NegB, -TrueLit);
     Rem = muxBits(GE, Diff, Rem);
     Quot[Step] = GE;
   }
-  // Total convention for B == 0: Quot = 0, Rem = A. The restoring loop
-  // already yields Rem = A (never subtracts... it would subtract since
-  // Rem >= 0 is always true), so mux explicitly.
+  // Total convention for B == 0: Quot = 0, Rem = A. With B == 0 every step
+  // has Rem >= B and subtracts zero, so the loop leaves Rem = A but Quot
+  // all ones: Quot needs the mux, and Rem gets it too.
   Lit BZero = isZero(B);
   std::vector<Lit> Zero(W, -TrueLit);
   Quot = muxBits(BZero, Zero, Quot);
@@ -206,14 +231,39 @@ std::vector<Lit> BitBlaster::shiftBits(TermKind Kind,
   return muxBits(TooBig, FillVec, Cur);
 }
 
-const std::vector<Lit> &BitBlaster::blast(TermRef T) {
-  auto It = Cache.find(T);
+const std::vector<Lit> &BitBlaster::blast(TermRef Root) {
+  auto It = Cache.find(Root);
   if (It != Cache.end())
     return It->second;
 
+  // Post-order with an explicit stack (terms can be deep). Operands are
+  // pushed last-first so they are lowered left to right, each subterm
+  // before the next: the gate numbering is fixed by the term alone.
+  std::vector<TermRef> Stack{Root};
+  while (!Stack.empty()) {
+    TermRef T = Stack.back();
+    if (Cache.count(T)) {
+      Stack.pop_back();
+      continue;
+    }
+    bool Ready = true;
+    for (size_t I = T->Ops.size(); I-- > 0;)
+      if (!Cache.count(T->Ops[I])) {
+        Stack.push_back(T->Ops[I]);
+        Ready = false;
+      }
+    if (!Ready)
+      continue;
+    Stack.pop_back();
+    Cache.emplace(T, blastNode(T));
+  }
+  return Cache.at(Root);
+}
+
+std::vector<Lit> BitBlaster::blastNode(TermRef T) {
   std::vector<Lit> Bits;
   auto Op = [&](unsigned I) -> const std::vector<Lit> & {
-    return blast(T->Ops[I]);
+    return Cache.at(T->Ops[I]);
   };
 
   switch (T->Kind) {
@@ -319,7 +369,7 @@ const std::vector<Lit> &BitBlaster::blast(TermRef T) {
     break;
   }
   case TermKind::Ite:
-    Bits = muxBits(blastBit(T->Ops[0]), Op(1), Op(2));
+    Bits = muxBits(Op(0)[0], Op(1), Op(2));
     break;
   case TermKind::ZExt: {
     Bits = Op(0);
@@ -340,7 +390,7 @@ const std::vector<Lit> &BitBlaster::blast(TermRef T) {
   }
 
   assert(Bits.size() == T->Width && "blasted width mismatch");
-  return Cache.emplace(T, std::move(Bits)).first->second;
+  return Bits;
 }
 
 APInt BitBlaster::modelValue(TermRef T) {

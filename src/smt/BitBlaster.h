@@ -10,6 +10,17 @@
 /// comparator chains. Every Term node gets a vector of SAT literals
 /// (LSB first); results are cached so the DAG is lowered once.
 ///
+/// Gates are hash-consed as well: one Tseitin variable per (kind, inputs).
+/// AND is keyed on its ordered input pair, XOR on its ordered pair of
+/// positive inputs with the sign parity applied to the result, so
+/// xor(-a, b) is the negation of xor(a, b). OR and MUX are built from AND
+/// and share through it. A repeated gate, within one term or across terms
+/// lowered into the same blaster, returns the literal it already has, and
+/// the solver never has to rediscover that two copies are equal.
+///
+/// blast() walks the term with an explicit post-order stack, operands left
+/// to right, so term depth is bounded by memory rather than the C++ stack.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMT_BITBLASTER_H
@@ -19,6 +30,7 @@
 #include "smt/Term.h"
 
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace alive {
@@ -58,6 +70,9 @@ private:
   Lit mkMux(Lit Sel, Lit T, Lit E);
   Lit freshLit() { return Solver.newVar(); }
 
+  /// Lowers one node whose operands are all in Cache.
+  std::vector<Lit> blastNode(TermRef T);
+
   std::vector<Lit> addBits(const std::vector<Lit> &A,
                            const std::vector<Lit> &B, Lit CarryIn);
   std::vector<Lit> negate(const std::vector<Lit> &A);
@@ -78,8 +93,10 @@ private:
 
   SatSolver &Solver;
   Lit TrueLit;
-  std::map<TermRef, std::vector<Lit>> Cache;
+  std::unordered_map<TermRef, std::vector<Lit>> Cache;
   std::map<unsigned, std::pair<unsigned, std::vector<Lit>>> VarBits;
+  /// One output literal per gate input pair (see the file comment).
+  std::unordered_map<uint64_t, Lit> AndGates, XorGates;
 };
 
 } // namespace alive

@@ -352,30 +352,12 @@ TVResult checkSymbolic(const Function &Src, const Function &Tgt,
   TVResult Res;
   Timer EncodeT;
   TermBuilder B;
-  FunctionEncoder Enc(B);
-
-  std::vector<EncodedValue> Args = Enc.makeArguments(Src);
-  EncodedFunction S = Enc.encode(Src, Args);
-  EncodedFunction T = Enc.encode(Tgt, Args);
-
-  // Violation condition:
-  //   not src.UB  AND  ( tgt.UB
-  //                      OR (not src.RetPoison AND
-  //                          (tgt.RetPoison OR tgt.RetVal != src.RetVal)))
-  TermRef Violation;
-  if (S.RetVal) {
-    TermRef ValueBad = B.mkOr(
-        T.RetPoison, B.mkNe(T.RetVal, S.RetVal));
-    Violation = B.mkAnd(
-        B.mkNot(S.UB),
-        B.mkOr(T.UB, B.mkAnd(B.mkNot(S.RetPoison), ValueBad)));
-  } else {
-    Violation = B.mkAnd(B.mkNot(S.UB), T.UB);
-  }
+  SymbolicQuery Q = encodeRefinementQuery(B, Src, Tgt);
+  const std::vector<EncodedValue> &Args = Q.Args;
 
   SatSolver Solver;
   BitBlaster BB(Solver);
-  BB.assertTrue(Violation);
+  BB.assertTrue(Q.Violation);
   Res.EncodeSeconds = EncodeT.seconds();
 
   Timer SolveT;
@@ -448,6 +430,29 @@ TVResult checkSymbolic(const Function &Src, const Function &Tgt,
 }
 
 } // namespace
+
+SymbolicQuery alive::encodeRefinementQuery(TermBuilder &B, const Function &Src,
+                                           const Function &Tgt) {
+  FunctionEncoder Enc(B);
+  SymbolicQuery Q;
+  Q.Args = Enc.makeArguments(Src);
+  EncodedFunction S = Enc.encode(Src, Q.Args);
+  EncodedFunction T = Enc.encode(Tgt, Q.Args);
+
+  // Violation condition:
+  //   not src.UB  AND  ( tgt.UB
+  //                      OR (not src.RetPoison AND
+  //                          (tgt.RetPoison OR tgt.RetVal != src.RetVal)))
+  if (S.RetVal) {
+    TermRef ValueBad = B.mkOr(T.RetPoison, B.mkNe(T.RetVal, S.RetVal));
+    Q.Violation =
+        B.mkAnd(B.mkNot(S.UB),
+                B.mkOr(T.UB, B.mkAnd(B.mkNot(S.RetPoison), ValueBad)));
+  } else {
+    Q.Violation = B.mkAnd(B.mkNot(S.UB), T.UB);
+  }
+  return Q;
+}
 
 std::string alive::tvVerdictReason(const TVResult &R) {
   auto Has = [&R](const char *Needle) {

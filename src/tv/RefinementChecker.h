@@ -36,6 +36,7 @@
 #include "smt/SatSolver.h"
 #include "support/Cancellation.h"
 #include "support/Telemetry.h"
+#include "tv/FunctionEncoder.h"
 
 #include <string>
 #include <vector>
@@ -122,6 +123,17 @@ TVResult checkRefinement(const Function &Src, const Function &Tgt,
 /// paper's "drop functions Alive2 cannot handle" filtering (§III-A).
 TVResult checkSelfRefinement(const Function &F,
                              const TVOptions &Opts = TVOptions());
+
+/// The symbolic path's query for (Src, Tgt): the shared argument encodings
+/// and the width-1 violation term, which is 1 exactly on the inputs (and
+/// freeze choices) that refute refinement. Both functions must be
+/// symbolically supported and have identical signatures.
+struct SymbolicQuery {
+  std::vector<EncodedValue> Args;
+  TermRef Violation = nullptr;
+};
+SymbolicQuery encodeRefinementQuery(TermBuilder &B, const Function &Src,
+                                    const Function &Tgt);
 
 } // namespace alive
 

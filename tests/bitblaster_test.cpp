@@ -241,6 +241,173 @@ TEST(TermBuilderTest, HashConsing) {
   EXPECT_EQ(B.mkIte(B.mkVar(1, "c"), X, X), X);
 }
 
+namespace {
+
+/// Picks an operand, preferring the newest terms so chains grow deep while
+/// older terms keep being shared.
+TermRef pickFrom(RandomGenerator &RNG, const std::vector<TermRef> &Pool) {
+  if (Pool.size() > 4 && RNG.flip())
+    return Pool[Pool.size() - 1 - RNG.below(4)];
+  return Pool[RNG.below(Pool.size())];
+}
+
+/// A random forest of term DAGs over word variables of width \p W and one
+/// boolean variable; returns its width-1 roots. Every TermKind appears as
+/// the generator cycles through them, each node draws its operands from
+/// earlier nodes (so subterms are shared across roots), and every root is
+/// accompanied by its negation.
+std::vector<TermRef> randomForest(TermBuilder &B, RandomGenerator &RNG,
+                                  const std::vector<TermRef> &WordVars,
+                                  TermRef BoolVar, unsigned W) {
+  std::vector<TermRef> Words = WordVars, Bools{BoolVar};
+  Words.push_back(B.mkConst(RNG.nextAPInt(W)));
+  for (int Round = 0; Round != 2; ++Round)
+    for (TermKind K : AllKinds) {
+      TermRef X = pickFrom(RNG, Words), Y = pickFrom(RNG, Words);
+      switch (K) {
+      case TermKind::Eq:
+      case TermKind::Ult:
+      case TermKind::Slt:
+        Bools.push_back(buildKind(B, K, X, Y, W));
+        break;
+      case TermKind::And:
+      case TermKind::Or:
+      case TermKind::Xor:
+      case TermKind::Not:
+        Words.push_back(buildKind(B, K, X, Y, W));
+        Bools.push_back(
+            buildKind(B, K, pickFrom(RNG, Bools), pickFrom(RNG, Bools), 1));
+        break;
+      case TermKind::ZExt:
+      case TermKind::SExt: {
+        // Back to W bits through the extension's top bits.
+        TermRef Ext = buildKind(B, K, X, Y, W);
+        Words.push_back(B.mkTrunc(B.mkLShr(Ext, B.mkConst(W + 3, 3)), W));
+        break;
+      }
+      case TermKind::Trunc:
+        if (W > 1)
+          Words.push_back(B.mkSExt(buildKind(B, K, X, Y, W), W));
+        break;
+      default:
+        Words.push_back(buildKind(B, K, X, Y, W));
+        break;
+      }
+      if (RNG.chance(1, 4))
+        Words.push_back(B.mkIte(pickFrom(RNG, Bools), X, Y));
+    }
+
+  std::vector<TermRef> Roots;
+  for (TermRef R : Bools)
+    if (!R->isConst())
+      Roots.push_back(R);
+  // Identities are unsatisfiable roots: the blaster must lower both sides
+  // to gates the solver can equate.
+  TermRef X = pickFrom(RNG, Words), Y = pickFrom(RNG, Words);
+  Roots.push_back(B.mkNe(B.mkAdd(X, Y), B.mkAdd(Y, X)));
+  Roots.push_back(B.mkNe(B.mkMul(X, Y), B.mkMul(Y, X)));
+  Roots.push_back(
+      B.mkNe(B.mkSub(X, Y), B.mkAdd(X, B.mkSub(B.mkConst(W, 0), Y))));
+  size_t N = Roots.size();
+  for (size_t I = 0; I != N; ++I)
+    Roots.push_back(B.mkNot(Roots[I]));
+  return Roots;
+}
+
+} // namespace
+
+// Property: gates shared across many terms in one blaster stay sound. Each
+// width-1 root of a random forest is checked against exhaustive evaluation
+// of its inputs (16 bits at most): the solver's verdict must match whether
+// any assignment satisfies the root, and each model must evaluate every
+// root of the forest to the value the model gives it.
+TEST(BlasterTest, SharedGatesAgreeWithExhaustiveEvaluation) {
+  RandomGenerator RNG(2718);
+  unsigned Checked = 0, Satisfiable = 0;
+  for (int Trial = 0; Trial != 25; ++Trial) {
+    // Three words and a bool: 3W + 1 bits, 16 for the first trial only
+    // (exhaustive evaluation dominates the test's time).
+    unsigned W = Trial == 0 ? 5 : 1 + Trial % 4;
+    TermBuilder B;
+    std::vector<TermRef> WordVars = {B.mkVar(W, "x"), B.mkVar(W, "y"),
+                                     B.mkVar(W, "z")};
+    TermRef C = B.mkVar(1, "c");
+    std::vector<TermRef> Roots = randomForest(B, RNG, WordVars, C, W);
+
+    // Exhaustive ground truth: which roots some assignment satisfies.
+    std::vector<bool> Truth(Roots.size(), false);
+    unsigned Bits = 3 * W + 1;
+    for (uint64_t V = 0; V != 1ULL << Bits; ++V) {
+      std::map<unsigned, APInt> Assign;
+      for (unsigned I = 0; I != 3; ++I)
+        Assign.emplace(WordVars[I]->VarId, APInt(W, V >> (I * W)));
+      Assign.emplace(C->VarId, APInt(1, V >> (3 * W)));
+      for (size_t R = 0; R != Roots.size(); ++R)
+        if (!Truth[R] && !B.evaluate(Roots[R], Assign).isZero())
+          Truth[R] = true;
+    }
+
+    for (size_t R = 0; R != Roots.size(); ++R) {
+      SatSolver S;
+      BitBlaster BB(S);
+      for (TermRef Other : Roots)
+        (void)BB.blast(Other);
+      BB.assertTrue(Roots[R]);
+      SatSolver::Result Res = S.solve();
+      ++Checked;
+      ASSERT_EQ(Res == SatSolver::Result::Sat, (bool)Truth[R])
+          << "trial " << Trial << " root " << R;
+      if (Res != SatSolver::Result::Sat)
+        continue;
+      ++Satisfiable;
+      std::map<unsigned, APInt> Model = BB.extractAssignment();
+      EXPECT_FALSE(B.evaluate(Roots[R], Model).isZero());
+      for (TermRef Other : Roots)
+        EXPECT_EQ(BB.modelValue(Other), B.evaluate(Other, Model))
+            << "trial " << Trial << " root " << R;
+    }
+  }
+  // Both verdicts occur, so neither side of the comparison is vacuous.
+  EXPECT_GT(Satisfiable, 0u);
+  EXPECT_LT(Satisfiable, Checked);
+}
+
+// Structural hashing pins: commuted operands reuse every gate, and a
+// negated XOR input reuses the gate as its negation.
+TEST(BlasterTest, SharesGatesAcrossTerms) {
+  TermBuilder B;
+  TermRef X = B.mkVar(16, "x"), Y = B.mkVar(16, "y");
+  SatSolver S;
+  BitBlaster BB(S);
+  std::vector<Lit> XY = BB.blast(B.mkAdd(X, Y));
+  int Vars = S.numVars();
+  EXPECT_EQ(BB.blast(B.mkAdd(Y, X)), XY);
+  EXPECT_EQ(S.numVars(), Vars);
+
+  std::vector<Lit> Xor = BB.blast(B.mkXor(X, Y));
+  std::vector<Lit> XorNot = BB.blast(B.mkXor(B.mkNot(X), Y));
+  for (unsigned I = 0; I != 16; ++I)
+    EXPECT_EQ(XorNot[I], -Xor[I]);
+
+  BB.assertTrue(B.mkNe(B.mkAdd(X, Y), B.mkAdd(Y, X)));
+  EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
+  EXPECT_EQ(S.stats().Conflicts, 0u);
+}
+
+TEST(BlasterTest, BlastsDeepChain) {
+  // A long linear chain must not overflow the blaster (explicit stack).
+  TermBuilder B;
+  TermRef X = B.mkVar(1, "x"), Y = B.mkVar(1, "y");
+  TermRef T = X;
+  for (int I = 0; I != 100000; ++I)
+    T = B.mkAdd(T, Y);
+  SatSolver S;
+  BitBlaster BB(S);
+  // An even number of additions of y leaves x.
+  BB.assertTrue(B.mkNe(T, X));
+  EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
+}
+
 TEST(TermBuilderTest, EvaluateDeepChain) {
   // A long linear chain must not overflow the evaluator (explicit stack).
   TermBuilder B;

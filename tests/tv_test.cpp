@@ -675,3 +675,25 @@ done:
   EXPECT_NE(R.Detail.find("vacuous on target"), std::string::npos)
       << R.Detail;
 }
+
+// A 30,000-instruction chain sits under the symbolic path's size limit, and
+// its poison wire is a 30,000-deep term. Lowering it must not recurse once
+// per level, or the default 8 MB stack overflows.
+TEST(TVTest, DeepChainChecksSymbolically) {
+  std::string IR = "define i1 @src(i1 %x, i1 %y) {\n";
+  std::string Prev = "%x";
+  for (int I = 0; I != 30000; ++I) {
+    std::string Cur = "%v" + std::to_string(I);
+    IR += "  " + Cur + " = add i1 " + Prev + ", %y\n";
+    Prev = Cur;
+  }
+  IR += "  ret i1 " + Prev + "\n}\n";
+  std::string Err;
+  auto Src = parseModule(IR, Err);
+  auto Tgt = parseModule(IR, Err);
+  ASSERT_TRUE(Src && Tgt) << Err;
+  TVResult R = checkRefinement(*Src->getFunction("src"),
+                               *Tgt->getFunction("src"));
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_FALSE(R.UsedConcretePath);
+}
