@@ -175,7 +175,6 @@ int main(int argc, char **argv) {
     // which can only understate the reported speedups.
     Opts.Profile.Enabled = true;
     Opts.Profile.TopK = 8;
-    Opts.Profile.SamplingIntervalMs = 25;
 
     // --- Condition 1: alive-mutate (in-process), memoization on. ---
     CampaignEngine Fuzzer(Opts, Jobs);

@@ -35,8 +35,12 @@ invariants the telemetry subsystem guarantees:
     internally consistent (cost == decisions + propagations + conflicts,
     count positive, rank dense from 1) and the rows are sorted by the
     documented total order (cost desc, then key asc), while the volatile
-    side carries the sampling/cache-shard data with non-negative
-    counters.
+    side carries the cache-shard data with non-negative counters;
+  - the v8 span folds: every volatile profile stack starts at a worker
+    root "w<i>;" with a positive integer self_us, and the folded self
+    time adds up to at most the summed worker wall time. The folds are
+    exact; the tolerance covers each worker's one "preprocess" span,
+    which runs at setup, outside the slices worker_total times.
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -46,9 +50,10 @@ Exits non-zero with a message on the first violation.
 """
 
 import json
+import re
 import sys
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def fail(msg):
@@ -149,12 +154,21 @@ def check_report(path):
         data = vprof.get("data")
         if not isinstance(data, dict):
             fail("%s: volatile.profile.data missing" % path)
-        samp = data.get("sampling", {})
-        if not isinstance(samp.get("samples"), int) or samp["samples"] < 0:
-            fail("%s: profile sampling.samples not a non-negative int" % path)
-        for st in samp.get("stacks", []):
-            if not isinstance(st.get("stack"), str) or st.get("count", 0) <= 0:
-                fail("%s: malformed collapsed stack row %r" % (path, st))
+        stacks = data.get("spans", {}).get("stacks")
+        if not isinstance(stacks, list):
+            fail("%s: volatile.profile.data.spans.stacks missing" % path)
+        for st in stacks:
+            if not isinstance(st.get("stack"), str) or not re.match(r"w\d+;", st["stack"]):
+                fail("%s: span stack without a w<i>; root: %r" % (path, st))
+            if not isinstance(st.get("self_us"), int) or st["self_us"] <= 0:
+                fail("%s: span stack self_us not a positive int: %r" % (path, st))
+        folded = sum(st["self_us"] for st in stacks) / 1e6
+        worker = vol["stage_seconds"]["worker_total"]
+        if folded > worker + max(0.05 * worker, 0.002):
+            fail(
+                "%s: folded span self time %.6fs exceeds worker_total %.6fs"
+                % (path, folded, worker)
+            )
         for sh in data.get("cache_shards", []):
             for key in ("hits", "misses", "evictions", "inserts", "lock_waits"):
                 if not isinstance(sh.get(key), int) or sh[key] < 0:

@@ -50,16 +50,11 @@ std::string coherenceError(const FuzzOptions &Opts) {
              " needs an iteration-bounded campaign: replace -t=<sec> with "
              "-n=<count>";
   }
-  if (SV.Fanout) {
-    // The flight recorder, cost trackers and sampler live in child memory
-    // and are not part of the shard checkpoint the parent restores.
-    if (Opts.TraceEnabled)
-      return "-trace-json cannot cross the -fanout process boundary: the "
-             "flight recorder lives in shard memory";
-    if (Opts.Profile.Enabled)
-      return "-profile cannot cross the -fanout process boundary: the cost "
-             "trackers and span stacks live in shard memory";
-  }
+  // The flight recorder's ring lives in child memory and is not part of
+  // the shard checkpoint the parent restores.
+  if (SV.Fanout && Opts.TraceEnabled)
+    return "-trace-json cannot cross the -fanout process boundary: the "
+           "flight recorder lives in shard memory";
   if (Opts.Feedback.Enabled && !Opts.BugBundleDir.empty())
     return "-feedback cannot run with -bug-bundles: bundle trails replay "
            "seeds without the schedule and would not match the failing "
@@ -192,31 +187,6 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   return S;
 }
 
-void CampaignEngine::finishProfile(
-    const std::vector<const QueryCostTracker *> &Trackers) {
-  Profile = CampaignProfile();
-  if (!Opts.Profile.Enabled)
-    return;
-  Profile.Enabled = true;
-  Profile.TopK = Opts.Profile.TopK;
-  Profile.SamplingIntervalMs = Opts.Profile.SamplingIntervalMs;
-  // Worker-order merge of the K-bounded trackers yields the exact global
-  // top-K (Profiler.h has the proof sketch), so this block lands in the
-  // report's deterministic section.
-  QueryCostTracker Merged(Opts.Profile.TopK);
-  for (const QueryCostTracker *T : Trackers)
-    Merged.merge(*T);
-  Profile.TopQueries = Merged.top();
-  if (Sampler) {
-    Sampler->stop();
-    Profile.Collapsed = Sampler->collapsed();
-    Profile.Samples = Sampler->samples();
-    Sampler.reset();
-  }
-  if (SharedCache)
-    Profile.CacheShards = SharedCache->shardHeat();
-}
-
 namespace {
 
 /// One worker: a private FuzzerLoop over a private master-module clone,
@@ -281,6 +251,32 @@ FuzzOptions workerOptions(const FuzzOptions &Opts,
   if (Opts.Survival.Fanout)
     WOpts.Survival.SignalGuard = false;
   return WOpts;
+}
+
+/// The campaign's profile from its parked workers, in worker order. The
+/// K-bounded trackers merge to the exact global top-K (Profiler.h has the
+/// proof sketch), so that table lands in the report's deterministic
+/// section; each worker's span folds go under its "w<i>" root.
+CampaignProfile mergeProfile(const FuzzOptions &Opts,
+                             const std::vector<std::unique_ptr<Worker>> &Ws,
+                             const SharedTVCache *Cache) {
+  CampaignProfile P;
+  if (!Opts.Profile.Enabled)
+    return P;
+  P.Enabled = true;
+  P.TopK = Opts.Profile.TopK;
+  QueryCostTracker Merged(Opts.Profile.TopK);
+  for (const auto &W : Ws) {
+    Merged.merge(*W->Loop->queryCosts());
+    const std::string Root = "w" + std::to_string(W->Index) + ";";
+    for (const auto &[Stack, Nanos] : W->Loop->trace()->spanFolds())
+      P.SpanSelfNanos[Root + Stack] += Nanos;
+  }
+  P.TopQueries = Merged.top();
+  // Under -fanout the children heated their own copies of the cache.
+  if (Cache && !Opts.Survival.Fanout)
+    P.CacheShards = Cache->shardHeat();
+  return P;
 }
 
 } // namespace
@@ -455,8 +451,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     return true;
   };
 
-  // Validate and restore all resume state before any thread (sampler,
-  // worker, live observer) or child can observe the workers.
+  // Validate and restore all resume state before any thread (worker, live
+  // observer) or child can observe the workers.
   if (SV.Resume) {
     std::string Err;
     if (Feedback) {
@@ -773,16 +769,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     ~LiveGuard() { E->endLive(); }
   } LG{this};
 
-  // The wall-clock sampler rides the workers' live span stacks for the
-  // whole run window (barrier gaps just sample empty stacks).
-  if (Opts.Profile.Enabled) {
-    Sampler =
-        std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
-    for (auto &W : Workers)
-      Sampler->attach("w" + std::to_string(W->Index), W->Loop->trace());
-    Sampler->start();
-  }
-
   while (EpochStart < End) {
     if (Feedback && StopRequested())
       break;
@@ -829,8 +815,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       CheckpointAll();
   }
 
-  if (Sampler)
-    Sampler->stop();
   endLive();
 
   for (auto &W : Workers)
@@ -840,6 +824,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   if (Checkpointing)
     CheckpointAll();
 
+  // Before the loop below takes the workers' recorders.
+  Profile = mergeProfile(Opts, Workers, SharedCache.get());
   // Deterministic merge in worker order; the seed sort below restores the
   // sequential bug order where slices interleave seeds across workers
   // (same-seed bugs come from one worker's list, which stable_sort keeps).
@@ -853,10 +839,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   };
   if (auto T = MasterLoop->takeTrace())
     KeepTrace(std::move(T), "master");
-  std::vector<const QueryCostTracker *> CostTrackers;
   for (const auto &W : Workers) {
-    if (const QueryCostTracker *QT = W->Loop->queryCosts())
-      CostTrackers.push_back(QT);
     accumulate(Stats, W->Loop->stats());
     Registry.merge(W->Loop->registry());
     if (SaveDirError.empty())
@@ -870,7 +853,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     if (W->Next.load(std::memory_order_relaxed) != W->Hi)
       Interrupted = true;
   }
-  finishProfile(CostTrackers);
   std::stable_sort(Bugs.begin(), Bugs.end(),
                    [](const BugRecord &A, const BugRecord &B) {
                      return A.MutantSeed < B.MutantSeed;

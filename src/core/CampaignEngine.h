@@ -34,12 +34,12 @@
 /// backoff restarts and crash attribution (a seed that repeatedly kills
 /// its child becomes a recorded crash bug and is skipped). The child is a
 /// copy-on-write copy of the parent's worker at the barrier: it runs the
-/// same slice, checkpoints its shard (stats, bugs, counters and pending
-/// coverage) and exits, and the parent restores that checkpoint into its
-/// worker before the barrier. A lost lease is counted exactly against its
-/// last readable checkpoint; it ends the campaign degraded, and under
-/// feedback before that epoch's barrier, so the checkpoint stays
-/// resumable. The parent never runs an iteration itself.
+/// same slice, checkpoints its shard (stats, bugs, counters, pending
+/// coverage and -profile state) and exits, and the parent restores that
+/// checkpoint into its worker before the barrier. A lost lease is counted
+/// exactly against its last readable checkpoint; it ends the campaign
+/// degraded, and under feedback before that epoch's barrier, so the
+/// checkpoint stays resumable. The parent never runs an iteration itself.
 ///
 /// Determinism: one iteration's outcome depends only on its seed and the
 /// schedule frozen at its epoch's start (each iteration clones the master
@@ -207,8 +207,8 @@ public:
   std::vector<std::pair<std::string, uint64_t>> traceDropped() const;
 
   /// The finished campaign's cost-attribution profile (Opts.Profile):
-  /// deterministic merged top-K queries plus the volatile sampling folds
-  /// and cache shard heat. Enabled=false when profiling was off.
+  /// deterministic merged top-K queries plus the volatile span folds and
+  /// cache shard heat. Enabled=false when profiling was off.
   const CampaignProfile &profile() const { return Profile; }
 
 private:
@@ -269,12 +269,6 @@ private:
   std::vector<std::string> TraceNames;
   /// The finished campaign's merged cost-attribution profile.
   CampaignProfile Profile;
-  /// The wall-clock sampler, alive only while worker threads run;
-  /// its folds are moved into Profile at teardown.
-  std::unique_ptr<SamplingProfiler> Sampler;
-  /// Merges worker trackers (worker order) + sampler folds + shard heat
-  /// into Profile after the epoch loop joins its workers.
-  void finishProfile(const std::vector<const QueryCostTracker *> &Trackers);
 
   // --- Live progress (observer-only; read by liveSnapshot()) ---
 

@@ -79,6 +79,15 @@ void readStats(const JSONValue &J, FuzzStats &S) {
     S.*F.Member = bitsDouble(J.getUInt(std::string(F.Name) + "_bits"));
 }
 
+/// A tracked query's six per-occurrence solver counters, by name.
+constexpr std::pair<const char *, uint64_t QueryCost::*> QueryCounters[] = {
+    {"decisions", &QueryCost::Decisions},
+    {"propagations", &QueryCost::Propagations},
+    {"conflicts", &QueryCost::Conflicts},
+    {"learned_clauses", &QueryCost::LearnedClauses},
+    {"learned_literals", &QueryCost::LearnedLiterals},
+    {"restarts", &QueryCost::Restarts}};
+
 } // namespace
 
 uint64_t alive::hashModuleText(const std::string &Text) {
@@ -227,7 +236,34 @@ bool alive::writeWorkerCheckpoint(const std::string &Dir,
   OS << (W.Counters.empty() ? "" : "\n  ") << "],\n";
   OS << "  \"pending\": ";
   W.Pending.writeJSON(OS, "  ");
-  OS << "\n}\n";
+  OS << ",\n";
+  OS << "  \"queries\": [";
+  for (size_t I = 0; I != W.Queries.size(); ++I) {
+    const QueryCost &Q = W.Queries[I];
+    OS << (I ? ",\n" : "\n") << "    {\"key\": " << Q.KeyHash
+       << ", \"function\": ";
+    writeJSONString(OS, Q.Function);
+    OS << ", \"bundle\": ";
+    writeJSONString(OS, Q.BundlePath);
+    OS << ", \"verdict\": ";
+    writeJSONString(OS, Q.Verdict);
+    OS << ", \"first_seed\": " << Q.FirstSeed << ", \"count\": " << Q.Count
+       << ", \"symbolic\": " << (Q.Symbolic ? "true" : "false");
+    for (const auto &[Name, Member] : QueryCounters)
+      OS << ", \"" << Name << "\": " << Q.*Member;
+    OS << ", \"encode_s_bits\": " << doubleBits(Q.EncodeSeconds)
+       << ", \"solve_s_bits\": " << doubleBits(Q.SolveSeconds) << "}";
+  }
+  OS << (W.Queries.empty() ? "" : "\n  ") << "],\n";
+  OS << "  \"spans\": [";
+  bool First = true;
+  for (const auto &[Stack, Nanos] : W.SpanFolds) {
+    OS << (First ? "\n" : ",\n") << "    {\"stack\": ";
+    First = false;
+    writeJSONString(OS, Stack);
+    OS << ", \"self_ns\": " << Nanos << "}";
+  }
+  OS << (First ? "" : "\n  ") << "]\n}\n";
   return writeFileAtomic(shardPath(Dir, W.Index), OS.str(), Error);
 }
 
@@ -290,6 +326,25 @@ bool alive::readWorkerCheckpoint(const std::string &Dir, unsigned Index,
             (Error.empty() ? "missing pending coverage" : Error);
     return false;
   }
+  if (const JSONValue *Qs = J.find("queries"); Qs && Qs->isArray())
+    for (const JSONValue &E : Qs->Arr) {
+      QueryCost Q;
+      Q.KeyHash = E.getUInt("key");
+      Q.Function = E.getString("function");
+      Q.BundlePath = E.getString("bundle");
+      Q.Verdict = E.getString("verdict");
+      Q.FirstSeed = E.getUInt("first_seed");
+      Q.Count = E.getUInt("count");
+      Q.Symbolic = E.getBool("symbolic", false);
+      for (const auto &[Name, Member] : QueryCounters)
+        Q.*Member = E.getUInt(Name);
+      Q.EncodeSeconds = bitsDouble(E.getUInt("encode_s_bits"));
+      Q.SolveSeconds = bitsDouble(E.getUInt("solve_s_bits"));
+      W.Queries.push_back(std::move(Q));
+    }
+  if (const JSONValue *Ss = J.find("spans"); Ss && Ss->isArray())
+    for (const JSONValue &E : Ss->Arr)
+      W.SpanFolds[E.getString("stack")] = E.getUInt("self_ns");
   return true;
 }
 
@@ -304,6 +359,10 @@ WorkerCheckpoint alive::snapshotWorker(unsigned Index, uint64_t Lo,
   W.Stats = Loop.stats();
   W.Bugs = Loop.bugs();
   W.Pending = Loop.pendingFeedback();
+  if (const QueryCostTracker *QT = Loop.queryCosts()) {
+    W.Queries = QT->top();
+    W.SpanFolds = Loop.trace()->spanFolds();
+  }
   Loop.registry().forEachCounter(
       Volatility::Deterministic, [&](const std::string &Name, uint64_t V) {
         W.Counters.push_back({Name, V, /*IsVolatile=*/false});
@@ -318,6 +377,10 @@ WorkerCheckpoint alive::snapshotWorker(unsigned Index, uint64_t Lo,
 void alive::restoreWorker(const WorkerCheckpoint &W, FuzzerLoop &Loop) {
   Loop.restoreState(W.Stats, W.Bugs);
   Loop.restoreFeedback(W.Pending);
+  if (QueryCostTracker *QT = Loop.queryCosts()) {
+    QT->restore(W.Queries);
+    Loop.trace()->restoreSpanFolds(W.SpanFolds);
+  }
   for (const WorkerCheckpoint::Counter &C : W.Counters)
     Loop.mutableRegistry().counter(C.Name, C.IsVolatile
                                                ? Volatility::Volatile

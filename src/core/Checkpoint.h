@@ -11,7 +11,8 @@
 /// run. That works because the loop is seed-deterministic — mutant i is a
 /// pure function of BaseSeed + i — so the only "RNG state" a worker needs
 /// is its next seed. Everything else in a checkpoint is accumulated
-/// output: FuzzStats, the bug list, and the registry counters.
+/// output: FuzzStats, the bug list, the registry counters and, under
+/// -profile, the query cost tracker and the span folds.
 ///
 /// Layout: <dir>/meta.json (campaign identity: pipeline, seed range, job
 /// count, module hash — resume refuses a checkpoint taken under different
@@ -30,6 +31,7 @@
 
 #include "core/FuzzerLoop.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,8 +40,8 @@ namespace alive {
 /// Bump when the checkpoint layout changes incompatibly; resume refuses
 /// other versions rather than guessing. v2 added the feedback pins to the
 /// meta and the <dir>/feedback.json state file; v3 added each shard's
-/// pending coverage.
-constexpr unsigned CheckpointSchemaVersion = 3;
+/// pending coverage; v4 added each shard's -profile state.
+constexpr unsigned CheckpointSchemaVersion = 4;
 
 /// Campaign identity, pinned at checkpoint time and verified at resume:
 /// resuming under a different module, pipeline, seed range or job count
@@ -79,6 +81,10 @@ struct WorkerCheckpoint {
     bool IsVolatile = false;
   };
   std::vector<Counter> Counters;
+  /// -profile state (both empty when profiling is off): the cost
+  /// tracker's queries and the recorder's self nanoseconds per span stack.
+  std::vector<QueryCost> Queries;
+  std::map<std::string, uint64_t> SpanFolds;
 };
 
 /// FNV-1a 64-bit over \p Text (the resume-coherence module fingerprint).
@@ -113,7 +119,8 @@ WorkerCheckpoint snapshotWorker(unsigned Index, uint64_t Lo, uint64_t Hi,
                                 uint64_t Next, const FuzzerLoop &Loop);
 
 /// Restores a snapshot into a worker loop (stats, bugs, registry counters,
-/// pending coverage).
+/// pending coverage, and the cost tracker and span folds when the loop
+/// profiles).
 void restoreWorker(const WorkerCheckpoint &W, FuzzerLoop &Loop);
 
 /// Feedback-mode campaign state, checkpointed only at epoch boundaries

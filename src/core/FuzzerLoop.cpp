@@ -36,13 +36,11 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
   PM.setBugContext(&this->Opts.Bugs);
   PM.setTelemetry(&Registry);
   // Profiling rides the flight recorder's span sites: enabling -profile
-  // implicitly attaches a recorder (for the live span stack) even when
+  // implicitly attaches a recorder (for its span folds) even when
   // -trace-json was not requested.
   if (this->Opts.TraceEnabled || this->Opts.Profile.Enabled) {
     Trace = std::make_unique<TraceRecorder>(this->Opts.TraceCapacity);
     PM.setTrace(Trace.get());
-    if (this->Opts.Profile.Enabled)
-      Trace->setLiveStack(true);
   }
   if (this->Opts.Profile.Enabled)
     QueryCosts = std::make_unique<QueryCostTracker>(this->Opts.Profile.TopK);

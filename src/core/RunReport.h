@@ -64,7 +64,11 @@ namespace alive {
 /// every armed -inject-fault point; {"armed": false} in production).
 /// Lost work and injected faults are scheduling artifacts by definition,
 /// so none of this can enter the deterministic section.
-constexpr unsigned RunReportSchemaVersion = 7;
+/// v8: the volatile profile's "sampling" block (interval, sample count,
+/// sampled stacks) became "spans": {"stacks": [{"stack", "self_us"}]},
+/// the exact self time folded per span stack under "w<i>;" roots.
+/// "cache_shards" is empty under -fanout.
+constexpr unsigned RunReportSchemaVersion = 8;
 
 /// Report metadata that is not part of FuzzStats or the registry.
 struct RunReportConfig {

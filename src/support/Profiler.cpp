@@ -1,4 +1,4 @@
-//===- support/Profiler.cpp - Cost attribution & sampling profiler ---------===//
+//===- support/Profiler.cpp - Cost attribution and span folds -------------===//
 //
 // Part of the alive-mutate reproduction. MIT license.
 //
@@ -7,10 +7,8 @@
 #include "support/Profiler.h"
 
 #include "support/Telemetry.h"
-#include "support/TraceRecorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 using namespace alive;
@@ -65,6 +63,15 @@ void QueryCostTracker::record(const QueryCostSample &S) {
   Q.EncodeSeconds += S.EncodeSeconds;
   Q.SolveSeconds += S.SolveSeconds;
   if (ByKey.size() > K)
+    evictWorstLocked();
+}
+
+void QueryCostTracker::restore(const std::vector<QueryCost> &Top) {
+  std::lock_guard<std::mutex> L(M);
+  ByKey.clear();
+  for (const QueryCost &Q : Top)
+    ByKey.emplace(Q.KeyHash, Q);
+  while (ByKey.size() > K)
     evictWorstLocked();
 }
 
@@ -124,70 +131,6 @@ uint64_t QueryCostTracker::evicted() const {
 }
 
 //===----------------------------------------------------------------------===//
-// SamplingProfiler
-//===----------------------------------------------------------------------===//
-
-SamplingProfiler::SamplingProfiler(unsigned IntervalMs)
-    : IntervalMs(IntervalMs ? IntervalMs : 1) {}
-
-SamplingProfiler::~SamplingProfiler() { stop(); }
-
-void SamplingProfiler::attach(const std::string &Label,
-                              const TraceRecorder *R) {
-  Tracks.emplace_back(Label, R);
-}
-
-void SamplingProfiler::start() {
-  if (Running)
-    return;
-  Running = true;
-  Stopping = false;
-  Th = std::thread([this] { run(); });
-}
-
-void SamplingProfiler::stop() {
-  if (!Running)
-    return;
-  {
-    std::lock_guard<std::mutex> L(M);
-    Stopping = true;
-  }
-  CV.notify_all();
-  Th.join();
-  Running = false;
-}
-
-void SamplingProfiler::run() {
-  std::unique_lock<std::mutex> L(M);
-  for (;;) {
-    if (CV.wait_for(L, std::chrono::milliseconds(IntervalMs),
-                    [this] { return Stopping; }))
-      return;
-    // One sample per tick per track that has a non-empty live stack: an
-    // idle worker (between iterations, or already joined) contributes
-    // nothing rather than a misleading "idle" frame.
-    for (const auto &[Label, R] : Tracks) {
-      const char *Frames[TraceRecorder::MaxLiveDepth];
-      unsigned D = R->sampleLiveStack(Frames, TraceRecorder::MaxLiveDepth);
-      if (D == 0)
-        continue;
-      std::string Stack = Label;
-      for (unsigned I = 0; I != D; ++I) {
-        Stack += ';';
-        Stack += Frames[I];
-      }
-      ++Folded[Stack];
-      Samples.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-std::map<std::string, uint64_t> SamplingProfiler::collapsed() const {
-  std::lock_guard<std::mutex> L(M);
-  return Folded;
-}
-
-//===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
 
@@ -234,14 +177,15 @@ void alive::writeTopQueriesJSON(std::ostream &OS,
 void alive::writeProfileVolatileJSON(std::ostream &OS,
                                      const CampaignProfile &P,
                                      const std::string &Indent) {
-  OS << "{\"sampling\": {\"interval_ms\": " << P.SamplingIntervalMs
-     << ", \"samples\": " << P.Samples << ", \"stacks\": [";
+  OS << "{\"spans\": {\"stacks\": [";
   bool First = true;
-  for (const auto &[Stack, Count] : P.Collapsed) {
+  for (const auto &[Stack, Nanos] : P.SpanSelfNanos) {
+    if (Nanos < 1000)
+      continue;
     OS << (First ? "\n" : ",\n") << Indent << "   {\"stack\": ";
     First = false;
     writeJSONString(OS, Stack);
-    OS << ", \"count\": " << Count << "}";
+    OS << ", \"self_us\": " << Nanos / 1000 << "}";
   }
   OS << (First ? "" : "\n" + Indent + " ") << "]},\n"
      << Indent << " \"query_seconds\": [";

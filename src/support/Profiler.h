@@ -1,4 +1,4 @@
-//===- support/Profiler.h - Cost attribution & sampling profiler -*- C++ -*-===//
+//===- support/Profiler.h - Cost attribution and span folds ----*- C++ -*-===//
 //
 // Part of the alive-mutate reproduction. MIT license.
 //
@@ -24,39 +24,33 @@
 ///      evicted it, and the merged counts are exact. A -j4 campaign's
 ///      merged top-K is byte-identical to -j1's.
 ///
-///   2. SamplingProfiler — a volatile wall-clock profiler: a background
-///      thread periodically reads each worker's live span stack (pushed/
-///      popped by the existing TraceSpan RAII sites when enabled) and
-///      folds the samples into flamegraph-compatible collapsed stacks
-///      ("w0;iteration;optimize;pass:gvn 128"). Approximate by design —
-///      a torn read mid-push attributes one sample to a parent frame —
-///      and entirely lock-free on the worker side (relaxed/release
-///      atomics only), so the hot path stays unperturbed and TSan stays
-///      quiet.
+///   2. Span folds — volatile, exact wall-clock attribution: each
+///      worker's TraceRecorder adds the self time of every closed
+///      TraceSpan under its span stack, and the engine merges the folds
+///      under "w<i>;" roots into flamegraph-compatible collapsed stacks
+///      ("w0;optimize;pass.gvn"). No sampling thread, no torn reads.
 ///
-/// CampaignProfile bundles both (plus the shared TV cache's per-shard
-/// heat counters) for the run report's profile blocks.
+/// Both are per-worker state that the shard checkpoint carries, so a
+/// resumed campaign and a -fanout campaign report them like an
+/// uninterrupted in-process one. CampaignProfile bundles both (plus the
+/// shared TV cache's per-shard heat counters) for the run report's
+/// profile blocks.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_PROFILER_H
 #define SUPPORT_PROFILER_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 namespace alive {
-
-class TraceRecorder;
 
 /// 64-bit FNV-1a. Used for the query key hash instead of std::hash so the
 /// profile block is stable across standard libraries and platforms.
@@ -64,13 +58,11 @@ uint64_t fnv1a64(std::string_view S);
 
 /// Profiling knobs, threaded through FuzzOptions (one copy per worker).
 struct ProfileOptions {
-  /// Master switch (-profile). Off = zero-cost: no tracker, no recorder
-  /// live stack, no sampler thread.
+  /// Master switch (-profile). Off = zero-cost: no tracker and, unless
+  /// -trace-json asks for one, no span recorder.
   bool Enabled = false;
   /// Top-K most-expensive-query tracker capacity (-profile-topk).
   unsigned TopK = 16;
-  /// Wall-clock sampler period in milliseconds (-profile-interval).
-  unsigned SamplingIntervalMs = 10;
 };
 
 /// One TV query observation, as recorded by the fuzzing loop's verify
@@ -138,6 +130,10 @@ public:
 
   void record(const QueryCostSample &S);
 
+  /// Replaces the tracked queries with \p Top (a worker restored from
+  /// its shard checkpoint), evicting down to capacity.
+  void restore(const std::vector<QueryCost> &Top);
+
   /// Merges \p O into this tracker (same accumulation rules as record,
   /// entry-wise). Merging workers in worker order after the join yields
   /// the exact global top-K; see the file comment for the proof sketch.
@@ -171,43 +167,6 @@ struct ShardHeat {
   uint64_t LockWaits = 0; ///< lock acquisitions that found the lock held
 };
 
-/// Background wall-clock sampler over the workers' live span stacks.
-/// attach() recorders (one per worker) before start(); the sampler folds
-/// every tick into collapsed stacks "label;span;span..." -> sample count.
-/// Workers push/pop their stacks lock-free; the sampler's fold map is
-/// guarded for concurrent collapsed() snapshots.
-class SamplingProfiler {
-public:
-  explicit SamplingProfiler(unsigned IntervalMs = 10);
-  ~SamplingProfiler();
-
-  /// Registers \p R 's live stack under \p Label ("w0", "w1", ...). Call
-  /// before start(); the recorder must outlive stop().
-  void attach(const std::string &Label, const TraceRecorder *R);
-
-  void start();
-  /// Stops and joins the sampler thread. Idempotent.
-  void stop();
-
-  /// Point-in-time copy of the folded stacks.
-  std::map<std::string, uint64_t> collapsed() const;
-  uint64_t samples() const { return Samples.load(std::memory_order_relaxed); }
-  unsigned intervalMs() const { return IntervalMs; }
-
-private:
-  void run();
-
-  unsigned IntervalMs;
-  std::vector<std::pair<std::string, const TraceRecorder *>> Tracks;
-  mutable std::mutex M; ///< guards Folded (and CV waits)
-  std::map<std::string, uint64_t> Folded;
-  std::atomic<uint64_t> Samples{0};
-  std::condition_variable CV;
-  bool Stopping = false;
-  bool Running = false;
-  std::thread Th;
-};
-
 /// Everything the profiling subsystem produced for one campaign, split
 /// along the usual deterministic/volatile seam.
 struct CampaignProfile {
@@ -215,12 +174,11 @@ struct CampaignProfile {
   unsigned TopK = 0;
   /// Deterministic: merged top-K, best first.
   std::vector<QueryCost> TopQueries;
-  /// Volatile: collapsed flamegraph stacks and sample accounting.
-  std::map<std::string, uint64_t> Collapsed;
-  uint64_t Samples = 0;
-  unsigned SamplingIntervalMs = 0;
+  /// Volatile: exact self nanoseconds per collapsed span stack, rooted
+  /// at the worker ("w0;verify").
+  std::map<std::string, uint64_t> SpanSelfNanos;
   /// Volatile: shared TV cache shard heat (empty when the shared cache
-  /// was off).
+  /// was off, and under -fanout, whose children heat their own copies).
   std::vector<ShardHeat> CacheShards;
 };
 
@@ -231,8 +189,9 @@ struct CampaignProfile {
 void writeTopQueriesJSON(std::ostream &OS, const std::vector<QueryCost> &Top,
                          const std::string &Indent = "");
 
-/// Serializes the volatile side (sampling + shard heat + per-query wall
-/// seconds) as a JSON object.
+/// Serializes the volatile side (span folds + shard heat + per-query wall
+/// seconds) as a JSON object. A stack whose self time is under a
+/// microsecond is left out.
 void writeProfileVolatileJSON(std::ostream &OS, const CampaignProfile &P,
                               const std::string &Indent = "");
 

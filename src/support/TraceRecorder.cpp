@@ -8,6 +8,7 @@
 
 #include "support/Telemetry.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -71,6 +72,33 @@ void TraceRecorder::span(const char *Name, uint64_t StartNanos,
                          const char *Detail) {
   push({Name, Detail, StartNanos,
         EndNanos > StartNanos ? EndNanos - StartNanos : 0, Seed});
+}
+
+unsigned TraceRecorder::openSpan(const char *Name) {
+  const size_t Begin = Stack.size();
+  if (Begin)
+    Stack += ';';
+  Stack += Name;
+  Open.push_back({Begin, Stack.size(), 0});
+  return (unsigned)Open.size() - 1;
+}
+
+void TraceRecorder::closeSpan(unsigned Depth, const char *Name,
+                              uint64_t StartNanos, uint64_t EndNanos,
+                              uint64_t Seed, const char *Detail) {
+  assert(Depth < Open.size() && "closing a span that is not open");
+  const uint64_t Dur = EndNanos > StartNanos ? EndNanos - StartNanos : 0;
+  push({Name, Detail, StartNanos, Dur, Seed});
+  const OpenSpan F = Open[Depth];
+  Open.resize(Depth);
+  // Children close inside their parent on a monotonic clock, so their
+  // durations sum to at most the parent's.
+  assert(F.ChildNanos <= Dur);
+  Stack.resize(F.End);
+  Folds[Stack] += Dur - F.ChildNanos;
+  Stack.resize(F.Begin);
+  if (!Open.empty())
+    Open.back().ChildNanos += Dur;
 }
 
 void TraceRecorder::instant(const char *Name, uint64_t Seed,

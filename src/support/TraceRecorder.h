@@ -13,11 +13,17 @@
 /// Chrome trace-event JSON file with one track per worker, loadable in
 /// Perfetto or chrome://tracing.
 ///
+/// Besides the ring, every TraceSpan folds its exact self time into a map
+/// keyed by its span stack ("optimize;pass.instcombine"): the -profile
+/// flamegraph. The owning worker is the only writer and nothing reads the
+/// folds until it is parked, so they need no thread and no atomics.
+///
 /// Cost model: when tracing is off every recording site is a single null
 /// pointer check — no clock read, no allocation. When on, a span is two
-/// steady_clock reads plus one ring-slot store; the ring never grows, so a
-/// long campaign keeps the most recent events (the flight-recorder
-/// semantics: the tail of the timeline before the interesting verdict).
+/// steady_clock reads, one ring-slot store and one fold-map update; the
+/// ring never grows, so a long campaign keeps the most recent events (the
+/// flight-recorder semantics: the tail of the timeline before the
+/// interesting verdict), and the fold map grows once per distinct stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <set>
 #include <string>
@@ -50,11 +57,6 @@ public:
   };
   /// DurNanos sentinel distinguishing instant events from spans.
   static constexpr uint64_t Instant = ~uint64_t(0);
-
-  /// Live span stack depth visible to the sampling profiler. Deeper
-  /// nesting still records ring events; the sampler just sees the top
-  /// clamped at this depth.
-  static constexpr unsigned MaxLiveDepth = 8;
 
   explicit TraceRecorder(size_t Capacity = DefaultCapacity);
 
@@ -95,51 +97,26 @@ public:
     return T < Cap ? 0 : T - Cap;
   }
 
-  /// Enables the live span stack: TraceSpan sites start pushing/popping
-  /// their labels so the sampling profiler can read "what is this worker
-  /// doing right now". Off by default — a disabled site costs one relaxed
-  /// bool load on top of the usual recording.
-  void setLiveStack(bool On) { LiveOn.store(On, std::memory_order_relaxed); }
-  bool liveStackEnabled() const {
-    return LiveOn.load(std::memory_order_relaxed);
-  }
+  /// Opens a span named \p Name nested in the currently open ones.
+  /// \returns its depth, which closeSpan() takes back.
+  unsigned openSpan(const char *Name);
 
-  /// Owning-worker side: pushes/pops the current span label. Lock-free;
-  /// labels must be static or interned in this recorder (the sampler
-  /// dereferences them concurrently).
-  void enterSpan(const char *Name) {
-    if (!LiveOn.load(std::memory_order_relaxed))
-      return;
-    unsigned D = LiveDepth.load(std::memory_order_relaxed);
-    if (D < MaxLiveDepth)
-      LiveStack[D].store(Name, std::memory_order_release);
-    LiveDepth.store(D + 1, std::memory_order_release);
-  }
-  void exitSpan() {
-    if (!LiveOn.load(std::memory_order_relaxed))
-      return;
-    unsigned D = LiveDepth.load(std::memory_order_relaxed);
-    if (D)
-      LiveDepth.store(D - 1, std::memory_order_release);
-  }
+  /// Closes the span opened at \p Depth: records [StartNanos, EndNanos)
+  /// in the ring and folds its self time (duration minus its closed
+  /// children's) under its stack. Spans still open above \p Depth were
+  /// abandoned by a non-local exit (the signal guard's siglongjmp); they
+  /// are dropped unrecorded, so their time stays in this span's self time.
+  void closeSpan(unsigned Depth, const char *Name, uint64_t StartNanos,
+                 uint64_t EndNanos, uint64_t Seed = 0,
+                 const char *Detail = nullptr);
 
-  /// Sampler side: copies the live stack (outermost first) into \p Out,
-  /// returning the number of frames. A read racing a push/pop may see a
-  /// slightly stale prefix — fine for a statistical profiler; every
-  /// returned pointer is valid (static/interned) whatever the interleave.
-  unsigned sampleLiveStack(const char *Out[], unsigned MaxOut) const {
-    unsigned D = LiveDepth.load(std::memory_order_acquire);
-    if (D > MaxLiveDepth)
-      D = MaxLiveDepth;
-    if (D > MaxOut)
-      D = MaxOut;
-    for (unsigned I = 0; I != D; ++I) {
-      const char *F = LiveStack[I].load(std::memory_order_acquire);
-      if (!F)
-        return I;
-      Out[I] = F;
-    }
-    return D;
+  /// Exact self nanoseconds per span stack ("optimize;pass.gvn"), summed
+  /// over every span closed through closeSpan(). Single-writer: read it
+  /// only once the owning worker is parked.
+  const std::map<std::string, uint64_t> &spanFolds() const { return Folds; }
+  /// Replaces the folds (a worker restored from its shard checkpoint).
+  void restoreSpanFolds(std::map<std::string, uint64_t> F) {
+    Folds = std::move(F);
   }
 
 private:
@@ -155,11 +132,16 @@ private:
   /// Interned dynamic labels. std::set nodes never move, so the stored
   /// strings' c_str() stays stable across inserts.
   std::set<std::string> Labels;
-  /// Live span stack for the sampling profiler: single writer (the owning
-  /// worker), any number of lock-free readers.
-  std::atomic<bool> LiveOn{false};
-  std::atomic<unsigned> LiveDepth{0};
-  std::atomic<const char *> LiveStack[MaxLiveDepth] = {};
+  /// The open spans, outermost first: where each one's label starts and
+  /// ends in Stack, and the nanoseconds its closed children took.
+  struct OpenSpan {
+    size_t Begin, End;
+    uint64_t ChildNanos;
+  };
+  std::vector<OpenSpan> Open;
+  /// The open spans' labels joined by ';', the fold key of the innermost.
+  std::string Stack;
+  std::map<std::string, uint64_t> Folds;
 };
 
 /// RAII span recorder: reads the clock only when \p R is non-null, so a
@@ -169,15 +151,11 @@ public:
   TraceSpan(TraceRecorder *R, const char *Name, uint64_t Seed = 0,
             const char *Detail = nullptr)
       : R(R), Name(Name), Detail(Detail), Seed(Seed),
-        Start(R ? TraceRecorder::now() : 0) {
-    if (R)
-      R->enterSpan(Name);
-  }
+        Depth(R ? R->openSpan(Name) : 0),
+        Start(R ? TraceRecorder::now() : 0) {}
   ~TraceSpan() {
-    if (R) {
-      R->exitSpan();
-      R->span(Name, Start, TraceRecorder::now(), Seed, Detail);
-    }
+    if (R)
+      R->closeSpan(Depth, Name, Start, TraceRecorder::now(), Seed, Detail);
   }
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
@@ -187,6 +165,7 @@ private:
   const char *Name;
   const char *Detail;
   uint64_t Seed;
+  unsigned Depth;
   uint64_t Start;
 };
 

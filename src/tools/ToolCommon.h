@@ -55,19 +55,21 @@ public:
     return It == Flags.end() || It->second.empty() ? Default : It->second;
   }
   /// The value of -\p Key as a T (\p Default when unset). Only plain
-  /// decimal digits that fit T are accepted: a sign, trailing junk or an
-  /// overflow prints an error naming the flag and exits 1.
+  /// decimal digits for a value from \p Min to T's maximum are accepted:
+  /// a sign, trailing junk or an out-of-range value prints an error naming
+  /// the flag and exits 1.
   template <typename T = uint64_t>
-  T getInt(const std::string &Key, std::type_identity_t<T> Default) const {
+  T getInt(const std::string &Key, std::type_identity_t<T> Default,
+           std::type_identity_t<T> Min = 0) const {
     std::string V = get(Key);
     if (V.empty())
       return Default;
     uint64_t N = 0;
     auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
-    if (Ec != std::errc() || End != V.data() + V.size() ||
+    if (Ec != std::errc() || End != V.data() + V.size() || N < Min ||
         N > std::numeric_limits<T>::max())
       reject(Key, V,
-             "an integer from 0 to " +
+             "an integer from " + std::to_string(Min) + " to " +
                  std::to_string(std::numeric_limits<T>::max()));
     return (T)N;
   }

@@ -102,12 +102,11 @@ static void printHelp() {
       "  -progress=<sec>   print campaign progress every <sec> seconds\n"
       "                    (may be fractional)\n"
       "  -profile          deep cost attribution: per-query solver effort\n"
-      "                    (top-K table in the report, -j invariant), a\n"
-      "                    wall-clock sampling profiler over the worker\n"
-      "                    span stacks, and cache shard heat\n"
+      "                    (top-K table in the report, -j invariant), exact\n"
+      "                    self time per worker span stack, and cache\n"
+      "                    shard heat; kept across -resume and -fanout\n"
       "  -profile-topk=<n> most-expensive-query tracker capacity "
       "(default 16)\n"
-      "  -profile-interval=<ms> sampling profiler period (default 10)\n"
       "  -stats-json=<file> write a schema-versioned JSON run report\n"
       "  -trace-json=<file> write a Chrome trace (flight recorder, one\n"
       "                    track per worker; open in Perfetto)\n"
@@ -216,14 +215,13 @@ int main(int Argc, char **Argv) {
            "isolate-mem-mb",  "iter-timeout",     "j",
            "lease-deadline",  "max-mutations",    "n",
            "no-signal-guard", "no-skip-unchanged", "no-tv-cache",
-           "passes",          "profile",          "profile-interval",
-           "profile-topk",    "progress",         "quarantine",
-           "replay",          "report",           "resume",
-           "retry-base",      "retry-cap",        "retry-max",
-           "save-dir",        "saveAll",          "seed",
-           "shared-tv-cache", "stats-json",       "step-budget",
-           "t",               "trace-capacity",   "trace-json",
-           "tv-cache-size"});
+           "passes",          "profile",          "profile-topk",
+           "progress",        "quarantine",       "replay",
+           "report",          "resume",           "retry-base",
+           "retry-cap",       "retry-max",        "save-dir",
+           "saveAll",         "seed",             "shared-tv-cache",
+           "stats-json",      "step-budget",      "t",
+           "trace-capacity",  "trace-json",       "tv-cache-size"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
@@ -272,7 +270,7 @@ int main(int Argc, char **Argv) {
   Opts.UseSharedTVCache = Args.has("shared-tv-cache");
   Opts.SkipUnchanged = !Args.has("no-skip-unchanged");
   Opts.Feedback.Enabled = Args.has("feedback") && Args.get("feedback") != "off";
-  Opts.Feedback.EpochLength = Args.getInt<unsigned>("feedback-epoch", 256);
+  Opts.Feedback.EpochLength = Args.getInt<unsigned>("feedback-epoch", 256, 1);
   if (Args.has("inject-bugs"))
     Opts.Bugs.enableAll();
   Opts.BugBundleDir = Args.get("bug-bundles");
@@ -281,13 +279,10 @@ int main(int Argc, char **Argv) {
   Opts.TraceCapacity =
       Args.getInt<size_t>("trace-capacity", TraceRecorder::DefaultCapacity);
   Opts.Profile.Enabled = Args.has("profile");
-  Opts.Profile.TopK = Args.getInt<unsigned>("profile-topk", 16);
-  Opts.Profile.SamplingIntervalMs =
-      Args.getInt<unsigned>("profile-interval", 10);
-  if (!Opts.Profile.Enabled &&
-      (Args.has("profile-topk") || Args.has("profile-interval"))) {
-    std::fprintf(stderr, "error: -profile-topk/-profile-interval tune "
-                         "-profile; add -profile or drop them\n");
+  Opts.Profile.TopK = Args.getInt<unsigned>("profile-topk", 16, 1);
+  if (!Opts.Profile.Enabled && Args.has("profile-topk")) {
+    std::fprintf(stderr, "error: -profile-topk tunes -profile; add -profile "
+                         "or drop it\n");
     return 1;
   }
 
@@ -493,10 +488,13 @@ int main(int Argc, char **Argv) {
               S.TotalSeconds, S.WorkerSeconds, S.MutateSeconds,
               S.OptimizeSeconds, S.VerifySeconds, S.OverheadSeconds);
   if (const CampaignProfile &P = Engine.profile(); P.Enabled) {
-    std::printf("profile:        %zu tracked quer%s, %llu sample(s) at "
-                "%ums\n",
+    uint64_t Folded = 0;
+    for (const auto &[Stack, Nanos] : P.SpanSelfNanos)
+      Folded += Nanos;
+    std::printf("profile:        %zu tracked quer%s, %.3fs folded over %zu "
+                "span stack(s)\n",
                 P.TopQueries.size(), P.TopQueries.size() == 1 ? "y" : "ies",
-                (unsigned long long)P.Samples, P.SamplingIntervalMs);
+                Folded / 1e9, P.SpanSelfNanos.size());
     if (!P.TopQueries.empty()) {
       const QueryCost &Q = P.TopQueries.front();
       std::printf("profile-top:    %s (%s): cost %llu (%llu dec, %llu "

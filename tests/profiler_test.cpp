@@ -7,12 +7,11 @@
 /// Unit tests for the deep cost-attribution layer: the stable FNV key
 /// hash, the (cost desc, key asc) total order, the bounded top-K tracker's
 /// record/evict/merge semantics and its exact-merge guarantee, the
-/// sampling profiler folding synthetic live-span stacks into collapsed
-/// stacks, the JSON serializers, the run report's profile blocks, and —
-/// at engine scale — the headline invariant that a -j4 campaign's merged
-/// top-K table serializes byte-identically to -j1's. The concurrent
-/// record/snapshot tests double as the TSan targets for the lock-free
-/// live-stack path.
+/// recorder's span folds (exact self times), the JSON serializers, the
+/// run report's profile blocks, and — at engine scale — the headline
+/// invariants that a -j4 campaign's merged top-K table serializes
+/// byte-identically to -j1's, and that a checkpointed, stopped and
+/// resumed campaign reports the same table as an uninterrupted one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +23,9 @@
 #include "parser/Parser.h"
 #include "support/TraceRecorder.h"
 
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -179,73 +180,56 @@ TEST(ProfilerTest, ConcurrentRecordAndSnapshot) {
 }
 
 //===----------------------------------------------------------------------===//
-// SamplingProfiler.
+// Span folds.
 //===----------------------------------------------------------------------===//
 
-TEST(ProfilerTest, SamplerFoldsSyntheticSpans) {
+TEST(ProfilerTest, SpanFoldsAddUpToTheRootSpanExactly) {
   TraceRecorder R;
-  R.setLiveStack(true);
-  R.enterSpan("iteration");
-  R.enterSpan("verify");
-
-  SamplingProfiler SP(1);
-  SP.attach("w0", &R);
-  SP.start();
-  while (SP.samples() < 5)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  SP.stop();
-  R.exitSpan();
-  R.exitSpan();
-
-  auto Folded = SP.collapsed();
-  ASSERT_EQ(Folded.size(), 1u);
-  EXPECT_EQ(Folded.begin()->first, "w0;iteration;verify");
-  EXPECT_GE(Folded.begin()->second, 5u);
-  // Every sample landed in some stack.
-  uint64_t Total = 0;
-  for (const auto &[_, N] : Folded)
-    Total += N;
-  EXPECT_EQ(Total, SP.samples());
-}
-
-TEST(ProfilerTest, SamplerSkipsIdleWorkers) {
-  // An attached recorder with an empty live stack must produce no "idle"
-  // frames and no samples: the flamegraph shows work, not waiting.
-  TraceRecorder R;
-  R.setLiveStack(true);
-  SamplingProfiler SP(1);
-  SP.attach("w0", &R);
-  SP.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  SP.stop();
-  EXPECT_TRUE(SP.collapsed().empty());
-  EXPECT_EQ(SP.samples(), 0u);
-}
-
-TEST(ProfilerTest, SamplerConcurrentWithSpanChurn) {
-  // TSan target: the sampler reads the live stack lock-free while the
-  // owning thread pushes and pops at full speed.
-  TraceRecorder R;
-  R.setLiveStack(true);
-  SamplingProfiler SP(1);
-  SP.attach("w0", &R);
-  SP.start();
-  std::thread Worker([&R] {
-    for (int I = 0; I != 20000; ++I) {
-      R.enterSpan("iteration");
-      R.enterSpan(I % 2 ? "optimize" : "verify");
-      R.exitSpan();
-      R.exitSpan();
+  {
+    TraceSpan Root(&R, "optimize");
+    for (int I = 0; I != 3; ++I) {
+      TraceSpan Pass(&R, I % 2 ? "pass.gvn" : "pass.instcombine");
+      TraceSpan Inner(&R, "verify");
     }
-  });
-  Worker.join();
-  SP.stop();
-  // Whatever was sampled must be a prefix-consistent stack rooted at the
-  // worker label.
-  for (const auto &[Stack, N] : SP.collapsed()) {
-    EXPECT_EQ(Stack.rfind("w0;iteration", 0), 0u) << Stack;
-    EXPECT_GT(N, 0u);
   }
+  { TraceSpan Other(&R, "mutate"); }
+
+  std::map<std::string, uint64_t> Folds = R.spanFolds();
+  std::vector<std::string> Stacks;
+  for (const auto &[Stack, _] : Folds)
+    Stacks.push_back(Stack);
+  EXPECT_EQ(Stacks, (std::vector<std::string>{
+                        "mutate", "optimize", "optimize;pass.gvn",
+                        "optimize;pass.gvn;verify", "optimize;pass.instcombine",
+                        "optimize;pass.instcombine;verify"}));
+  // Self times are the root's ring duration split without remainder.
+  uint64_t RootDur = 0;
+  for (const TraceRecorder::Event &E : R.events())
+    if (std::string(E.Name) == "optimize")
+      RootDur = E.DurNanos;
+  uint64_t Sum = 0;
+  for (const auto &[Stack, Nanos] : Folds)
+    if (Stack.rfind("optimize", 0) == 0)
+      Sum += Nanos;
+  EXPECT_EQ(Sum, RootDur);
+}
+
+TEST(ProfilerTest, AbandonedSpansStayInTheirParentsSelfTime) {
+  // A siglongjmp out of the optimizer skips the inner spans' destructors;
+  // closing the outer span drops them and keeps their time as its own.
+  TraceRecorder R;
+  unsigned Outer = R.openSpan("optimize");
+  R.openSpan("pass.gvn");
+  R.closeSpan(Outer, "optimize", 100, 600);
+  { TraceSpan Next(&R, "verify"); }
+
+  const auto &Folds = R.spanFolds();
+  EXPECT_EQ(Folds.size(), 2u);
+  ASSERT_EQ(Folds.count("optimize"), 1u);
+  EXPECT_EQ(Folds.at("optimize"), 500u);
+  // The stack unwound: the next span is a root again.
+  EXPECT_EQ(Folds.count("verify"), 1u);
+  EXPECT_EQ(R.size(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -296,16 +280,19 @@ FuzzOptions profiledOptions(uint64_t Iterations) {
   Opts.Bugs.enable(BugId::PR50693);
   Opts.Profile.Enabled = true;
   Opts.Profile.TopK = 8;
-  Opts.Profile.SamplingIntervalMs = 5;
   return Opts;
 }
 
-std::string runProfiledCampaign(unsigned Jobs) {
+std::unique_ptr<Module> parseProfiledCorpus() {
   std::string Err;
   auto M = parseModule(ProfiledCorpus, Err);
   EXPECT_NE(M, nullptr) << Err;
+  return M;
+}
+
+std::string runProfiledCampaign(unsigned Jobs) {
   CampaignEngine Engine(profiledOptions(60), Jobs);
-  EXPECT_GT(Engine.loadModule(std::move(M)), 0u);
+  EXPECT_GT(Engine.loadModule(parseProfiledCorpus()), 0u);
   Engine.run();
   const CampaignProfile &P = Engine.profile();
   EXPECT_TRUE(P.Enabled);
@@ -319,9 +306,7 @@ std::string runProfiledCampaign(unsigned Jobs) {
       EXPECT_TRUE(queryCostRanksBefore(P.TopQueries[I - 1], Q));
     }
   }
-  std::ostringstream OS;
-  writeTopQueriesJSON(OS, P.TopQueries);
-  return OS.str();
+  return topJSON(P.TopQueries);
 }
 
 } // namespace
@@ -332,8 +317,39 @@ TEST(ProfilerTest, MergedTopKIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(J1, J4);
 }
 
+TEST(ProfilerTest, ResumedCampaignReportsTheUninterruptedTopK) {
+  // The trackers and span folds ride the shard checkpoint, so the queries
+  // the first leg ranked survive the stop.
+  const std::string Dir = ::testing::TempDir() + "amr_profile_resume";
+  std::filesystem::remove_all(Dir);
+  FuzzOptions Opts = profiledOptions(60);
+  Opts.Survival.CheckpointDir = Dir;
+  std::map<std::string, uint64_t> Leg1Folds;
+  {
+    CampaignEngine Leg1(Opts, 2);
+    Leg1.loadModule(parseProfiledCorpus());
+    Leg1.stopAfterIterations(30);
+    Leg1.run();
+    ASSERT_TRUE(Leg1.configError().empty()) << Leg1.configError();
+    ASSERT_TRUE(Leg1.interrupted());
+    Leg1Folds = Leg1.profile().SpanSelfNanos;
+  }
+  Opts.Survival.Resume = true;
+  CampaignEngine Leg2(Opts, 2);
+  Leg2.loadModule(parseProfiledCorpus());
+  Leg2.run();
+  ASSERT_TRUE(Leg2.configError().empty()) << Leg2.configError();
+  EXPECT_FALSE(Leg2.interrupted());
+  EXPECT_EQ(topJSON(Leg2.profile().TopQueries), runProfiledCampaign(1));
+  // The first leg's folded time is carried, not restarted from zero.
+  ASSERT_FALSE(Leg1Folds.empty());
+  for (const auto &[Stack, Nanos] : Leg1Folds)
+    EXPECT_GE(Leg2.profile().SpanSelfNanos.at(Stack), Nanos) << Stack;
+  std::filesystem::remove_all(Dir);
+}
+
 //===----------------------------------------------------------------------===//
-// Run report schema v6: the profile blocks.
+// Run report schema v8: the profile blocks.
 //===----------------------------------------------------------------------===//
 
 TEST(ProfilerTest, RunReportV6ProfileBlocks) {
@@ -357,15 +373,18 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
                  &Engine.profile());
   std::string R = OS.str();
 
-  EXPECT_NE(R.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(R.find("\"schema_version\": 8"), std::string::npos);
   // Both sections carry a profile block: the deterministic top-K table
-  // and the volatile sampling/shard-heat data.
+  // and the volatile span-fold/shard-heat data.
   size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");
   ASSERT_NE(Det, std::string::npos) << R;
   EXPECT_NE(R.find("\"queries\"", Det), std::string::npos);
   size_t Vol = R.find("\"profile\": {\"enabled\": true, \"data\"", Det + 1);
   ASSERT_NE(Vol, std::string::npos) << R;
-  EXPECT_NE(R.find("\"sampling\"", Vol), std::string::npos);
+  EXPECT_NE(R.find("\"spans\": {\"stacks\": [", Vol), std::string::npos);
+  EXPECT_NE(R.find("{\"stack\": \"w0;", Vol), std::string::npos);
+  EXPECT_NE(R.find("{\"stack\": \"w1;", Vol), std::string::npos);
+  EXPECT_NE(R.find("\"self_us\": ", Vol), std::string::npos);
   EXPECT_NE(R.find("\"query_seconds\"", Vol), std::string::npos);
 
   // Without a profile, both blocks collapse to {"enabled": false}.

@@ -69,7 +69,8 @@ std::string deterministicReportPart(const CampaignEngine &Engine,
   RC.BaseSeed = Opts.BaseSeed;
   RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
   std::ostringstream OS;
-  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry());
+  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry(),
+                 &Engine.profile());
   std::string R = OS.str();
   size_t Pos = R.find("\"volatile\"");
   EXPECT_NE(Pos, std::string::npos);
@@ -291,8 +292,8 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   F.run();
   EXPECT_TRUE(F.configError().empty()) << F.configError();
 
-  // The flight recorder and the cost trackers live in child memory, outside
-  // the shard checkpoint the parent restores.
+  // The flight recorder's ring lives in child memory, outside the shard
+  // checkpoint the parent restores.
   FuzzOptions Trace = twoBugOptions(20);
   Trace.Survival.Fanout = 2;
   Trace.TraceEnabled = true;
@@ -301,12 +302,35 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   TE.run();
   EXPECT_NE(TE.configError().find("-trace-json"), std::string::npos)
       << TE.configError();
-  FuzzOptions Prof = twoBugOptions(20);
-  Prof.Survival.Fanout = 2;
-  Prof.Profile.Enabled = true;
-  CampaignEngine PE(Prof, 1);
-  EXPECT_NE(PE.configError().find("-profile"), std::string::npos)
-      << PE.configError();
+}
+
+TEST_F(SupervisorTest, FanoutProfileMatchesThreaded) {
+  // The cost trackers and span folds come back in the shard checkpoints,
+  // so -fanout=2 -profile ranks the same queries as -j1.
+  FuzzOptions Plain = twoBugOptions(60);
+  Plain.Profile.Enabled = true;
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+  ASSERT_FALSE(Ref.profile().TopQueries.empty());
+
+  FuzzOptions Fan = fanoutOptions(60, 2);
+  Fan.Profile.Enabled = true;
+  CampaignEngine Engine(Fan, 1);
+  Engine.loadModule(parseOk(TwoBugCorpus));
+  Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded());
+  EXPECT_EQ(deterministicReportPart(Engine, Fan),
+            deterministicReportPart(Ref, Plain));
+  // Each child's folds arrive under its worker's root.
+  unsigned Roots[2] = {};
+  for (const auto &[Stack, Nanos] : Engine.profile().SpanSelfNanos)
+    for (unsigned W = 0; W != 2; ++W)
+      Roots[W] += Stack.rfind("w" + std::to_string(W) + ";", 0) == 0;
+  EXPECT_GT(Roots[0], 0u);
+  EXPECT_GT(Roots[1], 0u);
 }
 
 TEST_F(SupervisorTest, FanoutChildrenHonorWallTimeout) {

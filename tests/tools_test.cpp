@@ -374,13 +374,14 @@ TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
   // Numeric flags parse strictly. A malformed, negative, trailing-junk or
   // out-of-range value is a config error naming the flag: never an
   // uncaught exception (-n=abc), a wrapped worker count (-j=-1), a
-  // silently shortened campaign (-n=5x) or a truncated duration.
+  // silently shortened campaign (-n=5x), a truncated duration, or a zero
+  // the engine would clamp to 1 while the report echoes 0.
   std::string In = " " + TmpDir + "/in.ll";
   std::string Err = TmpDir + "/numeric.err";
   for (std::string Flag :
        {"-n=abc", "-j=-1", "-n=5x", "-j=4294967296", "-n=99999999999999999999",
         "-t=-1", "-t=1s", "-progress=abc", "-iter-timeout=nan",
-        "-lease-deadline=inf"}) {
+        "-lease-deadline=inf", "-profile-topk=0", "-feedback-epoch=0"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " " + Flag + In + " 2> " +
                      Err + ")"),
               1)
