@@ -8,8 +8,9 @@
 /// google-benchmark microbenchmarks for the hot primitives of the fuzzing
 /// loop: module cloning (the in-process substitute for parse/print),
 /// parsing, printing, one mutation round, single-pass optimization, one
-/// interpreter execution, and bit-blasted solver queries. These are the
-/// quantities the Figure 2 overhead argument is made of.
+/// interpreter execution, the load-time self-check, and bit-blasted solver
+/// queries. These are the quantities the Figure 2 overhead argument is
+/// made of.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "parser/Parser.h"
 #include "parser/Printer.h"
 #include "smt/BitBlaster.h"
+#include "tv/RefinementChecker.h"
 
 #include <benchmark/benchmark.h>
 
@@ -141,6 +143,37 @@ define i32 @f(i32 %x, i32 %y) {
   }
 }
 BENCHMARK(BM_InterpreterRun);
+
+// The §III-A load-time self-check on the concrete path. Case 0: a
+// pointer-argument function of 10 enumerated bits, defined on the first
+// trial. Case 1: the same shape with UB on every input, which still
+// enumerates all 1024 trials.
+void BM_SelfCheck(benchmark::State &State) {
+  std::string Err;
+  auto M = parseModule(R"(
+define i8 @defined(ptr %p, i8 %x) {
+  %v = load i8, ptr %p, align 1
+  %r = add i8 %v, %x
+  ret i8 %r
+}
+
+define i8 @always_ub(ptr %p, i8 %x) {
+  %v = load i8, ptr %p, align 1
+  %r = udiv i8 %v, 0
+  ret i8 %r
+}
+)",
+                       Err);
+  assert(M);
+  const Function &F =
+      *M->getFunction(State.range(0) == 0 ? "defined" : "always_ub");
+  State.SetLabel(F.getName());
+  for (auto _ : State) {
+    TVResult R = checkSelfRefinement(F);
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_SelfCheck)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_SatEquivalenceQuery(benchmark::State &State) {
   for (auto _ : State) {

@@ -42,12 +42,13 @@
 #include "corpus/Corpus.h"
 #include "tv/SharedTVCache.h"
 #include "parser/Parser.h"
-#include "support/Telemetry.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -89,6 +90,17 @@ int runTool(const std::string &Tool, const std::vector<std::string> &Args) {
 unsigned envOr(const char *Name, unsigned Default) {
   const char *V = std::getenv(Name);
   return V ? (unsigned)std::strtoul(V, nullptr, 10) : Default;
+}
+
+/// Exact nearest-rank percentile: the smallest sample with at least
+/// \p Pct percent of the samples at or below it. Always one of the
+/// samples, never an interpolation or a bucket bound.
+double nearestRank(std::vector<double> Samples, unsigned Pct) {
+  if (Samples.empty())
+    return 0;
+  std::sort(Samples.begin(), Samples.end());
+  size_t Rank = (Pct * Samples.size() + 99) / 100; // ceil(Pct% of N)
+  return Samples[std::max<size_t>(Rank, 1) - 1];
 }
 
 } // namespace
@@ -138,13 +150,6 @@ int main(int argc, char **argv) {
   // verdicts computed for one file replay for later ones.
   SharedTVCache ProcessCache;
 
-  // Per-file latency distributions, one histogram per condition — the
-  // summary below reports their p50/p90/p99.
-  StatRegistry Reg;
-  Histogram &HInProc = Reg.histogram("bench.in_process.seconds");
-  Histogram &HNoMemo = Reg.histogram("bench.no_memo.seconds");
-  Histogram &HDiscrete = Reg.histogram("bench.discrete.seconds");
-
   for (unsigned FI = 0; FI != Files.size(); ++FI) {
     std::string Name = "test" + std::to_string(FI) + ".ll";
     std::string Path = Tmp + "/" + Name;
@@ -178,15 +183,14 @@ int main(int argc, char **argv) {
 
     // --- Condition 1: alive-mutate (in-process), memoization on. ---
     CampaignEngine Fuzzer(Opts, Jobs);
-    ScopedTimer T1(&HInProc);
+    Timer T1;
     unsigned Testable = Fuzzer.loadModule(std::move(M));
     if (Testable == 0) {
-      T1.cancel(); // keep discarded files out of the latency histogram
       ++NotVerified; // the paper discarded 6 of 200 this way
       continue;
     }
     const FuzzStats &S = Fuzzer.run();
-    double InProc = T1.stop();
+    double InProc = T1.seconds();
     Agg.Verified += S.Verified;
     Agg.VerifySkipped += S.VerifySkipped;
     Agg.TVCacheHits += S.TVCacheHits;
@@ -200,22 +204,22 @@ int main(int argc, char **argv) {
     Bare.UseSharedTVCache = false;
     CampaignEngine BareFuzzer(Bare, Jobs);
     auto M2 = parseModule(Files[FI], Err);
-    ScopedTimer T1b(&HNoMemo);
+    Timer T1b;
     BareFuzzer.loadModule(std::move(M2));
     BareFuzzer.run();
-    double NoMemo = T1b.stop();
+    double NoMemo = T1b.seconds();
 
     // --- Condition 3: discrete tools with files and processes. ---
     std::string MutPath = Tmp + "/mutant.ll";
     std::string OptPath = Tmp + "/optimized.ll";
-    ScopedTimer T2(&HDiscrete);
+    Timer T2;
     for (unsigned I = 0; I != Count; ++I) {
       runTool("amut-mutate",
               {"-seed=" + std::to_string(Opts.BaseSeed + I), Path, MutPath});
       runTool("amut-opt", {"-passes=O2", MutPath, OptPath});
       runTool("amut-tv", {"-budget=4000", "-trials=16", MutPath, OptPath});
     }
-    double Discrete = T2.stop();
+    double Discrete = T2.seconds();
 
     Row R;
     R.Name = Name;
@@ -279,17 +283,30 @@ int main(int argc, char **argv) {
               (unsigned long long)Lookups,
               Lookups ? 100.0 * Agg.TVCacheHits / Lookups : 0.0,
               (unsigned long long)Agg.TVCacheEvictions);
-  // Each condition reports the same three percentiles as the JSON block
-  // below — a summary that omits p90 for two of the three conditions
-  // cannot be cross-checked against the machine-readable report.
-  std::printf("latency/file:    in-process p50 %.3fs p90 %.3fs p99 %.3fs | "
-              "no-memo p50 %.3fs p90 %.3fs p99 %.3fs | "
-              "discrete p50 %.3fs p90 %.3fs p99 %.3fs\n",
-              HInProc.percentile(0.5), HInProc.percentile(0.9),
-              HInProc.percentile(0.99), HNoMemo.percentile(0.5),
-              HNoMemo.percentile(0.9), HNoMemo.percentile(0.99),
-              HDiscrete.percentile(0.5), HDiscrete.percentile(0.9),
-              HDiscrete.percentile(0.99));
+  // Per-file latency per condition, as exact nearest-rank p50/p90/p99 of
+  // the rows' samples. Each condition reports the same three percentiles
+  // as the JSON block below, so the two can be cross-checked.
+  struct Latency {
+    const char *Key;
+    double Row::*Field;
+    double P50 = 0, P90 = 0, P99 = 0;
+  };
+  Latency Latencies[] = {{"in_process", &Row::InProcess},
+                         {"no_memo", &Row::NoMemo},
+                         {"discrete", &Row::Discrete}};
+  for (Latency &L : Latencies) {
+    std::vector<double> Samples;
+    for (const Row &R : Rows)
+      Samples.push_back(R.*L.Field);
+    L.P50 = nearestRank(Samples, 50);
+    L.P90 = nearestRank(Samples, 90);
+    L.P99 = nearestRank(Samples, 99);
+  }
+  std::printf("latency/file:   ");
+  for (const Latency &L : Latencies)
+    std::printf("%s %s p50 %.3fs p90 %.3fs p99 %.3fs",
+                &L == Latencies ? "" : " |", L.Key, L.P50, L.P90, L.P99);
+  std::printf("\n");
 
   // Listing 20 output format from the artifact appendix.
   std::printf("\n--- res.txt (Listing 20 format) ---\n");
@@ -358,19 +375,15 @@ int main(int argc, char **argv) {
                   "  \"avg_speedup_vs_no_memo\": %.4f,\n",
                   Avg, MemoAvg);
     J << "  ],\n" << Buf;
-    auto LatencyJSON = [&](const char *Key, const Histogram &H, bool Last) {
-      char LBuf[256];
-      std::snprintf(LBuf, sizeof(LBuf),
-                    "    \"%s\": {\"count\": %llu, \"p50_s\": %.6f, "
-                    "\"p90_s\": %.6f, \"p99_s\": %.6f}%s\n",
-                    Key, (unsigned long long)H.count(), H.percentile(0.5),
-                    H.percentile(0.9), H.percentile(0.99), Last ? "" : ",");
-      J << LBuf;
-    };
     J << "  \"latency\": {\n";
-    LatencyJSON("in_process", HInProc, false);
-    LatencyJSON("no_memo", HNoMemo, false);
-    LatencyJSON("discrete", HDiscrete, true);
+    for (const Latency &L : Latencies) {
+      std::snprintf(Buf, sizeof(Buf),
+                    "    \"%s\": {\"count\": %zu, \"p50_s\": %.6f, "
+                    "\"p90_s\": %.6f, \"p99_s\": %.6f}%s\n",
+                    L.Key, Rows.size(), L.P50, L.P90, L.P99,
+                    &L == std::end(Latencies) - 1 ? "" : ",");
+      J << Buf;
+    }
     J << "  },\n";
     // Cost attribution headline: the slowest in-process file (the p99
     // tail's dominator) and the query its verify time went to.

@@ -127,16 +127,21 @@ def main():
                 fail("%s: negative timing %s" % (row["name"], k))
         if row["speedup_vs_discrete"] <= 0:
             fail("%s: non-positive speedup" % row["name"])
-    # Percentiles must be monotone in P within every latency block — a
-    # p90 above the p99 (as an unclamped histogram estimator once
-    # produced) means the report cannot be trusted for trend tracking.
+    # Every latency percentile is an exact nearest-rank sample: it must be
+    # one row's time for that condition, and the very row the rank picks.
+    # A bucket bound (0.016384 s = 2^14 us) or an interpolation is not a
+    # measurement.
     for name, block in sorted(fresh.get("latency", {}).items()):
-        p50, p90, p99 = block["p50_s"], block["p90_s"], block["p99_s"]
-        if p50 > p90 or p90 > p99:
-            fail(
-                "%s latency percentiles not monotone: p50 %r > p90 %r or "
-                "p90 %r > p99 %r" % (name, p50, p90, p90, p99)
-            )
+        samples = sorted(row[name + "_s"] for row in fresh["rows"])
+        if block["count"] != len(samples):
+            fail("%s latency count %r != %d rows"
+                 % (name, block["count"], len(samples)))
+        for pct in (50, 90, 99):
+            got = block["p%d_s" % pct]
+            want = samples[max(-(-pct * len(samples) // 100), 1) - 1]
+            if got != want:
+                fail("%s p%d %r is not the nearest-rank row's %s_s %r"
+                     % (name, pct, got, name, want))
 
     check_profile(fresh)
 

@@ -121,6 +121,10 @@ TVResult checkRefinement(const Function &Src, const Function &Tgt,
 /// Self-check used by the fuzzing loop's preprocessing step: verifies the
 /// checker can process \p F at all and that F refines itself. Mirrors the
 /// paper's "drop functions Alive2 cannot handle" filtering (§III-A).
+/// On the concrete path it runs only F, and stops at the first trial where
+/// F completes: with one deterministic function on both sides, that trial
+/// is already a decisive no-violation. F is Inconclusive only when no trial
+/// completes, exactly as checkRefinement(F, clone of F) would report.
 TVResult checkSelfRefinement(const Function &F,
                              const TVOptions &Opts = TVOptions());
 

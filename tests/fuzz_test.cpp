@@ -67,8 +67,10 @@ class FuzzTest : public ::testing::Test {};
 TEST_F(FuzzTest, PreprocessingDropsUnhandledFunctions) {
   // A function whose self-check cannot conclude anything (here: an
   // infinite loop, where every bounded trial runs out of fuel) is dropped,
-  // like functions Alive2 cannot process (§III-A). Note that an always-UB
-  // function would NOT be dropped: it trivially refines itself.
+  // like functions Alive2 cannot process (§III-A). An always-UB function
+  // survives only on the symbolic path, where it trivially refines itself.
+  // On the concrete path (memory, loops, wide bodies) no trial completes
+  // either, so it is dropped like @spin.
   auto M = parseOk(R"(
 define i32 @ok(i32 %x) {
   %a = add i32 %x, 1

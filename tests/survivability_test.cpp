@@ -259,17 +259,24 @@ TEST(SurvivabilityTest, StandaloneLoopHonorsWallTimeout) {
 TEST(SurvivabilityTest, SelfCheckIgnoresWallTimeout) {
   // The load-time self-check arms the step budget only: even a deadline
   // that has always passed leaves the testable set as it is without one.
-  // @wide is too costly to bit-blast, so its self-check runs interpreter
-  // trials long enough to poll the token many clock cadences over.
-  std::string Wide = "define i64 @wide(i64 %x, i64 %y) {\n";
-  std::string Prev = "%x";
+  // @wide is too costly to bit-blast, so it is checked by enumerating %x.
+  // It is UB unless %x is -1, the last value enumerated, and each of the
+  // 255 vacuous trials before that one polls the token once, at the end of
+  // its long chain: the self-check polls many clock cadences over before
+  // its first completed trial settles it.
+  std::string Wide = "define i64 @wide(i8 %x) {\n"
+                     "  %w = zext i8 %x to i64\n";
+  std::string Prev = "%w";
   for (int I = 0; I != 34; ++I) {
     std::string N = std::to_string(I);
-    Wide += "  %m" + N + " = mul i64 " + Prev + ", %y\n";
+    Wide += "  %m" + N + " = mul i64 " + Prev + ", %w\n";
     Wide += "  %a" + N + " = add i64 %m" + N + ", " + N + "\n";
     Prev = "%a" + N;
   }
-  Wide += "  ret i64 " + Prev + "\n}\n";
+  Wide += "  %c = icmp eq i8 %x, -1\n"
+          "  %d = zext i1 %c to i64\n"
+          "  %q = udiv i64 " + Prev + ", %d\n"
+          "  ret i64 %q\n}\n";
   const std::string Corpus = std::string(TwoBugCorpus) + Wide;
 
   FuzzOptions Opts;
@@ -322,15 +329,13 @@ define i8 @abortme(i8 %x) {
 // Quarantine.
 //===----------------------------------------------------------------------===//
 
-TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
-  // A function whose refinement check reliably outspends the step budget:
-  // the load forces the concrete path (no symbolic support) and the
-  // 100-instruction chain makes each non-vacuous trial consume interpreter
-  // steps. Mutate+optimize stay far under budget (a handful of
-  // pass-invocation steps), so the timeouts land in the verify phase and
-  // strike the function until the quarantine backs it off. The self-check
-  // runs under the same per-function budget and would drop the function
-  // outright, so it is off here (the standalone-mutator configuration).
+namespace {
+
+/// A function whose refinement check reliably outspends a small step
+/// budget: the load forces the concrete path (no symbolic support) and the
+/// 100-instruction chain makes each completed run consume one 64-step
+/// interpreter batch.
+std::string longChainIR() {
   std::ostringstream IR;
   IR << "define i32 @longchain(ptr %p, i32 %x) {\n"
         "  %v = load i32, ptr %p, align 4\n"
@@ -338,6 +343,18 @@ TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
   for (int I = 1; I <= 100; ++I)
     IR << "  %a" << I << " = add i32 %a" << (I - 1) << ", " << I << "\n";
   IR << "  ret i32 %a100\n}\n";
+  return IR.str();
+}
+
+} // namespace
+
+TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
+  // Mutate+optimize stay far under budget (a handful of pass-invocation
+  // steps), so the timeouts land in the verify phase and strike the
+  // function until the quarantine backs it off. The self-check runs under
+  // the same per-function budget, and at 48 steps not even its first
+  // completed trial fits, so it would drop the function outright: it is off
+  // here (the standalone-mutator configuration).
   FuzzOptions Opts;
   Opts.Passes = "dce";
   Opts.Iterations = 40;
@@ -347,7 +364,7 @@ TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
   Opts.Survival.StepBudget = 48;
   Opts.Survival.QuarantineThreshold = 2;
   FuzzerLoop Loop(Opts);
-  ASSERT_EQ(Loop.loadModule(parseOk(IR.str())), 1u);
+  ASSERT_EQ(Loop.loadModule(parseOk(longChainIR())), 1u);
   const FuzzStats &S = Loop.run();
   EXPECT_GT(S.Timeouts, 0u);
   const StatRegistry &R = Loop.registry();
@@ -357,6 +374,45 @@ TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
   // Quarantine elides checks, so the skipped checks cannot have produced
   // verdicts: timeouts + skips + verified cover every reachable check.
   EXPECT_EQ(Loop.bugs().size(), 0u);
+}
+
+TEST(SurvivabilityTest, SelfCheckSpendsOneCompletedTrial) {
+  // The self-check settles on the first trial where the source completes:
+  // one run of @longchain, one 64-step batch. The two-run check of its 64
+  // sampled trials needs far more than a 128-step budget. So the function
+  // survives the load, and its iteration checks time out until the
+  // quarantine backs it off.
+  const std::string IR = longChainIR();
+  auto M = parseOk(IR);
+  auto Clone = cloneModule(*M);
+  TVOptions TV;
+  TV.ConcreteTrials = 64;
+  CancellationToken Token;
+  TV.Token = &Token;
+  Token.beginIteration(128);
+  TVResult Self = checkSelfRefinement(*M->getFunction("longchain"), TV);
+  EXPECT_EQ(Self.Verdict, TVVerdict::Correct) << Self.Detail;
+  Token.beginIteration(128);
+  TVResult TwoRun = checkRefinement(*M->getFunction("longchain"),
+                                    *Clone->getFunction("longchain"), TV);
+  EXPECT_EQ(tvVerdictReason(TwoRun), "inconclusive.cancelled")
+      << TwoRun.Detail;
+
+  FuzzOptions Opts;
+  Opts.Passes = "dce";
+  Opts.Iterations = 40;
+  Opts.SkipUnchanged = false; // always reach the verify phase
+  Opts.TV.ConcreteTrials = 64;
+  Opts.Survival.StepBudget = 128;
+  Opts.Survival.QuarantineThreshold = 2;
+  FuzzerLoop Loop(Opts);
+  ASSERT_EQ(Loop.loadModule(parseOk(IR)), 1u);
+  EXPECT_EQ(Loop.stats().FunctionsDropped, 0u);
+  const FuzzStats &S = Loop.run();
+  EXPECT_GT(S.Timeouts, 0u);
+  const StatRegistry &R = Loop.registry();
+  EXPECT_GT(R.counterValue("survive.timeout.verify"), 0u);
+  EXPECT_GT(R.counterValue("survive.quarantine.backoffs"), 0u);
 }
 
 //===----------------------------------------------------------------------===//
