@@ -61,30 +61,6 @@ using namespace alive;
 
 namespace {
 
-/// The pass pipeline that exercises a Table I component most directly
-/// (the paper likewise ran both -O2 and single passes, §G-1).
-std::string pipelineFor(const char *Component) {
-  if (std::strcmp(Component, "InstCombine") == 0)
-    return "instsimplify,constfold,instcombine,dce";
-  if (std::strcmp(Component, "NewGVN") == 0 ||
-      std::strcmp(Component, "newGVN") == 0)
-    return "gvn";
-  if (std::strcmp(Component, "VectorCombine") == 0)
-    return "vector-combine";
-  if (std::strcmp(Component, "ConstantFolding") == 0)
-    return "constfold";
-  if (std::strcmp(Component, "InstSimplify") == 0)
-    return "instsimplify";
-  if (std::strcmp(Component, "AlignmentFromAssumptions") == 0)
-    return "infer-alignment";
-  if (std::strcmp(Component, "MoveAutoInit") == 0)
-    return "move-auto-init";
-  if (std::strcmp(Component, "SROA") == 0)
-    return "sroa";
-  // AArch64 backend, multiple backends, TargetLibraryInfo.
-  return "lowering";
-}
-
 struct CampaignResult {
   bool Found = false;
   uint64_t Iterations = 0;
@@ -168,7 +144,7 @@ void aggregateForReport(const CampaignEngine &Engine) {
 CampaignResult runCampaign(const BugInfo &Bug, const char *SeedIR,
                            uint64_t MaxIter, unsigned Jobs, bool NoCache) {
   FuzzOptions Opts;
-  Opts.Passes = pipelineFor(Bug.Component);
+  Opts.Passes = componentPipeline(Bug.Component);
   Opts.TV.ConcreteTrials = 16;
   Opts.TV.SolverConflictBudget = 30000;
   Opts.Bugs.enable(Bug.Id);
@@ -231,7 +207,7 @@ unsigned CompareEpoch = 128;
 bool runCompareCampaign(const BugInfo &Bug, const char *SeedIR,
                         uint64_t Budget, unsigned Jobs, bool Feedback) {
   FuzzOptions Opts;
-  Opts.Passes = pipelineFor(Bug.Component);
+  Opts.Passes = componentPipeline(Bug.Component);
   Opts.TV.ConcreteTrials = 16;
   Opts.TV.SolverConflictBudget = 30000;
   Opts.Bugs.enable(Bug.Id);

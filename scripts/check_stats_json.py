@@ -40,7 +40,9 @@ invariants the telemetry subsystem guarantees:
     root "w<i>;" with a positive integer self_us, and the folded self
     time adds up to at most the summed worker wall time. The folds are
     exact; the tolerance covers each worker's one "preprocess" span,
-    which runs at setup, outside the slices worker_total times.
+    which runs at setup, outside the slices worker_total times;
+  - the v9 stats blocks: deterministic.stats carries only "counters" and
+    volatile.stats only "counters" and "histograms".
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -53,7 +55,7 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def fail(msg):
@@ -79,6 +81,13 @@ def check_report(path):
     for key in ("jobs", "stage_seconds", "cache", "survivability", "trace", "profile", "stats"):
         if key not in vol:
             fail("%s: missing volatile.%r" % (path, key))
+
+    for name, allowed in (("deterministic", {"counters"}),
+                          ("volatile", {"counters", "histograms"})):
+        keys = set(r[name]["stats"])
+        if "counters" not in keys or keys - allowed:
+            fail("%s: %s.stats keys %s, expected %s"
+                 % (path, name, sorted(keys), sorted(allowed)))
 
     cfg = det["config"]
     for key in ("corpus_files", "corpus_skipped"):

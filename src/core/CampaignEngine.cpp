@@ -172,15 +172,13 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   }
   if (Live.Clock)
     S.Elapsed = Live.Clock->seconds();
-  // Point-in-time, not linearizable: every counter is a relaxed atomic.
+  // Point-in-time, not linearizable: every value is a relaxed atomic.
   for (const LiveShardRef &R : Live.Shards) {
     ShardLiveState SS;
     SS.Done = R.Done->load(std::memory_order_relaxed);
-    if (R.Loop) {
-      std::array<double, 4> Stage = R.Loop->stageSeconds();
+    if (R.StageNanos)
       for (unsigned I = 0; I != 4; ++I)
-        SS.StageNanos[I] = (uint64_t)(Stage[I] * 1e9);
-    }
+        SS.StageNanos[I] = R.StageNanos[I].load(std::memory_order_relaxed);
     S.Done += SS.Done;
     S.Shards.push_back(SS);
   }
@@ -190,9 +188,9 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
 namespace {
 
 /// One worker: a private FuzzerLoop over a private master-module clone,
-/// plus the atomic counters live observers read. Threads run it in place;
-/// under -fanout a forked child runs a copy and the parent restores the
-/// child's shard checkpoint into it.
+/// plus the atomic values -progress reads. Threads run it in place; under
+/// -fanout a forked child runs a copy and the parent restores the child's
+/// shard checkpoint into it.
 struct Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
@@ -201,14 +199,27 @@ struct Worker {
   /// epoch is sliced afresh, so all cursors agree at each barrier), empty
   /// when time-limited.
   uint64_t Lo = 0, Hi = 0;
-  /// Next seed offset to run; advanced by the worker, read by the
-  /// checkpoint writer.
-  std::atomic<uint64_t> Next{0};
+  /// Next seed offset to run. Only the worker's own thread touches it,
+  /// or the engine while the workers are parked.
+  uint64_t Next = 0;
   /// Iterations this worker has finished, resumed prefix included.
   std::atomic<uint64_t> Done{0};
+  /// The loop's mutate/optimize/verify/overhead nanoseconds, resumed
+  /// prefix included, republished after every iteration.
+  std::atomic<uint64_t> StageNanos[4] = {};
   /// Wall time this worker spent in its slices, summed over epochs.
   double LegSeconds = 0;
 };
+
+/// Copies \p W's stage seconds where -progress reads them.
+void publishStages(Worker &W) {
+  const FuzzStats &S = W.Loop->stats();
+  const double Seconds[4] = {S.MutateSeconds, S.OptimizeSeconds,
+                             S.VerifySeconds, S.OverheadSeconds};
+  for (unsigned I = 0; I != 4; ++I)
+    W.StageNanos[I].store((uint64_t)(Seconds[I] * 1e9),
+                          std::memory_order_relaxed);
+}
 
 /// Sums every per-iteration counter and phase timer of \p From into
 /// \p Into. TotalSeconds is deliberately excluded: summing wall-clock
@@ -412,7 +423,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       std::tie(W->Lo, W->Hi) =
           Feedback ? std::make_pair(uint64_t(0), Opts.Iterations)
                    : SliceOf(I, 0);
-    W->Next.store(W->Lo, std::memory_order_relaxed);
+    W->Next = W->Lo;
     W->Loop = std::make_unique<FuzzerLoop>(workerOptions(Opts, Testable));
     W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
     // Workers only fuzz the testable set — hand them a subset clone whose
@@ -442,11 +453,10 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     WorkerCheckpoint WC;
     if (!ReadShard(W, WC, Err))
       return false;
-    const uint64_t From = W.Next.load(std::memory_order_relaxed);
-    if (WC.Next > From && WC.Next <= SliceEnd) {
+    if (WC.Next > W.Next && WC.Next <= SliceEnd) {
       restoreWorker(WC, *W.Loop);
-      W.Next.store(WC.Next, std::memory_order_relaxed);
-      W.Done.fetch_add(WC.Next - From, std::memory_order_relaxed);
+      W.Done.fetch_add(WC.Next - W.Next, std::memory_order_relaxed);
+      W.Next = WC.Next;
     }
     return true;
   };
@@ -498,7 +508,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         }
       }
       restoreWorker(WC, *W->Loop);
-      W->Next.store(WC.Next, std::memory_order_relaxed);
+      W->Next = WC.Next;
       W->Done.store(Done, std::memory_order_relaxed);
       TotalDone.fetch_add(Done, std::memory_order_relaxed);
     }
@@ -512,10 +522,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   auto CheckpointWorker = [&](Worker &W) {
     std::string Err;
     bool Ok = writeWorkerCheckpoint(
-        Dir,
-        snapshotWorker(W.Index, W.Lo, W.Hi,
-                       W.Next.load(std::memory_order_relaxed), *W.Loop),
-        Err);
+        Dir, snapshotWorker(W.Index, W.Lo, W.Hi, W.Next, *W.Loop), Err);
     ++W.Loop->mutableRegistry().counter(
         Ok ? "survive.checkpoint.writes" : "survive.checkpoint.failures",
         Volatility::Volatile);
@@ -563,7 +570,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           break;
         Off = SharedNext.fetch_add(1, std::memory_order_relaxed);
       } else {
-        Off = W.Next.load(std::memory_order_relaxed);
+        Off = W.Next;
         if (Off == SliceEnd ||
             (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
                                  : StopRequested())))
@@ -578,7 +585,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         if (Lease)
           Lease->Cur->store(Supervisor::IdleOffset, std::memory_order_release);
       }
-      W.Next.store(Off + 1, std::memory_order_relaxed);
+      W.Next = Off + 1;
+      publishStages(W);
       W.Done.fetch_add(1, std::memory_order_relaxed);
       TotalDone.fetch_add(1, std::memory_order_relaxed);
       if (Lease) {
@@ -703,7 +711,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       // The live view and the stop check read these counters.
       Sup->doneCounter(W->Index)->store(
           W->Done.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      uint64_t From = W->Next.load(std::memory_order_relaxed);
+      uint64_t From = W->Next;
       if (From != SliceEnd[W->Index])
         Slices.push_back({W->Index, From, SliceEnd[W->Index]});
     }
@@ -738,8 +746,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         NoteIncident("shard " + std::to_string(S.Index) +
                      " results lost: " + Err);
       if (S.Lost || !Read) {
-        const uint64_t Missing =
-            SliceEnd[S.Index] - W.Next.load(std::memory_order_relaxed);
+        const uint64_t Missing = SliceEnd[S.Index] - W.Next;
         DegradedFlag = true;
         LostShardsV.emplace_back(S.Index, Missing);
         if (!S.Note.empty())
@@ -763,7 +770,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
             TotalDone.load(std::memory_order_relaxed), &Total);
   for (auto &W : Workers)
     addLiveShard(Sup ? LiveShardRef{Sup->doneCounter(W->Index), nullptr}
-                     : LiveShardRef{&W->Done, W->Loop.get()});
+                     : LiveShardRef{&W->Done, W->StageNanos});
   struct LiveGuard {
     CampaignEngine *E;
     ~LiveGuard() { E->endLive(); }
@@ -778,8 +785,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       for (auto &W : Workers) {
         // A resumed cursor may already be past its slice's start.
         auto [Lo, Hi] = SliceOf(W->Index, EpochStart);
-        W->Next.store(std::max(Lo, W->Next.load(std::memory_order_relaxed)),
-                      std::memory_order_relaxed);
+        W->Next = std::max(Lo, W->Next);
         SliceEnd[W->Index] = Hi;
       }
     if (Sup) {
@@ -796,8 +802,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     // left unfinished by a lost -fanout lease ends the campaign before its
     // barrier; the checkpoint keeps it resumable.
     if (!Feedback || std::any_of(Workers.begin(), Workers.end(), [&](auto &W) {
-          return W->Next.load(std::memory_order_relaxed) !=
-                 SliceEnd[W->Index];
+          return W->Next != SliceEnd[W->Index];
         }))
       break;
     EpochStart = EpochEnd;
@@ -808,7 +813,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     FeedbackMap Prev = Global;
     for (auto &W : Workers) {
       Global.merge(W->Loop->takeFeedback());
-      W->Next.store(EpochStart, std::memory_order_relaxed);
+      W->Next = EpochStart;
     }
     Schedule.update(Prev, Global);
     if (Checkpointing)
@@ -850,7 +855,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       KeepTrace(std::move(T), "worker " + std::to_string(W->Index));
     const std::vector<BugRecord> &WB = W->Loop->bugs();
     Bugs.insert(Bugs.end(), WB.begin(), WB.end());
-    if (W->Next.load(std::memory_order_relaxed) != W->Hi)
+    if (W->Next != W->Hi)
       Interrupted = true;
   }
   std::stable_sort(Bugs.begin(), Bugs.end(),

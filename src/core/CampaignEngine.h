@@ -79,8 +79,8 @@ namespace alive {
 struct ShardLiveState {
   /// Iterations completed, resumed prefix included.
   uint64_t Done = 0;
-  /// Mutate/optimize/verify/overhead nanoseconds (all 0 under -fanout,
-  /// whose stage split lives in the children).
+  /// Mutate/optimize/verify/overhead nanoseconds, resumed prefix included
+  /// (all 0 under -fanout, whose stage split lives in the children).
   uint64_t StageNanos[4] = {};
 };
 
@@ -168,9 +168,9 @@ public:
   const std::vector<BugRecord> &bugs() const { return Bugs; }
 
   /// The merged telemetry of the finished campaign: master preprocessing
-  /// plus every worker registry, merged with the commutative rules
-  /// (counters/buckets sum, gauges max) — so the deterministic class of
-  /// stats is byte-identical for every worker count.
+  /// plus every worker registry, merged with the commutative rule
+  /// (counters and buckets sum) — so the deterministic class of stats is
+  /// byte-identical for every worker count.
   const StatRegistry &registry() const { return Registry; }
 
   /// First worker's save-directory creation error, if any ("" when the
@@ -197,8 +197,9 @@ public:
 
   /// A point-in-time observer view of the campaign's progress. Safe to
   /// call from any thread at any time — before, during and after run().
-  /// It reads only relaxed atomics (shard Done counters, stage-time
-  /// histogram sums), so it never perturbs the deterministic report.
+  /// It reads only the relaxed atomics each worker publishes (its Done
+  /// counter and stage nanoseconds), so it never perturbs the
+  /// deterministic report.
   CampaignLiveSnapshot liveSnapshot() const;
 
   /// Per-track flight-recorder ring overwrites of the finished campaign
@@ -277,9 +278,9 @@ private:
   /// only while registered — endLive() revokes them before the owners die.
   struct LiveShardRef {
     const std::atomic<uint64_t> *Done = nullptr;
-    /// The worker's loop, for stage-time reads; null for -fanout shards
-    /// (the heartbeat page carries no stage split).
-    const FuzzerLoop *Loop = nullptr;
+    /// The worker's four published stage nanoseconds; null for -fanout
+    /// shards (the heartbeat page carries no stage split).
+    const std::atomic<uint64_t> *StageNanos = nullptr;
   };
 
   /// Opens the live window: run() is now between setup and join.

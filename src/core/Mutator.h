@@ -134,8 +134,8 @@ private:
   /// Cached per-family counter slots (null members when telemetry is off):
   /// apply() must not pay a map probe per attempt.
   struct FamilyCounters {
-    std::atomic<uint64_t> *Applied = nullptr;
-    std::atomic<uint64_t> *Rejected = nullptr;
+    uint64_t *Applied = nullptr;
+    uint64_t *Rejected = nullptr;
   };
   std::array<FamilyCounters, (size_t)MutationKind::NumKinds> Family;
   TraceRecorder *Trace = nullptr;

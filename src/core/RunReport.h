@@ -10,7 +10,7 @@
 ///
 ///   - "deterministic": everything whose value depends only on the seed
 ///     range — config echo, campaign summary counters, the deterministic
-///     registry counters/gauges (per-pass, per-mutation-family,
+///     registry counters (per-pass, per-mutation-family,
 ///     per-TV-verdict tables are derived views of these), and the bug
 ///     list. A -j4 campaign serializes this section byte-identically to
 ///     -j1; tests and scripts/check_stats_json.py enforce it.
@@ -68,7 +68,9 @@ namespace alive {
 /// sampled stacks) became "spans": {"stacks": [{"stack", "self_us"}]},
 /// the exact self time folded per span stack under "w<i>;" roots.
 /// "cache_shards" is empty under -fanout.
-constexpr unsigned RunReportSchemaVersion = 8;
+/// v9: each "stats" block carries "counters" only, plus "histograms" in
+/// the volatile section; a third, always-empty object was dropped.
+constexpr unsigned RunReportSchemaVersion = 9;
 
 /// Report metadata that is not part of FuzzStats or the registry.
 struct RunReportConfig {

@@ -409,7 +409,7 @@ ExecResult Interpreter::runFrame(const Function &F,
         return Res;
       }
       // Watchdog steps are consumed in batches of 64 so the hot loop pays
-      // one relaxed atomic add per 64 instructions, not per instruction.
+      // one token poll per 64 instructions, not per instruction.
       if (Opts.Token && (FuelUsed & 63) == 0 && Opts.Token->consume(64)) {
         Res.Status = ExecStatus::Cancelled;
         return Res;

@@ -7,6 +7,8 @@
 #include "opt/BugInjection.h"
 
 #include <cassert>
+#include <map>
+#include <string>
 
 using namespace alive;
 
@@ -90,6 +92,22 @@ const BugInfo &alive::bugInfo(BugId Id) {
       return B;
   assert(false && "unknown bug id");
   return bugTable().front();
+}
+
+const char *alive::componentPipeline(const char *Component) {
+  static const std::map<std::string, const char *> Map = {
+      {"InstCombine", "instsimplify,constfold,instcombine,dce"},
+      {"NewGVN", "gvn"},
+      {"newGVN", "gvn"},
+      {"VectorCombine", "vector-combine"},
+      {"ConstantFolding", "constfold"},
+      {"InstSimplify", "instsimplify"},
+      {"AlignmentFromAssumptions", "infer-alignment"},
+      {"MoveAutoInit", "move-auto-init"},
+      {"SROA", "sroa"}};
+  auto It = Map.find(Component);
+  // AArch64 backend, multiple backends, TargetLibraryInfo.
+  return It == Map.end() ? "lowering" : It->second;
 }
 
 // The 33 BugIds must fit the context's 64-bit mask.

@@ -85,6 +85,11 @@ const std::vector<BugInfo> &bugTable();
 /// Looks up a bug's static info.
 const BugInfo &bugInfo(BugId Id);
 
+/// The pass pipeline that exercises a Table I component most directly
+/// (the paper likewise ran both -O2 and single passes, §G-1): "gvn" for
+/// NewGVN, "lowering" for the backend and library-info rows.
+const char *componentPipeline(const char *Component);
+
 /// Per-campaign injection configuration: the set of seeded defects the
 /// simulated compiler-under-test carries. Defaults to all defects disabled
 /// (the optimizer is then correct and every TV check must pass).

@@ -103,8 +103,8 @@ private:
   /// added after setTelemetry): the hot loop must not probe the registry
   /// map per pass per sweep.
   struct PassTelemetry {
-    std::atomic<uint64_t> *Invocations = nullptr;
-    std::atomic<uint64_t> *Changed = nullptr;
+    uint64_t *Invocations = nullptr;
+    uint64_t *Changed = nullptr;
     Histogram *Seconds = nullptr;
   };
   std::vector<PassTelemetry> PassStats;

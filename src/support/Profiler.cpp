@@ -36,7 +36,6 @@ bool alive::queryCostRanksBefore(const QueryCost &A, const QueryCost &B) {
 QueryCostTracker::QueryCostTracker(unsigned K) : K(K ? K : 1) {}
 
 void QueryCostTracker::record(const QueryCostSample &S) {
-  std::lock_guard<std::mutex> L(M);
   auto [It, Inserted] = ByKey.try_emplace(S.KeyHash);
   QueryCost &Q = It->second;
   if (Inserted) {
@@ -63,28 +62,19 @@ void QueryCostTracker::record(const QueryCostSample &S) {
   Q.EncodeSeconds += S.EncodeSeconds;
   Q.SolveSeconds += S.SolveSeconds;
   if (ByKey.size() > K)
-    evictWorstLocked();
+    evictWorst();
 }
 
 void QueryCostTracker::restore(const std::vector<QueryCost> &Top) {
-  std::lock_guard<std::mutex> L(M);
   ByKey.clear();
   for (const QueryCost &Q : Top)
     ByKey.emplace(Q.KeyHash, Q);
   while (ByKey.size() > K)
-    evictWorstLocked();
+    evictWorst();
 }
 
 void QueryCostTracker::merge(const QueryCostTracker &O) {
-  std::vector<QueryCost> Other;
-  {
-    std::lock_guard<std::mutex> L(O.M);
-    Other.reserve(O.ByKey.size());
-    for (const auto &[_, Q] : O.ByKey)
-      Other.push_back(Q);
-  }
-  std::lock_guard<std::mutex> L(M);
-  for (const QueryCost &In : Other) {
+  for (const auto &[_, In] : O.ByKey) {
     auto [It, Inserted] = ByKey.try_emplace(In.KeyHash, In);
     if (!Inserted) {
       QueryCost &Q = It->second;
@@ -98,36 +88,26 @@ void QueryCostTracker::merge(const QueryCostTracker &O) {
       Q.SolveSeconds += In.SolveSeconds;
     }
     if (ByKey.size() > K)
-      evictWorstLocked();
+      evictWorst();
   }
 }
 
-void QueryCostTracker::evictWorstLocked() {
-  auto Worst = ByKey.end();
+void QueryCostTracker::evictWorst() {
+  auto Worst = ByKey.begin();
   for (auto It = ByKey.begin(); It != ByKey.end(); ++It)
-    if (Worst == ByKey.end() || queryCostRanksBefore(Worst->second, It->second))
+    if (queryCostRanksBefore(Worst->second, It->second))
       Worst = It;
-  if (Worst != ByKey.end()) {
+  if (Worst != ByKey.end())
     ByKey.erase(Worst);
-    ++Evicted;
-  }
 }
 
 std::vector<QueryCost> QueryCostTracker::top() const {
   std::vector<QueryCost> Out;
-  {
-    std::lock_guard<std::mutex> L(M);
-    Out.reserve(ByKey.size());
-    for (const auto &[_, Q] : ByKey)
-      Out.push_back(Q);
-  }
+  Out.reserve(ByKey.size());
+  for (const auto &[_, Q] : ByKey)
+    Out.push_back(Q);
   std::sort(Out.begin(), Out.end(), queryCostRanksBefore);
   return Out;
-}
-
-uint64_t QueryCostTracker::evicted() const {
-  std::lock_guard<std::mutex> L(M);
-  return Evicted;
 }
 
 //===----------------------------------------------------------------------===//

@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -120,10 +119,9 @@ struct QueryCost {
 /// are unambiguous.
 bool queryCostRanksBefore(const QueryCost &A, const QueryCost &B);
 
-/// Per-worker bounded tracker of the K most expensive queries. The owning
-/// worker records; an observer thread may snapshot concurrently (the map
-/// is mutex-guarded — the verify path it rides is milliseconds per entry,
-/// so the lock is invisible next to the work it attributes).
+/// Per-worker bounded tracker of the K most expensive queries. Single
+/// owner, like the worker's StatRegistry: the engine reads and merges it
+/// only once the worker is parked.
 class QueryCostTracker {
 public:
   explicit QueryCostTracker(unsigned K = 16);
@@ -139,22 +137,16 @@ public:
   /// the exact global top-K; see the file comment for the proof sketch.
   void merge(const QueryCostTracker &O);
 
-  /// The tracked queries, best first under queryCostRanksBefore. Safe to
-  /// call while the owning worker records.
+  /// The tracked queries, best first under queryCostRanksBefore.
   std::vector<QueryCost> top() const;
 
   unsigned capacity() const { return K; }
-  /// Queries that fell off the bottom of the tracker (volatile-ish: the
-  /// count is exact per worker but depends on arrival order).
-  uint64_t evicted() const;
 
 private:
-  void evictWorstLocked();
+  void evictWorst();
 
-  mutable std::mutex M;
   unsigned K;
   std::unordered_map<uint64_t, QueryCost> ByKey;
-  uint64_t Evicted = 0;
 };
 
 /// Per-shard heat counters of the shared TV cache (always volatile:

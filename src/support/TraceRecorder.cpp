@@ -64,7 +64,7 @@ void TraceRecorder::push(const Event &E) {
     Ring[Head] = E;
   }
   Head = (Head + 1) % Cap;
-  Total.fetch_add(1, std::memory_order_relaxed);
+  ++Total;
 }
 
 void TraceRecorder::span(const char *Name, uint64_t StartNanos,
@@ -109,7 +109,7 @@ void TraceRecorder::instant(const char *Name, uint64_t Seed,
 std::vector<TraceRecorder::Event> TraceRecorder::events() const {
   std::vector<Event> Out;
   Out.reserve(size());
-  if (Total.load(std::memory_order_relaxed) <= Cap) {
+  if (Total <= Cap) {
     Out.assign(Ring.begin(), Ring.end());
   } else {
     // Head is both the next write slot and the oldest retained event.

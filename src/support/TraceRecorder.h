@@ -30,7 +30,6 @@
 #ifndef SUPPORT_TRACERECORDER_H
 #define SUPPORT_TRACERECORDER_H
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -85,17 +84,9 @@ public:
 
   size_t capacity() const { return Cap; }
   /// Events retained right now (<= capacity()).
-  size_t size() const {
-    uint64_t T = Total.load(std::memory_order_relaxed);
-    return T < Cap ? (size_t)T : Cap;
-  }
-  /// Events lost to ring overwrite. Safe to read from an observer thread
-  /// while the owning worker records (the count is a relaxed atomic; the
-  /// ring payload itself is still single-owner).
-  uint64_t dropped() const {
-    uint64_t T = Total.load(std::memory_order_relaxed);
-    return T < Cap ? 0 : T - Cap;
-  }
+  size_t size() const { return Total < Cap ? (size_t)Total : Cap; }
+  /// Events lost to ring overwrite.
+  uint64_t dropped() const { return Total < Cap ? 0 : Total - Cap; }
 
   /// Opens a span named \p Name nested in the currently open ones.
   /// \returns its depth, which closeSpan() takes back.
@@ -125,10 +116,8 @@ private:
   std::vector<Event> Ring;
   size_t Cap;
   size_t Head = 0; ///< next write slot
-  /// Events ever recorded. Atomic so an observer thread's dropped() reads
-  /// are race-free against the recording worker; the single writer still
-  /// updates it with a plain relaxed increment.
-  std::atomic<uint64_t> Total{0};
+  /// Events ever recorded.
+  uint64_t Total = 0;
   /// Interned dynamic labels. std::set nodes never move, so the stored
   /// strings' c_str() stays stable across inserts.
   std::set<std::string> Labels;

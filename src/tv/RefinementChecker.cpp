@@ -29,13 +29,7 @@ const char *alive::tvVerdictName(TVVerdict V) {
   return "?";
 }
 
-namespace {
-
-/// Hard ceiling on exhaustive enumeration, whatever TVOptions asks for:
-/// the trial count 1ULL << TotalBits is undefined from 64 bits up.
-constexpr unsigned MaxExhaustiveBits = 63;
-
-bool sameSignature(const Function &A, const Function &B) {
+bool alive::signaturesMatch(const Function &A, const Function &B) {
   if (A.getReturnType()->str() != B.getReturnType()->str())
     return false;
   if (A.getNumArgs() != B.getNumArgs())
@@ -46,9 +40,11 @@ bool sameSignature(const Function &A, const Function &B) {
   return true;
 }
 
-} // namespace
-
 namespace {
+
+/// Hard ceiling on exhaustive enumeration, whatever TVOptions asks for:
+/// the trial count 1ULL << TotalBits is undefined from 64 bits up.
+constexpr unsigned MaxExhaustiveBits = 63;
 
 /// What one concrete refinement trial established. Vacuous cases keep the
 /// reason (UB vs fuel vs unsupported) so budget exhaustion is reported as
@@ -556,7 +552,7 @@ TVResult instrumentedConcrete(const Function &Src, const Function &Tgt,
 TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
                                 const TVOptions &Opts, StatRegistry *Stats) {
   TVResult Res;
-  if (!sameSignature(Src, Tgt)) {
+  if (!signaturesMatch(Src, Tgt)) {
     Res.Verdict = TVVerdict::Unsupported;
     Res.Detail = "signature mismatch between source and target";
     return Res;
@@ -608,7 +604,10 @@ TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
       if (CR.Verdict == TVVerdict::Incorrect)
         return CR;
       CR.Verdict = TVVerdict::Inconclusive;
-      CR.Detail = R.Detail + "; no violation in bounded concrete trials";
+      // A fallback the watchdog cut short keeps its cancellation detail:
+      // the trials it names never ran.
+      if (tvVerdictReason(CR) != "inconclusive.cancelled")
+        CR.Detail = R.Detail + "; no violation in bounded concrete trials";
       return CR;
     }
   }

@@ -118,6 +118,10 @@ TVResult checkRefinement(const Function &Src, const Function &Tgt,
                          const TVOptions &Opts = TVOptions(),
                          StatRegistry *Stats = nullptr);
 
+/// True when \p A and \p B have the same return and argument types,
+/// compared by name: each module owns its own type objects.
+bool signaturesMatch(const Function &A, const Function &B);
+
 /// Self-check used by the fuzzing loop's preprocessing step: verifies the
 /// checker can process \p F at all and that F refines itself. Mirrors the
 /// paper's "drop functions Alive2 cannot handle" filtering (§III-A).

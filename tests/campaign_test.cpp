@@ -481,7 +481,7 @@ TEST(CampaignTest, MergedRunReportIsWorkerCountInvariant) {
   };
   EXPECT_EQ(DeterministicPart(R1), DeterministicPart(R4));
   // And the reports are structurally complete.
-  EXPECT_NE(R1.find("\"schema_version\": 8"), std::string::npos);
+  EXPECT_NE(R1.find("\"schema_version\": 9"), std::string::npos);
   EXPECT_NE(R1.find("\"per_pass\""), std::string::npos);
   EXPECT_NE(R1.find("\"per_family\""), std::string::npos);
   EXPECT_NE(R1.find("\"tv_verdicts\""), std::string::npos);
@@ -672,7 +672,8 @@ std::string deterministicReport(const CampaignEngine &Engine,
 TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
   // An observer polling liveSnapshot() every millisecond during a -j2
   // feedback campaign cannot move the deterministic report, and every
-  // snapshot it sees is a plausible progress reading.
+  // snapshot it sees is a plausible progress reading: Done and each
+  // shard's published stage nanoseconds never go backwards.
   FuzzOptions Opts = twoBugOptions(200);
   Opts.Feedback.Enabled = true;
   Opts.Feedback.EpochLength = 32;
@@ -690,15 +691,24 @@ TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
   EXPECT_EQ(deterministicReport(Plain, Opts, 2),
             deterministicReport(Polled, Opts, 2));
   uint64_t Prev = 0;
+  uint64_t PrevStage[2][4] = {};
+  bool SawStageTime = false;
   for (const CampaignLiveSnapshot &S : Seen) {
     EXPECT_GE(S.Done, Prev);
     EXPECT_LE(S.Done, S.Target);
     EXPECT_EQ(S.Target, 200u);
     EXPECT_EQ(S.Workers, 2u);
-    EXPECT_EQ(S.Shards.size(), 2u);
+    ASSERT_EQ(S.Shards.size(), 2u);
     EXPECT_EQ(S.Restored, 0u);
     Prev = S.Done;
+    for (unsigned W = 0; W != 2; ++W)
+      for (unsigned I = 0; I != 4; ++I) {
+        EXPECT_GE(S.Shards[W].StageNanos[I], PrevStage[W][I]);
+        PrevStage[W][I] = S.Shards[W].StageNanos[I];
+        SawStageTime |= PrevStage[W][I] != 0;
+      }
   }
+  EXPECT_TRUE(SawStageTime) << Seen.size() << " live snapshots";
   EXPECT_EQ(Polled.liveSnapshot().Done, 200u);
 }
 

@@ -415,6 +415,42 @@ TEST(SurvivabilityTest, SelfCheckSpendsOneCompletedTrial) {
   EXPECT_GT(R.counterValue("survive.quarantine.backoffs"), 0u);
 }
 
+TEST(SurvivabilityTest, CancelledFallbackKeepsCancellationDetail) {
+  // Reassociated products defeat a 1-conflict solver budget, so the check
+  // falls back to concrete trials; the 100-add chain makes each run cost
+  // a 64-step batch, and a 256-step budget runs out on the second trial.
+  // The fallback was cut short, so the verdict must say so rather than
+  // claim bounded trials that never ran.
+  auto ChainIR = [](const char *Product) {
+    std::ostringstream IR;
+    IR << "define i16 @f(i16 %x, i16 %y, i16 %z) {\n" << Product
+       << "  %a0 = add i16 %m2, %x\n";
+    for (int I = 1; I <= 100; ++I)
+      IR << "  %a" << I << " = add i16 %a" << (I - 1) << ", " << I << "\n";
+    IR << "  ret i16 %a100\n}\n";
+    return IR.str();
+  };
+  auto Src = parseOk(ChainIR("  %m1 = mul i16 %x, %y\n"
+                             "  %m2 = mul i16 %m1, %z\n"));
+  auto Tgt = parseOk(ChainIR("  %m1 = mul i16 %y, %z\n"
+                             "  %m2 = mul i16 %x, %m1\n"));
+  TVOptions TV;
+  TV.SolverConflictBudget = 1;
+  TVResult Budget = checkRefinement(*Src->getFunction("f"),
+                                    *Tgt->getFunction("f"), TV);
+  ASSERT_EQ(tvVerdictReason(Budget), "inconclusive.budget") << Budget.Detail;
+
+  CancellationToken Token;
+  TV.Token = &Token;
+  Token.beginIteration(256);
+  TVResult Cut = checkRefinement(*Src->getFunction("f"),
+                                 *Tgt->getFunction("f"), TV);
+  EXPECT_EQ(Cut.Verdict, TVVerdict::Inconclusive);
+  EXPECT_EQ(tvVerdictReason(Cut), "inconclusive.cancelled") << Cut.Detail;
+  EXPECT_EQ(Cut.Detail.find("no violation"), std::string::npos)
+      << Cut.Detail;
+}
+
 //===----------------------------------------------------------------------===//
 // Checkpoint serialization.
 //===----------------------------------------------------------------------===//

@@ -40,23 +40,6 @@ namespace {
 /// exhaustive evaluation doubles in cost with every bit.
 constexpr unsigned MaxFreeBits = 16;
 
-/// The pass pipeline that exercises a Table I component most directly (the
-/// mapping bench_campaign uses).
-std::string pipelineFor(const char *Component) {
-  static const std::map<std::string, std::string> Map = {
-      {"InstCombine", "instsimplify,constfold,instcombine,dce"},
-      {"NewGVN", "gvn"},
-      {"newGVN", "gvn"},
-      {"VectorCombine", "vector-combine"},
-      {"ConstantFolding", "constfold"},
-      {"InstSimplify", "instsimplify"},
-      {"AlignmentFromAssumptions", "infer-alignment"},
-      {"MoveAutoInit", "move-auto-init"},
-      {"SROA", "sroa"}};
-  auto It = Map.find(Component);
-  return It == Map.end() ? "lowering" : It->second;
-}
-
 struct AuditStats {
   std::set<std::string> Seen;
   unsigned Queries = 0, Unsat = 0, Sat = 0;
@@ -90,23 +73,11 @@ std::vector<TermRef> freeVars(TermRef Root) {
   return Vars;
 }
 
-/// Mutation and optimization keep signatures, but compare types by name:
-/// each module owns its own type objects.
-bool sameSignature(const Function &A, const Function &B) {
-  if (A.getReturnType()->str() != B.getReturnType()->str() ||
-      A.getNumArgs() != B.getNumArgs())
-    return false;
-  for (unsigned I = 0; I != A.getNumArgs(); ++I)
-    if (A.getArg(I)->getType()->str() != B.getArg(I)->getType()->str())
-      return false;
-  return true;
-}
-
 /// Solves the symbolic query of (Src, Tgt) and checks the verdict against
 /// exhaustive evaluation of its violation term.
 void auditQuery(const Function &Src, const Function &Tgt, AuditStats &A) {
   std::string Why;
-  if (!sameSignature(Src, Tgt) ||
+  if (!signaturesMatch(Src, Tgt) ||
       !FunctionEncoder::isSymbolicallySupported(Src, Why) ||
       !FunctionEncoder::isSymbolicallySupported(Tgt, Why))
     return;
@@ -213,7 +184,7 @@ TEST(TVAuditTest, NearMissQueriesAgreeWithExhaustiveEvaluation) {
         Text = S.Text;
     ASSERT_NE(Text, nullptr) << "no near-miss seed for " << Bug.IssueId;
     FuzzOptions Opts;
-    Opts.Passes = pipelineFor(Bug.Component);
+    Opts.Passes = componentPipeline(Bug.Component);
     Opts.Bugs.enable(Bug.Id);
     auditCampaign(Text, Opts, 1024, A);
   }
