@@ -34,15 +34,16 @@ invariants the telemetry subsystem guarantees:
     enabled flag; when enabled, every deterministic top-K query row is
     internally consistent (cost == decisions + propagations + conflicts,
     count positive, rank dense from 1) and the rows are sorted by the
-    documented total order (cost desc, then key asc), while the volatile
-    side carries the cache-shard data with non-negative counters;
+    documented total order (cost desc, then key asc);
   - the v8 span folds: every volatile profile stack starts at a worker
     root "w<i>;" with a positive integer self_us, and the folded self
     time adds up to at most the summed worker wall time. The folds are
     exact; the tolerance covers each worker's one "preprocess" span,
     which runs at setup, outside the slices worker_total times;
   - the v9 stats blocks: deterministic.stats carries only "counters" and
-    volatile.stats only "counters" and "histograms".
+    volatile.stats only "counters" and "histograms";
+  - v10: no "cache_shards" key anywhere (the shared verdict cache is one
+    LRU; its counters are the volatile "cache" block).
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -55,12 +56,21 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def fail(msg):
     print("check_stats_json: FAIL: " + msg)
     sys.exit(1)
+
+
+def keys_named(node, name):
+    """Counts the object keys called name anywhere under node."""
+    if isinstance(node, dict):
+        return (name in node) + sum(keys_named(v, name) for v in node.values())
+    if isinstance(node, list):
+        return sum(keys_named(v, name) for v in node)
+    return 0
 
 
 def check_report(path):
@@ -72,6 +82,8 @@ def check_report(path):
     for key in ("tool", "deterministic", "volatile"):
         if key not in r:
             fail("%s: missing top-level %r" % (path, key))
+    if keys_named(r, "cache_shards"):
+        fail("%s: retired 'cache_shards' key present" % path)
 
     det = r["deterministic"]
     vol = r["volatile"]
@@ -178,10 +190,6 @@ def check_report(path):
                 "%s: folded span self time %.6fs exceeds worker_total %.6fs"
                 % (path, folded, worker)
             )
-        for sh in data.get("cache_shards", []):
-            for key in ("hits", "misses", "evictions", "inserts", "lock_waits"):
-                if not isinstance(sh.get(key), int) or sh[key] < 0:
-                    fail("%s: cache shard field %s not a non-negative int" % (path, key))
 
     surv = vol["survivability"]
     if not isinstance(surv.get("timeouts"), int) or surv["timeouts"] < 0:

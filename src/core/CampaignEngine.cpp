@@ -10,6 +10,7 @@
 #include "core/Supervisor.h"
 #include "parser/Printer.h"
 #include "support/FaultPlane.h"
+#include "support/Hash.h"
 #include "support/SignalGuard.h"
 #include "support/Timer.h"
 
@@ -269,8 +270,7 @@ FuzzOptions workerOptions(const FuzzOptions &Opts,
 /// proof sketch), so that table lands in the report's deterministic
 /// section; each worker's span folds go under its "w<i>" root.
 CampaignProfile mergeProfile(const FuzzOptions &Opts,
-                             const std::vector<std::unique_ptr<Worker>> &Ws,
-                             const SharedTVCache *Cache) {
+                             const std::vector<std::unique_ptr<Worker>> &Ws) {
   CampaignProfile P;
   if (!Opts.Profile.Enabled)
     return P;
@@ -284,9 +284,6 @@ CampaignProfile mergeProfile(const FuzzOptions &Opts,
       P.SpanSelfNanos[Root + Stack] += Nanos;
   }
   P.TopQueries = Merged.top();
-  // Under -fanout the children heated their own copies of the cache.
-  if (Cache && !Opts.Survival.Fanout)
-    P.CacheShards = Cache->shardHeat();
   return P;
 }
 
@@ -342,7 +339,8 @@ bool CampaignEngine::pinCheckpointIdentity(const std::string &Dir,
   Cur.FeedbackOn = Opts.Feedback.Enabled;
   Cur.EpochLength =
       Cur.FeedbackOn ? std::max(1u, Opts.Feedback.EpochLength) : 0;
-  Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
+  Cur.ModuleHash =
+      fnv1a64(printModule(*MasterLoop->module()), ShortFnvBasis);
   std::string Err;
   if (Opts.Survival.Resume) {
     CheckpointMeta Stored;
@@ -830,7 +828,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     CheckpointAll();
 
   // Before the loop below takes the workers' recorders.
-  Profile = mergeProfile(Opts, Workers, SharedCache.get());
+  Profile = mergeProfile(Opts, Workers);
   // Deterministic merge in worker order; the seed sort below restores the
   // sequential bug order where slices interleave seeds across workers
   // (same-seed bugs come from one worker's list, which stable_sort keeps).

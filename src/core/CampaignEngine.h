@@ -46,7 +46,7 @@
 /// afresh and reseeds the PRNG), so merging worker results in worker order
 /// and sorting the bug list by seed yields a report byte-identical to the
 /// sequential run, on either executor. A fresh feedback schedule consumes
-/// the RNG stream exactly like blind. Each worker loop owns a one-shard
+/// the RNG stream exactly like blind. Each worker loop owns a private
 /// SharedTVCache; a hit replays the byte-identical verdict the checker
 /// would recompute, so only the hit/miss split varies with the worker
 /// count. With -shared-tv-cache the engine instead owns one process-wide
@@ -208,8 +208,8 @@ public:
   std::vector<std::pair<std::string, uint64_t>> traceDropped() const;
 
   /// The finished campaign's cost-attribution profile (Opts.Profile):
-  /// deterministic merged top-K queries plus the volatile span folds and
-  /// cache shard heat. Enabled=false when profiling was off.
+  /// deterministic merged top-K queries plus the volatile span folds.
+  /// Enabled=false when profiling was off.
   const CampaignProfile &profile() const { return Profile; }
 
 private:

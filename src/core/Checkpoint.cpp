@@ -90,15 +90,6 @@ constexpr std::pair<const char *, uint64_t QueryCost::*> QueryCounters[] = {
 
 } // namespace
 
-uint64_t alive::hashModuleText(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull; // FNV offset basis
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull; // FNV prime
-  }
-  return H;
-}
-
 bool alive::writeCheckpointMeta(const std::string &Dir,
                                 const CheckpointMeta &M, std::string &Error) {
   std::error_code EC;

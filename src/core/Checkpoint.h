@@ -58,7 +58,8 @@ struct CheckpointMeta {
   /// different feedback configuration is a mismatch.
   bool FeedbackOn = false;
   unsigned EpochLength = 0;
-  /// FNV-1a over the preprocessed master module's printed text.
+  /// fnv1a64 (ShortFnvBasis) of the preprocessed master module's printed
+  /// text.
   uint64_t ModuleHash = 0;
 };
 
@@ -86,9 +87,6 @@ struct WorkerCheckpoint {
   std::vector<QueryCost> Queries;
   std::map<std::string, uint64_t> SpanFolds;
 };
-
-/// FNV-1a 64-bit over \p Text (the resume-coherence module fingerprint).
-uint64_t hashModuleText(const std::string &Text);
 
 /// Writes meta.json under \p Dir (created if missing). Atomic.
 bool writeCheckpointMeta(const std::string &Dir, const CheckpointMeta &M,

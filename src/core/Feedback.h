@@ -29,7 +29,7 @@
 ///     bitmap gains bits resets E_f = 8 and the dry-streak to 0; a dry
 ///     epoch increments the streak and sets E_f = max(1, 8 >> streak).
 ///     Gating consumes no RNG: f is mutated at seed s iff
-///     (splitmix64(s ^ fnv1a(f)) & 7) < E_f, so E_f == 8 always mutates.
+///     (splitmix64(s ^ fnv1a64(f)) & 7) < E_f, so E_f == 8 always mutates.
 ///   - family weight w_k in [1, 16], initially 8: doubled (capped) after
 ///     an epoch where the family's cumulative bitmap gained bits, halved
 ///     (floored) otherwise. The weighted pick replaces the uniform pick
@@ -42,6 +42,7 @@
 
 #include "core/Mutator.h"
 #include "opt/RuleIDs.h"
+#include "support/Hash.h"
 
 #include <array>
 #include <cstdint>
@@ -174,16 +175,6 @@ inline uint64_t splitmix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-/// FNV-1a over a function name (stable across platforms).
-inline uint64_t fnv1aHash(const std::string &S) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (char C : S) {
-    H ^= (unsigned char)C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 /// The deterministic energy gate: whether function \p Fn is mutated at
 /// iteration seed \p Seed under schedule \p S. Consumes no RNG, so
 /// skipping a function leaves the mutant of every other function
@@ -195,7 +186,7 @@ inline bool scheduleAllowsMutation(const ScheduleState *S,
   uint32_t E = S->energyFor(Fn);
   if (E >= ScheduleState::MaxEnergy)
     return true;
-  return (splitmix64(Seed ^ fnv1aHash(Fn)) & 7) < E;
+  return (splitmix64(Seed ^ fnv1a64(Fn)) & 7) < E;
 }
 
 } // namespace alive

@@ -10,6 +10,7 @@
 #include "opt/BugInjection.h"
 #include "parser/Printer.h"
 #include "support/AtomicFile.h"
+#include "support/Hash.h"
 #include "support/SignalGuard.h"
 #include "support/Timer.h"
 #include "tv/Canonicalize.h"
@@ -47,10 +48,9 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
   if (this->Opts.TVCacheSize == 0) {
     this->Opts.SharedCache = nullptr;
   } else if (!this->Opts.UseSharedTVCache || !this->Opts.SharedCache) {
-    // No engine-provided shared cache: the loop owns one. Only this thread
-    // touches it, so it has one shard, whose hits, misses and evictions are
-    // exactly a TVCache's of the same capacity.
-    OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize, 1);
+    // No engine-provided shared cache: the loop owns one, whose hits,
+    // misses and evictions are exactly a TVCache's of the same capacity.
+    OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize);
     this->Opts.SharedCache = OwnedCache.get();
   }
   // Arm the iteration watchdog when either trigger is configured. One

@@ -285,8 +285,8 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
     }
     OS << "]},\n";
   }
-  // The volatile half of the profile: wall-clock per query, span folds,
-  // cache shard heat — all scheduling artifacts.
+  // The volatile half of the profile: wall-clock per query and span
+  // folds — scheduling artifacts.
   OS << "    \"profile\": {\"enabled\": " << (Profiling ? "true" : "false");
   if (Profiling) {
     OS << ", \"data\": ";

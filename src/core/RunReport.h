@@ -70,7 +70,10 @@ namespace alive {
 /// "cache_shards" is empty under -fanout.
 /// v9: each "stats" block carries "counters" only, plus "histograms" in
 /// the volatile section; a third, always-empty object was dropped.
-constexpr unsigned RunReportSchemaVersion = 9;
+/// v10: the volatile profile lost "cache_shards": the shared verdict cache
+/// is one LRU behind one lock, and its hits, misses and evictions are the
+/// volatile "cache" block.
+constexpr unsigned RunReportSchemaVersion = 10;
 
 /// Report metadata that is not part of FuzzStats or the registry.
 struct RunReportConfig {

@@ -6,6 +6,8 @@
 
 #include "support/FaultPlane.h"
 
+#include "support/Hash.h"
+
 #include <cstdlib>
 
 using namespace alive;
@@ -38,7 +40,7 @@ void FaultPlane::setSeed(uint64_t S) {
   std::lock_guard<std::mutex> Lock(M);
   Seed = S;
   for (Point &P : Points)
-    P.Stream = Seed ^ fnv1a64(P.Name);
+    P.Stream = Seed ^ fnv1a64(P.Name, ShortFnvBasis);
 }
 
 void FaultPlane::reset() {
@@ -110,7 +112,7 @@ bool FaultPlane::arm(const std::string &SpecList, std::string &Error) {
   std::lock_guard<std::mutex> Lock(M);
   Points = std::move(Parsed);
   for (Point &P : Points)
-    P.Stream = Seed ^ fnv1a64(P.Name);
+    P.Stream = Seed ^ fnv1a64(P.Name, ShortFnvBasis);
   Armed.store(!Points.empty(), std::memory_order_relaxed);
   return true;
 }

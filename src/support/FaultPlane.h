@@ -52,16 +52,6 @@ inline uint64_t splitmix64(uint64_t &State) {
   return Z ^ (Z >> 31);
 }
 
-/// FNV-1a over a string; used to derive per-point fault streams.
-inline uint64_t fnv1a64(const std::string &S) {
-  uint64_t H = 1469598103934665603ULL;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
 /// Observable accounting for one armed fault point.
 struct FaultPointCounters {
   std::string Point;

@@ -13,15 +13,6 @@
 
 using namespace alive;
 
-uint64_t alive::fnv1a64(std::string_view S) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
-
 bool alive::queryCostRanksBefore(const QueryCost &A, const QueryCost &B) {
   uint64_t CA = A.costUnits(), CB = B.costUnits();
   if (CA != CB)
@@ -179,17 +170,6 @@ void alive::writeProfileVolatileJSON(std::ostream &OS,
     OS << ", \"solve_s\": ";
     writeJSONDouble(OS, Q.SolveSeconds);
     OS << "}";
-  }
-  OS << (First ? "" : "\n" + Indent + " ") << "],\n"
-     << Indent << " \"cache_shards\": [";
-  First = true;
-  for (size_t I = 0; I != P.CacheShards.size(); ++I) {
-    const ShardHeat &H = P.CacheShards[I];
-    OS << (First ? "\n" : ",\n") << Indent << "   {\"shard\": " << I
-       << ", \"hits\": " << H.Hits << ", \"misses\": " << H.Misses
-       << ", \"evictions\": " << H.Evictions << ", \"inserts\": " << H.Inserts
-       << ", \"lock_waits\": " << H.LockWaits << "}";
-    First = false;
   }
   OS << (First ? "" : "\n" + Indent + " ") << "]}";
 }

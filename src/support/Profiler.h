@@ -32,9 +32,8 @@
 ///
 /// Both are per-worker state that the shard checkpoint carries, so a
 /// resumed campaign and a -fanout campaign report them like an
-/// uninterrupted in-process one. CampaignProfile bundles both (plus the
-/// shared TV cache's per-shard heat counters) for the run report's
-/// profile blocks.
+/// uninterrupted in-process one. CampaignProfile bundles both for the run
+/// report's profile blocks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,10 +49,6 @@
 #include <vector>
 
 namespace alive {
-
-/// 64-bit FNV-1a. Used for the query key hash instead of std::hash so the
-/// profile block is stable across standard libraries and platforms.
-uint64_t fnv1a64(std::string_view S);
 
 /// Profiling knobs, threaded through FuzzOptions (one copy per worker).
 struct ProfileOptions {
@@ -149,16 +144,6 @@ private:
   std::unordered_map<uint64_t, QueryCost> ByKey;
 };
 
-/// Per-shard heat counters of the shared TV cache (always volatile:
-/// which worker hit which shard is pure scheduling).
-struct ShardHeat {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  uint64_t Inserts = 0;
-  uint64_t LockWaits = 0; ///< lock acquisitions that found the lock held
-};
-
 /// Everything the profiling subsystem produced for one campaign, split
 /// along the usual deterministic/volatile seam.
 struct CampaignProfile {
@@ -169,9 +154,6 @@ struct CampaignProfile {
   /// Volatile: exact self nanoseconds per collapsed span stack, rooted
   /// at the worker ("w0;verify").
   std::map<std::string, uint64_t> SpanSelfNanos;
-  /// Volatile: shared TV cache shard heat (empty when the shared cache
-  /// was off, and under -fanout, whose children heat their own copies).
-  std::vector<ShardHeat> CacheShards;
 };
 
 /// Serializes the deterministic top-K as a JSON array of query objects
@@ -181,9 +163,8 @@ struct CampaignProfile {
 void writeTopQueriesJSON(std::ostream &OS, const std::vector<QueryCost> &Top,
                          const std::string &Indent = "");
 
-/// Serializes the volatile side (span folds + shard heat + per-query wall
-/// seconds) as a JSON object. A stack whose self time is under a
-/// microsecond is left out.
+/// Serializes the volatile side (span folds + per-query wall seconds) as a
+/// JSON object. A stack whose self time is under a microsecond is left out.
 void writeProfileVolatileJSON(std::ostream &OS, const CampaignProfile &P,
                               const std::string &Indent = "");
 

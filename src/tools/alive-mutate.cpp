@@ -102,9 +102,9 @@ static void printHelp() {
       "  -progress=<sec>   print campaign progress every <sec> seconds\n"
       "                    (may be fractional)\n"
       "  -profile          deep cost attribution: per-query solver effort\n"
-      "                    (top-K table in the report, -j invariant), exact\n"
-      "                    self time per worker span stack, and cache\n"
-      "                    shard heat; kept across -resume and -fanout\n"
+      "                    (top-K table in the report, -j invariant) and\n"
+      "                    exact self time per worker span stack; kept\n"
+      "                    across -resume and -fanout\n"
       "  -profile-topk=<n> most-expensive-query tracker capacity "
       "(default 16)\n"
       "  -stats-json=<file> write a schema-versioned JSON run report\n"
@@ -280,11 +280,6 @@ int main(int Argc, char **Argv) {
       Args.getInt<size_t>("trace-capacity", TraceRecorder::DefaultCapacity);
   Opts.Profile.Enabled = Args.has("profile");
   Opts.Profile.TopK = Args.getInt<unsigned>("profile-topk", 16, 1);
-  if (!Opts.Profile.Enabled && Args.has("profile-topk")) {
-    std::fprintf(stderr, "error: -profile-topk tunes -profile; add -profile "
-                         "or drop it\n");
-    return 1;
-  }
 
   // Survivability. The in-process signal guard is on by default for the
   // fuzzing tool — a real optimizer abort should be a recorded crash bug,
@@ -309,6 +304,52 @@ int main(int Argc, char **Argv) {
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
   SV.Resume = Args.has("resume");
 
+  // A tuning flag whose feature is off would be ignored without a word,
+  // so the campaign would not be the one asked for: reject it by name.
+  struct TuningFlag {
+    const char *Name;
+    bool FeatureOn;
+    const char *Feature;
+    const char *Fix;
+  };
+  const bool CacheOn = !Args.has("no-tv-cache");
+  const bool FanoutOn = SV.Fanout != 0;
+  for (const TuningFlag &T : {
+           TuningFlag{"profile-topk", Opts.Profile.Enabled, "-profile",
+                      "add -profile"},
+           TuningFlag{"fault-seed", !Args.get("inject-fault").empty(),
+                      "-inject-fault", "add -inject-fault=<point>:<spec>"},
+           TuningFlag{"checkpoint-interval", !Opts.Feedback.Enabled,
+                      "the mid-epoch checkpoint cadence, which -feedback "
+                      "does not use",
+                      "drop -feedback"},
+           TuningFlag{"checkpoint-interval",
+                      !SV.CheckpointDir.empty() || FanoutOn,
+                      "-checkpoint or -fanout",
+                      "add -checkpoint=<dir> or -fanout=<n>"},
+           TuningFlag{"feedback-epoch", Opts.Feedback.Enabled, "-feedback",
+                      "add -feedback"},
+           TuningFlag{"tv-cache-size", CacheOn, "the verdict cache",
+                      "drop -no-tv-cache"},
+           TuningFlag{"shared-tv-cache", CacheOn, "the verdict cache",
+                      "drop -no-tv-cache"},
+           TuningFlag{"trace-capacity",
+                      Opts.TraceEnabled || Opts.Profile.Enabled,
+                      "the flight recorder",
+                      "add -trace-json=<file> or -profile"},
+           TuningFlag{"retry-max", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"retry-base", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"retry-cap", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"lease-deadline", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"isolate-mem-mb", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"isolate-cpu-s", FanoutOn, "-fanout", "add -fanout=<n>"},
+       })
+    if (!T.FeatureOn && Args.has(T.Name)) {
+      std::fprintf(stderr, "error: -%s tunes %s; %s, or drop -%s\n", T.Name,
+                   T.Feature, T.Fix, T.Name);
+      return 1;
+    }
+
   // The fault plane arms before anything it guards can run. Unknown point
   // names and malformed specs are config errors, not warnings: a chaos
   // test that silently armed nothing would prove nothing.
@@ -320,10 +361,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s\n", FaultErr.c_str());
       return 1;
     }
-  } else if (Args.has("fault-seed")) {
-    std::fprintf(stderr, "error: -fault-seed tunes -inject-fault; add "
-                         "-inject-fault=<point>:<spec> or drop it\n");
-    return 1;
   }
 
   if (Args.has("distill") && !Opts.Feedback.Enabled) {

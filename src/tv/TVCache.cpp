@@ -7,6 +7,7 @@
 #include "tv/TVCache.h"
 
 #include "parser/Printer.h"
+#include "support/Hash.h"
 
 #include <cassert>
 #include <cstdio>
@@ -14,14 +15,6 @@
 using namespace alive;
 
 namespace {
-
-uint64_t fnv1a(std::string_view Text, uint64_t H = 0xcbf29ce484222325ULL) {
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
 
 /// True when \p F 's interpretation can leave the function's own text:
 /// calls to defined non-intrinsic functions execute the callee body, which
@@ -42,10 +35,6 @@ bool dependsOnModuleContext(const Function &F) {
 
 TVCache::TVCache(size_t Capacity) : Capacity(Capacity ? Capacity : 1) {}
 
-uint64_t TVCache::structuralHash(const Function &F) {
-  return fnv1a(printFunction(F));
-}
-
 bool TVCache::isCacheable(const Function &F) {
   return !dependsOnModuleContext(F);
 }
@@ -64,7 +53,8 @@ std::string TVCache::makeKey(std::string_view SrcText,
   char Head[160];
   int N = std::snprintf(
       Head, sizeof Head, "%016llx:%016llx|b%llu,t%u,e%u,f%llu,s%llx|",
-      (unsigned long long)fnv1a(SrcText), (unsigned long long)fnv1a(TgtText),
+      (unsigned long long)fnv1a64(SrcText),
+      (unsigned long long)fnv1a64(TgtText),
       (unsigned long long)Opts.SolverConflictBudget, Opts.ConcreteTrials,
       Opts.ExhaustiveBits, (unsigned long long)Opts.Fuel,
       (unsigned long long)Opts.Seed);
@@ -84,11 +74,8 @@ std::string TVCache::makeKey(std::string_view SrcText,
 
 const TVResult *TVCache::lookup(const std::string &Key) {
   auto It = Map.find(Key);
-  if (It == Map.end()) {
-    ++S.Misses;
+  if (It == Map.end())
     return nullptr;
-  }
-  ++S.Hits;
   LRU.splice(LRU.begin(), LRU, It->second);
   return &It->second->second;
 }
@@ -102,7 +89,6 @@ bool TVCache::insert(const std::string &Key, const TVResult &R) {
     Map.erase(std::string_view(Old.first));
     LRU.pop_back();
     Evicted = true;
-    ++S.Evictions;
   }
   LRU.emplace_front(Key, R);
   Map.emplace(std::string_view(LRU.front().first), LRU.begin());

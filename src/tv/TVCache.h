@@ -21,10 +21,10 @@
 /// and makeKey refuses them.
 ///
 /// This is the one LRU of the validator. A FuzzerLoop reaches it through
-/// SharedTVCache (tv/SharedTVCache.h), whose shards are each a mutex plus a
-/// TVCache: by default a private one-shard instance per worker keyed on raw
-/// printed text, or under -shared-tv-cache one process-wide instance keyed
-/// on canonicalized pairs. Workers of the default mode share nothing on the
+/// SharedTVCache (tv/SharedTVCache.h), a mutex around one TVCache: by
+/// default a private instance per worker keyed on raw printed text, or
+/// under -shared-tv-cache one process-wide instance keyed on canonicalized
+/// pairs. Workers of the default mode share nothing on the
 /// hot path, and a hit replays a verdict byte-identical to what the checker
 /// would recompute, so the -j N bug report stays byte-identical to -j 1
 /// even though each worker's hit pattern differs.
@@ -36,7 +36,6 @@
 
 #include "tv/RefinementChecker.h"
 
-#include <cstdint>
 #include <list>
 #include <string>
 #include <string_view>
@@ -46,12 +45,6 @@ namespace alive {
 
 class TVCache {
 public:
-  struct Stats {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Evictions = 0;
-  };
-
   /// \p Capacity bounds the number of resident verdicts (0 is clamped
   /// to 1; use "no cache at all" to disable memoization).
   explicit TVCache(size_t Capacity = DefaultCapacity);
@@ -83,13 +76,8 @@ public:
   /// makeKey and the canonicalization pass of the shared cache.
   static bool isCacheable(const Function &F);
 
-  /// 64-bit FNV-1a hash of a function's printed form: identical text (the
-  /// parser/printer round-trip normal form) hashes identically regardless
-  /// of which module clone the function lives in.
-  static uint64_t structuralHash(const Function &F);
-
   /// \returns the memoized verdict for \p Key, refreshing its recency, or
-  /// null on a miss. Counts the hit/miss.
+  /// null on a miss.
   const TVResult *lookup(const std::string &Key);
 
   /// Memoizes \p R under \p Key (no-op if the key is already resident).
@@ -98,7 +86,6 @@ public:
 
   size_t size() const { return Map.size(); }
   size_t capacity() const { return Capacity; }
-  const Stats &stats() const { return S; }
 
 private:
   using Entry = std::pair<std::string, TVResult>;
@@ -108,7 +95,6 @@ private:
   /// entry's own key string (stable for the entry's lifetime).
   std::list<Entry> LRU;
   std::unordered_map<std::string_view, std::list<Entry>::iterator> Map;
-  Stats S;
 };
 
 } // namespace alive

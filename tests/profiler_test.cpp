@@ -21,6 +21,7 @@
 #include "core/RunReport.h"
 #include "opt/BugInjection.h"
 #include "parser/Parser.h"
+#include "support/Hash.h"
 #include "support/TraceRecorder.h"
 
 #include <filesystem>
@@ -64,6 +65,9 @@ TEST(ProfilerTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // The checkpoint's module fingerprint and the fault streams keep the
+  // short basis they were first written with, so old checkpoints resume.
+  EXPECT_EQ(fnv1a64("a", ShortFnvBasis), 0x44bd8ad473cd9906ULL);
 }
 
 TEST(ProfilerTest, RankingIsCostDescThenKeyAsc) {
@@ -322,7 +326,7 @@ TEST(ProfilerTest, ResumedCampaignReportsTheUninterruptedTopK) {
 }
 
 //===----------------------------------------------------------------------===//
-// Run report schema v9: the profile blocks.
+// Run report schema v10: the profile blocks.
 //===----------------------------------------------------------------------===//
 
 TEST(ProfilerTest, RunReportV6ProfileBlocks) {
@@ -346,9 +350,9 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
                  &Engine.profile());
   std::string R = OS.str();
 
-  EXPECT_NE(R.find("\"schema_version\": 9"), std::string::npos);
+  EXPECT_NE(R.find("\"schema_version\": 10"), std::string::npos);
   // Both sections carry a profile block: the deterministic top-K table
-  // and the volatile span-fold/shard-heat data.
+  // and the volatile span folds. The v10 report has no cache-shard heat.
   size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");
   ASSERT_NE(Det, std::string::npos) << R;
   EXPECT_NE(R.find("\"queries\"", Det), std::string::npos);
@@ -359,6 +363,7 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
   EXPECT_NE(R.find("{\"stack\": \"w1;", Vol), std::string::npos);
   EXPECT_NE(R.find("\"self_us\": ", Vol), std::string::npos);
   EXPECT_NE(R.find("\"query_seconds\"", Vol), std::string::npos);
+  EXPECT_EQ(R.find("cache_shards"), std::string::npos);
 
   // Without a profile, both blocks collapse to {"enabled": false}.
   std::ostringstream OS2;

@@ -20,6 +20,7 @@
 #include "parser/Parser.h"
 #include "parser/Printer.h"
 #include "support/Cancellation.h"
+#include "support/Hash.h"
 
 #include <csignal>
 #include <filesystem>
@@ -521,7 +522,7 @@ TEST(SurvivabilityTest, CheckpointMetaMismatchIsActionable) {
   M.BaseSeed = 7;
   M.Jobs = 4;
   M.MaxMutationsPerFunction = 3;
-  M.ModuleHash = hashModuleText("define void @f() {\n}\n");
+  M.ModuleHash = fnv1a64("define void @f() {\n}\n", ShortFnvBasis);
   std::string Err;
   ASSERT_TRUE(writeCheckpointMeta(Dir.Path, M, Err)) << Err;
   CheckpointMeta R;

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <vector>
 
 using namespace alive;
 
@@ -319,6 +320,65 @@ TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
     EXPECT_NE(readFile(Err).find("unknown flag " + Name), std::string::npos)
         << readFile(Err);
   }
+}
+
+TEST_F(ToolsTest, AliveMutateRejectsTuningFlagsWithoutTheirFeature) {
+  // A tuning flag whose feature is off used to be ignored (exit 0): each
+  // row must now exit 1 with an error naming the flag and what it needs.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/tuning.err";
+  struct Row {
+    const char *Flags;
+    const char *Tuning;
+    const char *Needs;
+  };
+  for (const Row &R : {
+           Row{"-profile-topk=4", "-profile-topk", "-profile"},
+           Row{"-fault-seed=3", "-fault-seed", "-inject-fault"},
+           Row{"-checkpoint-interval=2", "-checkpoint-interval",
+               "-checkpoint or -fanout"},
+           Row{"-feedback -fanout=1 -checkpoint-interval=2",
+               "-checkpoint-interval", "drop -feedback"},
+           Row{"-feedback-epoch=32", "-feedback-epoch", "-feedback"},
+           Row{"-feedback=off -feedback-epoch=32", "-feedback-epoch",
+               "-feedback"},
+           Row{"-no-tv-cache -tv-cache-size=64", "-tv-cache-size",
+               "-no-tv-cache"},
+           Row{"-no-tv-cache -shared-tv-cache", "-shared-tv-cache",
+               "-no-tv-cache"},
+           Row{"-trace-capacity=64", "-trace-capacity", "-trace-json"},
+           Row{"-retry-max=2", "-retry-max", "-fanout"},
+           Row{"-retry-base=0.1", "-retry-base", "-fanout"},
+           Row{"-retry-cap=1", "-retry-cap", "-fanout"},
+           Row{"-lease-deadline=5", "-lease-deadline", "-fanout"},
+           Row{"-isolate-mem-mb=512", "-isolate-mem-mb", "-fanout"},
+           Row{"-isolate-cpu-s=5", "-isolate-cpu-s", "-fanout"},
+           Row{"-fanout=0 -retry-max=2", "-retry-max", "-fanout"},
+       }) {
+    EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + R.Flags + In +
+                     " 2> " + Err + ")"),
+              1)
+        << R.Flags;
+    std::string Msg = readFile(Err);
+    EXPECT_NE(Msg.find(std::string("error: ") + R.Tuning + " tunes"),
+              std::string::npos)
+        << R.Flags << ": " << Msg;
+    EXPECT_NE(Msg.find(R.Needs, Msg.find(" tunes")), std::string::npos)
+        << R.Flags << ": " << Msg;
+  }
+  // With their features on, the same flags run clean.
+  for (const std::string &Flags : std::vector<std::string>{
+           "-profile -profile-topk=4",
+           "-trace-json=" + TmpDir + "/tuning.json -trace-capacity=64",
+           "-profile -trace-capacity=64",
+           "-tv-cache-size=64 -shared-tv-cache",
+           "-feedback -feedback-epoch=2",
+           "-checkpoint=" + TmpDir + "/tuning_ckpt -checkpoint-interval=2",
+           "-fanout=1 -checkpoint-interval=2",
+           "-fanout=1 -retry-max=2 -retry-base=0.1 -retry-cap=1 "
+           "-lease-deadline=5 -isolate-cpu-s=60"})
+    EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 " + Flags + In), 0)
+        << Flags;
 }
 
 TEST_F(ToolsTest, AliveMutateIsolateSurvivesCrashingPass) {
