@@ -12,7 +12,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace alive;
@@ -37,18 +36,6 @@ double bitsDouble(uint64_t Bits) {
 bool writeFileAtomic(const std::string &Path, const std::string &Content,
                      std::string &Error) {
   return writeFileAtomicDurable(Path, Content, "checkpoint", Error);
-}
-
-bool slurp(const std::string &Path, std::string &Out, std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = "cannot read '" + Path + "'";
-    return false;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 std::string shardPath(const std::string &Dir, unsigned Index) {
@@ -121,7 +108,7 @@ bool alive::writeCheckpointMeta(const std::string &Dir,
 bool alive::readCheckpointMeta(const std::string &Dir, CheckpointMeta &M,
                                std::string &Error) {
   std::string Text;
-  if (!slurp(Dir + "/meta.json", Text, Error))
+  if (!readWholeFile(Dir + "/meta.json", Text, Error))
     return false;
   JSONValue J;
   if (!parseJSON(Text, J, Error)) {
@@ -262,7 +249,7 @@ bool alive::readWorkerCheckpoint(const std::string &Dir, unsigned Index,
                                  WorkerCheckpoint &W, std::string &Error) {
   std::string Path = shardPath(Dir, Index);
   std::string Text;
-  if (!slurp(Path, Text, Error))
+  if (!readWholeFile(Path, Text, Error))
     return false;
   JSONValue J;
   if (!parseJSON(Text, J, Error)) {
@@ -398,7 +385,7 @@ bool alive::readFeedbackCheckpoint(const std::string &Dir,
                                    FeedbackCheckpoint &F,
                                    std::string &Error) {
   std::string Text;
-  if (!slurp(Dir + "/feedback.json", Text, Error))
+  if (!readWholeFile(Dir + "/feedback.json", Text, Error))
     return false;
   JSONValue J;
   if (!parseJSON(Text, J, Error)) {

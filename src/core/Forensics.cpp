@@ -16,7 +16,6 @@
 
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace alive;
@@ -68,18 +67,6 @@ std::string bundleDirName(const ForensicRecord &R) {
     break;
   }
   return "bundle-s" + std::to_string(R.Seed) + "-" + Tail;
-}
-
-bool slurp(const std::string &Path, std::string &Out, std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = "cannot read '" + Path + "'";
-    return false;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 void writeManifest(std::ostream &OS, const BundleInputs &In) {
@@ -208,7 +195,7 @@ std::string alive::writeBugBundle(const std::string &Dir,
 ReplayResult alive::replayBundle(const std::string &BundleDir) {
   ReplayResult Out;
   std::string Text, Err;
-  if (!slurp(BundleDir + "/manifest.json", Text, Err)) {
+  if (!readWholeFile(BundleDir + "/manifest.json", Text, Err)) {
     Out.Error = Err;
     return Out;
   }
@@ -310,7 +297,7 @@ ReplayResult alive::replayBundle(const std::string &BundleDir) {
   std::unique_ptr<Module> Mutant = Loop.makeMutant(Out.Seed, Trail);
   if (std::string File = Files->getString("mutant"); !File.empty()) {
     std::string Stored;
-    if (!slurp(BundleDir + "/" + File, Stored, Err)) {
+    if (!readWholeFile(BundleDir + "/" + File, Stored, Err)) {
       Out.Error = Err;
       return Out;
     }

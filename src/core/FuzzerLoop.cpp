@@ -370,16 +370,6 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     Function *Tgt = Mutant->getFunction(Name);
     if (!Src || !Tgt || Tgt->isDeclaration())
       continue;
-    if (Opts.Survival.QuarantineThreshold) {
-      auto It = Quarantine.find(Name);
-      if (It != Quarantine.end() && Seed < It->second.SkipUntilSeed) {
-        // Backed off after repeated timeouts. Volatile-only accounting:
-        // quarantine state is per-worker, so these skips (and the
-        // Verified checks they elide) are not worker-count independent.
-        ++Registry.counter("survive.quarantine.skips", Volatility::Volatile);
-        continue;
-      }
-    }
     if (Opts.SkipUnchanged && !Changed.count(Name)) {
       // No pass touched this function: the target is byte-identical to
       // the source, and a function refines itself (established for the
@@ -616,8 +606,8 @@ void FuzzerLoop::recordTimeout(uint64_t Seed, const std::string &Function,
   ++Stats.Timeouts;
   bool ByBudget =
       WatchdogToken.reason() == CancellationToken::Reason::StepBudget;
-  // All volatile: the wall-clock backstop makes timeout placement (and
-  // with quarantine, even which checks run) machine-dependent.
+  // All volatile: the wall-clock backstop makes timeout placement
+  // machine-dependent.
   ++Registry.counter(std::string("survive.timeout.") + Phase,
                      Volatility::Volatile);
   ++Registry.counter(ByBudget ? "survive.timeout.reason.step-budget"
@@ -644,19 +634,6 @@ void FuzzerLoop::recordTimeout(uint64_t Seed, const std::string &Function,
   FR.Detail = OS.str();
   writeBundle(FR, Mutant, Optimized, /*VolatileAccounting=*/true);
   Outcomes.push_back(std::move(FR));
-
-  // Quarantine bookkeeping: repeated timeouts on one function's check
-  // back that check off exponentially (2^(strikes-threshold) seeds).
-  if (!Function.empty() && Opts.Survival.QuarantineThreshold) {
-    QuarantineState &Q = Quarantine[Function];
-    ++Q.Strikes;
-    if (Q.Strikes >= Opts.Survival.QuarantineThreshold) {
-      uint64_t Exp = std::min<uint64_t>(
-          Q.Strikes - Opts.Survival.QuarantineThreshold, 16);
-      Q.SkipUntilSeed = Seed + (1ull << Exp);
-      ++Registry.counter("survive.quarantine.backoffs", Volatility::Volatile);
-    }
-  }
 }
 
 void FuzzerLoop::saveMutant(const Module &M, uint64_t Seed, bool Failing) {

@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -83,6 +85,19 @@ bool alive::writeFileAtomicDurable(const std::string &Path,
     ::unlink(Tmp.c_str());
     return false;
   }
+  return true;
+}
+
+bool alive::readWholeFile(const std::string &Path, std::string &Out,
+                          std::string &Error) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In) {
+    Error = "cannot read '" + Path + "'";
+    return false;
+  }
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  Out = SS.str();
   return true;
 }
 

@@ -10,7 +10,8 @@
 /// (or a -replay, or a -resume) therefore only ever sees the old bytes or
 /// the new bytes — a SIGKILL or ENOSPC mid-write can never leave a torn
 /// file under the final name. Checkpoint, Forensics manifests and
-/// -stats-json reports all route through here.
+/// -stats-json reports all route through here, and read those artifacts
+/// back through readWholeFile().
 ///
 /// Each call names a FaultPlane prefix, arming three injection points
 /// around the syscall edges: `<prefix>.write`, `<prefix>.fsync`,
@@ -40,6 +41,11 @@ bool writeFileAtomicDurable(const std::string &Path,
 /// an injected one) — the trigger for the "stop writing artifacts, keep
 /// fuzzing" degradation.
 bool isNoSpaceError(const std::string &Error);
+
+/// Reads all of \p Path into \p Out. On failure \returns false and sets
+/// \p Error to "cannot read '<path>'".
+bool readWholeFile(const std::string &Path, std::string &Out,
+                   std::string &Error);
 
 } // namespace alive
 

@@ -10,8 +10,8 @@
 /// files; paper §III and the artifact appendix's CLI: -n, -t, -seed,
 /// -passes, -save-dir, -saveAll), sharded across -j worker threads with a
 /// deterministic merge. The survivability flags (-step-budget,
-/// -iter-timeout, -fanout, -checkpoint/-resume, -quarantine) keep a long
-/// campaign alive across hangs and optimizer crashes.
+/// -iter-timeout, -fanout, -checkpoint/-resume) keep a long campaign
+/// alive across hangs and optimizer crashes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +70,6 @@ static void printHelp() {
       "                    tripped iteration is recorded as a timeout\n"
       "  -iter-timeout=<s> wall-clock backstop per iteration phase (may be\n"
       "                    fractional; timeouts are volatile stats)\n"
-      "  -quarantine=<n>   back off a function's refinement checks after\n"
-      "                    <n> watchdog timeouts (default: off)\n"
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
       "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
@@ -148,8 +146,9 @@ static void installTerminateHandler(alive::CampaignEngine *E) {
 
 /// One -progress line from a live snapshot: done/target, rate, ETA (from
 /// the rate, or from the remaining -t budget when time-limited) and each
-/// stage's share of the summed shard stage time (0% under -fanout, whose
-/// shards carry no stage split). The rate counts only this run's
+/// stage's share of the summed shard stage time. With no stage time to
+/// split (always under -fanout, whose shards carry none) it says so
+/// instead of printing shares. The rate counts only this run's
 /// iterations: a -resume'd prefix was done before Elapsed started.
 static std::string progressLine(const CampaignLiveSnapshot &S,
                                 double TimeLimit) {
@@ -168,8 +167,12 @@ static std::string progressLine(const CampaignLiveSnapshot &S,
       Stage[I] += (double)SS.StageNanos[I];
       StageSum += (double)SS.StageNanos[I];
     }
-  for (double &Share : Stage)
-    Share = StageSum > 0 ? 100 * Share / StageSum : 0;
+  char Split[64] = "no stage times";
+  if (StageSum > 0)
+    std::snprintf(Split, sizeof(Split),
+                  "mut %.0f%% opt %.0f%% tv %.0f%% ovh %.0f%%",
+                  100 * Stage[0] / StageSum, 100 * Stage[1] / StageSum,
+                  100 * Stage[2] / StageSum, 100 * Stage[3] / StageSum);
   char Done[48];
   if (S.Target)
     std::snprintf(Done, sizeof(Done), "%llu/%llu", (unsigned long long)S.Done,
@@ -178,10 +181,8 @@ static std::string progressLine(const CampaignLiveSnapshot &S,
     std::snprintf(Done, sizeof(Done), "%llu", (unsigned long long)S.Done);
   char Line[256];
   std::snprintf(Line, sizeof(Line),
-                "[campaign] %s mutants, %.1fs, %.0f/s, %s (mut %.0f%% opt "
-                "%.0f%% tv %.0f%% ovh %.0f%%, %u workers)",
-                Done, S.Elapsed, Rate, Eta, Stage[0], Stage[1], Stage[2],
-                Stage[3], S.Workers);
+                "[campaign] %s mutants, %.1fs, %.0f/s, %s (%s, %u workers)",
+                Done, S.Elapsed, Rate, Eta, Split, S.Workers);
   return Line;
 }
 
@@ -216,12 +217,12 @@ int main(int Argc, char **Argv) {
            "lease-deadline",  "max-mutations",    "n",
            "no-signal-guard", "no-skip-unchanged", "no-tv-cache",
            "passes",          "profile",          "profile-topk",
-           "progress",        "quarantine",       "replay",
-           "report",          "resume",           "retry-base",
-           "retry-cap",       "retry-max",        "save-dir",
-           "saveAll",         "seed",             "shared-tv-cache",
-           "stats-json",      "step-budget",      "t",
-           "trace-capacity",  "trace-json",       "tv-cache-size"});
+           "progress",        "replay",           "report",
+           "resume",          "retry-base",       "retry-cap",
+           "retry-max",       "save-dir",         "saveAll",
+           "seed",            "shared-tv-cache",  "stats-json",
+           "step-budget",     "t",                "trace-capacity",
+           "trace-json",      "tv-cache-size"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
@@ -283,13 +284,13 @@ int main(int Argc, char **Argv) {
 
   // Survivability. The in-process signal guard is on by default for the
   // fuzzing tool — a real optimizer abort should be a recorded crash bug,
-  // not a dead campaign — and off under -fanout, where process isolation
-  // both contains the signal and survives the signals no in-process
-  // handler can (SIGKILL from RLIMIT_AS, stack-smashing SIGSEGV).
+  // not a dead campaign. Under -fanout the engine turns it off in every
+  // worker (workerOptions): process isolation both contains the signal
+  // and survives the signals no in-process handler can (SIGKILL from
+  // RLIMIT_AS, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
   SV.StepBudget = Args.getInt("step-budget", 0);
   SV.WallTimeoutSeconds = Args.getSeconds("iter-timeout", 0);
-  SV.QuarantineThreshold = Args.getInt<unsigned>("quarantine", 0);
   SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
   SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
   SV.Fanout = Args.getInt<unsigned>("fanout", 0);
@@ -299,7 +300,7 @@ int main(int Argc, char **Argv) {
   SV.RetryMaxDelay = Args.getSeconds("retry-cap", SV.RetryMaxDelay);
   SV.LeaseHeartbeatSeconds =
       Args.getSeconds("lease-deadline", SV.LeaseHeartbeatSeconds);
-  SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Fanout;
+  SV.SignalGuard = !Args.has("no-signal-guard");
   SV.CheckpointDir = Args.get("checkpoint");
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
   SV.Resume = Args.has("resume");
@@ -470,11 +471,7 @@ int main(int Argc, char **Argv) {
   std::printf("invalid:        %llu\n",
               (unsigned long long)S.InvalidMutants);
   if (S.Timeouts)
-    std::printf("timeouts:       %llu (quarantine: %llu check(s) "
-                "skipped)\n",
-                (unsigned long long)S.Timeouts,
-                (unsigned long long)Engine.registry().counterValue(
-                    "survive.quarantine.skips"));
+    std::printf("timeouts:       %llu\n", (unsigned long long)S.Timeouts);
   if (uint64_t Contained =
           Engine.registry().counterValue("survive.contained-signals"))
     std::printf("contained:      %llu optimizer signal(s) caught "

@@ -6,7 +6,7 @@
 ///
 /// End-to-end tests for the survivability layer: the iteration watchdog
 /// (step budgets and the wall-clock backstop), in-process signal
-/// containment, quarantine backoff, checkpoint/resume byte-equality, and
+/// containment, checkpoint/resume byte-equality, and
 /// the robust corpus loader. Process containment (-fanout) is covered by
 /// supervisor_test.
 ///
@@ -327,7 +327,7 @@ define i8 @abortme(i8 %x) {
 }
 
 //===----------------------------------------------------------------------===//
-// Quarantine.
+// Verify-stage step budgets.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -349,40 +349,11 @@ std::string longChainIR() {
 
 } // namespace
 
-TEST(SurvivabilityTest, QuarantineBacksOffRepeatedVerifyTimeouts) {
-  // Mutate+optimize stay far under budget (a handful of pass-invocation
-  // steps), so the timeouts land in the verify phase and strike the
-  // function until the quarantine backs it off. The self-check runs under
-  // the same per-function budget, and at 48 steps not even its first
-  // completed trial fits, so it would drop the function outright: it is off
-  // here (the standalone-mutator configuration).
-  FuzzOptions Opts;
-  Opts.Passes = "dce";
-  Opts.Iterations = 40;
-  Opts.SkipUnchanged = false; // always reach the verify phase
-  Opts.SelfCheckOnLoad = false;
-  Opts.TV.ConcreteTrials = 64;
-  Opts.Survival.StepBudget = 48;
-  Opts.Survival.QuarantineThreshold = 2;
-  FuzzerLoop Loop(Opts);
-  ASSERT_EQ(Loop.loadModule(parseOk(longChainIR())), 1u);
-  const FuzzStats &S = Loop.run();
-  EXPECT_GT(S.Timeouts, 0u);
-  const StatRegistry &R = Loop.registry();
-  EXPECT_GT(R.counterValue("survive.timeout.verify"), 0u);
-  EXPECT_GT(R.counterValue("survive.quarantine.backoffs"), 0u);
-  EXPECT_GT(R.counterValue("survive.quarantine.skips"), 0u);
-  // Quarantine elides checks, so the skipped checks cannot have produced
-  // verdicts: timeouts + skips + verified cover every reachable check.
-  EXPECT_EQ(Loop.bugs().size(), 0u);
-}
-
 TEST(SurvivabilityTest, SelfCheckSpendsOneCompletedTrial) {
   // The self-check settles on the first trial where the source completes:
   // one run of @longchain, one 64-step batch. The two-run check of its 64
   // sampled trials needs far more than a 128-step budget. So the function
-  // survives the load, and its iteration checks time out until the
-  // quarantine backs it off.
+  // survives the load, and its iteration checks time out.
   const std::string IR = longChainIR();
   auto M = parseOk(IR);
   auto Clone = cloneModule(*M);
@@ -405,7 +376,6 @@ TEST(SurvivabilityTest, SelfCheckSpendsOneCompletedTrial) {
   Opts.SkipUnchanged = false; // always reach the verify phase
   Opts.TV.ConcreteTrials = 64;
   Opts.Survival.StepBudget = 128;
-  Opts.Survival.QuarantineThreshold = 2;
   FuzzerLoop Loop(Opts);
   ASSERT_EQ(Loop.loadModule(parseOk(IR)), 1u);
   EXPECT_EQ(Loop.stats().FunctionsDropped, 0u);
@@ -413,7 +383,6 @@ TEST(SurvivabilityTest, SelfCheckSpendsOneCompletedTrial) {
   EXPECT_GT(S.Timeouts, 0u);
   const StatRegistry &R = Loop.registry();
   EXPECT_GT(R.counterValue("survive.timeout.verify"), 0u);
-  EXPECT_GT(R.counterValue("survive.quarantine.backoffs"), 0u);
 }
 
 TEST(SurvivabilityTest, CancelledFallbackKeepsCancellationDetail) {

@@ -306,12 +306,12 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
 TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
   // A retired or mistyped flag must fail loudly, naming the flag: a
   // script passing -isolate would otherwise quietly run in-process, and
-  // -feedbak would quietly run a blind campaign. -tv-prescreen and
-  // -tv-cache-shards are retired too.
+  // -feedbak would quietly run a blind campaign. -tv-prescreen,
+  // -tv-cache-shards and -quarantine are retired too.
   std::string In = " " + TmpDir + "/in.ll";
   std::string Err = TmpDir + "/unknown.err";
   for (std::string Flag : {"-isolate", "-feedbak", "-tv-prescreen=4",
-                           "-tv-cache-shards=8"}) {
+                           "-tv-cache-shards=8", "-quarantine=2"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Flag + In +
                      " 2> " + Err + ")"),
               1)
@@ -458,15 +458,17 @@ TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
 
 TEST_F(ToolsTest, AliveMutateProgressReportsOnBothRunPaths) {
   // -progress polls the engine's live snapshot, so the thread path and
-  // the -fanout process path print the same [campaign] line.
+  // the -fanout process path print the same [campaign] line. -fanout
+  // shards carry no stage times, so their lines print no stage shares.
   std::string In = " " + TmpDir + "/in.ll";
   std::string Err = TmpDir + "/progress.err";
-  auto ProgressLines = [&] {
+  auto ProgressLines = [&](const char *Needle = "") {
     std::stringstream SS(readFile(Err));
     unsigned N = 0;
     for (std::string Line; std::getline(SS, Line);)
       if (Line.rfind("[campaign] ", 0) == 0 &&
-          Line.find(", 2 workers)") != std::string::npos)
+          Line.find(", 2 workers)") != std::string::npos &&
+          Line.find(Needle) != std::string::npos)
         ++N;
     return N;
   };
@@ -479,6 +481,7 @@ TEST_F(ToolsTest, AliveMutateProgressReportsOnBothRunPaths) {
                    ")"),
             0);
   EXPECT_GT(ProgressLines(), 0u) << readFile(Err);
+  EXPECT_EQ(ProgressLines("%"), 0u) << readFile(Err);
   EXPECT_NE(readFile(Err).find("/2000 mutants"), std::string::npos)
       << readFile(Err);
 }
