@@ -13,9 +13,8 @@ invariants the telemetry subsystem guarantees:
     percentiles are ordered (p50 <= p90 <= p99);
   - the stage-time-sum invariant: mutate + optimize + verify + overhead
     matches the summed worker wall time within tolerance;
-  - the v3 survivability block is present and sane (timeouts is a
-    non-negative integer; interrupted is a bool) and the config echoes
-    the corpus file counts;
+  - the v3 survivability block is present and sane (interrupted is a
+    bool) and the config echoes the corpus file counts;
   - the v4 feedback block is present, its enabled flag is a bool, and —
     when enabled — the epoch/coverage counters are non-negative ints,
     every rule row's iteration count is positive, bits_covered matches
@@ -43,7 +42,10 @@ invariants the telemetry subsystem guarantees:
   - the v9 stats blocks: deterministic.stats carries only "counters" and
     volatile.stats only "counters" and "histograms";
   - v10: no "cache_shards" key anywhere (the shared verdict cache is one
-    LRU; its counters are the volatile "cache" block).
+    LRU; its counters are the volatile "cache" block);
+  - v11: the summary carries "timeouts", a non-negative int (the step
+    budget is the only watchdog, so timeouts are deterministic), and the
+    survivability block no longer does.
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -56,7 +58,7 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def fail(msg):
@@ -192,8 +194,8 @@ def check_report(path):
             )
 
     surv = vol["survivability"]
-    if not isinstance(surv.get("timeouts"), int) or surv["timeouts"] < 0:
-        fail("%s: survivability.timeouts missing or not a non-negative int" % path)
+    if "timeouts" in surv:
+        fail("%s: retired survivability.timeouts key present" % path)
     if not isinstance(surv.get("interrupted"), bool):
         fail("%s: survivability.interrupted missing or not a bool" % path)
     if not isinstance(surv.get("degraded"), bool):
@@ -231,6 +233,8 @@ def check_report(path):
             )
 
     s = det["summary"]
+    if not isinstance(s.get("timeouts"), int) or s["timeouts"] < 0:
+        fail("%s: summary.timeouts missing or not a non-negative int" % path)
 
     fam_applied = sum(row["applied"] for row in det["per_family"])
     if fam_applied != s["mutations_applied"]:

@@ -339,6 +339,8 @@ bool CampaignEngine::pinCheckpointIdentity(const std::string &Dir,
   Cur.FeedbackOn = Opts.Feedback.Enabled;
   Cur.EpochLength =
       Cur.FeedbackOn ? std::max(1u, Opts.Feedback.EpochLength) : 0;
+  Cur.StepBudget = Opts.Survival.StepBudget;
+  Cur.SkipUnchanged = Opts.SkipUnchanged;
   Cur.ModuleHash =
       fnv1a64(printModule(*MasterLoop->module()), ShortFnvBasis);
   std::string Err;

@@ -100,6 +100,9 @@ bool alive::writeCheckpointMeta(const std::string &Dir,
   OS << "  \"inject_bugs\": " << (M.InjectBugs ? "true" : "false") << ",\n";
   OS << "  \"feedback\": " << (M.FeedbackOn ? "true" : "false") << ",\n";
   OS << "  \"epoch_length\": " << M.EpochLength << ",\n";
+  OS << "  \"step_budget\": " << M.StepBudget << ",\n";
+  OS << "  \"skip_unchanged\": " << (M.SkipUnchanged ? "true" : "false")
+     << ",\n";
   OS << "  \"module_hash\": " << M.ModuleHash << "\n";
   OS << "}\n";
   return writeFileAtomic(Dir + "/meta.json", OS.str(), Error);
@@ -129,6 +132,8 @@ bool alive::readCheckpointMeta(const std::string &Dir, CheckpointMeta &M,
   M.InjectBugs = J.getBool("inject_bugs", false);
   M.FeedbackOn = J.getBool("feedback", false);
   M.EpochLength = (unsigned)J.getUInt("epoch_length");
+  M.StepBudget = J.getUInt("step_budget", 0);
+  M.SkipUnchanged = J.getBool("skip_unchanged", true);
   M.ModuleHash = J.getUInt("module_hash");
   return true;
 }
@@ -167,6 +172,13 @@ bool alive::checkpointMetaMatches(const CheckpointMeta &Stored,
   if (Stored.EpochLength != Current.EpochLength)
     return Mismatch("-feedback-epoch", std::to_string(Stored.EpochLength),
                     std::to_string(Current.EpochLength));
+  if (Stored.StepBudget != Current.StepBudget)
+    return Mismatch("-step-budget", std::to_string(Stored.StepBudget),
+                    std::to_string(Current.StepBudget));
+  if (Stored.SkipUnchanged != Current.SkipUnchanged)
+    return Mismatch("-no-skip-unchanged",
+                    Stored.SkipUnchanged ? "off" : "on",
+                    Current.SkipUnchanged ? "off" : "on");
   if (Stored.ModuleHash != Current.ModuleHash)
     return Mismatch("the input module", "a different module",
                     "this one (content hash differs)");

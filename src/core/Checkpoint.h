@@ -15,10 +15,10 @@
 /// -profile, the query cost tracker and the span folds.
 ///
 /// Layout: <dir>/meta.json (campaign identity: pipeline, seed range, job
-/// count, module hash — resume refuses a checkpoint taken under different
-/// inputs) plus one <dir>/shard-<i>.json per worker. Writes are atomic
-/// (tmp file + rename), so a kill mid-checkpoint leaves the previous
-/// consistent snapshot in place.
+/// count, step budget, module hash — resume refuses a checkpoint taken
+/// under different inputs) plus one <dir>/shard-<i>.json per worker.
+/// Writes are atomic (tmp file + rename), so a kill mid-checkpoint leaves
+/// the previous consistent snapshot in place.
 ///
 /// Doubles (stage seconds) round-trip through JSON as their raw IEEE-754
 /// bit patterns in uint64 fields — the repo's integer-exact JSON parser
@@ -58,6 +58,12 @@ struct CheckpointMeta {
   /// different feedback configuration is a mismatch.
   bool FeedbackOn = false;
   unsigned EpochLength = 0;
+  /// Which checks time out and which functions are verified at all: a
+  /// run resumed under another step budget or skip rule would merge two
+  /// configurations' outcomes. A meta written without them reads as the
+  /// defaults (0 and true).
+  uint64_t StepBudget = 0;
+  bool SkipUnchanged = true;
   /// fnv1a64 (ShortFnvBasis) of the preprocessed master module's printed
   /// text.
   uint64_t ModuleHash = 0;

@@ -12,8 +12,10 @@
 ///
 /// Determinism contract (the whole design hangs on it):
 ///   - an iteration's bitmap is a pure function of its seed — rule firing
-///     is seed-pure and wall-clock timeouts are deliberately EXCLUDED from
-///     the verdict bits (a timed-out iteration contributes nothing);
+///     is seed-pure, and a timed-out iteration contributes nothing: its
+///     pipeline or verify loop was cut off by the step budget, so its
+///     bits would describe the budget rather than the pipeline under
+///     test, and the budget would steer the schedule;
 ///   - workers accumulate into private FeedbackMaps and the engine merges
 ///     them in worker-index order at epoch boundaries; the merge is a
 ///     bitwise OR — commutative and associative — so any worker partition
@@ -66,8 +68,8 @@ struct FeedbackOptions {
 /// One iteration's (or one accumulated set's) coverage: a bit per rewrite
 /// rule plus a bit per TV verdict class.
 struct CoverageBitmap {
-  /// Verdict-class bits appended after the rule bits. Wall-clock timeouts
-  /// are deliberately not represented — see the determinism contract.
+  /// Verdict-class bits appended after the rule bits. Timeouts are
+  /// deliberately not represented — see the determinism contract.
   enum VerdictBit {
     VB_Correct = 0,
     VB_Incorrect,

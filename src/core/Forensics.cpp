@@ -253,8 +253,8 @@ ReplayResult alive::replayBundle(const std::string &BundleDir) {
     O.TV.Seed = TV->getUInt("seed", O.TV.Seed);
   }
   O.SkipUnchanged = Cfg->getBool("skip_unchanged", true);
-  // Step-budget timeouts are deterministic, so replaying a timeout bundle
-  // needs the same budget; the wall-clock backstop stays off in replay.
+  // Timeouts are deterministic, so replaying a timeout bundle needs the
+  // same step budget.
   O.Survival.StepBudget = Cfg->getUInt("step_budget", 0);
   O.SelfCheckOnLoad = false;
   O.Iterations = 1;

@@ -22,10 +22,8 @@
 ///     mutant.ll       the mutant before optimization (TV "source")
 ///     optimized.ll    after the pipeline (absent for crash bundles)
 ///
-/// Everything in a bundle is a pure function of (module, config, seed),
-/// so -j1 and -jN campaigns write byte-identical bundles. One exception:
-/// timeout bundles produced by the *wall-clock* watchdog backstop depend
-/// on machine speed; only step-budget timeouts are deterministic.
+/// Every bundle, timeout bundles included, is a pure function of (module,
+/// config, seed), so -j1 and -jN campaigns write byte-identical bundles.
 ///
 //===----------------------------------------------------------------------===//
 

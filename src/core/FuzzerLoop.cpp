@@ -53,15 +53,12 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
     OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize);
     this->Opts.SharedCache = OwnedCache.get();
   }
-  // Arm the iteration watchdog when either trigger is configured. One
-  // token per loop, shared by the pass manager (one step per
+  // Arm the iteration watchdog exactly when a step budget is configured.
+  // One token per loop, shared by the pass manager (one step per
   // pass-on-function), the solver (per conflict/decision) and the
-  // interpreter (per 64 instructions) — TV reaches it via TV.Token. The
-  // token checks its own deadline, so a bare loop, an engine worker and a
-  // -fanout child all honor WallTimeoutSeconds the same way.
-  WatchdogArmed = this->Opts.Survival.StepBudget > 0 ||
-                  this->Opts.Survival.WallTimeoutSeconds > 0;
-  if (WatchdogArmed) {
+  // interpreter (per 64 instructions) — TV reaches it via TV.Token. An
+  // unarmed token is reached by nothing, so it never reports cancelled.
+  if (this->Opts.Survival.StepBudget > 0) {
     this->Opts.TV.Token = &WatchdogToken;
     PM.setCancellation(&WatchdogToken);
   } else {
@@ -100,9 +97,7 @@ unsigned FuzzerLoop::loadModule(std::unique_ptr<Module> M) {
                      Trace ? Trace->intern(F->getName()) : nullptr);
       // The self-check gets its own step budget per function: a
       // pathological input function must not wedge preprocessing either.
-      // Never a deadline: the surviving set must not depend on the clock.
-      if (WatchdogArmed)
-        WatchdogToken.beginIteration(Opts.Survival.StepBudget);
+      WatchdogToken.beginIteration(Opts.Survival.StepBudget);
       TVResult Self = checkSelfRefinement(*F, Opts.TV);
       if (Self.Verdict != TVVerdict::Correct) {
         ++Stats.FunctionsDropped;
@@ -231,19 +226,17 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
   if (!ConfigError.empty())
     return;
   Outcomes.clear();
-  // Fresh watchdog budget and deadline for the mutate+optimize phase.
-  if (WatchdogArmed)
-    WatchdogToken.beginIteration(Opts.Survival.StepBudget,
-                                 Opts.Survival.WallTimeoutSeconds);
+  // Fresh watchdog budget for the mutate+optimize phase.
+  WatchdogToken.beginIteration(Opts.Survival.StepBudget);
   IterationAccounting Books(Stats, HOverhead, HIteration);
 
   // Feedback collection. Rule fires land in RuleWords through the
   // thread-local sink installed around the optimize stage; verdict-class
   // bits accumulate in Cov during verification. The iteration's bitmap is
   // committed to the worker's pending map on every exit path *except*
-  // timeouts: a cut-off pipeline or verify loop would make the bitmap
-  // depend on elapsed wall time, and feedback state must stay a pure
-  // function of the seed schedule.
+  // timeouts: a pipeline or verify loop cut off by the step budget says
+  // what the budget allowed, not what the pipeline under test does, and
+  // crediting it would let the budget steer the schedule.
   const bool FB = Opts.Feedback.Enabled;
   uint64_t RuleWords[NumRuleWords] = {};
   CoverageBitmap Cov;
@@ -352,11 +345,11 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     CommitFeedback();
     return;
   }
-  if (WatchdogArmed && WatchdogToken.cancelled()) {
-    // The optimize phase blew its budget (or its wall-clock deadline).
-    // The mutant is only partially optimized; verifying it would conflate
-    // a cut-off pipeline with the configured one. Record the timeout and
-    // move on to the next seed.
+  if (WatchdogToken.cancelled()) {
+    // The optimize phase blew its step budget. The mutant is only
+    // partially optimized; verifying it would conflate a cut-off pipeline
+    // with the configured one. Record the timeout and move on to the next
+    // seed.
     recordTimeout(Seed, "", "optimize", Source.get(), nullptr);
     return;
   }
@@ -391,9 +384,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       // is then a pure function of (Src, Tgt, Opts), independent of how
       // much the cache elided earlier — which keeps step-budget timeouts
       // deterministic across worker counts.
-      if (WatchdogArmed)
-        WatchdogToken.beginIteration(Opts.Survival.StepBudget,
-                                     Opts.Survival.WallTimeoutSeconds);
+      WatchdogToken.beginIteration(Opts.Survival.StepBudget);
       // The checked pair is the keyed one. Under -shared-tv-cache that is
       // the canonicalized pair, so the verdict is a pure function of the
       // canonical key: a hit replays exactly what a fresh computation
@@ -420,11 +411,11 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       if (!FromCache)
         R = checkRefinement(*CheckSrc, *CheckTgt, Opts.TV, &Registry);
     }
-    if (!FromCache && WatchdogArmed && WatchdogToken.cancelled()) {
+    if (!FromCache && WatchdogToken.cancelled()) {
       // Cut off mid-check: no verdict was established. Deliberately NOT
       // counted as Verified, a cache miss, or a tv.verdict.* slug — and
-      // never cached — so the deterministic cache/verdict invariants
-      // survive wall-clock cancellations. Record the timeout and try the
+      // never cached, so a later lookup of the same pair runs (and times
+      // out) the same check again. Record the timeout and try the
       // remaining functions (each gets a fresh budget).
       recordTimeout(Seed, Name, "verify", Source.get(), Mutant.get());
       continue;
@@ -557,8 +548,7 @@ const FuzzStats &FuzzerLoop::run() {
 
 std::string FuzzerLoop::writeBundle(const ForensicRecord &R,
                                     const Module *Mutant,
-                                    const Module *Optimized,
-                                    bool VolatileAccounting) {
+                                    const Module *Optimized) {
   if (Opts.BugBundleDir.empty())
     return "";
   if (BundlesDegraded) {
@@ -580,11 +570,7 @@ std::string FuzzerLoop::writeBundle(const ForensicRecord &R,
   std::string Error;
   std::string Path = writeBugBundle(Opts.BugBundleDir, In, Error);
   if (Path.empty()) {
-    if (VolatileAccounting)
-      ++Registry.counter("survive.timeout.bundle-failures",
-                         Volatility::Volatile);
-    else
-      ++Stats.BundleFailures;
+    ++Stats.BundleFailures;
     if (BundleError.empty())
       BundleError = Error;
     if (isNoSpaceError(Error)) {
@@ -592,10 +578,7 @@ std::string FuzzerLoop::writeBundle(const ForensicRecord &R,
       ++Registry.counter("survive.degraded.enospc", Volatility::Volatile);
     }
   } else {
-    if (VolatileAccounting)
-      ++Registry.counter("survive.timeout.bundles", Volatility::Volatile);
-    else
-      ++Stats.BundlesWritten;
+    ++Stats.BundlesWritten;
   }
   return Path;
 }
@@ -604,15 +587,9 @@ void FuzzerLoop::recordTimeout(uint64_t Seed, const std::string &Function,
                                const char *Phase, const Module *Mutant,
                                const Module *Optimized) {
   ++Stats.Timeouts;
-  bool ByBudget =
-      WatchdogToken.reason() == CancellationToken::Reason::StepBudget;
-  // All volatile: the wall-clock backstop makes timeout placement
-  // machine-dependent.
-  ++Registry.counter(std::string("survive.timeout.") + Phase,
-                     Volatility::Volatile);
-  ++Registry.counter(ByBudget ? "survive.timeout.reason.step-budget"
-                              : "survive.timeout.reason.wall-clock",
-                     Volatility::Volatile);
+  // Deterministic: the step budget trips at the same point for the same
+  // seed, whichever worker runs it.
+  ++Registry.counter(std::string("survive.timeout.") + Phase);
   if (Trace)
     Trace->instant("timeout", Seed,
                    Function.empty() ? nullptr : Trace->intern(Function));
@@ -623,16 +600,12 @@ void FuzzerLoop::recordTimeout(uint64_t Seed, const std::string &Function,
   FR.Function = Function;
   FR.VerdictSlug = "timeout";
   std::ostringstream OS;
-  if (ByBudget)
-    OS << "iteration watchdog: step budget of " << Opts.Survival.StepBudget
-       << " exhausted in " << Phase << " phase";
-  else
-    OS << "iteration watchdog: wall-clock backstop fired in " << Phase
-       << " phase";
+  OS << "iteration watchdog: step budget of " << Opts.Survival.StepBudget
+     << " exhausted in " << Phase << " phase";
   if (!Function.empty())
     OS << " while checking '" << Function << "'";
   FR.Detail = OS.str();
-  writeBundle(FR, Mutant, Optimized, /*VolatileAccounting=*/true);
+  writeBundle(FR, Mutant, Optimized);
   Outcomes.push_back(std::move(FR));
 }
 

@@ -99,7 +99,8 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
      << ", \"mutants_saved\": " << S.MutantsSaved
      << ", \"save_failures\": " << S.SaveFailures
      << ", \"bundles\": " << S.BundlesWritten
-     << ", \"bundle_failures\": " << S.BundleFailures << "},\n";
+     << ", \"bundle_failures\": " << S.BundleFailures
+     << ", \"timeouts\": " << S.Timeouts << "},\n";
 
   OS << "    \"per_pass\": ";
   writeTable(OS, collectTable(R, "pass.", "invocations", "changed"), "pass",
@@ -230,13 +231,12 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   OS << "    \"cache\": {\"hits\": " << S.TVCacheHits
      << ", \"misses\": " << S.TVCacheMisses
      << ", \"evictions\": " << S.TVCacheEvictions << "},\n";
-  // Timeouts depend on the step budget or wall clock in force, and an
-  // interrupted run is by definition a scheduling artifact — volatile.
+  // An interrupted run is by definition a scheduling artifact — volatile.
   // The degradation ladder lives here too: whether a supervised lease
   // exhausted its retries (and exactly which iterations were lost) is a
   // property of this run's fault history, never of the seed range.
-  OS << "    \"survivability\": {\"timeouts\": " << S.Timeouts
-     << ", \"interrupted\": " << (Config.Interrupted ? "true" : "false")
+  OS << "    \"survivability\": {\"interrupted\": "
+     << (Config.Interrupted ? "true" : "false")
      << ", \"degraded\": " << (Config.Degraded ? "true" : "false")
      << ", \"fanout\": " << Config.FanOut << ", \"lost_shards\": [";
   {

@@ -73,7 +73,11 @@ namespace alive {
 /// v10: the volatile profile lost "cache_shards": the shared verdict cache
 /// is one LRU behind one lock, and its hits, misses and evictions are the
 /// volatile "cache" block.
-constexpr unsigned RunReportSchemaVersion = 10;
+/// v11: "timeouts" moved from the volatile "survivability" block into the
+/// deterministic "summary": the step budget is the only watchdog, and it
+/// trips at the same point for the same seed. Timeout bundles count in
+/// "bundles"/"bundle_failures" like every other bundle.
+constexpr unsigned RunReportSchemaVersion = 11;
 
 /// Report metadata that is not part of FuzzStats or the registry.
 struct RunReportConfig {

@@ -8,8 +8,8 @@
 /// Deliberately misbehaving passes for exercising the campaign's
 /// survivability machinery end to end:
 ///
-///   - test-slow  — spins until the iteration watchdog trips (or a safety
-///     cap, so a watchdog-less pipeline still terminates);
+///   - test-slow  — spins until the step budget trips (or a safety cap,
+///     so a watchdog-less pipeline still terminates);
 ///   - test-crash — raises SIGSEGV when it sees a function whose name
 ///     starts with "crashme" (for -fanout containment tests);
 ///   - test-abort — calls std::abort() on functions named "abortme*"
@@ -39,17 +39,17 @@ public:
   bool runOnFunction(Function &F) override {
     (void)F;
     // Consume steps through the ambient token the PassManager installs.
-    // With a watchdog armed this returns as soon as the budget trips; the
-    // hard cap keeps watchdog-less pipelines (unit tests, amut-opt) from
-    // hanging forever.
+    // With a step budget armed this returns as soon as the budget trips,
+    // at the same chunk for the same seed and budget; the hard cap keeps
+    // watchdog-less pipelines (unit tests, amut-opt) from hanging forever.
     CancellationToken *Token = currentCancellationToken();
     constexpr uint64_t ChunkSteps = 4096;
     constexpr uint64_t MaxChunks = (1ull << 20) / ChunkSteps;
     for (uint64_t Chunk = 0; Chunk != MaxChunks; ++Chunk) {
       if (Token && Token->consume(ChunkSteps))
         break;
-      // Busy-work the optimizer cannot elide, so wall-clock watchdogs see
-      // genuine elapsed time rather than an empty loop.
+      // Busy-work the optimizer cannot elide: without a watchdog the pass
+      // costs real time, like the hang it stands in for.
       volatile uint64_t Sink = 0;
       for (uint64_t I = 0; I != ChunkSteps; ++I)
         Sink += I * 2654435761u;

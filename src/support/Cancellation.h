@@ -10,28 +10,21 @@
 /// checker so a hung iteration becomes a recorded Timeout outcome instead
 /// of a wedged campaign.
 ///
-/// Two triggers, deliberately separate:
-///   - a *step budget*: the instrumented stages consume abstract steps
-///     (interpreter instructions, solver conflicts, pass sweeps) and the
-///     token trips when the per-iteration budget is exhausted. The trip
-///     point is deterministic per seed — step-budget timeouts reproduce
-///     exactly, across runs and across worker counts;
-///   - a *wall-clock deadline*: beginIteration may also arm a deadline,
-///     and consume()/cancelled() trip once it has passed. The clock is
-///     read on every ClockCadence-th poll only, so a deadline costs the
-///     hot paths one counter increment per poll. Inherently
-///     nondeterministic — the engine keeps wall-clock timeout counts out
-///     of the deterministic report section.
+/// One trigger, a *step budget*: the instrumented stages consume abstract
+/// steps (interpreter instructions, solver conflicts, pass sweeps) and the
+/// token trips when the per-iteration budget is exhausted. The trip point
+/// is a pure function of the seed and the budget, so every timeout
+/// reproduces exactly, across runs and across worker counts. A hang that
+/// never polls the token escapes it; under -fanout the supervisor's lease
+/// deadline catches that one.
 ///
-/// Only the owning thread touches a token: every trigger is evaluated
-/// inside its own polls, so no other thread ever needs to reach in.
+/// Only the owning thread touches a token.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_CANCELLATION_H
 #define SUPPORT_CANCELLATION_H
 
-#include <chrono>
 #include <cstdint>
 
 namespace alive {
@@ -39,71 +32,32 @@ namespace alive {
 /// One worker's cancellation state, reset per iteration.
 class CancellationToken {
 public:
-  enum class Reason : uint32_t {
-    None = 0,
-    StepBudget = 1, ///< deterministic: the per-iteration step budget ran out
-    WallClock = 2,  ///< nondeterministic: the wall-clock deadline passed
-  };
-
-  /// Polls (consume/cancelled calls) between two reads of the clock while
-  /// a deadline is armed.
-  static constexpr unsigned ClockCadence = 16;
-
-  /// Starts a new iteration: resets the step counter and the cancel flag,
-  /// sets the step budget (0 = unlimited) and arms a deadline
-  /// \p WallSeconds from now (0 = none).
-  void beginIteration(uint64_t Budget, double WallSeconds = 0) {
+  /// Starts a new iteration: resets the step counter and the cancel flag
+  /// and sets the step budget (0 = unlimited).
+  void beginIteration(uint64_t Budget) {
     StepBudget = Budget;
     StepsUsed = 0;
-    Flag = Reason::None;
-    Polls = 0;
-    HasDeadline = WallSeconds > 0;
-    if (HasDeadline)
-      Deadline = Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(WallSeconds));
+    Cancelled = false;
   }
 
   /// Consumes \p N steps. \returns true when the token is (now) cancelled —
-  /// callers unwind cooperatively. A budget that runs out trips before
-  /// the deadline is consulted.
+  /// callers unwind cooperatively.
   bool consume(uint64_t N = 1) {
-    if (Flag != Reason::None)
+    if (Cancelled)
       return true;
     if (StepBudget) {
       StepsUsed += N;
-      if (StepsUsed > StepBudget) {
-        Flag = Reason::StepBudget;
-        return true;
-      }
+      Cancelled = StepsUsed > StepBudget;
     }
-    return pastDeadline();
+    return Cancelled;
   }
 
-  bool cancelled() const { return Flag != Reason::None || pastDeadline(); }
-
-  Reason reason() const { return Flag; }
+  bool cancelled() const { return Cancelled; }
 
 private:
-  using Clock = std::chrono::steady_clock;
-
-  /// Trips the token with WallClock when this poll is a clock poll and the
-  /// deadline has passed.
-  bool pastDeadline() const {
-    if (!HasDeadline || ++Polls % ClockCadence != 0 ||
-        Clock::now() < Deadline)
-      return false;
-    Flag = Reason::WallClock;
-    return true;
-  }
-
   uint64_t StepsUsed = 0;
   uint64_t StepBudget = 0;
-  Clock::time_point Deadline;
-  bool HasDeadline = false;
-  // Mutable: cancelled() is a const poll that may trip the deadline.
-  mutable unsigned Polls = 0;
-  mutable Reason Flag = Reason::None;
+  bool Cancelled = false;
 };
 
 /// Installs \p Token as the calling thread's ambient cancellation token for

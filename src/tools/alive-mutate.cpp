@@ -9,9 +9,9 @@
 /// mutate-optimize-verify loop over an input corpus (one or more .ll
 /// files; paper §III and the artifact appendix's CLI: -n, -t, -seed,
 /// -passes, -save-dir, -saveAll), sharded across -j worker threads with a
-/// deterministic merge. The survivability flags (-step-budget,
-/// -iter-timeout, -fanout, -checkpoint/-resume) keep a long campaign
-/// alive across hangs and optimizer crashes.
+/// deterministic merge. The survivability flags (-step-budget, -fanout,
+/// -checkpoint/-resume) keep a long campaign alive across hangs and
+/// optimizer crashes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +68,6 @@ static void printHelp() {
       "  -inject-bugs      enable the 33 seeded Table I defects\n"
       "  -step-budget=<n>  deterministic per-phase watchdog budget; a\n"
       "                    tripped iteration is recorded as a timeout\n"
-      "  -iter-timeout=<s> wall-clock backstop per iteration phase (may be\n"
-      "                    fractional; timeouts are volatile stats)\n"
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
       "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
@@ -213,33 +211,33 @@ int main(int Argc, char **Argv) {
            "distill",         "fanout",           "fault-seed",
            "feedback",        "feedback-epoch",   "help",
            "inject-bugs",     "inject-fault",     "isolate-cpu-s",
-           "isolate-mem-mb",  "iter-timeout",     "j",
-           "lease-deadline",  "max-mutations",    "n",
-           "no-signal-guard", "no-skip-unchanged", "no-tv-cache",
-           "passes",          "profile",          "profile-topk",
-           "progress",        "replay",           "report",
-           "resume",          "retry-base",       "retry-cap",
-           "retry-max",       "save-dir",         "saveAll",
-           "seed",            "shared-tv-cache",  "stats-json",
-           "step-budget",     "t",                "trace-capacity",
-           "trace-json",      "tv-cache-size"});
+           "isolate-mem-mb",  "j",                "lease-deadline",
+           "max-mutations",   "n",                "no-signal-guard",
+           "no-skip-unchanged", "no-tv-cache",    "passes",
+           "profile",         "profile-topk",     "progress",
+           "replay",          "report",           "resume",
+           "retry-base",      "retry-cap",        "retry-max",
+           "save-dir",        "saveAll",          "seed",
+           "shared-tv-cache", "stats-json",       "step-budget",
+           "t",               "trace-capacity",   "trace-json",
+           "tv-cache-size"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
     return 1;
   }
   if (Args.has("replay")) {
-    // A replay re-runs exactly one recorded iteration in-process; campaign
-    // flags make no sense next to it. Reject instead of silently ignoring.
-    for (const char *Bad : {"j", "resume", "checkpoint"})
-      if (Args.has(Bad)) {
-        std::fprintf(stderr,
-                     "error: -replay cannot be combined with -%s: a replay "
-                     "re-runs one recorded bundle, not a campaign; drop -%s "
-                     "or run the campaign without -replay\n",
-                     Bad, Bad);
-        return 1;
-      }
+    // A replay re-runs exactly one recorded iteration in-process, with the
+    // configuration its bundle recorded; every other flag would be
+    // ignored. Reject it instead.
+    if (std::string Bad = Args.firstUnknown({"replay"}); !Bad.empty()) {
+      std::fprintf(stderr,
+                   "error: -replay cannot be combined with -%s: a replay "
+                   "re-runs one recorded bundle, not a campaign; drop -%s "
+                   "or run the campaign without -replay\n",
+                   Bad.c_str(), Bad.c_str());
+      return 1;
+    }
     // Both `-replay=<bundle>` and `-replay <bundle>` (positional) work.
     std::string Bundle = Args.get("replay");
     if (Bundle.empty() && !Args.positional().empty())
@@ -290,7 +288,6 @@ int main(int Argc, char **Argv) {
   // RLIMIT_AS, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
   SV.StepBudget = Args.getInt("step-budget", 0);
-  SV.WallTimeoutSeconds = Args.getSeconds("iter-timeout", 0);
   SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
   SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
   SV.Fanout = Args.getInt<unsigned>("fanout", 0);

@@ -350,7 +350,7 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
                  &Engine.profile());
   std::string R = OS.str();
 
-  EXPECT_NE(R.find("\"schema_version\": 10"), std::string::npos);
+  EXPECT_NE(R.find("\"schema_version\": 11"), std::string::npos);
   // Both sections carry a profile block: the deterministic top-K table
   // and the volatile span folds. The v10 report has no cache-shard heat.
   size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");

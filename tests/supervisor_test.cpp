@@ -333,23 +333,31 @@ TEST_F(SupervisorTest, FanoutProfileMatchesThreaded) {
   EXPECT_GT(Roots[1], 0u);
 }
 
-TEST_F(SupervisorTest, FanoutChildrenHonorWallTimeout) {
-  // Each child's loop carries the deadline in its own token, so test-slow
-  // is cut off by the clock inside the forked children too, and the
-  // timeouts come back through the harvested checkpoints.
-  FuzzOptions Opts = fanoutOptions(4, 2);
-  Opts.Passes = "test-slow,dce";
-  Opts.Survival.WallTimeoutSeconds = 0.0005;
-  CampaignEngine Engine(Opts, 1);
+TEST_F(SupervisorTest, FanoutChildrenHonorStepBudget) {
+  // Each child's loop carries the step budget in its own token, so
+  // test-slow is cut off inside the forked children too, and the timeouts
+  // come back through the harvested checkpoints exactly as -j1 counts
+  // them.
+  FuzzOptions Fan = fanoutOptions(4, 2);
+  Fan.Passes = "test-slow,dce";
+  Fan.Survival.StepBudget = 10000;
+  FuzzOptions Plain = Fan;
+  Plain.Survival.Fanout = 0;
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(TwoBugCorpus));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+
+  CampaignEngine Engine(Fan, 1);
   Engine.loadModule(parseOk(TwoBugCorpus));
   const FuzzStats &S = Engine.run();
   ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
   EXPECT_FALSE(Engine.degraded());
   EXPECT_EQ(S.MutantsGenerated, 4u);
-  EXPECT_GT(S.Timeouts, 0u);
-  EXPECT_EQ(Engine.registry().counterValue(
-                "survive.timeout.reason.wall-clock"),
-            S.Timeouts);
+  EXPECT_EQ(S.Timeouts, 4u);
+  EXPECT_EQ(Engine.registry().counterValue("survive.timeout.optimize"), 4u);
+  EXPECT_EQ(deterministicReportPart(Engine, Fan),
+            deterministicReportPart(Ref, Plain));
 }
 
 //===----------------------------------------------------------------------===//

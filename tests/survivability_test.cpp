@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// End-to-end tests for the survivability layer: the iteration watchdog
-/// (step budgets and the wall-clock backstop), in-process signal
-/// containment, checkpoint/resume byte-equality, and
-/// the robust corpus loader. Process containment (-fanout) is covered by
-/// supervisor_test.
+/// (step budgets), in-process signal containment, checkpoint/resume
+/// byte-equality, and the robust corpus loader. Process containment
+/// (-fanout) is covered by supervisor_test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <map>
 #include <sstream>
-#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -127,8 +126,6 @@ TEST(SurvivabilityTest, StepBudgetConvertsSlowPassIntoTimeout) {
   EXPECT_EQ(Loop.bugs().size(), 0u);
   const StatRegistry &R = Loop.registry();
   EXPECT_EQ(R.counterValue("survive.timeout.optimize"), 5u);
-  EXPECT_EQ(R.counterValue("survive.timeout.reason.step-budget"), 5u);
-  EXPECT_EQ(R.counterValue("survive.timeout.reason.wall-clock"), 0u);
 }
 
 TEST(SurvivabilityTest, TimeoutWritesForensicsBundle) {
@@ -141,11 +138,9 @@ TEST(SurvivabilityTest, TimeoutWritesForensicsBundle) {
   FuzzerLoop Loop(Opts);
   Loop.loadModule(parseOk(TwoBugCorpus));
   Loop.run();
-  // Timeout bundles are accounted in volatile counters (their placement
-  // is machine-dependent under a wall-clock backstop), not in the
-  // deterministic BundlesWritten.
-  EXPECT_EQ(Loop.registry().counterValue("survive.timeout.bundles"), 2u);
-  EXPECT_EQ(Loop.stats().BundlesWritten, 0u);
+  // Timeout bundles count like every other bundle.
+  EXPECT_EQ(Loop.stats().BundlesWritten, 2u);
+  EXPECT_EQ(Loop.stats().BundleFailures, 0u);
   unsigned Found = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
     if (E.is_directory())
@@ -155,144 +150,46 @@ TEST(SurvivabilityTest, TimeoutWritesForensicsBundle) {
 
 TEST(SurvivabilityTest, StepBudgetTimeoutsAreWorkerCountInvariant) {
   // Step budgets are deterministic per seed (the budget is re-armed at
-  // iteration start and before each refinement check), so the timeout
-  // count — unlike wall-clock timeouts — must not vary with -j.
+  // iteration start and before each refinement check), so the timeouts,
+  // the report and every bundle, timeout bundles included, must not vary
+  // with -j. Both runs write into the same directory, emptied in between,
+  // so the reports name the same bundle paths.
+  ScratchDir Dir("budget_bundles");
   FuzzOptions Opts = twoBugOptions(60);
-  Opts.Survival.StepBudget = 2000;
+  Opts.Survival.StepBudget = 20;
+  Opts.BugBundleDir = Dir.Path;
   uint64_t Timeouts[2];
   std::string Reports[2];
+  std::map<std::string, std::string> Bundles[2];
   unsigned I = 0;
   for (unsigned Jobs : {1u, 4u}) {
+    std::filesystem::remove_all(Dir.Path);
     CampaignEngine Engine(Opts, Jobs);
     Engine.loadModule(parseOk(TwoBugCorpus));
     const FuzzStats &S = Engine.run();
     ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
     Timeouts[I] = S.Timeouts;
     Reports[I] = deterministicReportPart(Engine, Opts);
+    for (const auto &E :
+         std::filesystem::recursive_directory_iterator(Dir.Path))
+      if (E.is_regular_file()) {
+        std::ifstream In(E.path());
+        std::ostringstream Text;
+        Text << In.rdbuf();
+        Bundles[I][std::filesystem::relative(E.path(), Dir.Path).string()] =
+            Text.str();
+      }
     ++I;
   }
+  EXPECT_GT(Timeouts[0], 0u);
   EXPECT_EQ(Timeouts[0], Timeouts[1]);
   EXPECT_EQ(Reports[0], Reports[1]);
-}
-
-//===----------------------------------------------------------------------===//
-// Iteration watchdog: the wall-clock backstop.
-//===----------------------------------------------------------------------===//
-
-TEST(SurvivabilityTest, WallClockBackstopCancelsHungIteration) {
-  // No step budget at all: only the wall-clock deadline can save the
-  // campaign. test-slow's busy-work (1M multiplies per function, two
-  // functions) far outlasts a 0.5ms backstop, so at least one iteration
-  // must be cut off; the campaign itself must finish.
-  FuzzOptions Opts;
-  Opts.Passes = "test-slow,dce";
-  Opts.Iterations = 4;
-  Opts.Survival.WallTimeoutSeconds = 0.0005;
-  CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(TwoBugCorpus));
-  const FuzzStats &S = Engine.run();
-  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
-  EXPECT_EQ(S.MutantsGenerated, 4u);
-  EXPECT_GT(S.Timeouts, 0u);
-  EXPECT_GT(Engine.registry().counterValue(
-                "survive.timeout.reason.wall-clock"),
-            0u);
-}
-
-TEST(SurvivabilityTest, TokenDeadlineTripsWithWallClockReason) {
-  // Polls until the token trips; the clock is read every ClockCadence-th
-  // poll, so a passed deadline shows within one cadence.
-  auto PollsToTrip = [](auto Poll) {
-    for (unsigned I = 1; I <= 4 * CancellationToken::ClockCadence; ++I)
-      if (Poll())
-        return I;
-    return 0u;
-  };
-  CancellationToken T;
-  T.beginIteration(0, 0.001);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(PollsToTrip([&] { return T.consume(); }),
-            CancellationToken::ClockCadence);
-  EXPECT_EQ(T.reason(), CancellationToken::Reason::WallClock);
-  EXPECT_TRUE(T.consume());
-
-  // beginIteration re-arms: a fresh deadline far away never trips, and the
-  // old cancel is gone.
-  T.beginIteration(0, 60);
-  EXPECT_EQ(PollsToTrip([&] { return T.cancelled(); }), 0u);
-  EXPECT_EQ(T.reason(), CancellationToken::Reason::None);
-
-  // cancelled() trips on its own polls, without any consume().
-  T.beginIteration(0, 0.001);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_NE(PollsToTrip([&] { return T.cancelled(); }), 0u);
-  EXPECT_EQ(T.reason(), CancellationToken::Reason::WallClock);
-
-  // No deadline at all: the clock never cancels.
-  T.beginIteration(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(PollsToTrip([&] { return T.consume(); }), 0u);
-
-  // A step budget that runs out before the deadline is read reports the
-  // deterministic reason, even with the deadline long past.
-  T.beginIteration(10, 0.001);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(T.consume(11));
-  EXPECT_EQ(T.reason(), CancellationToken::Reason::StepBudget);
-}
-
-TEST(SurvivabilityTest, StandaloneLoopHonorsWallTimeout) {
-  // The deadline lives in the loop's own token: a bare FuzzerLoop, with no
-  // engine around it, cuts test-slow's busy-work off by the clock.
-  FuzzOptions Opts;
-  Opts.Passes = "test-slow,dce";
-  Opts.Iterations = 4;
-  Opts.Survival.WallTimeoutSeconds = 0.0005;
-  FuzzerLoop Loop(Opts);
-  Loop.loadModule(parseOk(TwoBugCorpus));
-  const FuzzStats &S = Loop.run();
-  EXPECT_EQ(S.MutantsGenerated, 4u);
-  EXPECT_GT(S.Timeouts, 0u);
-  EXPECT_EQ(Loop.registry().counterValue("survive.timeout.reason.wall-clock"),
-            S.Timeouts);
-}
-
-TEST(SurvivabilityTest, SelfCheckIgnoresWallTimeout) {
-  // The load-time self-check arms the step budget only: even a deadline
-  // that has always passed leaves the testable set as it is without one.
-  // @wide is too costly to bit-blast, so it is checked by enumerating %x.
-  // It is UB unless %x is -1, the last value enumerated, and each of the
-  // 255 vacuous trials before that one polls the token once, at the end of
-  // its long chain: the self-check polls many clock cadences over before
-  // its first completed trial settles it.
-  std::string Wide = "define i64 @wide(i8 %x) {\n"
-                     "  %w = zext i8 %x to i64\n";
-  std::string Prev = "%w";
-  for (int I = 0; I != 34; ++I) {
-    std::string N = std::to_string(I);
-    Wide += "  %m" + N + " = mul i64 " + Prev + ", %w\n";
-    Wide += "  %a" + N + " = add i64 %m" + N + ", " + N + "\n";
-    Prev = "%a" + N;
-  }
-  Wide += "  %c = icmp eq i8 %x, -1\n"
-          "  %d = zext i1 %c to i64\n"
-          "  %q = udiv i64 " + Prev + ", %d\n"
-          "  ret i64 %q\n}\n";
-  const std::string Corpus = std::string(TwoBugCorpus) + Wide;
-
-  FuzzOptions Opts;
-  std::vector<std::string> Plain;
-  {
-    FuzzerLoop Loop(Opts);
-    Loop.loadModule(parseOk(Corpus));
-    Plain = Loop.testableFunctions();
-  }
-  ASSERT_EQ(Plain.size(), 3u);
-  Opts.Survival.WallTimeoutSeconds = 1e-9;
-  FuzzerLoop Loop(Opts);
-  Loop.loadModule(parseOk(Corpus));
-  EXPECT_EQ(Loop.testableFunctions(), Plain);
-  EXPECT_EQ(Loop.stats().FunctionsDropped, 0u);
+  unsigned TimeoutManifests = 0;
+  for (const auto &[Path, Text] : Bundles[0])
+    TimeoutManifests += Path.find("-timeout") != std::string::npos &&
+                        Path.ends_with("manifest.json");
+  EXPECT_EQ(TimeoutManifests, Timeouts[0]);
+  EXPECT_TRUE(Bundles[0] == Bundles[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,7 +348,7 @@ TEST(SurvivabilityTest, WorkerCheckpointRoundTripsExactly) {
   B.BundlePath = "/tmp/some bundle";
   W.Bugs.push_back(B);
   W.Counters.push_back({"mutation.gep.applied", 12, false});
-  W.Counters.push_back({"survive.timeout.verify", 3, true});
+  W.Counters.push_back({"survive.contained-signals", 3, true});
 
   std::string Err;
   ASSERT_TRUE(writeWorkerCheckpoint(Dir.Path, W, Err)) << Err;
@@ -479,7 +376,7 @@ TEST(SurvivabilityTest, WorkerCheckpointRoundTripsExactly) {
   EXPECT_EQ(R.Counters[0].Name, "mutation.gep.applied");
   EXPECT_EQ(R.Counters[0].Value, 12u);
   EXPECT_FALSE(R.Counters[0].IsVolatile);
-  EXPECT_EQ(R.Counters[1].Name, "survive.timeout.verify");
+  EXPECT_EQ(R.Counters[1].Name, "survive.contained-signals");
   EXPECT_TRUE(R.Counters[1].IsVolatile);
 }
 
@@ -514,6 +411,41 @@ TEST(SurvivabilityTest, CheckpointMetaMismatchIsActionable) {
   Wrong.ModuleHash ^= 1;
   EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
   EXPECT_NE(Err.find("module"), std::string::npos) << Err;
+
+  // The step budget and the skip rule decide which checks time out and
+  // which run at all, so they are pinned too.
+  Wrong = M;
+  Wrong.StepBudget = 50;
+  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
+  EXPECT_NE(Err.find("-step-budget was 0, resuming with 50"),
+            std::string::npos)
+      << Err;
+  Wrong = M;
+  Wrong.SkipUnchanged = false;
+  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
+  EXPECT_NE(Err.find("-no-skip-unchanged"), std::string::npos) << Err;
+
+  // A meta written before these two were pinned reads as the defaults, so
+  // a default campaign's old checkpoint still resumes.
+  std::string Text;
+  {
+    std::ifstream In(Dir.Path + "/meta.json");
+    std::ostringstream OS;
+    OS << In.rdbuf();
+    Text = OS.str();
+  }
+  for (const char *Key : {"step_budget", "skip_unchanged"}) {
+    size_t At = Text.find(std::string("  \"") + Key);
+    ASSERT_NE(At, std::string::npos) << Key;
+    Text.erase(At, Text.find('\n', At) + 1 - At);
+  }
+  std::ofstream(Dir.Path + "/meta.json") << Text;
+  M.StepBudget = 7;
+  M.SkipUnchanged = false;
+  ASSERT_TRUE(readCheckpointMeta(Dir.Path, M, Err)) << Err;
+  EXPECT_EQ(M.StepBudget, 0u);
+  EXPECT_TRUE(M.SkipUnchanged);
+  EXPECT_TRUE(checkpointMetaMatches(M, R, Err)) << Err;
 
   // A missing directory is an error, not a crash.
   EXPECT_FALSE(readCheckpointMeta(Dir.Path + "/nope", R, Err));
