@@ -325,12 +325,14 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("=== Fuzzing campaign: regenerating Table I ===\n");
+  // Under -fanout the children are the workers (the engine ignores Jobs).
+  const unsigned Workers = GFanout ? GFanout : Jobs;
   char FanoutNote[48] = "";
   if (GFanout)
     std::snprintf(FanoutNote, sizeof(FanoutNote), ", fanout=%u", GFanout);
   std::printf("(each row: one seeded defect, campaign over its near-miss "
               "seed, cap %llu mutants, %u worker(s)%s%s)\n\n",
-              (unsigned long long)MaxIter, Jobs,
+              (unsigned long long)MaxIter, Workers,
               NoCache ? ", memoization off" : "", FanoutNote);
   std::printf("%-8s %-26s %-7s %-15s %10s  %s\n", "Issue", "Component",
               "Status", "Type", "found@", "Description");
@@ -412,7 +414,7 @@ int main(int Argc, char **Argv) {
     RC.Iterations = MaxIter;
     RC.BaseSeed = 1;
     RC.MaxMutationsPerFunction = MutationOptions().MaxMutationsPerFunction;
-    RC.Jobs = Jobs;
+    RC.Jobs = Workers;
     RC.WallSeconds = Wall.seconds();
     RC.Degraded = DegradedAgg;
     RC.FanOut = GFanout;

@@ -24,9 +24,10 @@ invariants the telemetry subsystem guarantees:
     dropped_events total is a non-negative int, and it equals the sum of
     the per-track dropped_events;
   - the v7 degradation ladder: survivability carries a bool degraded
-    flag, a non-negative fanout child count, and a lost_shards list whose
-    rows name a shard index and a non-negative lost-iteration count (a
-    non-empty list forces degraded == true); the volatile fault_injection
+    flag, a non-negative fanout child count (when positive, volatile.jobs
+    must equal it: the children are the workers), and a lost_shards list
+    whose rows name a shard index and a non-negative lost-iteration count
+    (a non-empty list forces degraded == true); the volatile fault_injection
     block carries a bool armed flag and, per armed point, call/trigger
     counters with triggers <= calls;
   - the v6 profile blocks are present in BOTH sections with a bool
@@ -202,6 +203,11 @@ def check_report(path):
         fail("%s: survivability.degraded missing or not a bool" % path)
     if not isinstance(surv.get("fanout"), int) or surv["fanout"] < 0:
         fail("%s: survivability.fanout missing or not a non-negative int" % path)
+    if surv["fanout"] > 0 and vol["jobs"] != surv["fanout"]:
+        fail(
+            "%s: volatile.jobs is %r but survivability.fanout is %d"
+            % (path, vol["jobs"], surv["fanout"])
+        )
     lost = surv.get("lost_shards")
     if not isinstance(lost, list):
         fail("%s: survivability.lost_shards missing or not a list" % path)

@@ -22,7 +22,6 @@
 #include <mutex>
 #include <thread>
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace alive;
@@ -66,7 +65,8 @@ std::string coherenceError(const FuzzOptions &Opts) {
 } // namespace
 
 CampaignEngine::CampaignEngine(const FuzzOptions &Opts, unsigned Jobs)
-    : Opts(Opts), Jobs(std::max(1u, Jobs)) {
+    : Opts(Opts),
+      Jobs(Opts.Survival.Fanout ? Opts.Survival.Fanout : std::max(1u, Jobs)) {
   // One cache for the whole campaign; every worker loop gets this pointer
   // through its copied FuzzOptions (without -shared-tv-cache each loop
   // makes its own). A caller-provided cache (Opts.SharedCache already set)
@@ -391,9 +391,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
 
   // Never spawn idle workers: with fewer iterations than workers the tail
   // workers would own empty slices.
-  const unsigned Want = Fanout ? SV.Fanout : Jobs;
   const unsigned J =
-      TimeLimited ? Want : (unsigned)std::min<uint64_t>(Want, Opts.Iterations);
+      TimeLimited ? Jobs : (unsigned)std::min<uint64_t>(Jobs, Opts.Iterations);
   // Blind and time-limited campaigns are one epoch over the whole range.
   const uint64_t End = TimeLimited ? UINT64_MAX : Opts.Iterations;
   const uint64_t EpochLen =
@@ -605,23 +604,10 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   // forked copy of the parent, whose barrier state is already in memory.
   std::unique_ptr<Supervisor> Sup;
   if (Fanout) {
-    SupervisorConfig SC;
-    SC.Retry.MaxAttempts = SV.RetryMaxAttempts;
-    SC.Retry.BaseDelaySeconds = SV.RetryBaseDelay;
-    SC.Retry.MaxDelaySeconds = SV.RetryMaxDelay;
-    SC.LeaseHeartbeatSeconds = SV.LeaseHeartbeatSeconds;
     Sup = std::make_unique<Supervisor>(
-        SC, [&](const Supervisor::ShardContext &Ctx) -> int {
+        SV.Supervision, [&](const Supervisor::ShardContext &Ctx) -> int {
           // ------- child: runs its worker's slice, checkpoints the shard
           // and exits.
-          if (SV.IsolateMemMB) {
-            rlimit R{SV.IsolateMemMB << 20, SV.IsolateMemMB << 20};
-            setrlimit(RLIMIT_AS, &R);
-          }
-          if (SV.IsolateCpuSeconds) {
-            rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
-            setrlimit(RLIMIT_CPU, &R);
-          }
           Worker &W = *Workers[Ctx.Index];
           // A restart continues from its predecessor's checkpoint.
           std::string Err;

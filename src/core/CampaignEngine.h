@@ -104,7 +104,8 @@ struct CampaignLiveSnapshot {
 /// (minus wall-clock); with Jobs == N the bug set stays byte-identical.
 class CampaignEngine {
 public:
-  /// \p Jobs worker threads (0 is clamped to 1).
+  /// \p Jobs worker threads (0 is clamped to 1). Under -fanout the
+  /// worker count is Opts.Survival.Fanout and \p Jobs is ignored.
   explicit CampaignEngine(const FuzzOptions &Opts, unsigned Jobs = 1);
   ~CampaignEngine();
   CampaignEngine(const CampaignEngine &) = delete;
@@ -116,6 +117,7 @@ public:
   /// config error refuses to run.
   const std::string &configError() const { return ConfigError; }
 
+  /// The worker count: threads, or -fanout's forked children.
   unsigned jobs() const { return Jobs; }
 
   /// Takes ownership of the master module and preprocesses it once
@@ -152,7 +154,7 @@ public:
   const std::string &fanoutIncidents() const { return FanoutIncidents; }
 
   /// True when the last run() permanently lost at least one shard lease
-  /// (-fanout: retry budget exhausted or results unwritable). The run
+  /// (-fanout: restart budget exhausted or results unwritable). The run
   /// report then carries `degraded: true` with exact lost-shard
   /// accounting, and alive-mutate exits 3 — a lost shard is never a
   /// silent gap in the merged results.

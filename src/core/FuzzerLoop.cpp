@@ -40,7 +40,7 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
   // implicitly attaches a recorder (for its span folds) even when
   // -trace-json was not requested.
   if (this->Opts.TraceEnabled || this->Opts.Profile.Enabled) {
-    Trace = std::make_unique<TraceRecorder>(this->Opts.TraceCapacity);
+    Trace = std::make_unique<TraceRecorder>();
     PM.setTrace(Trace.get());
   }
   if (this->Opts.Profile.Enabled)

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <new>
@@ -53,6 +54,9 @@ HeartbeatSlot *slots(void *Page) {
                                            SlotsOffset);
 }
 
+/// Parent poll cadence, in seconds.
+constexpr double PollSeconds = 0.01;
+
 /// A beat-silent child is only wedged if it also sat idle on the CPU: it
 /// must have burned less than this fraction of the silent wall-clock
 /// window. 5% spares a mid-solver-query child even at fanout 16 on one
@@ -93,10 +97,7 @@ double childCpuSeconds(pid_t Pid) {
 } // namespace
 
 Supervisor::Supervisor(SupervisorConfig C, ShardBody B)
-    : Cfg(std::move(C)), Body(std::move(B)) {
-  if (Cfg.PollSeconds <= 0)
-    Cfg.PollSeconds = 0.01;
-}
+    : Cfg(C), Body(std::move(B)) {}
 
 Supervisor::~Supervisor() {
   if (Page)
@@ -117,11 +118,10 @@ bool Supervisor::init(unsigned N, std::string &Error) {
   Control *Ctl = new (control(Page)) Control;
   Ctl->Stop.store(0, std::memory_order_relaxed);
   HeartbeatSlot *HB = slots(Page);
-  Leases.reserve(N);
+  Leases.resize(N);
   for (unsigned I = 0; I != N; ++I) {
-    Leases.emplace_back(Cfg.Retry, /*StreamTag=*/I + 1);
-    Leases.back().Index = I;
-    Leases.back().St = Lease::State::Done;
+    Leases[I].Index = I;
+    Leases[I].St = Lease::State::Done;
     new (&HB[I]) HeartbeatSlot;
     HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
     HB[I].Done.store(0, std::memory_order_relaxed);
@@ -143,6 +143,18 @@ void Supervisor::appendNote(Lease &L, const std::string &Msg) {
 void Supervisor::markLost(Lease &L, const std::string &Why) {
   L.St = Lease::State::Lost;
   appendNote(L, "shard " + std::to_string(L.Index) + " lost: " + Why);
+}
+
+bool Supervisor::backOff(Lease &L, double Now, const std::string &Why) {
+  const double Delay = std::ldexp(Cfg.FirstDelaySeconds, (int)L.Restarts);
+  if (++L.Restarts >= Cfg.RestartBudget) {
+    markLost(L, std::to_string(L.Restarts) +
+                    " failure(s) without progress (last: " + Why + ")");
+    return false;
+  }
+  L.St = Lease::State::Pending;
+  L.RestartAt = Now + Delay;
+  return true;
 }
 
 bool Supervisor::spawn(Lease &L, double Now) {
@@ -192,8 +204,8 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
   Control *Ctl = control(Page);
   HeartbeatSlot *HB = slots(Page);
   Ctl->Stop.store(0, std::memory_order_relaxed);
-  // Re-aim each slice's lease; the retry budget and the done count at the
-  // last death carry over from earlier runs.
+  // Re-aim each slice's lease; the restart count and the done count at
+  // the last death carry over from earlier runs.
   for (const LeaseSlice &S : Slices) {
     Lease &L = Leases[S.Index];
     L.Lo = S.Lo;
@@ -234,12 +246,7 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
         if (spawn(L, Now))
           continue;
         ++Out.ForkFailures;
-        double Delay = L.Retry.nextDelaySeconds();
-        if (L.Retry.exhausted())
-          markLost(L, "fork failed " + std::to_string(L.Retry.attempts()) +
-                          " times (" + describeRetryPolicy(Cfg.Retry) + ")");
-        else
-          L.RestartAt = Now + Delay;
+        backOff(L, Now, "fork failed");
         continue;
       }
 
@@ -251,8 +258,8 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
         L.LastBeatAt = Now;
         if (double Cpu = childCpuSeconds(L.Pid); Cpu >= 0)
           L.CpuAtBeat = Cpu;
-      } else if (Cfg.LeaseHeartbeatSeconds > 0 && !L.KilledByUs &&
-                 Now - L.LastBeatAt > Cfg.LeaseHeartbeatSeconds) {
+      } else if (Cfg.HeartbeatSeconds > 0 && !L.KilledByUs &&
+                 Now - L.LastBeatAt > Cfg.HeartbeatSeconds) {
         // Beat-silent past the deadline — a wedge suspect. The beat only
         // ticks between iterations, so one legitimately long solver query
         // (or plain CPU contention at high fanout) looks identical to a
@@ -273,7 +280,7 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
           ++Out.Wedges;
           appendNote(L, "shard " + std::to_string(L.Index) +
                             " wedged (no heartbeat for " +
-                            std::to_string(Cfg.LeaseHeartbeatSeconds) +
+                            std::to_string(Cfg.HeartbeatSeconds) +
                             "s, no CPU progress), killed");
         }
       }
@@ -302,11 +309,11 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
       if (External)
         Why += " (by supervisor)";
 
-      // Progress refills the retry budget: only a lease dying in place
+      // Progress refills the restart budget: only a lease dying in place
       // exhausts it.
       uint64_t DoneNow = HB[L.Index].Done.load(std::memory_order_relaxed);
       if (DoneNow > L.DoneAtDeath)
-        L.Retry.noteProgress();
+        L.Restarts = 0;
       L.DoneAtDeath = DoneNow;
 
       // Crash attribution — retry first, skip only on repeat offenders.
@@ -315,28 +322,21 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
       // the deterministic report stays byte-identical to -j1.
       uint64_t CurOff = HB[L.Index].Cur.load(std::memory_order_acquire);
       if (!External && CurOff != IdleOffset) {
-        if (++L.DeathsAt[CurOff] >= Cfg.SeedDeathThreshold) {
+        if (++L.DeathsAt[CurOff] >= SeedDeathThreshold) {
           L.Skip.push_back(CurOff);
           if (OnCrash)
             L.CrashBugs.push_back(OnCrash(L.Index, CurOff, Why));
         }
       }
 
-      double Delay = L.Retry.nextDelaySeconds();
-      if (L.Retry.exhausted()) {
-        markLost(L, "retry budget exhausted (last exit: " + Why + "; " +
-                        describeRetryPolicy(Cfg.Retry) + ")");
-      } else {
+      if (backOff(L, Now, Why))
         ++Out.Restarts;
-        L.St = Lease::State::Pending;
-        L.RestartAt = Now + Delay;
-      }
     }
 
     if (AllSettled)
       break;
     std::this_thread::sleep_for(
-        std::chrono::duration<double>(Cfg.PollSeconds));
+        std::chrono::duration<double>(PollSeconds));
   }
 
   for (const LeaseSlice &S : Slices) {

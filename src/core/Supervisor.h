@@ -13,7 +13,7 @@
 ///
 ///   - **Heartbeats.** Every child publishes (current offset, done count,
 ///     beat tick) into a MAP_SHARED control page. A running
-///     lease whose beat tick stops advancing for LeaseHeartbeatSeconds is
+///     lease whose beat tick stops advancing for HeartbeatSeconds is
 ///     a wedge *suspect* — but silence alone cannot distinguish a wedge
 ///     (deadlock, hung syscall) from one legitimately long solver query
 ///     on an oversubscribed host, so the detector consults the child's
@@ -22,16 +22,16 @@
 ///     is *wedged* — SIGKILLed, and the death treated like any other (the
 ///     restarted child resumes from its checkpoint).
 ///
-///   - **Restarts.** A dead or wedged child is restarted under a
-///     support/Retry bounded-exponential-backoff policy (deterministic
-///     jitter, per-shard stream that lives for the whole campaign).
-///     Progress refills the budget: only a shard that keeps dying
-///     *without advancing* exhausts it.
+///   - **Restarts.** A dead or wedged child is restarted after
+///     FirstDelaySeconds, doubling per consecutive death, until its lease
+///     has died RestartBudget times (SupervisorConfig, the one policy).
+///     Progress resets the count: only a shard that keeps dying *without
+///     advancing* exhausts it.
 ///
 ///   - **Crash attribution.** A death with a seed in flight is retried
 ///     first — an externally killed child (chaos fault, OOM killer) must
 ///     not perturb the deterministic report. Only when the *same* offset
-///     takes the process down SeedDeathThreshold times is it skipped and
+///     takes the process down SeedDeathThreshold (2) times is it skipped and
 ///     handed to the parent-side CrashHook, which synthesizes the crash
 ///     BugRecord.
 ///
@@ -46,7 +46,7 @@
 /// kills only cost wall clock, never outcomes.
 ///
 /// The Supervisor is deliberately generic: it knows processes, leases,
-/// heartbeats and retries, but not fuzzing or partitions. The child's work
+/// heartbeats and restarts, but not fuzzing or partitions. The child's work
 /// is a ShardBody callback (run after fork, returns the exit code) and
 /// crash bugs come from the CrashHook — CampaignEngine wires both to the
 /// same worker slice its threads run.
@@ -57,7 +57,6 @@
 #define CORE_SUPERVISOR_H
 
 #include "core/FuzzerLoop.h"
-#include "support/Retry.h"
 #include "support/Timer.h"
 
 #include <atomic>
@@ -70,21 +69,6 @@
 
 namespace alive {
 
-/// Supervisor tunables (the -retry-* / -lease-deadline knobs).
-struct SupervisorConfig {
-  /// Restart policy per lease (budget, backoff bounds, jitter).
-  RetryPolicy Retry;
-  /// A running lease whose beat tick stalls this long is declared wedged
-  /// and killed (<= 0 disables wedge detection).
-  double LeaseHeartbeatSeconds = 30;
-  /// Same offset killing the process this many times => skip it and
-  /// record a crash bug. The first death(s) retry the seed, so external
-  /// kills cannot perturb the deterministic report.
-  unsigned SeedDeathThreshold = 2;
-  /// Parent poll cadence.
-  double PollSeconds = 0.01;
-};
-
 /// One lease of an epoch: shard \p Index runs seed offsets [Lo, Hi).
 struct LeaseSlice {
   unsigned Index = 0;
@@ -94,7 +78,7 @@ struct LeaseSlice {
 /// Final accounting for one shard lease.
 struct ShardOutcome {
   unsigned Index = 0;
-  /// Lease permanently lost: retry budget exhausted or results
+  /// Lease permanently lost: restart budget exhausted or results
   /// unwritable.
   bool Lost = false;
   /// Crash bugs the parent synthesized (seed-attributed deaths past the
@@ -119,6 +103,10 @@ class Supervisor {
 public:
   /// The idle sentinel a child stores in Cur between iterations.
   static constexpr uint64_t IdleOffset = ~0ull;
+  /// Same offset killing the process this many times => skip it and
+  /// record a crash bug. The first death retries the seed, so an external
+  /// kill cannot perturb the deterministic report.
+  static constexpr unsigned SeedDeathThreshold = 2;
 
   /// The child's view of its lease: the slice to run, offsets to skip
   /// (previously attributed crashes), and its slots in the shared
@@ -176,7 +164,7 @@ public:
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
 
   /// Runs one lease per slice to completion: every lease Done or Lost.
-  /// Shards keep their retry budgets from earlier runs. \p Total is the
+  /// Shards keep their restart counts from earlier runs. \p Total is the
   /// campaign wall clock (backoff deadlines are expressed against it).
   SupervisorOutcome run(const std::vector<LeaseSlice> &Slices, Timer &Total);
 
@@ -187,8 +175,9 @@ private:
     uint64_t Lo = 0, Hi = 0;
     State St = State::Pending;
     pid_t Pid = -1;
-    /// Restart budget + backoff schedule (support/Retry).
-    RetryState Retry;
+    /// Deaths (and failed forks) since the last progress; the next
+    /// restart waits FirstDelaySeconds << Restarts.
+    unsigned Restarts = 0;
     /// Backoff gate: do not respawn before this Total.seconds() stamp.
     double RestartAt = 0;
     /// Wedge detection: last beat tick observed and when it changed.
@@ -209,11 +198,12 @@ private:
     std::vector<uint64_t> Skip;
     std::vector<BugRecord> CrashBugs;
     std::string Note;
-
-    explicit Lease(const RetryPolicy &P, uint64_t Tag) : Retry(P, Tag) {}
   };
 
   bool spawn(Lease &L, double Now);
+  /// Counts one death or failed fork of \p L: schedules its restart, or
+  /// marks it lost once the budget is spent. \returns true on restart.
+  bool backOff(Lease &L, double Now, const std::string &Why);
   void markLost(Lease &L, const std::string &Why);
   void appendNote(Lease &L, const std::string &Msg);
 

@@ -48,11 +48,11 @@ static void printHelp() {
       "                    fractional)\n"
       "  -seed=<n>         base PRNG seed (default 1)\n"
       "  -j=<n>            worker threads (0 = all hardware threads; "
-      "default 1)\n"
+      "default 1;\n"
+      "                    not with -fanout, which sets the worker count)\n"
       "  -passes=<desc>    pipeline, e.g. O2 or instcombine,dce (default O2)\n"
       "  -max-mutations=<n> mutations per function per mutant (default 3)\n"
-      "  -no-tv-cache      disable the per-worker TV verdict cache\n"
-      "  -tv-cache-size=<n> TV verdict cache capacity (default 4096)\n"
+      "  -no-tv-cache      disable the TV verdict cache (4096 entries)\n"
       "  -shared-tv-cache  share one canonicalized verdict cache across\n"
       "                    all workers (alpha-renamed, commutative-\n"
       "                    normalized keys; bug report stays -j invariant)\n"
@@ -71,21 +71,13 @@ static void printHelp() {
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
       "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
-      "  -fanout=<n>       run the <n> workers' epoch slices in supervised\n"
-      "                    child processes: heartbeat deadlines, bounded-\n"
-      "                    backoff restart of dead/wedged children, shard\n"
-      "                    results restored at each epoch (requires -n; the\n"
+      "  -fanout=<n>       run <n> workers' epoch slices in supervised\n"
+      "                    child processes: heartbeat deadlines, backoff\n"
+      "                    restart of dead/wedged children, shard results\n"
+      "                    restored at each epoch (requires -n; the\n"
       "                    deterministic report stays byte-identical to -j1\n"
-      "                    unless a lease is permanently lost)\n"
-      "  -isolate-mem-mb=<n> RLIMIT_AS for -fanout children, in MiB\n"
-      "  -isolate-cpu-s=<n>  RLIMIT_CPU for -fanout children, in seconds\n"
-      "  -retry-max=<n>    restart budget per shard lease; checkpoint\n"
-      "                    progress refills it (default 5)\n"
-      "  -retry-base=<s>   first restart backoff delay, doubling per\n"
-      "                    consecutive failure (default 0.05)\n"
-      "  -retry-cap=<s>    restart backoff ceiling (default 5)\n"
-      "  -lease-deadline=<s> heartbeat deadline after which a wedged child\n"
-      "                    is killed and its lease retried (default 30)\n"
+      "                    unless a lease is permanently lost). Children\n"
+      "                    inherit the shell's limits (ulimit -v)\n"
       "  -inject-fault=<pt>:<spec>[,...] arm deterministic fault injection\n"
       "                    at named syscall edges; spec is nth:<n> (exactly\n"
       "                    the nth call), every:<k>, or p:<prob> (dedicated\n"
@@ -106,7 +98,6 @@ static void printHelp() {
       "  -stats-json=<file> write a schema-versioned JSON run report\n"
       "  -trace-json=<file> write a Chrome trace (flight recorder, one\n"
       "                    track per worker; open in Perfetto)\n"
-      "  -trace-capacity=<n> flight-recorder ring capacity (default 16384)\n"
       "  -bug-bundles=<dir> write a replayable forensics bundle per bug\n"
       "  -replay <bundle>  re-run a recorded bundle; exit 0 only when the\n"
       "                    recorded verdict reproduces\n"
@@ -210,17 +201,14 @@ int main(int Argc, char **Argv) {
           {"bug-bundles",     "checkpoint",       "checkpoint-interval",
            "distill",         "fanout",           "fault-seed",
            "feedback",        "feedback-epoch",   "help",
-           "inject-bugs",     "inject-fault",     "isolate-cpu-s",
-           "isolate-mem-mb",  "j",                "lease-deadline",
+           "inject-bugs",     "inject-fault",     "j",
            "max-mutations",   "n",                "no-signal-guard",
            "no-skip-unchanged", "no-tv-cache",    "passes",
            "profile",         "profile-topk",     "progress",
            "replay",          "report",           "resume",
-           "retry-base",      "retry-cap",        "retry-max",
            "save-dir",        "saveAll",          "seed",
            "shared-tv-cache", "stats-json",       "step-budget",
-           "t",               "trace-capacity",   "trace-json",
-           "tv-cache-size"});
+           "t",               "trace-json"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
@@ -262,10 +250,8 @@ int main(int Argc, char **Argv) {
       Args.getInt<unsigned>("max-mutations", 3);
   Opts.SaveDir = Args.get("save-dir");
   Opts.SaveAll = Args.has("saveAll");
-  Opts.TVCacheSize = Args.has("no-tv-cache")
-                         ? 0
-                         : Args.getInt<size_t>("tv-cache-size",
-                                               Opts.TVCacheSize);
+  if (Args.has("no-tv-cache"))
+    Opts.TVCacheSize = 0;
   Opts.UseSharedTVCache = Args.has("shared-tv-cache");
   Opts.SkipUnchanged = !Args.has("no-skip-unchanged");
   Opts.Feedback.Enabled = Args.has("feedback") && Args.get("feedback") != "off";
@@ -275,8 +261,6 @@ int main(int Argc, char **Argv) {
   Opts.BugBundleDir = Args.get("bug-bundles");
   std::string TracePath = Args.get("trace-json");
   Opts.TraceEnabled = !TracePath.empty();
-  Opts.TraceCapacity =
-      Args.getInt<size_t>("trace-capacity", TraceRecorder::DefaultCapacity);
   Opts.Profile.Enabled = Args.has("profile");
   Opts.Profile.TopK = Args.getInt<unsigned>("profile-topk", 16, 1);
 
@@ -284,19 +268,11 @@ int main(int Argc, char **Argv) {
   // fuzzing tool — a real optimizer abort should be a recorded crash bug,
   // not a dead campaign. Under -fanout the engine turns it off in every
   // worker (workerOptions): process isolation both contains the signal
-  // and survives the signals no in-process handler can (SIGKILL from
-  // RLIMIT_AS, stack-smashing SIGSEGV).
+  // and survives the signals no in-process handler can (the OOM killer's
+  // SIGKILL, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
   SV.StepBudget = Args.getInt("step-budget", 0);
-  SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
-  SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
   SV.Fanout = Args.getInt<unsigned>("fanout", 0);
-  SV.RetryMaxAttempts =
-      Args.getInt<unsigned>("retry-max", SV.RetryMaxAttempts);
-  SV.RetryBaseDelay = Args.getSeconds("retry-base", SV.RetryBaseDelay);
-  SV.RetryMaxDelay = Args.getSeconds("retry-cap", SV.RetryMaxDelay);
-  SV.LeaseHeartbeatSeconds =
-      Args.getSeconds("lease-deadline", SV.LeaseHeartbeatSeconds);
   SV.SignalGuard = !Args.has("no-signal-guard");
   SV.CheckpointDir = Args.get("checkpoint");
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
@@ -310,7 +286,6 @@ int main(int Argc, char **Argv) {
     const char *Feature;
     const char *Fix;
   };
-  const bool CacheOn = !Args.has("no-tv-cache");
   const bool FanoutOn = SV.Fanout != 0;
   for (const TuningFlag &T : {
            TuningFlag{"profile-topk", Opts.Profile.Enabled, "-profile",
@@ -327,20 +302,11 @@ int main(int Argc, char **Argv) {
                       "add -checkpoint=<dir> or -fanout=<n>"},
            TuningFlag{"feedback-epoch", Opts.Feedback.Enabled, "-feedback",
                       "add -feedback"},
-           TuningFlag{"tv-cache-size", CacheOn, "the verdict cache",
-                      "drop -no-tv-cache"},
-           TuningFlag{"shared-tv-cache", CacheOn, "the verdict cache",
-                      "drop -no-tv-cache"},
-           TuningFlag{"trace-capacity",
-                      Opts.TraceEnabled || Opts.Profile.Enabled,
-                      "the flight recorder",
-                      "add -trace-json=<file> or -profile"},
-           TuningFlag{"retry-max", FanoutOn, "-fanout", "add -fanout=<n>"},
-           TuningFlag{"retry-base", FanoutOn, "-fanout", "add -fanout=<n>"},
-           TuningFlag{"retry-cap", FanoutOn, "-fanout", "add -fanout=<n>"},
-           TuningFlag{"lease-deadline", FanoutOn, "-fanout", "add -fanout=<n>"},
-           TuningFlag{"isolate-mem-mb", FanoutOn, "-fanout", "add -fanout=<n>"},
-           TuningFlag{"isolate-cpu-s", FanoutOn, "-fanout", "add -fanout=<n>"},
+           TuningFlag{"shared-tv-cache", Opts.TVCacheSize > 0,
+                      "the verdict cache", "drop -no-tv-cache"},
+           TuningFlag{"j", !FanoutOn,
+                      "the worker threads, which -fanout=<n> replaces",
+                      "drop -fanout"},
        })
     if (!T.FeatureOn && Args.has(T.Name)) {
       std::fprintf(stderr, "error: -%s tunes %s; %s, or drop -%s\n", T.Name,

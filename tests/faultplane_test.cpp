@@ -1,20 +1,18 @@
-//===- tests/faultplane_test.cpp - Fault plane / retry / atomic IO ----------===//
+//===- tests/faultplane_test.cpp - Fault plane / atomic IO ----------------===//
 //
 // Part of the alive-mutate reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// Unit tests for the robustness support layer: the deterministic
-/// fault-injection plane (spec grammar, trigger modes, counters), the
-/// bounded-exponential-backoff retry policy, and the tmp+fsync+rename
-/// atomic file writer whose torn-write guarantee everything durable rides
-/// on.
+/// fault-injection plane (spec grammar, trigger modes, counters) and the
+/// tmp+fsync+rename atomic file writer whose torn-write guarantee
+/// everything durable rides on.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/AtomicFile.h"
 #include "support/FaultPlane.h"
-#include "support/Retry.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -151,64 +149,6 @@ TEST_F(FaultPlaneTest, ArmReplacesThePreviousTable) {
   EXPECT_TRUE(faultAt("report.write"));
   ASSERT_EQ(F.counters().size(), 1u);
   EXPECT_EQ(F.counters()[0].Point, "report.write");
-}
-
-//===----------------------------------------------------------------------===//
-// Retry: bounded exponential backoff.
-//===----------------------------------------------------------------------===//
-
-TEST(RetryTest, DelaysDoubleFromBaseAndCapAtMax) {
-  RetryPolicy P;
-  P.MaxAttempts = 16;
-  P.BaseDelaySeconds = 0.1;
-  P.MaxDelaySeconds = 1.0;
-  P.JitterFraction = 0; // exact doubling, no jitter
-  RetryState S(P);
-  std::vector<double> Want = {0.1, 0.2, 0.4, 0.8, 1.0, 1.0};
-  for (double W : Want)
-    EXPECT_DOUBLE_EQ(S.nextDelaySeconds(), W);
-}
-
-TEST(RetryTest, JitterStaysBoundedAndIsDeterministic) {
-  RetryPolicy P;
-  P.MaxAttempts = 100;
-  P.BaseDelaySeconds = 0.5;
-  P.MaxDelaySeconds = 0.5;
-  P.JitterFraction = 0.1;
-  RetryState A(P, /*StreamTag=*/7), B(P, /*StreamTag=*/7);
-  for (int I = 0; I < 32; ++I) {
-    double DA = A.nextDelaySeconds();
-    // Two identically-configured sequences back off on identical
-    // schedules — the reproducibility the chaos matrix depends on.
-    EXPECT_DOUBLE_EQ(DA, B.nextDelaySeconds());
-    EXPECT_GE(DA, 0.45);
-    EXPECT_LE(DA, 0.55);
-  }
-}
-
-TEST(RetryTest, BudgetExhaustsAndProgressRefillsIt) {
-  RetryPolicy P;
-  P.MaxAttempts = 3;
-  P.BaseDelaySeconds = 0.01;
-  RetryState S(P);
-  EXPECT_FALSE(S.exhausted());
-  S.nextDelaySeconds();
-  S.nextDelaySeconds();
-  EXPECT_FALSE(S.exhausted());
-  S.nextDelaySeconds();
-  EXPECT_TRUE(S.exhausted());
-  // Real progress (an advanced checkpoint) refills the budget: a child
-  // must never be abandoned over ancient, unrelated failures.
-  S.noteProgress();
-  EXPECT_FALSE(S.exhausted());
-  EXPECT_EQ(S.attempts(), 0u);
-}
-
-TEST(RetryTest, DescribePolicyNamesTheKnobs) {
-  RetryPolicy P;
-  std::string D = describeRetryPolicy(P);
-  EXPECT_NE(D.find("5"), std::string::npos) << D;
-  EXPECT_NE(D.find("0.05"), std::string::npos) << D;
 }
 
 //===----------------------------------------------------------------------===//

@@ -450,7 +450,6 @@ TEST(ForensicsTest, OutcomesAreCollectedWithoutBundleDir) {
 TEST(ForensicsTest, TracedCampaignProducesStageAndPassSpans) {
   FuzzOptions Opts = twoBugOptions(30);
   Opts.TraceEnabled = true;
-  Opts.TraceCapacity = 1 << 12;
   FuzzerLoop Loop(Opts);
   Loop.loadModule(parseOk(TwoBugCorpus));
   Loop.run();

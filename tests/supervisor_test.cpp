@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// End-to-end tests for the -fanout supervisor: shard leases with
-/// heartbeat deadlines, bounded-backoff restarts of killed and wedged
-/// children, crash attribution through retry-then-skip, and the
+/// heartbeat deadlines, backoff restarts of killed and wedged children
+/// (with the restart budget that progress refills), crash attribution
+/// through retry-then-skip, and the
 /// degradation ladder — a permanently lost lease is counted and flagged,
 /// never a silent gap, while every recovered fault leaves the
 /// deterministic report section byte-identical to an undisturbed -j1 run,
@@ -98,12 +99,11 @@ struct SupervisorTest : ::testing::Test {
   void SetUp() override { FaultPlane::instance().reset(); }
   void TearDown() override { FaultPlane::instance().reset(); }
 
-  /// Fast-retry fanout options so injected deaths cost milliseconds.
+  /// Fast-restart fanout options so injected deaths cost milliseconds.
   static FuzzOptions fanoutOptions(uint64_t Iterations, unsigned Fanout) {
     FuzzOptions Opts = twoBugOptions(Iterations);
     Opts.Survival.Fanout = Fanout;
-    Opts.Survival.RetryBaseDelay = 0.005;
-    Opts.Survival.RetryMaxDelay = 0.05;
+    Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
     return Opts;
   }
 };
@@ -177,8 +177,8 @@ TEST_F(SupervisorTest, WedgedChildIsKilledByHeartbeatDeadline) {
   ASSERT_TRUE(FaultPlane::instance().arm("supervisor.wedge:nth:1", Err))
       << Err;
   FuzzOptions Fan = fanoutOptions(30, 2);
-  Fan.Survival.RetryMaxAttempts = 2;
-  Fan.Survival.LeaseHeartbeatSeconds = 0.2;
+  Fan.Survival.Supervision.RestartBudget = 2;
+  Fan.Survival.Supervision.HeartbeatSeconds = 0.2;
   CampaignEngine Engine(Fan, 1);
   Engine.loadModule(parseOk(TwoBugCorpus));
   Engine.run();
@@ -200,7 +200,7 @@ TEST_F(SupervisorTest, ExhaustedRetriesDegradeWithExactAccounting) {
       << Err;
   const uint64_t Iterations = 40;
   FuzzOptions Fan = fanoutOptions(Iterations, 3);
-  Fan.Survival.RetryMaxAttempts = 2;
+  Fan.Survival.Supervision.RestartBudget = 2;
   CampaignEngine Engine(Fan, 1);
   Engine.loadModule(parseOk(TwoBugCorpus));
   const FuzzStats &S = Engine.run();
@@ -235,8 +235,7 @@ TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   Opts.Iterations = 3;
   Opts.BaseSeed = 1;
   Opts.Survival.Fanout = 1;
-  Opts.Survival.RetryBaseDelay = 0.005;
-  Opts.Survival.RetryMaxDelay = 0.05;
+  Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
   Opts.BugBundleDir = Bundles;
   CampaignEngine Engine(Opts, 1);
   Engine.loadModule(parseOk(R"(
@@ -267,6 +266,35 @@ define i8 @crashme(i8 %x) {
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             3u);
   std::filesystem::remove_all(Bundles);
+}
+
+TEST_F(SupervisorTest, ProgressBetweenDeathsRefillsTheRestartBudget) {
+  // Three crashing seeds kill the one lease six times, twice as often as
+  // its budget of 3 allows. Every second death pins a seed, so the next
+  // death comes after a finished (skipped) iteration: each is progress
+  // and resets the count, and the lease completes instead of being lost.
+  FuzzOptions Opts;
+  Opts.Passes = "test-crash,dce";
+  Opts.Iterations = 3;
+  Opts.BaseSeed = 1;
+  Opts.Survival.Fanout = 1;
+  Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
+  Opts.Survival.Supervision.RestartBudget = 3;
+  CampaignEngine Engine(Opts, 1);
+  Engine.loadModule(parseOk(R"(
+define i8 @crashme(i8 %x) {
+  %r = add i8 %x, 1
+  ret i8 %r
+}
+)"));
+  const FuzzStats &S = Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded()) << Engine.fanoutIncidents();
+  EXPECT_TRUE(Engine.lostShards().empty());
+  EXPECT_EQ(S.Crashes, 3u);
+  // Six deaths, and the last one is followed by a clean exit.
+  EXPECT_EQ(Engine.registry().counterValue("survive.supervisor.restarts"),
+            6u);
 }
 
 TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
@@ -478,7 +506,7 @@ TEST_F(SupervisorTest, LostFeedbackLeaseEndsCampaignResumably) {
   FuzzOptions Fan = fanoutOptions(Iterations, 2);
   Fan.Feedback = Plain.Feedback;
   Fan.Survival.CheckpointDir = Dir;
-  Fan.Survival.RetryMaxAttempts = 1;
+  Fan.Survival.Supervision.RestartBudget = 1;
   CampaignEngine Leg1(Fan, 1);
   Leg1.loadModule(parseOk(TwoBugCorpus));
   Leg1.run();

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -330,15 +331,21 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
 TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
   // A retired or mistyped flag must fail loudly, naming the flag: a
   // script passing -isolate would otherwise quietly run in-process, and
-  // -feedbak would quietly run a blind campaign. -tv-prescreen,
-  // -tv-cache-shards, -quarantine and the wall-clock iteration timeout are
-  // retired too (the last is spelled in two pieces so a repository search
-  // for its name finds no live use).
+  // -feedbak would quietly run a blind campaign. Also retired:
+  // -tv-prescreen, -tv-cache-shards, -quarantine, the wall-clock iteration
+  // timeout, the -fanout supervisor's four knobs and two child rlimits
+  // (its policy is fixed; a memory cap is the shell's ulimit -v), and the
+  // trace ring and verdict cache sizes. The names retired from the
+  // timeout on are spelled in two pieces so a repository search for them
+  // finds no live use.
   std::string In = " " + TmpDir + "/in.ll";
   std::string Err = TmpDir + "/unknown.err";
-  for (std::string Flag : {"-isolate", "-feedbak", "-tv-prescreen=4",
-                           "-tv-cache-shards=8", "-quarantine=2",
-                           "-iter-" "timeout=5"}) {
+  for (std::string Flag :
+       {"-isolate", "-feedbak", "-tv-prescreen=4", "-tv-cache-shards=8",
+        "-quarantine=2", "-iter-" "timeout=5", "-retry-" "max=2",
+        "-retry-" "base=0.1", "-retry-" "cap=1", "-lease-" "deadline=5",
+        "-isolate-" "mem-mb=512", "-isolate-" "cpu-s=5",
+        "-trace-" "capacity=64", "-tv-cache-" "size=64"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Flag + In +
                      " 2> " + Err + ")"),
               1)
@@ -347,6 +354,55 @@ TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
     EXPECT_NE(readFile(Err).find("unknown flag " + Name), std::string::npos)
         << readFile(Err);
   }
+}
+
+TEST_F(ToolsTest, AliveMutateHelpNamesExactlyTheAcceptedFlags) {
+  // -help is the flag reference: it must list every flag the tool
+  // accepts and no other, so a retired flag cannot linger in the text and
+  // a new one cannot go undocumented.
+  const std::set<std::string> Accepted = {
+      "bug-bundles",     "checkpoint",     "checkpoint-interval",
+      "distill",         "fanout",         "fault-seed",
+      "feedback",        "feedback-epoch", "help",
+      "inject-bugs",     "inject-fault",   "j",
+      "max-mutations",   "n",              "no-signal-guard",
+      "no-skip-unchanged", "no-tv-cache",  "passes",
+      "profile",         "profile-topk",   "progress",
+      "replay",          "report",         "resume",
+      "save-dir",        "saveAll",        "seed",
+      "shared-tv-cache", "stats-json",     "step-budget",
+      "t",               "trace-json"};
+  std::string Out = TmpDir + "/help.out";
+  ASSERT_EQ(runCmd("(" + tool("alive-mutate") + " -help > " + Out + ")"), 0);
+  std::set<std::string> Listed;
+  std::stringstream SS(readFile(Out));
+  for (std::string Line; std::getline(SS, Line);)
+    if (Line.rfind("  -", 0) == 0)
+      Listed.insert(Line.substr(3, Line.find_first_of("= <", 3) - 3));
+  EXPECT_EQ(Listed, Accepted);
+  // Without an input every run stops after the unknown-flag check and
+  // before any campaign.
+  std::string Err = TmpDir + "/help_flag.err";
+  for (const std::string &Flag : Accepted) {
+    runCmd("(" + tool("alive-mutate") + " -" + Flag + " 2> " + Err + ")");
+    EXPECT_EQ(readFile(Err).find("unknown flag"), std::string::npos)
+        << Flag << ": " << readFile(Err);
+  }
+}
+
+TEST_F(ToolsTest, AliveMutateFanoutReportsItsWorkerCount) {
+  // The header, the tv-cache line and the report's volatile jobs count
+  // the -fanout children, not the default -j=1.
+  std::string Out = TmpDir + "/fanout_jobs.out";
+  std::string Json = TmpDir + "/fanout_jobs.json";
+  ASSERT_EQ(runCmd("(" + tool("alive-mutate") + " -n=6 -fanout=3 -stats-json=" +
+                   Json + " " + TmpDir + "/in.ll > " + Out + ")"),
+            0);
+  std::string Text = readFile(Out);
+  EXPECT_NE(Text.find("3 worker(s) [fanout=3]"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("[per-worker, 3 worker(s)]"), std::string::npos)
+      << Text;
+  EXPECT_NE(readFile(Json).find("\"jobs\": 3,"), std::string::npos);
 }
 
 TEST_F(ToolsTest, AliveMutateRejectsTuningFlagsWithoutTheirFeature) {
@@ -369,18 +425,10 @@ TEST_F(ToolsTest, AliveMutateRejectsTuningFlagsWithoutTheirFeature) {
            Row{"-feedback-epoch=32", "-feedback-epoch", "-feedback"},
            Row{"-feedback=off -feedback-epoch=32", "-feedback-epoch",
                "-feedback"},
-           Row{"-no-tv-cache -tv-cache-size=64", "-tv-cache-size",
-               "-no-tv-cache"},
            Row{"-no-tv-cache -shared-tv-cache", "-shared-tv-cache",
                "-no-tv-cache"},
-           Row{"-trace-capacity=64", "-trace-capacity", "-trace-json"},
-           Row{"-retry-max=2", "-retry-max", "-fanout"},
-           Row{"-retry-base=0.1", "-retry-base", "-fanout"},
-           Row{"-retry-cap=1", "-retry-cap", "-fanout"},
-           Row{"-lease-deadline=5", "-lease-deadline", "-fanout"},
-           Row{"-isolate-mem-mb=512", "-isolate-mem-mb", "-fanout"},
-           Row{"-isolate-cpu-s=5", "-isolate-cpu-s", "-fanout"},
-           Row{"-fanout=0 -retry-max=2", "-retry-max", "-fanout"},
+           // -fanout=<n> is itself the worker count: -j would be ignored.
+           Row{"-j=2 -fanout=2", "-j", "-fanout"},
        }) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + R.Flags + In +
                      " 2> " + Err + ")"),
@@ -396,14 +444,10 @@ TEST_F(ToolsTest, AliveMutateRejectsTuningFlagsWithoutTheirFeature) {
   // With their features on, the same flags run clean.
   for (const std::string &Flags : std::vector<std::string>{
            "-profile -profile-topk=4",
-           "-trace-json=" + TmpDir + "/tuning.json -trace-capacity=64",
-           "-profile -trace-capacity=64",
-           "-tv-cache-size=64 -shared-tv-cache",
+           "-shared-tv-cache",
            "-feedback -feedback-epoch=2",
            "-checkpoint=" + TmpDir + "/tuning_ckpt -checkpoint-interval=2",
-           "-fanout=1 -checkpoint-interval=2",
-           "-fanout=1 -retry-max=2 -retry-base=0.1 -retry-cap=1 "
-           "-lease-deadline=5 -isolate-cpu-s=60"})
+           "-fanout=1 -checkpoint-interval=2"})
     EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 " + Flags + In), 0)
         << Flags;
 }
@@ -468,7 +512,7 @@ TEST_F(ToolsTest, AliveMutateRejectsMalformedNumericFlags) {
   for (std::string Flag :
        {"-n=abc", "-j=-1", "-n=5x", "-j=4294967296", "-n=99999999999999999999",
         "-t=-1", "-t=1s", "-progress=abc", "-progress=nan",
-        "-lease-deadline=inf", "-profile-topk=0", "-feedback-epoch=0"}) {
+        "-t=inf", "-profile-topk=0", "-feedback-epoch=0"}) {
     EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " " + Flag + In + " 2> " +
                      Err + ")"),
               1)
