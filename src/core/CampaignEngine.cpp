@@ -37,19 +37,11 @@ std::string coherenceError(const FuzzOptions &Opts) {
   if (SV.Resume && SV.CheckpointDir.empty())
     return "-resume needs -checkpoint=<dir> naming the checkpoint directory "
            "of the interrupted campaign";
-  if (Opts.TimeLimitSeconds > 0) {
-    // A time budget has no reproducible seed schedule: no epoch to merge
-    // at, no lease partition, no position to checkpoint. That includes -n
-    // next to -t, where the bounded dispatch ignores the time limit.
-    const char *Needs = Opts.Feedback.Enabled ? "-feedback"
-                        : SV.Fanout           ? "-fanout"
-                        : !SV.CheckpointDir.empty() ? "-checkpoint/-resume"
-                                                    : nullptr;
-    if (Needs)
-      return std::string(Needs) +
-             " needs an iteration-bounded campaign: replace -t=<sec> with "
-             "-n=<count>";
-  }
+  // A lost lease is counted against the rest of its slice; without -n a
+  // slice has no end to count to.
+  if (SV.Fanout && Opts.Iterations == 0)
+    return "-fanout needs an iteration-bounded campaign: add -n=<count> "
+           "(-t=<sec> may stay as a deadline)";
   // The flight recorder's ring lives in child memory and is not part of
   // the shard checkpoint the parent restores.
   if (SV.Fanout && Opts.TraceEnabled)
@@ -85,6 +77,14 @@ CampaignEngine::CampaignEngine(const FuzzOptions &Opts, unsigned Jobs)
 }
 
 CampaignEngine::~CampaignEngine() = default;
+
+std::pair<uint64_t, uint64_t> alive::campaignSlice(unsigned I, unsigned J,
+                                                   uint64_t Start,
+                                                   uint64_t EpochLen,
+                                                   uint64_t End) {
+  const unsigned __int128 L = std::min(End - Start, EpochLen);
+  return {Start + (uint64_t)(L * I / J), Start + (uint64_t)(L * (I + 1) / J)};
+}
 
 unsigned CampaignEngine::loadModule(std::unique_ptr<Module> M) {
   // Preprocess (and §III-A self-check) once, on the master; workers
@@ -135,11 +135,10 @@ CampaignEngine::traceDropped() const {
   return Out;
 }
 
-void CampaignEngine::beginLive(uint64_t Target, unsigned Workers,
-                               uint64_t Restored, const Timer *Clock) {
+void CampaignEngine::beginLive(unsigned Workers, uint64_t Restored,
+                               const Timer *Clock) {
   std::lock_guard<std::mutex> Lock(LiveM);
   Live.Running = true;
-  Live.Target = Target;
   Live.Workers = Workers;
   Live.Restored = Restored;
   Live.Clock = Clock;
@@ -166,7 +165,7 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   S.Running = Live.Running;
   S.Restored = Live.Restored;
   S.Workers = Live.Running ? Live.Workers : Jobs;
-  S.Target = Live.Running ? Live.Target : Opts.Iterations;
+  S.Target = Opts.Iterations;
   if (!Live.Running) {
     S.Done = TotalDone.load(std::memory_order_relaxed);
     return S;
@@ -197,8 +196,7 @@ struct Worker {
   unsigned Index = 0;
   /// The seed-offset range this worker's checkpoint covers: its static
   /// partition in a blind campaign, the whole range under feedback (every
-  /// epoch is sliced afresh, so all cursors agree at each barrier), empty
-  /// when time-limited.
+  /// epoch is sliced afresh, so all cursors agree at each barrier).
   uint64_t Lo = 0, Hi = 0;
   /// Next seed offset to run. Only the worker's own thread touches it,
   /// or the engine while the workers are parked.
@@ -362,7 +360,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
                                Timer &Total) {
   namespace fs = std::filesystem;
   const SurvivalOptions &SV = Opts.Survival;
-  const bool TimeLimited = Opts.Iterations == 0;
   const bool Feedback = Opts.Feedback.Enabled;
   const bool Fanout = SV.Fanout != 0;
 
@@ -389,20 +386,18 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   } DG{Dir, OwnDir};
   const bool Checkpointing = !Dir.empty();
 
+  // Without -n the campaign runs the whole offset space until its -t
+  // deadline; at -j1 that is offsets 0, 1, 2, ... as under -n.
+  const uint64_t End = Opts.Iterations ? Opts.Iterations : UINT64_MAX;
   // Never spawn idle workers: with fewer iterations than workers the tail
   // workers would own empty slices.
-  const unsigned J =
-      TimeLimited ? Jobs : (unsigned)std::min<uint64_t>(Jobs, Opts.Iterations);
-  // Blind and time-limited campaigns are one epoch over the whole range.
-  const uint64_t End = TimeLimited ? UINT64_MAX : Opts.Iterations;
+  const unsigned J = (unsigned)std::min<uint64_t>(Jobs, End);
+  // A blind campaign is one epoch over the whole range, so there a
+  // worker's slice is its static partition.
   const uint64_t EpochLen =
       Feedback ? std::max(1u, Opts.Feedback.EpochLength) : End;
-  // Worker I's slice of the epoch starting at Start: the contiguous share
-  // [Start + L*I/J, Start + L*(I+1)/J) of its L offsets. A blind campaign
-  // is one epoch, so there this is the worker's static partition.
   auto SliceOf = [&](unsigned I, uint64_t Start) {
-    const uint64_t L = std::min(End, Start + EpochLen) - Start;
-    return std::make_pair(Start + L * I / J, Start + L * (I + 1) / J);
+    return campaignSlice(I, J, Start, EpochLen, End);
   };
   if (Checkpointing && !pinCheckpointIdentity(Dir, J))
     return;
@@ -418,10 +413,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   for (unsigned I = 0; I != J; ++I) {
     auto W = std::make_unique<Worker>();
     W->Index = I;
-    if (!TimeLimited)
-      std::tie(W->Lo, W->Hi) =
-          Feedback ? std::make_pair(uint64_t(0), Opts.Iterations)
-                   : SliceOf(I, 0);
+    std::tie(W->Lo, W->Hi) =
+        Feedback ? std::make_pair(uint64_t(0), End) : SliceOf(I, 0);
     W->Next = W->Lo;
     W->Loop = std::make_unique<FuzzerLoop>(workerOptions(Opts, Testable));
     W->Loop->setSchedule(Feedback ? &Schedule : nullptr);
@@ -473,8 +466,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       Global = std::move(FC.Global);
       Schedule = std::move(FC.Schedule);
       EpochStart = FC.NextOffset;
-      if (EpochStart > Opts.Iterations ||
-          (EpochStart % EpochLen != 0 && EpochStart != Opts.Iterations)) {
+      if (EpochStart > End ||
+          (EpochStart % EpochLen != 0 && EpochStart != End)) {
         ConfigError = "cannot resume: feedback.json records offset " +
                       std::to_string(EpochStart) +
                       ", which is not an epoch boundary";
@@ -513,10 +506,17 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     }
   }
 
+  // The one stop rule: a stop request (SIGINT/SIGTERM), the test hook's
+  // iteration count, or the -t deadline, whichever comes first.
+  auto PastDeadline = [&] {
+    return Opts.TimeLimitSeconds > 0 &&
+           Total.seconds() >= Opts.TimeLimitSeconds;
+  };
   auto StopRequested = [&] {
     uint64_t After = StopAfter.load(std::memory_order_relaxed);
     return StopReq.load(std::memory_order_relaxed) ||
-           (After && TotalDone.load(std::memory_order_relaxed) >= After);
+           (After && TotalDone.load(std::memory_order_relaxed) >= After) ||
+           PastDeadline();
   };
   auto CheckpointWorker = [&](Worker &W) {
     std::string Err;
@@ -552,29 +552,20 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       Checkpointing && !Feedback
           ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
           : 0;
-  std::atomic<uint64_t> SharedNext{0};
-  // One worker's share of an epoch: offsets [W.Next, SliceEnd), or offsets
-  // drawn from SharedNext when time-limited. A -fanout child passes its
-  // lease: the stop flag, the heartbeat and the offset in flight then live
-  // in the supervisor's control page, and offsets that already crashed a
-  // predecessor count as done without running again.
+  // One worker's share of an epoch: offsets [W.Next, SliceEnd). A -fanout
+  // child passes its lease: the stop flag, the heartbeat and the offset in
+  // flight then live in the supervisor's control page, and offsets that
+  // already crashed a predecessor count as done without running again.
   auto RunSlice = [&](Worker &W, uint64_t SliceEnd,
                       const Supervisor::ShardContext *Lease) {
     Timer Leg;
     uint64_t Since = 0;
     for (;;) {
-      uint64_t Off;
-      if (TimeLimited) {
-        if (Total.seconds() >= Opts.TimeLimitSeconds || StopRequested())
-          break;
-        Off = SharedNext.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        Off = W.Next;
-        if (Off == SliceEnd ||
-            (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
-                                 : StopRequested())))
-          break;
-      }
+      const uint64_t Off = W.Next;
+      if (Off == SliceEnd ||
+          (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
+                               : StopRequested())))
+        break;
       const bool Skip =
           Lease && std::count(Lease->Skip->begin(), Lease->Skip->end(), Off);
       if (!Skip) {
@@ -752,8 +743,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   // guard sits after the Workers vector and the supervisor, so on every
   // exit path the refs are revoked before the state they borrow from is
   // destroyed.
-  beginLive(TimeLimited ? 0 : Opts.Iterations, J,
-            TotalDone.load(std::memory_order_relaxed), &Total);
+  beginLive(J, TotalDone.load(std::memory_order_relaxed), &Total);
   for (auto &W : Workers)
     addLiveShard(Sup ? LiveShardRef{Sup->doneCounter(W->Index), nullptr}
                      : LiveShardRef{&W->Done, W->StageNanos});
@@ -767,13 +757,12 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       break;
     const uint64_t EpochEnd = std::min(End, EpochStart + EpochLen);
     std::vector<uint64_t> SliceEnd(J, 0);
-    if (!TimeLimited)
-      for (auto &W : Workers) {
-        // A resumed cursor may already be past its slice's start.
-        auto [Lo, Hi] = SliceOf(W->Index, EpochStart);
-        W->Next = std::max(Lo, W->Next);
-        SliceEnd[W->Index] = Hi;
-      }
+    for (auto &W : Workers) {
+      // A resumed cursor may already be past its slice's start.
+      auto [Lo, Hi] = SliceOf(W->Index, EpochStart);
+      W->Next = std::max(Lo, W->Next);
+      SliceEnd[W->Index] = Hi;
+    }
     if (Sup) {
       RunLeases(SliceEnd);
     } else {
@@ -784,9 +773,9 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       for (std::thread &T : Threads)
         T.join();
     }
-    // Blind and time-limited campaigns are one epoch. A feedback epoch
-    // left unfinished by a lost -fanout lease ends the campaign before its
-    // barrier; the checkpoint keeps it resumable.
+    // A blind campaign is one epoch. A feedback epoch left unfinished by a
+    // lost -fanout lease ends the campaign before its barrier; the
+    // checkpoint keeps it resumable.
     if (!Feedback || std::any_of(Workers.begin(), Workers.end(), [&](auto &W) {
           return W->Next != SliceEnd[W->Index];
         }))
@@ -848,8 +837,9 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
                    [](const BugRecord &A, const BugRecord &B) {
                      return A.MutantSeed < B.MutantSeed;
                    });
-  if (TimeLimited)
-    Interrupted = StopReq.load(std::memory_order_relaxed);
+  // Without -n the deadline is the campaign's planned end, not a cut.
+  if (!Opts.Iterations && PastDeadline())
+    Interrupted = false;
   if (DegradedFlag) {
     uint64_t LostTotal = 0;
     for (const auto &LS : LostShardsV)

@@ -6,37 +6,35 @@
 ///
 /// \file
 /// The campaign engine: runs the mutate -> optimize -> verify loop over the
-/// seed range [BaseSeed, BaseSeed+Iterations) as one epoch loop with two
-/// executors.
+/// seed range [BaseSeed, BaseSeed+Iterations) — or, without -n, over the
+/// whole 64-bit offset space until the -t deadline — as one epoch loop with
+/// two executors.
 ///
 /// The epoch loop. J workers, each owning a private FuzzerLoop — its own
 /// clone of the master module, its own RandomGenerator stream, PassManager,
 /// bug-injection context view and FuzzStats — so workers share nothing
 /// mutable and never synchronize on the hot path. Each epoch is sliced into
-/// J contiguous shares, one per worker:
+/// J contiguous shares, one per worker (campaignSlice):
 ///   - blind: a single epoch over the whole range, so a worker's slice is
 ///     its static partition; the campaign can stop and checkpoint at any
 ///     iteration boundary;
 ///   - feedback: epochs of Feedback.EpochLength offsets, each sliced
 ///     afresh; at the barrier the coverage deltas merge and the schedule
-///     is recomputed, and stops and checkpoints happen only there;
-///   - time-limited (Iterations == 0, threads only): a single unbounded
-///     epoch in which workers draw offsets from a shared counter until the
-///     budget runs out. The mutant count then depends on scheduling, but
-///     every reported bug is still reproducible from its logged seed.
-/// Partition, resume validation, checkpoint cadence, the stop rule, the
-/// barrier and the worker-order final merge exist once, for both
-/// executors.
+///     is recomputed, and stops and checkpoints happen only there.
+/// One stop rule covers every campaign: a stop request (SIGINT/SIGTERM),
+/// the stopAfterIterations test hook or the -t deadline. Partition, resume
+/// validation, checkpoint cadence, the stop rule, the barrier and the
+/// worker-order final merge exist once, for both executors.
 ///
 /// Executors. Threads (the default, -j) run every worker's slice in place.
 /// Under Survival.Fanout a core/Supervisor forks one child per slice
-/// instead, with optional RLIMIT_AS/RLIMIT_CPU, heartbeat deadlines,
-/// backoff restarts and crash attribution (a seed that repeatedly kills
-/// its child becomes a recorded crash bug and is skipped). The child is a
-/// copy-on-write copy of the parent's worker at the barrier: it runs the
-/// same slice, checkpoints its shard (stats, bugs, counters, pending
-/// coverage and -profile state) and exits, and the parent restores that
-/// checkpoint into its worker before the barrier. A lost lease is counted
+/// instead, with heartbeat deadlines, backoff restarts and crash
+/// attribution (a seed that repeatedly kills its child becomes a recorded
+/// crash bug and is skipped). The child is a copy-on-write copy of the
+/// parent's worker at the barrier: it runs the same slice, checkpoints its
+/// shard (stats, bugs, counters, pending coverage and -profile state) and
+/// exits, and the parent restores that checkpoint into its worker before
+/// the barrier. A lost lease is counted
 /// exactly against its last readable checkpoint; it ends the campaign
 /// degraded, and under feedback before that epoch's barrier, so the
 /// checkpoint stays resumable. The parent never runs an iteration itself.
@@ -71,6 +69,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace alive {
@@ -94,10 +93,17 @@ struct CampaignLiveSnapshot {
   /// The part of Done restored from a checkpoint by -resume: Done minus
   /// Restored is what this run has completed in Elapsed seconds.
   uint64_t Restored = 0;
-  uint64_t Target = 0;   ///< planned iterations (0 = time-limited)
+  uint64_t Target = 0;   ///< planned iterations (0 = no -n: -t only)
   unsigned Workers = 0;
   std::vector<ShardLiveState> Shards;
 };
+
+/// Worker \p I of \p J's share [Start + L*I/J, Start + L*(I+1)/J) of the L
+/// offsets of the epoch [Start, min(Start + EpochLen, End)). 128-bit
+/// products keep End = UINT64_MAX (no -n) from overflowing.
+std::pair<uint64_t, uint64_t> campaignSlice(unsigned I, unsigned J,
+                                            uint64_t Start, uint64_t EpochLen,
+                                            uint64_t End);
 
 /// Runs a fuzzing campaign across J workers with a deterministic
 /// merge. With Jobs == 1 the result is identical to a plain FuzzerLoop run
@@ -145,7 +151,9 @@ public:
   }
 
   /// True when the last run() ended before finishing its seed range
-  /// (requestStop / stopAfterIterations). Resume with Survival.Resume.
+  /// (requestStop, stopAfterIterations, or -t cutting an -n campaign
+  /// short; without -n the deadline is the end). Resume with
+  /// Survival.Resume.
   bool interrupted() const { return Interrupted; }
 
   /// Non-fatal -fanout incident log ("" when clean): leases lost after
@@ -288,8 +296,7 @@ private:
   /// Opens the live window: run() is now between setup and join.
   /// \p Restored iterations were completed by the interrupted run a
   /// -resume continues.
-  void beginLive(uint64_t Target, unsigned Workers, uint64_t Restored,
-                 const Timer *Clock);
+  void beginLive(unsigned Workers, uint64_t Restored, const Timer *Clock);
   void addLiveShard(LiveShardRef R);
   /// Closes the live window and revokes every shard ref. Idempotent —
   /// the epoch loop calls it explicitly before borrowed state dies, and a
@@ -300,7 +307,6 @@ private:
   mutable std::mutex LiveM;
   struct LiveState {
     bool Running = false;
-    uint64_t Target = 0;
     unsigned Workers = 0;
     uint64_t Restored = 0;
     const Timer *Clock = nullptr;

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -44,8 +45,9 @@ static void printHelp() {
   std::puts(
       "usage: alive-mutate [options] input.ll [more.ll ...]\n"
       "  -n=<count>        number of mutants to generate (default 1000)\n"
-      "  -t=<seconds>      time budget instead of a mutant count (may be\n"
-      "                    fractional)\n"
+      "  -t=<seconds>      deadline (may be fractional): without -n the\n"
+      "                    campaign runs until it; with -n it stops at\n"
+      "                    whichever comes first\n"
       "  -seed=<n>         base PRNG seed (default 1)\n"
       "  -j=<n>            worker threads (0 = all hardware threads; "
       "default 1;\n"
@@ -57,8 +59,8 @@ static void printHelp() {
       "                    all workers (alpha-renamed, commutative-\n"
       "                    normalized keys; bug report stays -j invariant)\n"
       "  -feedback         feedback-directed scheduling: per-rule coverage\n"
-      "                    steers seed energy and family weights (needs -n;\n"
-      "                    -feedback=off is the default blind schedule)\n"
+      "                    steers seed energy and family weights\n"
+      "                    (-feedback=off is the default blind schedule)\n"
       "  -feedback-epoch=<n> seed offsets per schedule epoch (default 256)\n"
       "  -distill          after a -feedback campaign, print the minimal\n"
       "                    corpus function set covering everything observed\n"
@@ -85,7 +87,6 @@ static void printHelp() {
       "                    deterministic report are never perturbed)\n"
       "  -fault-seed=<n>   reseed the fault-injection probability streams\n"
       "  -checkpoint=<dir> write periodic campaign checkpoints to <dir>\n"
-      "  -checkpoint-interval=<n> iterations between checkpoints\n"
       "  -resume           resume the campaign recorded in -checkpoint\n"
       "  -progress=<sec>   print campaign progress every <sec> seconds\n"
       "                    (may be fractional)\n"
@@ -133,23 +134,23 @@ static void installTerminateHandler(alive::CampaignEngine *E) {
   sigaction(SIGTERM, &SA, nullptr);
 }
 
-/// One -progress line from a live snapshot: done/target, rate, ETA (from
-/// the rate, or from the remaining -t budget when time-limited) and each
-/// stage's share of the summed shard stage time. With no stage time to
-/// split (always under -fanout, whose shards carry none) it says so
-/// instead of printing shares. The rate counts only this run's
+/// One -progress line from a live snapshot: done/target, rate, ETA (the
+/// earlier of the rate's ETA to -n and the time left before the -t
+/// deadline) and each stage's share of the summed shard stage time. With
+/// no stage time to split (always under -fanout, whose shards carry none)
+/// it says so instead of printing shares. The rate counts only this run's
 /// iterations: a -resume'd prefix was done before Elapsed started.
 static std::string progressLine(const CampaignLiveSnapshot &S,
                                 double TimeLimit) {
   double Rate =
       S.Elapsed > 0 ? (double)(S.Done - S.Restored) / S.Elapsed : 0;
+  double EtaSec =
+      S.Target && Rate > 0 ? (double)(S.Target - S.Done) / Rate : HUGE_VAL;
+  if (TimeLimit > 0)
+    EtaSec = std::min(EtaSec, std::max(0.0, TimeLimit - S.Elapsed));
   char Eta[32] = "eta ?";
-  if (!S.Target)
-    std::snprintf(Eta, sizeof(Eta), "eta %.0fs",
-                  std::max(0.0, TimeLimit - S.Elapsed));
-  else if (Rate > 0)
-    std::snprintf(Eta, sizeof(Eta), "eta %.0fs",
-                  (double)(S.Target - S.Done) / Rate);
+  if (EtaSec != HUGE_VAL)
+    std::snprintf(Eta, sizeof(Eta), "eta %.0fs", EtaSec);
   double Stage[4] = {}, StageSum = 0;
   for (const ShardLiveState &SS : S.Shards)
     for (unsigned I = 0; I != 4; ++I) {
@@ -198,17 +199,17 @@ int main(int Argc, char **Argv) {
   // A mistyped or retired flag must not quietly change the campaign (a
   // misspelled -feedback would run blind), so any other flag is an error.
   if (std::string Unknown = Args.firstUnknown(
-          {"bug-bundles",     "checkpoint",       "checkpoint-interval",
-           "distill",         "fanout",           "fault-seed",
-           "feedback",        "feedback-epoch",   "help",
-           "inject-bugs",     "inject-fault",     "j",
-           "max-mutations",   "n",                "no-signal-guard",
-           "no-skip-unchanged", "no-tv-cache",    "passes",
-           "profile",         "profile-topk",     "progress",
-           "replay",          "report",           "resume",
-           "save-dir",        "saveAll",          "seed",
-           "shared-tv-cache", "stats-json",       "step-budget",
-           "t",               "trace-json"});
+          {"bug-bundles",     "checkpoint",       "distill",
+           "fanout",          "fault-seed",       "feedback",
+           "feedback-epoch",  "help",             "inject-bugs",
+           "inject-fault",    "j",                "max-mutations",
+           "n",               "no-signal-guard",  "no-skip-unchanged",
+           "no-tv-cache",     "passes",           "profile",
+           "profile-topk",    "progress",         "replay",
+           "report",          "resume",           "save-dir",
+           "saveAll",         "seed",             "shared-tv-cache",
+           "stats-json",      "step-budget",      "t",
+           "trace-json"});
       !Unknown.empty()) {
     std::fprintf(stderr, "error: unknown flag -%s (see -help)\n",
                  Unknown.c_str());
@@ -275,7 +276,6 @@ int main(int Argc, char **Argv) {
   SV.Fanout = Args.getInt<unsigned>("fanout", 0);
   SV.SignalGuard = !Args.has("no-signal-guard");
   SV.CheckpointDir = Args.get("checkpoint");
-  SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
   SV.Resume = Args.has("resume");
 
   // A tuning flag whose feature is off would be ignored without a word,
@@ -286,25 +286,16 @@ int main(int Argc, char **Argv) {
     const char *Feature;
     const char *Fix;
   };
-  const bool FanoutOn = SV.Fanout != 0;
   for (const TuningFlag &T : {
            TuningFlag{"profile-topk", Opts.Profile.Enabled, "-profile",
                       "add -profile"},
            TuningFlag{"fault-seed", !Args.get("inject-fault").empty(),
                       "-inject-fault", "add -inject-fault=<point>:<spec>"},
-           TuningFlag{"checkpoint-interval", !Opts.Feedback.Enabled,
-                      "the mid-epoch checkpoint cadence, which -feedback "
-                      "does not use",
-                      "drop -feedback"},
-           TuningFlag{"checkpoint-interval",
-                      !SV.CheckpointDir.empty() || FanoutOn,
-                      "-checkpoint or -fanout",
-                      "add -checkpoint=<dir> or -fanout=<n>"},
            TuningFlag{"feedback-epoch", Opts.Feedback.Enabled, "-feedback",
                       "add -feedback"},
            TuningFlag{"shared-tv-cache", Opts.TVCacheSize > 0,
                       "the verdict cache", "drop -no-tv-cache"},
-           TuningFlag{"j", !FanoutOn,
+           TuningFlag{"j", SV.Fanout == 0,
                       "the worker threads, which -fanout=<n> replaces",
                       "drop -fanout"},
        })
@@ -582,11 +573,19 @@ int main(int Argc, char **Argv) {
                  "permanently lost after exhausting retries; results are "
                  "incomplete and flagged degraded in the report\n",
                  Engine.lostShards().size());
-  if (Engine.interrupted())
+  if (Engine.interrupted() && !SV.CheckpointDir.empty())
     std::fprintf(stderr,
                  "note: campaign interrupted before finishing; rerun with "
                  "-resume and the same flags to continue from the last "
                  "checkpoint\n");
+  else if (Engine.interrupted())
+    std::fprintf(stderr,
+                 "note: campaign interrupted after %llu%s mutant(s); it ran "
+                 "without -checkpoint, so it cannot be resumed\n",
+                 (unsigned long long)S.MutantsGenerated,
+                 Opts.Iterations ? (" of " + std::to_string(Opts.Iterations) +
+                                    " planned").c_str()
+                                 : "");
   if (S.RefinementFailures || S.Crashes)
     return 2;
   return S.SaveFailures || Engine.degraded() ? 3 : 0;

@@ -451,29 +451,35 @@ TEST(FeedbackTest, ProfiledResumeRejectsTruncatedFeedbackState) {
   Engine.reset();
 }
 
-TEST(FeedbackTest, FeedbackRejectsIncoherentConfigs) {
-  // Time-limited feedback: no fixed seed range, no epochs.
+TEST(FeedbackTest, TimeLimitedFeedbackRunsAndResumes) {
+  // Without -n a feedback campaign runs epochs over the whole offset space
+  // and the -t deadline stops it at a barrier, like SIGTERM would.
   FuzzOptions TimeLimited;
   TimeLimited.Passes = "instcombine";
   TimeLimited.Iterations = 0;
-  TimeLimited.TimeLimitSeconds = 1;
+  TimeLimited.TimeLimitSeconds = 0.2;
   TimeLimited.Feedback.Enabled = true;
-  CampaignEngine E1(TimeLimited, 1);
-  E1.loadModule(parseOk(TwoBugCorpus));
-  E1.run();
-  EXPECT_NE(E1.configError().find("-feedback"), std::string::npos)
-      << E1.configError();
+  TimeLimited.Feedback.EpochLength = 8;
+  TimeLimited.Survival.CheckpointDir = ::testing::TempDir() + "amr_fb_timed";
+  std::filesystem::remove_all(TimeLimited.Survival.CheckpointDir);
+  uint64_t FirstEpochs = 0;
+  {
+    CampaignEngine E1(TimeLimited, 2);
+    E1.loadModule(parseOk(TwoBugCorpus));
+    E1.run();
+    ASSERT_TRUE(E1.configError().empty()) << E1.configError();
+    EXPECT_FALSE(E1.interrupted());
+    FirstEpochs = E1.registry().counterValue("feedback.epochs");
+    EXPECT_GT(FirstEpochs, 0u);
+  }
 
-  // Checkpointing a time-limited campaign (the satellite bugfix): there
-  // is no reproducible position to record.
-  FuzzOptions CkptTimed;
-  CkptTimed.Passes = "instcombine";
-  CkptTimed.Iterations = 0;
-  CkptTimed.TimeLimitSeconds = 1;
-  CkptTimed.Survival.CheckpointDir = ::testing::TempDir() + "amr_fb_nock";
-  CampaignEngine E2(CkptTimed, 1);
+  // Its barrier checkpoint resumes with a fresh (here longer) budget.
+  TimeLimited.Survival.Resume = true;
+  TimeLimited.TimeLimitSeconds = 0.5;
+  CampaignEngine E2(TimeLimited, 2);
   E2.loadModule(parseOk(TwoBugCorpus));
   E2.run();
-  EXPECT_NE(E2.configError().find("iteration-bounded"), std::string::npos)
-      << E2.configError();
+  ASSERT_TRUE(E2.configError().empty()) << E2.configError();
+  EXPECT_GT(E2.registry().counterValue("feedback.epochs"), FirstEpochs);
+  std::filesystem::remove_all(TimeLimited.Survival.CheckpointDir);
 }

@@ -298,7 +298,8 @@ define i8 @crashme(i8 %x) {
 }
 
 TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
-  // Time-limited fan-out has no fixed lease partition.
+  // -fanout without -n: a lost lease is counted against the rest of its
+  // slice, and an unbounded slice has no rest.
   FuzzOptions Timed = twoBugOptions(0);
   Timed.TimeLimitSeconds = 0.1;
   Timed.Survival.Fanout = 2;
@@ -559,4 +560,20 @@ TEST_F(SupervisorTest, FreshFanoutRunIgnoresStaleShardCheckpoints) {
       << Err;
   EXPECT_EQ(RunSeed(9, Dir), Clean);
   std::filesystem::remove_all(Dir);
+}
+
+TEST_F(SupervisorTest, FanoutHonoursTheDeadline) {
+  // -n next to -t under -fanout: the deadline reaches the children through
+  // the supervisor's stop flag, as SIGTERM does, and the cut campaign is
+  // resumable rather than degraded.
+  FuzzOptions Opts = fanoutOptions(1000000, 2);
+  Opts.TimeLimitSeconds = 0.3;
+  CampaignEngine Engine(Opts, 1);
+  Engine.loadModule(parseOk(TwoBugCorpus));
+  const FuzzStats &S = Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded()) << Engine.fanoutIncidents();
+  EXPECT_GT(S.MutantsGenerated, 0u);
+  EXPECT_LT(S.MutantsGenerated, 1000000u);
+  EXPECT_TRUE(Engine.interrupted());
 }

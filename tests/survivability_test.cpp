@@ -687,17 +687,33 @@ TEST(SurvivabilityTest, ResumeRefusesMismatchedConfig) {
   EXPECT_FALSE(NoDirEngine.configError().empty());
 }
 
-TEST(SurvivabilityTest, CheckpointingRejectsTimeLimitedCampaigns) {
+TEST(SurvivabilityTest, TimeLimitedCampaignCheckpointsAndResumes) {
+  // A campaign without -n runs the same static partition as any other, so
+  // its shards record a reproducible position; -resume continues from it
+  // with a fresh budget.
   ScratchDir Dir("ckpt_timelimited");
   FuzzOptions Opts = twoBugOptions(0);
-  Opts.TimeLimitSeconds = 0.1;
+  Opts.TimeLimitSeconds = 0.2;
   Opts.Survival.CheckpointDir = Dir.Path;
-  CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(TwoBugCorpus));
-  Engine.run();
-  EXPECT_NE(Engine.configError().find("iteration-bounded"),
-            std::string::npos)
-      << Engine.configError();
+  uint64_t First = 0;
+  {
+    CampaignEngine Engine(Opts, 2);
+    Engine.loadModule(parseOk(TwoBugCorpus));
+    First = Engine.run().MutantsGenerated;
+    ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+    EXPECT_GT(First, 0u);
+    // Reaching the deadline is how a campaign without -n finishes.
+    EXPECT_FALSE(Engine.interrupted());
+  }
+  Opts.Survival.Resume = true;
+  Opts.TimeLimitSeconds = 0.5;
+  CampaignEngine Resumed(Opts, 2);
+  Resumed.loadModule(parseOk(TwoBugCorpus));
+  const FuzzStats &S = Resumed.run();
+  ASSERT_TRUE(Resumed.configError().empty()) << Resumed.configError();
+  EXPECT_GT(S.MutantsGenerated, First);
+  for (size_t I = 1; I < Resumed.bugs().size(); ++I)
+    EXPECT_LE(Resumed.bugs()[I - 1].MutantSeed, Resumed.bugs()[I].MutantSeed);
 }
 
 //===----------------------------------------------------------------------===//
