@@ -11,7 +11,6 @@
 #include "parser/Printer.h"
 #include "support/FaultPlane.h"
 #include "support/Hash.h"
-#include "support/SignalGuard.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -554,8 +553,9 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           : 0;
   // One worker's share of an epoch: offsets [W.Next, SliceEnd). A -fanout
   // child passes its lease: the stop flag, the heartbeat and the offset in
-  // flight then live in the supervisor's control page, and offsets that
-  // already crashed a predecessor count as done without running again.
+  // flight then live in the supervisor's control page, and an offset that
+  // already killed its predecessors is recorded as a crash bug instead of
+  // run again.
   auto RunSlice = [&](Worker &W, uint64_t SliceEnd,
                       const Supervisor::ShardContext *Lease) {
     Timer Leg;
@@ -566,9 +566,13 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
                                : StopRequested())))
         break;
-      const bool Skip =
-          Lease && std::count(Lease->Skip->begin(), Lease->Skip->end(), Off);
-      if (!Skip) {
+      if (Lease && Lease->Skip->count(Off)) {
+        W.Loop->recordKilledSeed(
+            Opts.BaseSeed + Off,
+            "optimizer process " + Lease->Skip->at(Off) +
+                " (supervised shard " + std::to_string(Lease->Index) +
+                ", contained by process isolation)");
+      } else {
         if (Lease)
           Lease->Cur->store(Off, std::memory_order_release);
         W.Loop->runIteration(Opts.BaseSeed + Off);
@@ -583,7 +587,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         Lease->Done->fetch_add(1, std::memory_order_relaxed);
         Lease->Beat->fetch_add(1, std::memory_order_relaxed);
       }
-      if (Interval && !Skip && ++Since >= Interval) {
+      if (Interval && ++Since >= Interval) {
         Since = 0;
         CheckpointWorker(W);
       }
@@ -625,48 +629,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       ConfigError = InitErr;
       return;
     }
-    Sup->setCrashHook([&](unsigned I, uint64_t Off,
-                          const std::string &Why) -> BugRecord {
-      // The offset took the process down repeatedly: a crash bug of the
-      // compiler-under-test. Record it from the parent side — the mutant
-      // regenerates deterministically from its seed.
-      uint64_t Seed = Opts.BaseSeed + Off;
-      BugRecord B;
-      B.Kind = BugRecord::Crash;
-      B.MutantSeed = Seed;
-      B.Detail = "optimizer process " + Why + " (supervised shard " +
-                 std::to_string(I) + ", contained by process isolation)";
-      ForensicRecord FR;
-      FR.K = ForensicRecord::Crash;
-      FR.Seed = Seed;
-      FR.VerdictSlug = "crash";
-      FR.Detail = B.Detail;
-      // Regenerating the mutant replays only the (signal-safe) mutator,
-      // but guard anyway: the parent must survive whatever the child did
-      // not.
-      int Sig = 0;
-      bool Survived = runWithSignalGuard(
-          [&] {
-            MutationTrail Trail;
-            std::unique_ptr<Module> Mutant =
-                MasterLoop->makeMutant(Seed, Trail);
-            B.MutantIR = printModule(*Mutant);
-            if (!Opts.BugBundleDir.empty()) {
-              BundleInputs In{Opts,         Testable, *MasterLoop->module(),
-                              Mutant.get(), nullptr,  &Trail,
-                              FR};
-              std::string Err;
-              B.BundlePath = writeBugBundle(Opts.BugBundleDir, In, Err);
-              if (B.BundlePath.empty() && BundleError.empty())
-                BundleError = Err;
-            }
-          },
-          Sig);
-      if (!Survived)
-        B.Detail += "; mutant regeneration raised " +
-                    std::string(signalName(Sig)) + " in the parent too";
-      return B;
-    });
     Sup->setStopCheck([&](uint64_t DoneTotal) {
       TotalDone.store(DoneTotal, std::memory_order_relaxed);
       return !Feedback && StopRequested();
@@ -679,9 +641,9 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
     FanoutIncidents += Msg;
   };
   // Runs one epoch's slices as leases, then restores each child's shard
-  // checkpoint into its worker and splices in the crash bugs the
-  // supervisor recorded. A lost lease keeps whatever its last readable
-  // checkpoint holds, and its loss is counted exactly against that.
+  // checkpoint into its worker. A lost lease keeps whatever its last
+  // readable checkpoint holds, and its loss is counted exactly against
+  // that.
   auto RunLeases = [&](const std::vector<uint64_t> &SliceEnd) {
     std::vector<LeaseSlice> Slices;
     for (auto &W : Workers) {
@@ -705,18 +667,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       Worker &W = *Workers[S.Index];
       std::string Err;
       const bool Read = AdoptShard(W, SliceEnd[S.Index], Err);
-      if (!S.CrashBugs.empty()) {
-        FuzzStats St = W.Loop->stats();
-        std::vector<BugRecord> Bugs = W.Loop->bugs();
-        for (const BugRecord &B : S.CrashBugs) {
-          ++St.Crashes;
-          if (!Opts.BugBundleDir.empty())
-            ++(B.BundlePath.empty() ? St.BundleFailures : St.BundlesWritten);
-          Bugs.push_back(B);
-        }
-        W.Loop->restoreState(St, std::move(Bugs));
-        W.Loop->mutableRegistry().counter("bug.crash") += S.CrashBugs.size();
-      }
       // A lease that finished but whose results cannot be read back is a
       // lost shard by any other name: count it, never drop it silently.
       if (!S.Lost && !Read)

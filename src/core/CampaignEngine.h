@@ -29,12 +29,13 @@
 /// Executors. Threads (the default, -j) run every worker's slice in place.
 /// Under Survival.Fanout a core/Supervisor forks one child per slice
 /// instead, with heartbeat deadlines, backoff restarts and crash
-/// attribution (a seed that repeatedly kills its child becomes a recorded
-/// crash bug and is skipped). The child is a copy-on-write copy of the
-/// parent's worker at the barrier: it runs the same slice, checkpoints its
-/// shard (stats, bugs, counters, pending coverage and -profile state) and
-/// exits, and the parent restores that checkpoint into its worker before
-/// the barrier. A lost lease is counted
+/// attribution (a seed that repeatedly kills its child is skipped, and the
+/// next child records it through FuzzerLoop::recordKilledSeed). The child
+/// is a copy-on-write copy of the parent's worker at the barrier: it runs
+/// the same slice, checkpoints its shard (stats, bugs, counters, pending
+/// coverage and -profile state) and exits, and the parent restores that
+/// checkpoint into its worker before the barrier; the parent records no
+/// result of its own. A lost lease is counted
 /// exactly against its last readable checkpoint; it ends the campaign
 /// degraded, and under feedback before that epoch's barrier, so the
 /// checkpoint stays resumable. The parent never runs an iteration itself.

@@ -169,14 +169,6 @@ struct ScheduleState {
   bool operator==(const ScheduleState &O) const;
 };
 
-/// SplitMix64 — the standard 64-bit finalizer used for the energy gate.
-inline uint64_t splitmix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
 /// The deterministic energy gate: whether function \p Fn is mutated at
 /// iteration seed \p Seed under schedule \p S. Consumes no RNG, so
 /// skipping a function leaves the mutant of every other function

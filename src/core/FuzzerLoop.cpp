@@ -222,6 +222,21 @@ struct IterationAccounting {
 
 } // namespace
 
+std::unique_ptr<Module> FuzzerLoop::mutateStage(uint64_t Seed,
+                                                MutationAttribution *Attr) {
+  uint64_t Applied = 0;
+  std::unique_ptr<Module> Mutant;
+  {
+    ScopedTimer T(HMutate, &Stats.MutateSeconds);
+    TraceSpan Span(Trace.get(), "mutate", Seed);
+    Mutant = makeMutantImpl(Seed, nullptr, Applied, &Registry,
+                            /*Trail=*/nullptr, Trace.get(), Attr);
+  }
+  Stats.MutationsApplied += Applied;
+  ++Stats.MutantsGenerated;
+  return Mutant;
+}
+
 void FuzzerLoop::runIteration(uint64_t Seed) {
   if (!ConfigError.empty())
     return;
@@ -256,17 +271,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     PendingFB.addIteration(Cov, Attr.Functions, Attr.Families);
   };
 
-  uint64_t Applied = 0;
-  std::unique_ptr<Module> Mutant;
-  {
-    ScopedTimer T(HMutate, &Stats.MutateSeconds);
-    TraceSpan Span(Trace.get(), "mutate", Seed);
-    Mutant = makeMutantImpl(Seed, nullptr, Applied, &Registry,
-                            /*Trail=*/nullptr, Trace.get(),
-                            FB ? &Attr : nullptr);
-  }
-  Stats.MutationsApplied += Applied;
-  ++Stats.MutantsGenerated;
+  std::unique_ptr<Module> Mutant = mutateStage(Seed, FB ? &Attr : nullptr);
 
   // Every mutant goes through the verifier: the paper's "valid IR 100% of
   // the time" claim, and cheap.
@@ -281,15 +286,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     FR.Function = "<mutator>";
     FR.VerdictSlug = "invalid-mutant";
     FR.Detail = "INVALID MUTANT: " + Errors.front();
-    BugRecord R;
-    R.Kind = BugRecord::Crash;
-    R.FunctionName = "<mutator>";
-    R.MutantSeed = Seed;
-    R.Detail = FR.Detail;
-    R.MutantIR = printModule(*Mutant);
-    R.BundlePath = writeBundle(FR, Mutant.get(), nullptr);
-    Outcomes.push_back(std::move(FR));
-    Bugs.push_back(std::move(R));
+    recordOutcome(std::move(FR), Mutant.get(), nullptr, BugRecord::Crash,
+                  printModule(*Mutant));
     return;
   }
   if (!Opts.SaveDir.empty() && Opts.SaveAll) {
@@ -325,7 +323,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     }
   } catch (const OptimizerCrash &C) {
     const std::string &Issue = bugInfo(C.Id).IssueId;
-    recordCrash(Seed, *Source, C.What, Issue, Issue);
+    recordCrash(Seed, Source.get(), C.What, Issue, Issue);
     // A simulated crash is deterministic per seed: the rules that fired
     // before the throw plus the crash verdict class are valid coverage.
     Cov.setVerdict(CoverageBitmap::VB_Crash);
@@ -337,7 +335,7 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     // bug of the compiler-under-test; the volatile containment counter
     // shows the guard earned its keep.
     ++Registry.counter("survive.contained-signals", Volatility::Volatile);
-    recordCrash(Seed, *Source,
+    recordCrash(Seed, Source.get(),
                 std::string("optimizer raised ") + signalName(CrashSig) +
                     " (contained by the in-process signal guard)",
                 "", signalName(CrashSig));
@@ -458,29 +456,20 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       FR.VerdictSlug = VerdictSlug;
       FR.Detail = R.Detail;
       FR.CounterExample = renderCounterexampleTable(*Src, R);
-      Bundle = writeBundle(FR, Source.get(), Mutant.get());
       if (R.Verdict == TVVerdict::Incorrect) {
         ++Stats.RefinementFailures;
         ++Registry.counter("bug.miscompile");
         if (Trace)
           Trace->instant("bug.miscompile", Seed, Trace->intern(Name));
-        BugRecord B;
-        B.Kind = BugRecord::Miscompile;
-        B.FunctionName = Name;
-        B.MutantSeed = Seed;
-        B.Detail = R.Detail;
-        B.MutantIR = printFunction(*Src) + "\n; optimized to:\n" +
-                     printFunction(*Tgt);
-        B.BundlePath = Bundle;
-        Bugs.push_back(std::move(B));
-        if (!Opts.SaveDir.empty()) {
-          TraceSpan Span(Trace.get(), "save", Seed);
-          saveMutant(*Source, Seed, /*Failing=*/true);
-        }
-      } else if (R.Verdict == TVVerdict::Inconclusive) {
-        ++Stats.Inconclusive;
+        Bundle = recordOutcome(std::move(FR), Source.get(), Mutant.get(),
+                               BugRecord::Miscompile,
+                               printFunction(*Src) + "\n; optimized to:\n" +
+                                   printFunction(*Tgt));
+      } else {
+        if (R.Verdict == TVVerdict::Inconclusive)
+          ++Stats.Inconclusive;
+        Bundle = recordOutcome(std::move(FR), Source.get(), Mutant.get());
       }
-      Outcomes.push_back(std::move(FR));
     }
     if (QueryCosts) {
       // Cost attribution, recorded per established verdict (cache hits
@@ -605,8 +594,36 @@ void FuzzerLoop::recordTimeout(uint64_t Seed, const std::string &Function,
   if (!Function.empty())
     OS << " while checking '" << Function << "'";
   FR.Detail = OS.str();
-  writeBundle(FR, Mutant, Optimized);
+  recordOutcome(std::move(FR), Mutant, Optimized);
+}
+
+std::string
+FuzzerLoop::recordOutcome(ForensicRecord FR, const Module *Mutant,
+                          const Module *Optimized,
+                          std::optional<BugRecord::RecordKind> BugKind,
+                          std::string MutantIR) {
+  std::string Bundle = writeBundle(FR, Mutant, Optimized);
+  if (BugKind) {
+    // The saved file is named by seed: a mutant that fails in several
+    // functions is saved and counted once.
+    const bool Save = !Opts.SaveDir.empty() && Mutant &&
+                      (Bugs.empty() || Bugs.back().MutantSeed != FR.Seed);
+    BugRecord B;
+    B.Kind = *BugKind;
+    B.FunctionName = FR.Function;
+    B.MutantSeed = FR.Seed;
+    B.Detail = FR.Detail;
+    B.IssueId = FR.IssueId;
+    B.MutantIR = std::move(MutantIR);
+    B.BundlePath = Bundle;
+    Bugs.push_back(std::move(B));
+    if (Save) {
+      TraceSpan Span(Trace.get(), "save", FR.Seed);
+      saveMutant(*Mutant, FR.Seed, /*Failing=*/true);
+    }
+  }
   Outcomes.push_back(std::move(FR));
+  return Bundle;
 }
 
 void FuzzerLoop::saveMutant(const Module &M, uint64_t Seed, bool Failing) {
@@ -646,7 +663,7 @@ void FuzzerLoop::saveMutant(const Module &M, uint64_t Seed, bool Failing) {
   ++Stats.MutantsSaved;
 }
 
-void FuzzerLoop::recordCrash(uint64_t Seed, const Module &Source,
+void FuzzerLoop::recordCrash(uint64_t Seed, const Module *Source,
                              std::string Detail, std::string IssueId,
                              const std::string &TraceTag) {
   ++Stats.Crashes;
@@ -657,19 +674,27 @@ void FuzzerLoop::recordCrash(uint64_t Seed, const Module &Source,
   FR.K = ForensicRecord::Crash;
   FR.Seed = Seed;
   FR.VerdictSlug = "crash";
-  FR.Detail = Detail;
-  FR.IssueId = IssueId;
-  BugRecord R;
-  R.Kind = BugRecord::Crash;
-  R.MutantSeed = Seed;
-  R.Detail = std::move(Detail);
-  R.IssueId = std::move(IssueId);
-  R.MutantIR = printModule(Source);
-  R.BundlePath = writeBundle(FR, &Source, nullptr);
-  Outcomes.push_back(std::move(FR));
-  Bugs.push_back(std::move(R));
-  if (!Opts.SaveDir.empty()) {
+  FR.Detail = std::move(Detail);
+  FR.IssueId = std::move(IssueId);
+  recordOutcome(std::move(FR), Source, nullptr, BugRecord::Crash,
+                Source ? printModule(*Source) : "");
+}
+
+void FuzzerLoop::recordKilledSeed(uint64_t Seed, std::string Detail) {
+  if (!ConfigError.empty())
+    return;
+  Outcomes.clear();
+  IterationAccounting Books(Stats, HOverhead, HIteration);
+  // The mutator is signal-safe, but this process must survive whatever
+  // killed its predecessors.
+  std::unique_ptr<Module> Mutant;
+  int Sig = 0;
+  if (!runWithSignalGuard([&] { Mutant = mutateStage(Seed, nullptr); }, Sig))
+    Detail += "; mutant regeneration raised " + std::string(signalName(Sig)) +
+              " too";
+  if (Mutant && !Opts.SaveDir.empty() && Opts.SaveAll) {
     TraceSpan Span(Trace.get(), "save", Seed);
-    saveMutant(Source, Seed, /*Failing=*/true);
+    saveMutant(*Mutant, Seed, /*Failing=*/false);
   }
+  recordCrash(Seed, Mutant.get(), std::move(Detail), "", "killed");
 }

@@ -322,6 +322,12 @@ public:
   /// Runs one full mutate-optimize-verify iteration for \p Seed.
   void runIteration(uint64_t Seed);
 
+  /// Records \p Seed, whose optimizer run killed its -fanout child, as a
+  /// crash bug without running the optimizer again: the mutate stage is
+  /// replayed (under a signal guard) with runIteration's accounting, then
+  /// recordCrash() logs the bug with \p Detail.
+  void recordKilledSeed(uint64_t Seed, std::string Detail);
+
   /// The forensic records of the most recent runIteration (cleared on
   /// entry): one per non-Correct outcome, in discovery order. Collected
   /// always — bundle writing persists them, -replay compares against
@@ -402,22 +408,35 @@ private:
                                          TraceRecorder *TR = nullptr,
                                          MutationAttribution *Attr
                                          = nullptr) const;
+  /// The mutate stage of runIteration: the mutant of \p Seed, with its
+  /// timer, trace span and mutation counters.
+  std::unique_ptr<Module> mutateStage(uint64_t Seed,
+                                      MutationAttribution *Attr);
   void saveMutant(const Module &M, uint64_t Seed, bool Failing);
   /// Writes one forensics bundle (lazily regenerating the seed's trail)
   /// and returns its path ("" when disabled or failed, with accounting).
   std::string writeBundle(const ForensicRecord &R, const Module *Mutant,
                           const Module *Optimized);
+  /// Records one non-Correct outcome: writes its bundle and appends \p FR
+  /// to lastOutcomes(). With \p BugKind set it is also a bug, built from
+  /// \p FR and \p MutantIR, and \p Mutant is saved as failing (once per
+  /// seed). \returns the bundle path.
+  std::string recordOutcome(ForensicRecord FR, const Module *Mutant,
+                            const Module *Optimized,
+                            std::optional<BugRecord::RecordKind> BugKind = {},
+                            std::string MutantIR = {});
   /// Records one watchdog timeout: its counters and a Timeout forensic
   /// record (plus bundle). \p Function names the refinement check that
   /// was cut, or is empty outside the verify stage.
   void recordTimeout(uint64_t Seed, const std::string &Function,
                      const char *Phase, const Module *Mutant,
                      const Module *Optimized);
-  /// Records one optimizer crash of \p Source — a simulated OptimizerCrash
-  /// or a fatal signal contained by the in-process guard: the crash
-  /// counters, forensic and bug records, bundle and failing-mutant save.
-  /// \p TraceTag labels the trace instant.
-  void recordCrash(uint64_t Seed, const Module &Source, std::string Detail,
+  /// Records one optimizer crash of \p Source — a simulated OptimizerCrash,
+  /// a fatal signal contained by the in-process guard, or a seed that
+  /// killed its -fanout child (\p Source null when its mutant could not be
+  /// regenerated): the crash counters, then recordOutcome(). \p TraceTag
+  /// labels the trace instant.
+  void recordCrash(uint64_t Seed, const Module *Source, std::string Detail,
                    std::string IssueId, const std::string &TraceTag);
 
   FuzzOptions Opts;

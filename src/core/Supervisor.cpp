@@ -9,7 +9,6 @@
 #include "support/FaultPlane.h"
 #include "support/SignalGuard.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -214,7 +213,6 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
     L.RestartAt = 0;
     L.DeathsAt.clear();
     L.Skip.clear();
-    L.CrashBugs.clear();
     L.Note.clear();
   }
 
@@ -321,13 +319,9 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
       // implicates the seed in flight: the restarted lease re-runs it and
       // the deterministic report stays byte-identical to -j1.
       uint64_t CurOff = HB[L.Index].Cur.load(std::memory_order_acquire);
-      if (!External && CurOff != IdleOffset) {
-        if (++L.DeathsAt[CurOff] >= SeedDeathThreshold) {
-          L.Skip.push_back(CurOff);
-          if (OnCrash)
-            L.CrashBugs.push_back(OnCrash(L.Index, CurOff, Why));
-        }
-      }
+      if (!External && CurOff != IdleOffset &&
+          ++L.DeathsAt[CurOff] >= SeedDeathThreshold)
+        L.Skip[CurOff] = Why;
 
       if (backOff(L, Now, Why))
         ++Out.Restarts;
@@ -344,11 +338,6 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
     ShardOutcome SO;
     SO.Index = L.Index;
     SO.Lost = L.St == Lease::State::Lost;
-    std::stable_sort(L.CrashBugs.begin(), L.CrashBugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
-    SO.CrashBugs = std::move(L.CrashBugs);
     SO.Note = L.Note;
     Out.Shards.push_back(std::move(SO));
   }

@@ -31,9 +31,9 @@
 ///   - **Crash attribution.** A death with a seed in flight is retried
 ///     first — an externally killed child (chaos fault, OOM killer) must
 ///     not perturb the deterministic report. Only when the *same* offset
-///     takes the process down SeedDeathThreshold (2) times is it skipped and
-///     handed to the parent-side CrashHook, which synthesizes the crash
-///     BugRecord.
+///     takes the process down SeedDeathThreshold (2) times does it join
+///     the lease's skip list, with the death's description; the restarted
+///     child records it as a crash instead of running it again.
 ///
 ///   - **Degradation, never silence.** A lease whose budget is exhausted
 ///     (or whose results cannot be written) becomes *Lost*; the engine
@@ -47,9 +47,10 @@
 ///
 /// The Supervisor is deliberately generic: it knows processes, leases,
 /// heartbeats and restarts, but not fuzzing or partitions. The child's work
-/// is a ShardBody callback (run after fork, returns the exit code) and
-/// crash bugs come from the CrashHook — CampaignEngine wires both to the
-/// same worker slice its threads run.
+/// is a ShardBody callback (run after fork, returns the exit code) that
+/// CampaignEngine wires to the same worker slice its threads run; the
+/// child records the skipped offsets' crash bugs itself, so they reach
+/// the parent in the shard checkpoint like every other result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,9 +82,6 @@ struct ShardOutcome {
   /// Lease permanently lost: restart budget exhausted or results
   /// unwritable.
   bool Lost = false;
-  /// Crash bugs the parent synthesized (seed-attributed deaths past the
-  /// threshold), in seed order.
-  std::vector<BugRecord> CrashBugs;
   /// Human-readable incident note ("" when clean).
   std::string Note;
 };
@@ -103,10 +101,14 @@ class Supervisor {
 public:
   /// The idle sentinel a child stores in Cur between iterations.
   static constexpr uint64_t IdleOffset = ~0ull;
-  /// Same offset killing the process this many times => skip it and
-  /// record a crash bug. The first death retries the seed, so an external
-  /// kill cannot perturb the deterministic report.
+  /// Same offset killing the process this many times => the child skips
+  /// it and records a crash bug. The first death retries the seed, so an
+  /// external kill cannot perturb the deterministic report.
   static constexpr unsigned SeedDeathThreshold = 2;
+
+  /// Offsets attributed as crashes, each with its last death ("killed by
+  /// SIGSEGV").
+  using SkipList = std::map<uint64_t, std::string>;
 
   /// The child's view of its lease: the slice to run, offsets to skip
   /// (previously attributed crashes), and its slots in the shared
@@ -115,7 +117,7 @@ public:
   struct ShardContext {
     unsigned Index = 0;
     uint64_t Lo = 0, Hi = 0;
-    const std::vector<uint64_t> *Skip = nullptr;
+    const SkipList *Skip = nullptr;
     /// Offset in flight (IdleOffset between iterations). Release-stored
     /// by the child, acquire-read by the parent's crash attributor.
     std::atomic<uint64_t> *Cur = nullptr;
@@ -133,12 +135,6 @@ public:
   /// Exit 0 = lease complete (or cooperatively stopped) with results
   /// written; exit 3 = results could not be written (lease => Lost).
   using ShardBody = std::function<int(const ShardContext &)>;
-
-  /// Parent-side crash-bug synthesis: called when \p Offset killed shard
-  /// \p Index SeedDeathThreshold times (\p Why describes the last death).
-  using CrashHook =
-      std::function<BugRecord(unsigned Index, uint64_t Offset,
-                              const std::string &Why)>;
 
   /// Polled each loop turn with the campaign-wide done count; returning
   /// true raises the cooperative stop flag (children checkpoint + exit 0).
@@ -160,7 +156,6 @@ public:
   /// run(). Valid between init() and destruction.
   std::atomic<uint64_t> *doneCounter(unsigned I);
 
-  void setCrashHook(CrashHook H) { OnCrash = std::move(H); }
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
 
   /// Runs one lease per slice to completion: every lease Done or Lost.
@@ -194,9 +189,8 @@ private:
     bool KilledByUs = false;
     /// Per-offset death counts driving the retry-then-skip policy.
     std::map<uint64_t, unsigned> DeathsAt;
-    /// Offsets attributed as crashes; the respawned child skips them.
-    std::vector<uint64_t> Skip;
-    std::vector<BugRecord> CrashBugs;
+    /// Offsets attributed as crashes; the respawned child records them.
+    SkipList Skip;
     std::string Note;
   };
 
@@ -209,7 +203,6 @@ private:
 
   SupervisorConfig Cfg;
   ShardBody Body;
-  CrashHook OnCrash;
   StopCheck ShouldStop;
 
   /// The MAP_SHARED control page: Control block + one HeartbeatSlot per

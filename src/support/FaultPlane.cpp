@@ -132,8 +132,10 @@ bool FaultPlane::shouldFail(const char *Name) {
       Fire = P.Calls % P.N == 0;
       break;
     case Point::Mode::Prob:
-      // 53-bit uniform draw from the point's private stream.
-      Fire = (double)(splitmix64(P.Stream) >> 11) * 0x1.0p-53 < P.P;
+      // 53-bit uniform draw from the point's private stream: not the
+      // campaign's RandomGenerator, so arming faults cannot change which
+      // mutants a campaign generates.
+      Fire = (double)(splitmix64Next(P.Stream) >> 11) * 0x1.0p-53 < P.P;
       break;
     }
     if (Fire)

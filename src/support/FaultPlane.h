@@ -42,16 +42,6 @@
 
 namespace alive {
 
-/// One splitmix64 step. The standalone PRNG used for fault-probability
-/// streams and retry jitter — deliberately NOT RandomGenerator, so the
-/// robustness machinery can never consume campaign randomness.
-inline uint64_t splitmix64(uint64_t &State) {
-  uint64_t Z = (State += 0x9E3779B97F4A7C15ULL);
-  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
-  return Z ^ (Z >> 31);
-}
-
 /// Observable accounting for one armed fault point.
 struct FaultPointCounters {
   std::string Point;

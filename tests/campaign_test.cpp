@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -224,6 +225,34 @@ TEST(CampaignTest, SaveFailuresAreCounted) {
   EXPECT_NE(Engine.saveDirError().find("cannot create save directory"),
             std::string::npos)
       << Engine.saveDirError();
+}
+
+TEST(CampaignTest, MutantsSavedCountsTheFilesWritten) {
+  // With every seeded defect on, some mutants miscompile in both
+  // functions. Such a mutant is one failing artifact: it is written and
+  // counted once, so MutantsSaved is the number of files on disk.
+  const std::string Dir = ::testing::TempDir() + "amr_saved_once";
+  std::filesystem::remove_all(Dir);
+  FuzzOptions Opts = twoBugOptions(200);
+  Opts.Passes = "O2";
+  Opts.Bugs.enableAll();
+  Opts.SaveDir = Dir;
+  FuzzerLoop Loop(Opts);
+  Loop.loadModule(parseOk(TwoBugCorpus));
+  const FuzzStats &S = Loop.run();
+  std::map<uint64_t, unsigned> MiscompilesPerSeed;
+  for (const BugRecord &B : Loop.bugs())
+    if (B.Kind == BugRecord::Miscompile)
+      ++MiscompilesPerSeed[B.MutantSeed];
+  ASSERT_TRUE(std::any_of(MiscompilesPerSeed.begin(), MiscompilesPerSeed.end(),
+                          [](const auto &P) { return P.second > 1; }))
+      << "no mutant miscompiles in both functions; the test proves nothing";
+  const auto Files = std::distance(std::filesystem::directory_iterator(Dir),
+                                   std::filesystem::directory_iterator());
+  EXPECT_GT(S.MutantsSaved, 0u);
+  EXPECT_EQ(S.MutantsSaved, (uint64_t)Files);
+  EXPECT_EQ(S.SaveFailures, 0u);
+  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,6 +23,7 @@
 
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <map>
 #include <sstream>
 
 using namespace alive;
@@ -91,6 +92,43 @@ std::string scratchDir(const std::string &Name) {
   std::string Dir = ::testing::TempDir() + "amr_sup_" + Name;
   std::filesystem::remove_all(Dir);
   return Dir;
+}
+
+/// One function that the test-crash pass turns into a SIGSEGV on every
+/// mutant.
+const char *CrashCorpus = R"(
+define i8 @crashme(i8 %x) {
+  %r = add i8 %x, 1
+  ret i8 %r
+}
+)";
+
+/// Three iterations of CrashCorpus through the crashing pipeline.
+FuzzOptions crashOptions() {
+  FuzzOptions Opts;
+  Opts.Passes = "test-crash,dce";
+  Opts.Iterations = 3;
+  Opts.BaseSeed = 1;
+  return Opts;
+}
+
+/// The "mutation.*" counters of \p R, by name.
+std::map<std::string, uint64_t> mutationCounters(const StatRegistry &R) {
+  std::map<std::string, uint64_t> Out;
+  R.forEachCounter(Volatility::Deterministic,
+                   [&](const std::string &Name, uint64_t Value) {
+                     if (Name.rfind("mutation.", 0) == 0)
+                       Out[Name] = Value;
+                   });
+  return Out;
+}
+
+/// The seeds of \p Bugs, in report order.
+std::vector<uint64_t> bugSeeds(const std::vector<BugRecord> &Bugs) {
+  std::vector<uint64_t> Seeds;
+  for (const BugRecord &B : Bugs)
+    Seeds.push_back(B.MutantSeed);
+  return Seeds;
 }
 
 /// Every test starts and ends with the process-global fault plane
@@ -225,25 +263,18 @@ TEST_F(SupervisorTest, ExhaustedRetriesDegradeWithExactAccounting) {
 TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   // A pass that SIGSEGVs deterministically: the first death at a seed is
   // retried (it could have been an external kill), the second pins it,
-  // skips the seed and synthesizes a crash bug with a forensics bundle —
-  // so the campaign completes with every crashing seed recorded and
-  // nothing lost.
-  const std::string Bundles = ::testing::TempDir() + "amr_sup_bundles";
-  std::filesystem::remove_all(Bundles);
-  FuzzOptions Opts;
-  Opts.Passes = "test-crash,dce";
-  Opts.Iterations = 3;
-  Opts.BaseSeed = 1;
+  // and the next child records the seed as a crash bug with a forensics
+  // bundle and a saved failing mutant instead of running it — so the
+  // campaign completes with every crashing seed recorded and nothing lost.
+  const std::string Bundles = scratchDir("bundles");
+  const std::string Saved = scratchDir("saved");
+  FuzzOptions Opts = crashOptions();
   Opts.Survival.Fanout = 1;
   Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
   Opts.BugBundleDir = Bundles;
+  Opts.SaveDir = Saved;
   CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(R"(
-define i8 @crashme(i8 %x) {
-  %r = add i8 %x, 1
-  ret i8 %r
-}
-)"));
+  Engine.loadModule(parseOk(CrashCorpus));
   const FuzzStats &S = Engine.run();
   ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
   EXPECT_TRUE(Engine.fanoutIncidents().empty()) << Engine.fanoutIncidents();
@@ -265,7 +296,59 @@ define i8 @crashme(i8 %x) {
   // Two deaths per seed before the skip.
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             3u);
+  EXPECT_EQ(S.MutantsSaved, 3u);
+  for (uint64_t Seed : {1, 2, 3})
+    EXPECT_TRUE(std::filesystem::exists(
+        Saved + "/mutant-" + std::to_string(Seed) + "-failing.ll"))
+        << Seed;
+
+  // The mutate stage is accounted exactly as in-process, where the signal
+  // guard contains the same SIGSEGV.
+  FuzzOptions InProcess = crashOptions();
+  InProcess.Survival.SignalGuard = true;
+  CampaignEngine Ref(InProcess, 1);
+  Ref.loadModule(parseOk(CrashCorpus));
+  const FuzzStats &RS = Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+  EXPECT_EQ(S.MutantsGenerated, 3u);
+  EXPECT_EQ(S.MutantsGenerated, RS.MutantsGenerated);
+  EXPECT_EQ(S.MutationsApplied, RS.MutationsApplied);
+  EXPECT_EQ(S.Optimized, RS.Optimized);
+  EXPECT_EQ(S.Crashes, RS.Crashes);
+  EXPECT_FALSE(mutationCounters(Engine.registry()).empty());
+  EXPECT_EQ(mutationCounters(Engine.registry()),
+            mutationCounters(Ref.registry()));
+  EXPECT_EQ(bugSeeds(Engine.bugs()), bugSeeds(Ref.bugs()));
   std::filesystem::remove_all(Bundles);
+  std::filesystem::remove_all(Saved);
+}
+
+TEST_F(SupervisorTest, LostLeaseRecordsNoCrashBugForItsLostIterations) {
+  // A budget of 2 loses the lease at the death that pins seed 1: the
+  // seed never ran to a recorded end, so it is counted lost, not
+  // recorded as a bug. The resumed leg starts from the same checkpoint
+  // and fails the same way, without a duplicate record.
+  const std::string Ckpt = scratchDir("lost_ckpt");
+  FuzzOptions Opts = crashOptions();
+  Opts.Survival.Fanout = 1;
+  Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
+  Opts.Survival.Supervision.RestartBudget = 2;
+  Opts.Survival.CheckpointDir = Ckpt;
+  for (bool Resume : {false, true}) {
+    SCOPED_TRACE(Resume ? "resumed leg" : "first leg");
+    Opts.Survival.Resume = Resume;
+    CampaignEngine Engine(Opts, 1);
+    Engine.loadModule(parseOk(CrashCorpus));
+    const FuzzStats &S = Engine.run();
+    ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+    EXPECT_TRUE(Engine.degraded());
+    EXPECT_EQ(Engine.registry().counterValue(
+                  "survive.degraded.lost_iterations"),
+              3u);
+    EXPECT_TRUE(Engine.bugs().empty());
+    EXPECT_EQ(S.Crashes, 0u);
+  }
+  std::filesystem::remove_all(Ckpt);
 }
 
 TEST_F(SupervisorTest, ProgressBetweenDeathsRefillsTheRestartBudget) {
@@ -281,12 +364,7 @@ TEST_F(SupervisorTest, ProgressBetweenDeathsRefillsTheRestartBudget) {
   Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
   Opts.Survival.Supervision.RestartBudget = 3;
   CampaignEngine Engine(Opts, 1);
-  Engine.loadModule(parseOk(R"(
-define i8 @crashme(i8 %x) {
-  %r = add i8 %x, 1
-  ret i8 %r
-}
-)"));
+  Engine.loadModule(parseOk(CrashCorpus));
   const FuzzStats &S = Engine.run();
   ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
   EXPECT_FALSE(Engine.degraded()) << Engine.fanoutIncidents();

@@ -216,10 +216,13 @@ TEST_F(ToolsTest, AliveMutateRejectsIncoherentFlagCombos) {
         << Flag << ": " << readFile(ReplayErr);
   }
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -resume" + In), 1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -isolate" + In), 1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -isolate -trace-json=" +
-                   TmpDir + "/t.json" + In),
+  // The flight recorder lives in child memory: -fanout refuses it by name.
+  std::string TraceErr = TmpDir + "/fanout_trace.err";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 -fanout=2 -trace-json=" +
+                   TmpDir + "/t.json" + In + " 2> " + TraceErr + ")"),
             1);
+  EXPECT_NE(readFile(TraceErr).find("-trace-json"), std::string::npos)
+      << readFile(TraceErr);
   // -resume with a conflicting -seed is refused by the checkpoint meta.
   std::string Ckpt = TmpDir + "/ckpt_conflict";
   ASSERT_EQ(runCmd(tool("alive-mutate") + " -n=5 -seed=1 -checkpoint=" +
