@@ -14,11 +14,11 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <thread>
 
 #include <unistd.h>
@@ -134,62 +134,31 @@ CampaignEngine::traceDropped() const {
   return Out;
 }
 
-void CampaignEngine::beginLive(unsigned Workers, uint64_t Restored,
-                               const Timer *Clock) {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  Live.Running = true;
-  Live.Workers = Workers;
-  Live.Restored = Restored;
-  Live.Clock = Clock;
-  Live.Shards.clear();
-}
-
-void CampaignEngine::addLiveShard(LiveShardRef R) {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  Live.Shards.push_back(R);
-}
-
-void CampaignEngine::endLive() {
-  std::lock_guard<std::mutex> Lock(LiveM);
-  Live.Running = false;
-  Live.Clock = nullptr;
-  // Revoke the borrowed pointers: the workers (or the heartbeat page)
-  // are about to be destroyed.
-  Live.Shards.clear();
-}
-
 CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
+  using Clock = std::chrono::steady_clock;
   CampaignLiveSnapshot S;
-  std::lock_guard<std::mutex> Lock(LiveM);
-  S.Running = Live.Running;
-  S.Restored = Live.Restored;
-  S.Workers = Live.Running ? Live.Workers : Jobs;
-  S.Target = Opts.Iterations;
-  if (!Live.Running) {
-    S.Done = TotalDone.load(std::memory_order_relaxed);
-    return S;
-  }
-  if (Live.Clock)
-    S.Elapsed = Live.Clock->seconds();
   // Point-in-time, not linearizable: every value is a relaxed atomic.
-  for (const LiveShardRef &R : Live.Shards) {
-    ShardLiveState SS;
-    SS.Done = R.Done->load(std::memory_order_relaxed);
-    if (R.StageNanos)
-      for (unsigned I = 0; I != 4; ++I)
-        SS.StageNanos[I] = R.StageNanos[I].load(std::memory_order_relaxed);
-    S.Done += SS.Done;
-    S.Shards.push_back(SS);
-  }
+  S.Running = Running.load(std::memory_order_acquire);
+  S.Done = TotalDone.load(std::memory_order_relaxed);
+  S.Restored = Restored.load(std::memory_order_relaxed);
+  S.Target = Opts.Iterations;
+  // The workers that own a slice: never more than the planned iterations.
+  S.Workers = S.Target ? (unsigned)std::min<uint64_t>(Jobs, S.Target) : Jobs;
+  if (S.Running)
+    S.Elapsed = std::chrono::duration<double>(
+                    Clock::now().time_since_epoch() -
+                    Clock::duration(StartTicks.load(std::memory_order_relaxed)))
+                    .count();
+  for (unsigned I = 0; I != 4; ++I)
+    S.StageNanos[I] = StageNanos[I].load(std::memory_order_relaxed);
   return S;
 }
 
 namespace {
 
-/// One worker: a private FuzzerLoop over a private master-module clone,
-/// plus the atomic values -progress reads. Threads run it in place; under
-/// -fanout a forked child runs a copy and the parent restores the child's
-/// shard checkpoint into it.
+/// One worker: a private FuzzerLoop over a private master-module clone.
+/// Threads run it in place; under -fanout a forked child runs a copy and
+/// the parent restores the child's shard checkpoint into it.
 struct Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
@@ -197,26 +166,18 @@ struct Worker {
   /// partition in a blind campaign, the whole range under feedback (every
   /// epoch is sliced afresh, so all cursors agree at each barrier).
   uint64_t Lo = 0, Hi = 0;
-  /// Next seed offset to run. Only the worker's own thread touches it,
-  /// or the engine while the workers are parked.
+  /// Next seed offset to run: the worker's record of progress. Only the
+  /// worker's own thread touches it, or the engine while the workers are
+  /// parked.
   uint64_t Next = 0;
-  /// Iterations this worker has finished, resumed prefix included.
-  std::atomic<uint64_t> Done{0};
-  /// The loop's mutate/optimize/verify/overhead nanoseconds, resumed
-  /// prefix included, republished after every iteration.
-  std::atomic<uint64_t> StageNanos[4] = {};
   /// Wall time this worker spent in its slices, summed over epochs.
   double LegSeconds = 0;
 };
 
-/// Copies \p W's stage seconds where -progress reads them.
-void publishStages(Worker &W) {
-  const FuzzStats &S = W.Loop->stats();
-  const double Seconds[4] = {S.MutateSeconds, S.OptimizeSeconds,
-                             S.VerifySeconds, S.OverheadSeconds};
-  for (unsigned I = 0; I != 4; ++I)
-    W.StageNanos[I].store((uint64_t)(Seconds[I] * 1e9),
-                          std::memory_order_relaxed);
+/// The loop's mutate/optimize/verify/overhead seconds.
+std::array<double, 4> stageSeconds(const FuzzStats &S) {
+  return {S.MutateSeconds, S.OptimizeSeconds, S.VerifySeconds,
+          S.OverheadSeconds};
 }
 
 /// Sums every per-iteration counter and phase timer of \p From into
@@ -235,16 +196,12 @@ void accumulate(FuzzStats &Into, const FuzzStats &From) {
 
 /// Closes one dispatch leg's books: the leg's wall time joins the
 /// cumulative WorkerSeconds (checkpointed with the rest of FuzzStats, so
-/// it keeps accumulating across resume legs), and whatever the stage
-/// timers did not claim joins the overhead bucket — the stage-sum
-/// invariant then holds for the cumulative numbers.
+/// it keeps accumulating across resume legs), and settleOverhead credits
+/// whatever the stage timers did not claim to the overhead bucket.
 void settleWorkerSeconds(FuzzerLoop &Loop, double LegSeconds) {
   FuzzStats S = Loop.stats();
   S.WorkerSeconds += LegSeconds;
-  double Staged = S.MutateSeconds + S.OptimizeSeconds + S.VerifySeconds +
-                  S.OverheadSeconds;
-  if (S.WorkerSeconds > Staged)
-    S.OverheadSeconds += S.WorkerSeconds - Staged;
+  settleOverhead(S);
   Loop.restoreState(S, Loop.bugs());
 }
 
@@ -301,6 +258,11 @@ const FuzzStats &CampaignEngine::run() {
   DegradedFlag = false;
   LostShardsV.clear();
   TotalDone.store(0, std::memory_order_relaxed);
+  Restored.store(0, std::memory_order_relaxed);
+  for (std::atomic<uint64_t> &N : StageNanos)
+    N.store(0, std::memory_order_relaxed);
+  StartTicks.store(std::chrono::steady_clock::now().time_since_epoch().count(),
+                   std::memory_order_relaxed);
   // The merged results start from the master's preprocessing; the epoch
   // loop adds its workers' state on top.
   Stats = FuzzStats();
@@ -446,7 +408,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       return false;
     if (WC.Next > W.Next && WC.Next <= SliceEnd) {
       restoreWorker(WC, *W.Loop);
-      W.Done.fetch_add(WC.Next - W.Next, std::memory_order_relaxed);
       W.Next = WC.Next;
     }
     return true;
@@ -479,31 +440,39 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         ConfigError = "cannot resume: " + Err;
         return;
       }
-      // The worker's share of the finished prefix: its checkpointed slice
-      // prefix, or under feedback its slices of every completed epoch.
-      uint64_t Done = WC.Next - WC.Lo;
-      if (Feedback) {
-        // A shard sits at the last barrier or, when a -fanout campaign
-        // ended mid-epoch (a lost lease, a killed parent), inside its slice
-        // of the next epoch with that slice's coverage pending.
-        auto [SliceLo, SliceHi] = SliceOf(W->Index, EpochStart);
-        if (WC.Next != EpochStart && (WC.Next < SliceLo || WC.Next > SliceHi)) {
-          ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
-                        " was checkpointed at a different epoch boundary";
-          return;
-        }
-        Done = WC.Next > SliceLo ? WC.Next - SliceLo : 0;
-        for (uint64_t S = 0; S < EpochStart; S += EpochLen) {
-          auto [Lo, Hi] = SliceOf(W->Index, S);
-          Done += Hi - Lo;
-        }
+      // Under feedback a shard sits at the last barrier or, when a -fanout
+      // campaign ended mid-epoch (a lost lease, a killed parent), inside
+      // its slice of the next epoch with that slice's coverage pending.
+      auto [SliceLo, SliceHi] = SliceOf(W->Index, EpochStart);
+      if (Feedback && WC.Next != EpochStart &&
+          (WC.Next < SliceLo || WC.Next > SliceHi)) {
+        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
+                      " was checkpointed at a different epoch boundary";
+        return;
       }
       restoreWorker(WC, *W->Loop);
       W->Next = WC.Next;
-      W->Done.store(Done, std::memory_order_relaxed);
-      TotalDone.fetch_add(Done, std::memory_order_relaxed);
     }
   }
+
+  // The one progress record is each worker's cursor. The campaign has done
+  // every finished epoch plus each worker's share of its slice of the
+  // current one (a blind campaign's one epoch starts at 0 and its slices
+  // are the static partition). A cursor still short of its slice (parked
+  // at the last barrier, or a -fanout slot an earlier epoch left behind)
+  // adds nothing.
+  auto DoneAt = [&](auto CursorOf) {
+    uint64_t Done = EpochStart;
+    for (const auto &W : Workers) {
+      const uint64_t SliceLo = SliceOf(W->Index, EpochStart).first;
+      Done += std::max<uint64_t>(CursorOf(*W), SliceLo) - SliceLo;
+    }
+    return Done;
+  };
+  auto Parked = [](const Worker &W) { return W.Next; };
+  TotalDone.store(DoneAt(Parked), std::memory_order_relaxed);
+  Restored.store(TotalDone.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
 
   // The one stop rule: a stop request (SIGINT/SIGTERM), the test hook's
   // iteration count, or the -t deadline, whichever comes first.
@@ -552,10 +521,10 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           ? (SV.CheckpointInterval ? SV.CheckpointInterval : 64)
           : 0;
   // One worker's share of an epoch: offsets [W.Next, SliceEnd). A -fanout
-  // child passes its lease: the stop flag, the heartbeat and the offset in
-  // flight then live in the supervisor's control page, and an offset that
-  // already killed its predecessors is recorded as a crash bug instead of
-  // run again.
+  // child passes its lease: the stop flag, the heartbeat, the cursor and
+  // the offset in flight then live in the supervisor's control page, and
+  // an offset that already killed its predecessors is recorded as a crash
+  // bug instead of run again.
   auto RunSlice = [&](Worker &W, uint64_t SliceEnd,
                       const Supervisor::ShardContext *Lease) {
     Timer Leg;
@@ -566,6 +535,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           (!Feedback && (Lease ? Lease->Stop->load(std::memory_order_relaxed)
                                : StopRequested())))
         break;
+      const std::array<double, 4> Before = stageSeconds(W.Loop->stats());
       if (Lease && Lease->Skip->count(Off)) {
         W.Loop->recordKilledSeed(
             Opts.BaseSeed + Off,
@@ -580,11 +550,13 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           Lease->Cur->store(Supervisor::IdleOffset, std::memory_order_release);
       }
       W.Next = Off + 1;
-      publishStages(W);
-      W.Done.fetch_add(1, std::memory_order_relaxed);
+      const std::array<double, 4> After = stageSeconds(W.Loop->stats());
+      for (unsigned I = 0; I != 4; ++I)
+        StageNanos[I].fetch_add((uint64_t)((After[I] - Before[I]) * 1e9),
+                                std::memory_order_relaxed);
       TotalDone.fetch_add(1, std::memory_order_relaxed);
       if (Lease) {
-        Lease->Done->fetch_add(1, std::memory_order_relaxed);
+        Lease->Next->store(W.Next, std::memory_order_relaxed);
         Lease->Beat->fetch_add(1, std::memory_order_relaxed);
       }
       if (Interval && ++Since >= Interval) {
@@ -604,9 +576,11 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
           // ------- child: runs its worker's slice, checkpoints the shard
           // and exits.
           Worker &W = *Workers[Ctx.Index];
-          // A restart continues from its predecessor's checkpoint.
+          // A restart continues from its predecessor's checkpoint, which
+          // may be behind the cursor the predecessor published.
           std::string Err;
           AdoptShard(W, Ctx.Hi, Err);
+          Ctx.Next->store(W.Next, std::memory_order_relaxed);
           // First beat after the restore: the wedge clock should measure
           // iteration progress only.
           Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
@@ -629,8 +603,13 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       ConfigError = InitErr;
       return;
     }
-    Sup->setStopCheck([&](uint64_t DoneTotal) {
-      TotalDone.store(DoneTotal, std::memory_order_relaxed);
+    // A child's published cursor is never behind its worker's here; one
+    // left by an earlier epoch's child is, and then the worker's counts.
+    Sup->setStopCheck([&] {
+      TotalDone.store(DoneAt([&](const Worker &W) {
+                        return std::max(W.Next, Sup->cursor(W.Index));
+                      }),
+                      std::memory_order_relaxed);
       return !Feedback && StopRequested();
     });
   }
@@ -647,9 +626,6 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   auto RunLeases = [&](const std::vector<uint64_t> &SliceEnd) {
     std::vector<LeaseSlice> Slices;
     for (auto &W : Workers) {
-      // The live view and the stop check read these counters.
-      Sup->doneCounter(W->Index)->store(
-          W->Done.load(std::memory_order_relaxed), std::memory_order_relaxed);
       uint64_t From = W->Next;
       if (From != SliceEnd[W->Index])
         Slices.push_back({W->Index, From, SliceEnd[W->Index]});
@@ -683,25 +659,10 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
         NoteIncident(S.Note);
       }
     }
-    uint64_t Done = 0;
-    for (auto &W : Workers)
-      Done += W->Done.load(std::memory_order_relaxed);
-    TotalDone.store(Done, std::memory_order_relaxed);
+    TotalDone.store(DoneAt(Parked), std::memory_order_relaxed);
   };
 
-  // Open the live observer window now that every worker exists. The
-  // guard sits after the Workers vector and the supervisor, so on every
-  // exit path the refs are revoked before the state they borrow from is
-  // destroyed.
-  beginLive(J, TotalDone.load(std::memory_order_relaxed), &Total);
-  for (auto &W : Workers)
-    addLiveShard(Sup ? LiveShardRef{Sup->doneCounter(W->Index), nullptr}
-                     : LiveShardRef{&W->Done, W->StageNanos});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
+  Running.store(true, std::memory_order_release);
   while (EpochStart < End) {
     if (Feedback && StopRequested())
       break;
@@ -745,7 +706,7 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       CheckpointAll();
   }
 
-  endLive();
+  Running.store(false, std::memory_order_release);
 
   for (auto &W : Workers)
     settleWorkerSeconds(*W->Loop, W->LegSeconds);

@@ -40,6 +40,13 @@
 /// degraded, and under feedback before that epoch's barrier, so the
 /// checkpoint stays resumable. The parent never runs an iteration itself.
 ///
+/// Progress: each worker's cursor (its next seed offset) is the one record
+/// of how far the campaign got. Threads add one to the engine's done count
+/// per iteration; -resume and -fanout derive it from the cursors (the
+/// children store theirs in the supervisor's control page), so a restarted
+/// child may move it back to its last checkpoint but never past -n.
+/// liveSnapshot() reads only engine atomics.
+///
 /// Determinism: one iteration's outcome depends only on its seed and the
 /// schedule frozen at its epoch's start (each iteration clones the master
 /// afresh and reseeds the PRNG), so merging worker results in worker order
@@ -67,36 +74,30 @@
 #include "support/Timer.h"
 
 #include <atomic>
+#include <chrono>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace alive {
 
-/// One shard's live progress as seen by an observer thread.
-struct ShardLiveState {
-  /// Iterations completed, resumed prefix included.
-  uint64_t Done = 0;
-  /// Mutate/optimize/verify/overhead nanoseconds, resumed prefix included
-  /// (all 0 under -fanout, whose stage split lives in the children).
-  uint64_t StageNanos[4] = {};
-};
-
 /// A point-in-time view of a running (or finished) campaign, produced by
 /// CampaignEngine::liveSnapshot() and read by -progress. Every field is
-/// copied out, so readers hold no locks while rendering.
+/// copied out of the engine's relaxed atomics.
 struct CampaignLiveSnapshot {
   bool Running = false;  ///< run() is currently between setup and join
   double Elapsed = 0;    ///< seconds since run() started
-  uint64_t Done = 0;     ///< iterations completed, all shards
+  uint64_t Done = 0;     ///< iterations completed, all workers
   /// The part of Done restored from a checkpoint by -resume: Done minus
   /// Restored is what this run has completed in Elapsed seconds.
   uint64_t Restored = 0;
   uint64_t Target = 0;   ///< planned iterations (0 = no -n: -t only)
   unsigned Workers = 0;
-  std::vector<ShardLiveState> Shards;
+  /// This run's mutate/optimize/verify/overhead nanoseconds, summed over
+  /// the worker threads (all 0 under -fanout, whose stage split lives in
+  /// the children).
+  uint64_t StageNanos[4] = {};
 };
 
 /// Worker \p I of \p J's share [Start + L*I/J, Start + L*(I+1)/J) of the L
@@ -208,9 +209,8 @@ public:
 
   /// A point-in-time observer view of the campaign's progress. Safe to
   /// call from any thread at any time — before, during and after run().
-  /// It reads only the relaxed atomics each worker publishes (its Done
-  /// counter and stage nanoseconds), so it never perturbs the
-  /// deterministic report.
+  /// It reads only the engine's relaxed progress atomics, so it never
+  /// perturbs the deterministic report.
   CampaignLiveSnapshot liveSnapshot() const;
 
   /// Per-track flight-recorder ring overwrites of the finished campaign
@@ -257,7 +257,6 @@ private:
   std::string ConfigError;
   std::atomic<bool> StopReq{false};
   std::atomic<uint64_t> StopAfter{0};
-  std::atomic<uint64_t> TotalDone{0};
   bool Interrupted = false;
   std::string FanoutIncidents;
   /// Degradation state of the last -fanout run (degraded()/lostShards()).
@@ -282,37 +281,19 @@ private:
   /// The finished campaign's merged cost-attribution profile.
   CampaignProfile Profile;
 
-  // --- Live progress (observer-only; read by liveSnapshot()) ---
+  // --- Live progress: written by run(), read by liveSnapshot() ---
 
-  /// One live shard as registered by the epoch loop: borrowed pointers
-  /// into run()-scoped worker state (or the -fanout heartbeat page). Valid
-  /// only while registered — endLive() revokes them before the owners die.
-  struct LiveShardRef {
-    const std::atomic<uint64_t> *Done = nullptr;
-    /// The worker's four published stage nanoseconds; null for -fanout
-    /// shards (the heartbeat page carries no stage split).
-    const std::atomic<uint64_t> *StageNanos = nullptr;
-  };
-
-  /// Opens the live window: run() is now between setup and join.
-  /// \p Restored iterations were completed by the interrupted run a
-  /// -resume continues.
-  void beginLive(unsigned Workers, uint64_t Restored, const Timer *Clock);
-  void addLiveShard(LiveShardRef R);
-  /// Closes the live window and revokes every shard ref. Idempotent —
-  /// the epoch loop calls it explicitly before borrowed state dies, and a
-  /// scope guard repeats it on every exit path.
-  void endLive();
-
-  /// Guards Live; liveSnapshot() copies out under it.
-  mutable std::mutex LiveM;
-  struct LiveState {
-    bool Running = false;
-    unsigned Workers = 0;
-    uint64_t Restored = 0;
-    const Timer *Clock = nullptr;
-    std::vector<LiveShardRef> Shards;
-  } Live;
+  /// Iterations completed. Worker threads add one per iteration; -fanout
+  /// and -resume assign it from the workers' cursors (the one progress
+  /// record, see runEpochs).
+  std::atomic<uint64_t> TotalDone{0};
+  /// The part of TotalDone a -resume restored.
+  std::atomic<uint64_t> Restored{0};
+  /// This run's stage nanoseconds; each thread adds its iteration's.
+  std::atomic<uint64_t> StageNanos[4] = {};
+  std::atomic<bool> Running{false};
+  /// run()'s start on the steady clock, in its native ticks.
+  std::atomic<std::chrono::steady_clock::rep> StartTicks{0};
 };
 
 } // namespace alive

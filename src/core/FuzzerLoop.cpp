@@ -222,6 +222,13 @@ struct IterationAccounting {
 
 } // namespace
 
+void alive::settleOverhead(FuzzStats &S) {
+  double Staged =
+      S.MutateSeconds + S.OptimizeSeconds + S.VerifySeconds + S.OverheadSeconds;
+  if (S.WorkerSeconds > Staged)
+    S.OverheadSeconds += S.WorkerSeconds - Staged;
+}
+
 std::unique_ptr<Module> FuzzerLoop::mutateStage(uint64_t Seed,
                                                 MutationAttribution *Attr) {
   uint64_t Applied = 0;
@@ -525,13 +532,7 @@ const FuzzStats &FuzzerLoop::run() {
   }
   Stats.TotalSeconds = Total.seconds();
   Stats.WorkerSeconds = Stats.TotalSeconds;
-  // Attribute the loop's own bookkeeping (bound checks, everything
-  // between iterations) to the overhead bucket, so the stage sum meets the
-  // loop wall clock exactly.
-  double Staged = Stats.MutateSeconds + Stats.OptimizeSeconds +
-                  Stats.VerifySeconds + Stats.OverheadSeconds;
-  if (Stats.TotalSeconds > Staged)
-    Stats.OverheadSeconds += Stats.TotalSeconds - Staged;
+  settleOverhead(Stats);
   return Stats;
 }
 

@@ -32,11 +32,10 @@ struct Control {
 
 /// Per-shard slot in the MAP_SHARED control page. A running child is the
 /// only writer of its slot; the parent only reads (and re-initializes Cur
-/// between spawns and the engine seeds Done between runs, when no child
-/// is alive to race with).
+/// between spawns, when no child is alive to race with).
 struct HeartbeatSlot {
   std::atomic<uint64_t> Cur;  ///< offset in flight; IdleOffset between
-  std::atomic<uint64_t> Done; ///< iterations completed, cumulative
+  std::atomic<uint64_t> Next; ///< the shard's cursor: next offset to run
   std::atomic<uint64_t> Beat; ///< liveness tick for the wedge detector
 };
 
@@ -123,14 +122,14 @@ bool Supervisor::init(unsigned N, std::string &Error) {
     Leases[I].St = Lease::State::Done;
     new (&HB[I]) HeartbeatSlot;
     HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    HB[I].Done.store(0, std::memory_order_relaxed);
+    HB[I].Next.store(0, std::memory_order_relaxed);
     HB[I].Beat.store(0, std::memory_order_relaxed);
   }
   return true;
 }
 
-std::atomic<uint64_t> *Supervisor::doneCounter(unsigned I) {
-  return &slots(Page)[I].Done;
+uint64_t Supervisor::cursor(unsigned I) const {
+  return slots(Page)[I].Next.load(std::memory_order_relaxed);
 }
 
 void Supervisor::appendNote(Lease &L, const std::string &Msg) {
@@ -176,7 +175,7 @@ bool Supervisor::spawn(Lease &L, double Now) {
     Ctx.Hi = L.Hi;
     Ctx.Skip = &L.Skip;
     Ctx.Cur = &S.Cur;
-    Ctx.Done = &S.Done;
+    Ctx.Next = &S.Next;
     Ctx.Beat = &S.Beat;
     Ctx.Stop = &control(Page)->Stop;
     _exit(Body ? Body(Ctx) : 0);
@@ -203,8 +202,8 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
   Control *Ctl = control(Page);
   HeartbeatSlot *HB = slots(Page);
   Ctl->Stop.store(0, std::memory_order_relaxed);
-  // Re-aim each slice's lease; the restart count and the done count at
-  // the last death carry over from earlier runs.
+  // Re-aim each slice's lease; the restart count and the cursor at the
+  // last death carry over from earlier runs.
   for (const LeaseSlice &S : Slices) {
     Lease &L = Leases[S.Index];
     L.Lo = S.Lo;
@@ -218,11 +217,8 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
 
   for (;;) {
     double Now = Total.seconds();
-    uint64_t DoneTotal = 0;
-    for (const Lease &L : Leases)
-      DoneTotal += HB[L.Index].Done.load(std::memory_order_relaxed);
     if (ShouldStop && !Ctl->Stop.load(std::memory_order_relaxed) &&
-        ShouldStop(DoneTotal))
+        ShouldStop())
       Ctl->Stop.store(1, std::memory_order_relaxed);
     const bool Stopping = Ctl->Stop.load(std::memory_order_relaxed) != 0;
 
@@ -307,12 +303,12 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
       if (External)
         Why += " (by supervisor)";
 
-      // Progress refills the restart budget: only a lease dying in place
-      // exhausts it.
-      uint64_t DoneNow = HB[L.Index].Done.load(std::memory_order_relaxed);
-      if (DoneNow > L.DoneAtDeath)
+      // Progress refills the restart budget: only a lease whose cursor
+      // stands still between deaths exhausts it.
+      uint64_t NextNow = HB[L.Index].Next.load(std::memory_order_relaxed);
+      if (NextNow > L.NextAtDeath)
         L.Restarts = 0;
-      L.DoneAtDeath = DoneNow;
+      L.NextAtDeath = NextNow;
 
       // Crash attribution — retry first, skip only on repeat offenders.
       // An externally-induced death (chaos kill, wedge kill) never

@@ -11,8 +11,11 @@
 /// one child per lease and owns everything that can go wrong on the
 /// process boundary:
 ///
-///   - **Heartbeats.** Every child publishes (current offset, done count,
-///     beat tick) into a MAP_SHARED control page. A running
+///   - **Heartbeats.** Every child publishes (offset in flight, cursor,
+///     beat tick) into a MAP_SHARED control page. The cursor is the
+///     shard's next seed offset, stored (never added to) after the child
+///     adopts its predecessor's checkpoint and after every iteration: the
+///     engine's one record of -fanout progress. A running
 ///     lease whose beat tick stops advancing for HeartbeatSeconds is
 ///     a wedge *suspect* — but silence alone cannot distinguish a wedge
 ///     (deadlock, hung syscall) from one legitimately long solver query
@@ -25,8 +28,9 @@
 ///   - **Restarts.** A dead or wedged child is restarted after
 ///     FirstDelaySeconds, doubling per consecutive death, until its lease
 ///     has died RestartBudget times (SupervisorConfig, the one policy).
-///     Progress resets the count: only a shard that keeps dying *without
-///     advancing* exhausts it.
+///     Progress resets the count: only a shard whose cursor stands still
+///     from one death to the next exhausts it (a child that re-runs what
+///     its predecessor ran after the last checkpoint has not advanced).
 ///
 ///   - **Crash attribution.** A death with a seed in flight is retried
 ///     first — an externally killed child (chaos fault, OOM killer) must
@@ -121,9 +125,10 @@ public:
     /// Offset in flight (IdleOffset between iterations). Release-stored
     /// by the child, acquire-read by the parent's crash attributor.
     std::atomic<uint64_t> *Cur = nullptr;
-    /// The shard's done counter (see doneCounter()); the child bumps it
-    /// once per finished iteration.
-    std::atomic<uint64_t> *Done = nullptr;
+    /// The shard's cursor (see cursor()): the child stores its next
+    /// offset after adopting its predecessor's checkpoint and after every
+    /// iteration.
+    std::atomic<uint64_t> *Next = nullptr;
     /// Liveness tick: bump at least once per iteration (and once at
     /// body start); the wedge detector watches it.
     std::atomic<uint64_t> *Beat = nullptr;
@@ -136,9 +141,9 @@ public:
   /// written; exit 3 = results could not be written (lease => Lost).
   using ShardBody = std::function<int(const ShardContext &)>;
 
-  /// Polled each loop turn with the campaign-wide done count; returning
-  /// true raises the cooperative stop flag (children checkpoint + exit 0).
-  using StopCheck = std::function<bool(uint64_t DoneTotal)>;
+  /// Polled each loop turn; returning true raises the cooperative stop
+  /// flag (children checkpoint + exit 0).
+  using StopCheck = std::function<bool()>;
 
   Supervisor(SupervisorConfig C, ShardBody Body);
   ~Supervisor();
@@ -150,11 +155,9 @@ public:
   /// succeed before run().
   bool init(unsigned Shards, std::string &Error);
 
-  /// Shard \p I's done counter in the control page: iterations finished
-  /// by its children, for the engine's -progress refs and the stop check.
-  /// The engine seeds it with the shard's harvested total before each
-  /// run(). Valid between init() and destruction.
-  std::atomic<uint64_t> *doneCounter(unsigned I);
+  /// Shard \p I's cursor as its latest child published it (0 before any
+  /// child has). Valid between init() and destruction.
+  uint64_t cursor(unsigned I) const;
 
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
 
@@ -182,8 +185,8 @@ private:
     /// detector's second signal. A beat-silent child that keeps burning
     /// CPU is mid-solver-query, not wedged.
     double CpuAtBeat = 0;
-    /// Done count at the previous death, for progress-based budget refill.
-    uint64_t DoneAtDeath = 0;
+    /// Cursor at the previous death, for progress-based budget refill.
+    uint64_t NextAtDeath = 0;
     /// True when the parent itself sent SIGKILL (wedge or injected chaos
     /// kill): the death must not be attributed to the seed in flight.
     bool KilledByUs = false;

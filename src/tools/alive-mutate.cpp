@@ -136,10 +136,11 @@ static void installTerminateHandler(alive::CampaignEngine *E) {
 
 /// One -progress line from a live snapshot: done/target, rate, ETA (the
 /// earlier of the rate's ETA to -n and the time left before the -t
-/// deadline) and each stage's share of the summed shard stage time. With
-/// no stage time to split (always under -fanout, whose shards carry none)
-/// it says so instead of printing shares. The rate counts only this run's
-/// iterations: a -resume'd prefix was done before Elapsed started.
+/// deadline) and each stage's share of this run's summed stage time. With
+/// no stage time to split (always under -fanout, whose children keep
+/// theirs) it says so instead of printing shares. The rate counts only
+/// this run's iterations: a -resume'd prefix was done before Elapsed
+/// started.
 static std::string progressLine(const CampaignLiveSnapshot &S,
                                 double TimeLimit) {
   double Rate =
@@ -151,12 +152,8 @@ static std::string progressLine(const CampaignLiveSnapshot &S,
   char Eta[32] = "eta ?";
   if (EtaSec != HUGE_VAL)
     std::snprintf(Eta, sizeof(Eta), "eta %.0fs", EtaSec);
-  double Stage[4] = {}, StageSum = 0;
-  for (const ShardLiveState &SS : S.Shards)
-    for (unsigned I = 0; I != 4; ++I) {
-      Stage[I] += (double)SS.StageNanos[I];
-      StageSum += (double)SS.StageNanos[I];
-    }
+  const uint64_t *Stage = S.StageNanos;
+  double StageSum = (double)Stage[0] + Stage[1] + Stage[2] + Stage[3];
   char Split[64] = "no stage times";
   if (StageSum > 0)
     std::snprintf(Split, sizeof(Split),

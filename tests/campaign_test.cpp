@@ -760,8 +760,8 @@ std::string deterministicReport(const CampaignEngine &Engine,
 TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
   // An observer polling liveSnapshot() every millisecond during a -j2
   // feedback campaign cannot move the deterministic report, and every
-  // snapshot it sees is a plausible progress reading: Done and each
-  // shard's published stage nanoseconds never go backwards.
+  // snapshot it sees is a plausible progress reading: Done and the
+  // campaign-wide stage nanoseconds never go backwards.
   FuzzOptions Opts = twoBugOptions(200);
   Opts.Feedback.Enabled = true;
   Opts.Feedback.EpochLength = 32;
@@ -779,22 +779,20 @@ TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
   EXPECT_EQ(deterministicReport(Plain, Opts, 2),
             deterministicReport(Polled, Opts, 2));
   uint64_t Prev = 0;
-  uint64_t PrevStage[2][4] = {};
+  uint64_t PrevStage[4] = {};
   bool SawStageTime = false;
   for (const CampaignLiveSnapshot &S : Seen) {
     EXPECT_GE(S.Done, Prev);
     EXPECT_LE(S.Done, S.Target);
     EXPECT_EQ(S.Target, 200u);
     EXPECT_EQ(S.Workers, 2u);
-    ASSERT_EQ(S.Shards.size(), 2u);
     EXPECT_EQ(S.Restored, 0u);
     Prev = S.Done;
-    for (unsigned W = 0; W != 2; ++W)
-      for (unsigned I = 0; I != 4; ++I) {
-        EXPECT_GE(S.Shards[W].StageNanos[I], PrevStage[W][I]);
-        PrevStage[W][I] = S.Shards[W].StageNanos[I];
-        SawStageTime |= PrevStage[W][I] != 0;
-      }
+    for (unsigned I = 0; I != 4; ++I) {
+      EXPECT_GE(S.StageNanos[I], PrevStage[I]);
+      PrevStage[I] = S.StageNanos[I];
+      SawStageTime |= PrevStage[I] != 0;
+    }
   }
   EXPECT_TRUE(SawStageTime) << Seen.size() << " live snapshots";
   EXPECT_EQ(Polled.liveSnapshot().Done, 200u);

@@ -21,10 +21,13 @@
 #include "parser/Parser.h"
 #include "support/FaultPlane.h"
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <gtest/gtest.h>
 #include <map>
 #include <sstream>
+#include <thread>
 
 using namespace alive;
 
@@ -373,6 +376,40 @@ TEST_F(SupervisorTest, ProgressBetweenDeathsRefillsTheRestartBudget) {
   // Six deaths, and the last one is followed by a clean exit.
   EXPECT_EQ(Engine.registry().counterValue("survive.supervisor.restarts"),
             6u);
+}
+
+TEST_F(SupervisorTest, FanoutLiveSnapshotNeverExceedsTarget) {
+  // The crash corpus makes each restarted child re-run what its
+  // predecessor ran after the last checkpoint. -progress reads the
+  // children's cursors, so an observer polling every millisecond sees at
+  // most the planned three iterations (a restart may move the count
+  // back), and the finished campaign reports exactly three.
+  FuzzOptions Opts = crashOptions();
+  Opts.Survival.Fanout = 1;
+  Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
+  CampaignEngine Engine(Opts, 1);
+  Engine.loadModule(parseOk(CrashCorpus));
+  std::atomic<bool> Stop{false};
+  std::vector<CampaignLiveSnapshot> Live;
+  std::thread Poller([&] {
+    while (!Stop.load(std::memory_order_acquire)) {
+      CampaignLiveSnapshot S = Engine.liveSnapshot();
+      if (S.Running)
+        Live.push_back(S);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  Engine.run();
+  Stop.store(true, std::memory_order_release);
+  Poller.join();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  EXPECT_FALSE(Engine.degraded()) << Engine.fanoutIncidents();
+  ASSERT_FALSE(Live.empty()) << "no snapshot caught the campaign live";
+  for (const CampaignLiveSnapshot &S : Live) {
+    EXPECT_EQ(S.Target, 3u);
+    EXPECT_LE(S.Done, 3u);
+  }
+  EXPECT_EQ(Engine.liveSnapshot().Done, 3u);
 }
 
 TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {

@@ -268,17 +268,23 @@ TEST_F(ToolsTest, AliveMutateTimeLimitAndFeedbackCoherence) {
   EXPECT_NE(readFile(Err).find("-n=<count>"), std::string::npos)
       << readFile(Err);
   // Feedback's epoch barrier excludes bundle trails, and -distill is
-  // meaningless without the coverage a feedback run collects. -fanout
-  // children run the same epochs, so feedback crosses the process
-  // boundary.
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -isolate" + In),
-            1);
+  // meaningless without the coverage a feedback run collects; each
+  // refusal names the flag at fault. -fanout children run the same
+  // epochs, so feedback crosses the process boundary.
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -fanout=2" + In),
             0);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -bug-bundles=" +
-                   TmpDir + "/bb" + In),
+  std::string BundleErr = TmpDir + "/fb_bundles.err";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 -feedback -bug-bundles=" +
+                   TmpDir + "/bb" + In + " 2> " + BundleErr + ")"),
             1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -distill" + In), 1);
+  EXPECT_NE(readFile(BundleErr).find("-bug-bundles"), std::string::npos)
+      << readFile(BundleErr);
+  std::string DistillErr = TmpDir + "/distill.err";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 -distill" + In +
+                   " 2> " + DistillErr + ")"),
+            1);
+  EXPECT_NE(readFile(DistillErr).find("-feedback"), std::string::npos)
+      << readFile(DistillErr);
   // The coherent spellings run clean.
   EXPECT_EQ(runCmd(tool("alive-mutate") +
                    " -n=8 -feedback -feedback-epoch=4 -distill" + In),
