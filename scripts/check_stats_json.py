@@ -46,7 +46,9 @@ invariants the telemetry subsystem guarantees:
     LRU; its counters are the volatile "cache" block);
   - v11: the summary carries "timeouts", a non-negative int (the step
     budget is the only watchdog, so timeouts are deterministic), and the
-    survivability block no longer does.
+    survivability block no longer does;
+  - v12: every deterministic profile query row carries "vars" and
+    "clauses", non-negative ints (the formula its solver received).
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -59,7 +61,7 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 def fail(msg):
@@ -157,7 +159,7 @@ def check_report(path):
         for i, q in enumerate(queries):
             for key in ("cost", "decisions", "propagations", "conflicts",
                         "learned_clauses", "learned_literals", "restarts",
-                        "count", "first_seed"):
+                        "vars", "clauses", "count", "first_seed"):
                 if not isinstance(q.get(key), int) or q[key] < 0:
                     fail("%s: profile query %d field %s not a non-negative int" % (path, i, key))
             if q["rank"] != i + 1:

@@ -66,14 +66,17 @@ void readStats(const JSONValue &J, FuzzStats &S) {
     S.*F.Member = bitsDouble(J.getUInt(std::string(F.Name) + "_bits"));
 }
 
-/// A tracked query's six per-occurrence solver counters, by name.
+/// A tracked query's six per-occurrence solver counters and its formula
+/// size, by name.
 constexpr std::pair<const char *, uint64_t QueryCost::*> QueryCounters[] = {
     {"decisions", &QueryCost::Decisions},
     {"propagations", &QueryCost::Propagations},
     {"conflicts", &QueryCost::Conflicts},
     {"learned_clauses", &QueryCost::LearnedClauses},
     {"learned_literals", &QueryCost::LearnedLiterals},
-    {"restarts", &QueryCost::Restarts}};
+    {"restarts", &QueryCost::Restarts},
+    {"vars", &QueryCost::Vars},
+    {"clauses", &QueryCost::Clauses}};
 
 } // namespace
 

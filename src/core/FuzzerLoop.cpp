@@ -53,12 +53,12 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
     OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize);
     this->Opts.SharedCache = OwnedCache.get();
   }
-  // Arm the iteration watchdog exactly when a step budget is configured.
-  // One token per loop, shared by the pass manager (one step per
-  // pass-on-function), the solver (per conflict/decision) and the
+  // Arm the iteration watchdog exactly when a step budget or a time limit
+  // is configured. One token per loop, shared by the pass manager (one
+  // step per pass-on-function), the solver (per conflict/decision) and the
   // interpreter (per 64 instructions) — TV reaches it via TV.Token. An
   // unarmed token is reached by nothing, so it never reports cancelled.
-  if (this->Opts.Survival.StepBudget > 0) {
+  if (this->Opts.Survival.StepBudget > 0 || this->Opts.TimeLimitSeconds > 0) {
     this->Opts.TV.Token = &WatchdogToken;
     PM.setCancellation(&WatchdogToken);
   } else {
@@ -350,6 +350,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
     CommitFeedback();
     return;
   }
+  if (WatchdogToken.deadlinePassed())
+    return; // run()'s deadline: the campaign ends with this iteration.
   if (WatchdogToken.cancelled()) {
     // The optimize phase blew its step budget. The mutant is only
     // partially optimized; verifying it would conflate a cut-off pipeline
@@ -416,6 +418,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       if (!FromCache)
         R = checkRefinement(*CheckSrc, *CheckTgt, Opts.TV, &Registry);
     }
+    if (!FromCache && WatchdogToken.deadlinePassed())
+      return; // run()'s deadline, as above: no verdict and no timeout.
     if (!FromCache && WatchdogToken.cancelled()) {
       // Cut off mid-check: no verdict was established. Deliberately NOT
       // counted as Verified, a cache miss, or a tv.verdict.* slug — and
@@ -500,6 +504,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       QS.LearnedClauses = R.SolverStats.LearnedClauses;
       QS.LearnedLiterals = R.SolverStats.LearnedLiterals;
       QS.Restarts = R.SolverStats.Restarts;
+      QS.Vars = R.SolverStats.Vars;
+      QS.Clauses = R.SolverStats.Clauses;
       QS.EncodeSeconds = R.EncodeSeconds;
       QS.SolveSeconds = R.SolveSeconds;
       QueryCosts->record(QS);
@@ -522,6 +528,10 @@ const FuzzStats &FuzzerLoop::run() {
   Timer Total;
   uint64_t Iter = 0;
   // §III-E: loop until the iteration count or the time budget is reached.
+  // The token carries the deadline into the solver and the interpreter, so
+  // a query still running when it passes is cut short: that iteration
+  // records nothing more, and the loop ends.
+  WatchdogToken.setDeadline(Opts.TimeLimitSeconds);
   for (;;) {
     if (Opts.Iterations && Iter >= Opts.Iterations)
       break;
@@ -530,6 +540,7 @@ const FuzzStats &FuzzerLoop::run() {
     runIteration(Opts.BaseSeed + Iter);
     ++Iter;
   }
+  WatchdogToken.setDeadline(0);
   Stats.TotalSeconds = Total.seconds();
   Stats.WorkerSeconds = Stats.TotalSeconds;
   settleOverhead(Stats);

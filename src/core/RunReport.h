@@ -77,7 +77,9 @@ namespace alive {
 /// deterministic "summary": the step budget is the only watchdog, and it
 /// trips at the same point for the same seed. Timeout bundles count in
 /// "bundles"/"bundle_failures" like every other bundle.
-constexpr unsigned RunReportSchemaVersion = 11;
+/// v12: each deterministic profile query carries "vars" and "clauses",
+/// the size of the formula its solver received (0 when concrete-only).
+constexpr unsigned RunReportSchemaVersion = 12;
 
 /// Report metadata that is not part of FuzzStats or the registry.
 struct RunReportConfig {

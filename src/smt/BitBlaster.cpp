@@ -91,7 +91,8 @@ Lit BitBlaster::mkMux(Lit Sel, Lit T, Lit E) {
 }
 
 std::vector<Lit> BitBlaster::addBits(const std::vector<Lit> &A,
-                                     const std::vector<Lit> &B, Lit CarryIn) {
+                                     const std::vector<Lit> &B, Lit CarryIn,
+                                     Lit *CarryOut) {
   assert(A.size() == B.size());
   std::vector<Lit> Sum(A.size());
   Lit Carry = CarryIn;
@@ -101,6 +102,8 @@ std::vector<Lit> BitBlaster::addBits(const std::vector<Lit> &A,
     // carry-out = (a & b) | (carry & (a ^ b))
     Carry = mkOr(mkAnd(A[I], B[I]), mkAnd(Carry, AxB));
   }
+  if (CarryOut)
+    *CarryOut = Carry;
   return Sum;
 }
 
@@ -144,38 +147,41 @@ Lit BitBlaster::eqBit(const std::vector<Lit> &A, const std::vector<Lit> &B) {
   return R;
 }
 
-Lit BitBlaster::isZero(const std::vector<Lit> &A) {
-  Lit AnyBit = -TrueLit;
-  for (Lit L : A)
-    AnyBit = mkOr(AnyBit, L);
-  return -AnyBit;
-}
-
 void BitBlaster::udivrem(const std::vector<Lit> &A, const std::vector<Lit> &B,
                          std::vector<Lit> &Quot, std::vector<Lit> &Rem) {
-  // Restoring division, MSB first.
+  // Restoring division, MSB first. Before the step that decides Quot[Step]
+  // the partial remainder is A's top W - Step bits, and each step keeps it
+  // below that bound, so only its low L = W - Step bits are live: the
+  // compare and the subtract work on those alone.
   size_t W = A.size();
+  // HighB[I] = some bit of B at position >= I is set. HighB[0] is B != 0.
+  std::vector<Lit> HighB(W + 1, -TrueLit);
+  for (size_t I = W; I-- > 0;)
+    HighB[I] = mkOr(B[I], HighB[I + 1]);
   Quot.assign(W, -TrueLit);
   Rem.assign(W, -TrueLit);
-  std::vector<Lit> NegB = negate(B);
+  std::vector<Lit> Low, NotB;
   for (size_t Step = W; Step-- > 0;) {
-    // Rem = (Rem << 1) | A[Step]
-    for (size_t I = W; I-- > 1;)
+    size_t L = W - Step;
+    // Rem = (Rem << 1) | A[Step], still below 2^L.
+    for (size_t I = L; I-- > 1;)
       Rem[I] = Rem[I - 1];
     Rem[0] = A[Step];
-    // If Rem >= B: Rem -= B, Quot[Step] = 1.
-    Lit GE = -ultBit(Rem, B);
-    std::vector<Lit> Diff = addBits(Rem, NegB, -TrueLit);
-    Rem = muxBits(GE, Diff, Rem);
-    Quot[Step] = GE;
+    // Rem >= B iff B has no bit at L or above and Rem - B over L bits does
+    // not borrow, i.e. Rem + ~B + 1 carries out.
+    Low.assign(Rem.begin(), Rem.begin() + L);
+    NotB.resize(L);
+    for (size_t I = 0; I != L; ++I)
+      NotB[I] = -B[I];
+    Lit Carry = -TrueLit;
+    std::vector<Lit> Diff = addBits(Low, NotB, TrueLit, &Carry);
+    Lit GE = mkAnd(Carry, -HighB[L]);
+    for (size_t I = 0; I != L; ++I)
+      Rem[I] = mkMux(GE, Diff[I], Rem[I]);
+    // Total convention for B == 0: Quot = 0, Rem = A. Every step then
+    // subtracts zero, which leaves Rem = A, but sets its quotient bit.
+    Quot[Step] = mkAnd(GE, HighB[0]);
   }
-  // Total convention for B == 0: Quot = 0, Rem = A. With B == 0 every step
-  // has Rem >= B and subtracts zero, so the loop leaves Rem = A but Quot
-  // all ones: Quot needs the mux, and Rem gets it too.
-  Lit BZero = isZero(B);
-  std::vector<Lit> Zero(W, -TrueLit);
-  Quot = muxBits(BZero, Zero, Quot);
-  Rem = muxBits(BZero, A, Rem);
 }
 
 std::vector<Lit> BitBlaster::muxBits(Lit Sel, const std::vector<Lit> &T,

@@ -73,13 +73,19 @@ private:
   /// Lowers one node whose operands are all in Cache.
   std::vector<Lit> blastNode(TermRef T);
 
+  /// A + B + CarryIn over A's width; the carry out of the top bit goes
+  /// to \p CarryOut when given.
   std::vector<Lit> addBits(const std::vector<Lit> &A,
-                           const std::vector<Lit> &B, Lit CarryIn);
+                           const std::vector<Lit> &B, Lit CarryIn,
+                           Lit *CarryOut = nullptr);
   std::vector<Lit> negate(const std::vector<Lit> &A);
   std::vector<Lit> mulBits(const std::vector<Lit> &A,
                            const std::vector<Lit> &B);
   /// Unsigned division: fills Quot and Rem. When B == 0 the outputs follow
   /// the total convention (Quot = 0, Rem = A), matching Term evaluation.
+  /// Step k of the W steps compares and subtracts over the k + 1 live bits
+  /// of the partial remainder only, taking Rem >= B from the subtractor's
+  /// carry-out.
   void udivrem(const std::vector<Lit> &A, const std::vector<Lit> &B,
                std::vector<Lit> &Quot, std::vector<Lit> &Rem);
   /// Borrow-out of A - B, i.e. the literal for (A ult B).
@@ -89,7 +95,6 @@ private:
                              const std::vector<Lit> &Amt);
   std::vector<Lit> muxBits(Lit Sel, const std::vector<Lit> &T,
                            const std::vector<Lit> &E);
-  Lit isZero(const std::vector<Lit> &A);
 
   SatSolver &Solver;
   Lit TrueLit;

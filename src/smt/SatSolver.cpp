@@ -97,6 +97,7 @@ void SatSolver::heapRebuild() {
 
 void SatSolver::addClause(const Lit *Literals, size_t Size) {
   assert(TrailLimits.empty() && "clauses must be added at decision level 0");
+  ++ClausesAdded;
   if (Unsatisfiable)
     return;
 
@@ -349,6 +350,8 @@ uint64_t SatSolver::luby(uint64_t I) {
 SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
                                    CancellationToken *Token) {
   LastStop = Stop::None;
+  Statistics.Vars = numVars();
+  Statistics.Clauses = ClausesAdded;
   if (Unsatisfiable)
     return Result::Unsat;
   if (propagate() != NoRef) {

@@ -57,6 +57,10 @@ public:
     /// alone hides.
     uint64_t LearnedLiterals = 0;
     uint64_t Restarts = 0;
+    /// The formula the last solve() call received: its variables, and its
+    /// clauses as passed to addClause, before level-0 simplification.
+    uint64_t Vars = 0;
+    uint64_t Clauses = 0;
   };
 
   SatSolver();
@@ -183,6 +187,7 @@ private:
   std::vector<Lit> Learnt;
 
   Stats Statistics;
+  uint64_t ClausesAdded = 0;
   Stop LastStop = Stop::None;
 };
 

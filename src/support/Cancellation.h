@@ -18,6 +18,11 @@
 /// never polls the token escapes it; under -fanout the supervisor's lease
 /// deadline catches that one.
 ///
+/// A standalone loop's -t deadline also lives here (setDeadline), so that
+/// the end of the campaign cuts a running query short instead of waiting
+/// it out. It is no watchdog: a deadline stop ends the campaign and is
+/// never recorded as a timeout, so timeouts stay deterministic.
+///
 /// Only the owning thread touches a token.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,6 +30,7 @@
 #ifndef SUPPORT_CANCELLATION_H
 #define SUPPORT_CANCELLATION_H
 
+#include <chrono>
 #include <cstdint>
 
 namespace alive {
@@ -37,7 +43,19 @@ public:
   void beginIteration(uint64_t Budget) {
     StepBudget = Budget;
     StepsUsed = 0;
-    Cancelled = false;
+    Cancelled = DeadlinePassed;
+  }
+
+  /// Arms a wall-clock deadline \p Seconds from now, or disarms it when
+  /// \p Seconds <= 0. It outlives beginIteration: once it has passed, the
+  /// token stays cancelled and deadlinePassed() says why. consume() reads
+  /// the clock every ClockCadence calls.
+  void setDeadline(double Seconds) {
+    HasDeadline = Seconds > 0;
+    DeadlinePassed = false;
+    if (HasDeadline)
+      Deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(Seconds));
   }
 
   /// Consumes \p N steps. \returns true when the token is (now) cancelled —
@@ -49,15 +67,26 @@ public:
       StepsUsed += N;
       Cancelled = StepsUsed > StepBudget;
     }
+    if (HasDeadline && ++Polls % ClockCadence == 0 &&
+        Clock::now() >= Deadline)
+      Cancelled = DeadlinePassed = true;
     return Cancelled;
   }
 
   bool cancelled() const { return Cancelled; }
+  bool deadlinePassed() const { return DeadlinePassed; }
 
 private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr uint64_t ClockCadence = 16;
+
   uint64_t StepsUsed = 0;
   uint64_t StepBudget = 0;
   bool Cancelled = false;
+  bool HasDeadline = false;
+  bool DeadlinePassed = false;
+  uint64_t Polls = 0;
+  Clock::time_point Deadline;
 };
 
 /// Installs \p Token as the calling thread's ambient cancellation token for

@@ -42,6 +42,8 @@ void QueryCostTracker::record(const QueryCostSample &S) {
     Q.LearnedClauses = S.LearnedClauses;
     Q.LearnedLiterals = S.LearnedLiterals;
     Q.Restarts = S.Restarts;
+    Q.Vars = S.Vars;
+    Q.Clauses = S.Clauses;
   } else if (S.Seed < Q.FirstSeed) {
     // Min-seed attribution keeps function/bundle deterministic whatever
     // order the workers saw this key in.
@@ -138,7 +140,8 @@ void alive::writeTopQueriesJSON(std::ostream &OS,
        << ", \"conflicts\": " << Q.Conflicts
        << ", \"learned_clauses\": " << Q.LearnedClauses
        << ", \"learned_literals\": " << Q.LearnedLiterals
-       << ", \"restarts\": " << Q.Restarts << ", \"bundle\": ";
+       << ", \"restarts\": " << Q.Restarts << ", \"vars\": " << Q.Vars
+       << ", \"clauses\": " << Q.Clauses << ", \"bundle\": ";
     writeJSONString(OS, Q.BundlePath);
     OS << "}";
   }

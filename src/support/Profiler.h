@@ -75,6 +75,8 @@ struct QueryCostSample {
   uint64_t LearnedClauses = 0;
   uint64_t LearnedLiterals = 0;
   uint64_t Restarts = 0;
+  uint64_t Vars = 0;    ///< formula size as solve() received it
+  uint64_t Clauses = 0;
   double EncodeSeconds = 0; ///< volatile
   double SolveSeconds = 0;  ///< volatile
 };
@@ -98,6 +100,9 @@ struct QueryCost {
   uint64_t LearnedClauses = 0;
   uint64_t LearnedLiterals = 0;
   uint64_t Restarts = 0;
+  // The formula the solver received (0 for a concrete-only query).
+  uint64_t Vars = 0;
+  uint64_t Clauses = 0;
   // Accumulated wall clock across occurrences (volatile; a cache hit
   // contributes the first computation's split).
   double EncodeSeconds = 0;
@@ -158,7 +163,8 @@ struct CampaignProfile {
 
 /// Serializes the deterministic top-K as a JSON array of query objects
 /// (rank, key hex, function, verdict, count, first_seed, the six solver
-/// counters, cost, symbolic flag, bundle link). Byte-identical for any
+/// counters, the formula's vars and clauses, cost, symbolic flag, bundle
+/// link). Byte-identical for any
 /// worker count — the run report embeds it in the deterministic section.
 void writeTopQueriesJSON(std::ostream &OS, const std::vector<QueryCost> &Top,
                          const std::string &Indent = "");

@@ -483,12 +483,14 @@ int main(int Argc, char **Argv) {
     if (!P.TopQueries.empty()) {
       const QueryCost &Q = P.TopQueries.front();
       std::printf("profile-top:    %s (%s): cost %llu (%llu dec, %llu "
-                  "prop, %llu confl) x%llu\n",
+                  "prop, %llu confl; %llu vars, %llu clauses) x%llu\n",
                   Q.Function.c_str(), Q.Verdict.c_str(),
                   (unsigned long long)Q.costUnits(),
                   (unsigned long long)Q.Decisions,
                   (unsigned long long)Q.Propagations,
                   (unsigned long long)Q.Conflicts,
+                  (unsigned long long)Q.Vars,
+                  (unsigned long long)Q.Clauses,
                   (unsigned long long)Q.Count);
     }
   }

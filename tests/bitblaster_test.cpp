@@ -74,6 +74,34 @@ const TermKind AllKinds[] = {
     TermKind::LShr, TermKind::AShr, TermKind::Eq,   TermKind::Ult,
     TermKind::Slt,  TermKind::ZExt, TermKind::SExt, TermKind::Trunc};
 
+const TermKind DivKinds[] = {TermKind::UDiv, TermKind::URem, TermKind::SDiv,
+                             TermKind::SRem};
+
+/// Pins x and y to \p XV and \p YV, blasts kind \p K over (x, y), or over
+/// (x, y | 1) when \p OddY, and checks the SAT model against the Term
+/// evaluator.
+void expectBlastAgrees(TermKind K, const APInt &XV, const APInt &YV,
+                       bool OddY = false) {
+  unsigned W = XV.getBitWidth();
+  TermBuilder B;
+  TermRef X = B.mkVar(W, "x");
+  TermRef Y = B.mkVar(W, "y");
+  TermRef T = buildKind(B, K, X, OddY ? B.mkOr(Y, B.mkConst(W, 1)) : Y, W);
+  std::map<unsigned, APInt> Assign{{X->VarId, XV}, {Y->VarId, YV}};
+  APInt Expected = B.evaluate(T, Assign);
+
+  SatSolver S;
+  BitBlaster BB(S);
+  BB.assertTrue(B.mkEq(X, B.mkConst(XV)));
+  BB.assertTrue(B.mkEq(Y, B.mkConst(YV)));
+  (void)BB.blast(T);
+  ASSERT_EQ(S.solve(), SatSolver::Result::Sat)
+      << "kind " << (int)K << " width " << W;
+  EXPECT_EQ(BB.modelValue(T), Expected)
+      << "kind " << (int)K << " width " << W << " x=" << XV.toString()
+      << " y=" << YV.toString() << (OddY ? " (y | 1)" : "");
+}
+
 } // namespace
 
 // Property: with inputs pinned to concrete values, the SAT model of a term
@@ -83,34 +111,70 @@ class BlasterKindTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(BlasterKindTest, BlastAgreesWithEvaluate) {
   unsigned W = GetParam();
   RandomGenerator RNG(100 + W);
-  for (TermKind K : AllKinds) {
+  for (TermKind K : AllKinds)
     for (int Trial = 0; Trial != 8; ++Trial) {
-      TermBuilder B;
-      TermRef X = B.mkVar(W, "x");
-      TermRef Y = B.mkVar(W, "y");
-      TermRef T = buildKind(B, K, X, Y, W);
-
       APInt XV = RNG.nextAPInt(W), YV = RNG.nextAPInt(W);
-      std::map<unsigned, APInt> Assign{{X->VarId, XV}, {Y->VarId, YV}};
-      APInt Expected = B.evaluate(T, Assign);
+      expectBlastAgrees(K, XV, YV);
+    }
+}
 
-      SatSolver S;
-      BitBlaster BB(S);
-      BB.assertTrue(B.mkEq(X, B.mkConst(XV)));
-      BB.assertTrue(B.mkEq(Y, B.mkConst(YV)));
-      const auto &Bits = BB.blast(T);
-      (void)Bits;
-      ASSERT_EQ(S.solve(), SatSolver::Result::Sat)
-          << "kind " << (int)K << " width " << W;
-      EXPECT_EQ(BB.modelValue(T), Expected)
-          << "kind " << (int)K << " width " << W << " x=" << XV.toString()
-          << " y=" << YV.toString();
+INSTANTIATE_TEST_SUITE_P(Widths, BlasterKindTest,
+                         ::testing::Values(1, 2, 3, 7, 8, 13, 16, 32, 63,
+                                           64));
+
+// The divider works on the live low bits of its partial remainder only, so
+// each width has its own edge cases: every operand pair at widths 1-5,
+// which includes y = 0 and INT_MIN / -1.
+TEST(BlasterTest, DividersAgreeExhaustively) {
+  for (unsigned W = 1; W <= 5; ++W)
+    for (TermKind K : DivKinds)
+      for (uint64_t XV = 0; XV != 1u << W; ++XV)
+        for (uint64_t YV = 0; YV != 1u << W; ++YV) {
+          expectBlastAgrees(K, APInt(W, XV), APInt(W, YV));
+          if (HasFailure())
+            return;
+        }
+}
+
+// Wide dividers on the operands whose trimmed compare is decided by the
+// divisor's high bits: y = 0, y = 1, x < y, y = 2^(W-1) and an odd y.
+TEST(BlasterTest, WideDividerEdgeCases) {
+  RandomGenerator RNG(4242);
+  for (unsigned W : {32u, 63u, 64u}) {
+    APInt Top = APInt::getOneBitSet(W, W - 1);
+    APInt Small = RNG.nextAPInt(W).lshr(W / 2);
+    APInt Big = RNG.nextAPInt(W) | APInt::getOneBitSet(W, W - 2);
+    APInt Any = RNG.nextAPInt(W);
+    for (TermKind K : DivKinds) {
+      expectBlastAgrees(K, Any, APInt::getZero(W));
+      expectBlastAgrees(K, Any, APInt::getOne(W));
+      expectBlastAgrees(K, Small, Big);
+      expectBlastAgrees(K, Big, Small);
+      expectBlastAgrees(K, Any, Top);
+      expectBlastAgrees(K, Top, Top);
+      expectBlastAgrees(K, Top, APInt::getAllOnes(W));
+      expectBlastAgrees(K, Any, Small, /*OddY=*/true);
+      expectBlastAgrees(K, Big, APInt::getZero(W), /*OddY=*/true);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, BlasterKindTest,
-                         ::testing::Values(1, 2, 3, 7, 8, 13, 16));
+// Formula-size pin, the divider's regression gate on a counter that does
+// not jitter. The untrimmed divider (a full-width compare and subtract on
+// every step) took 48,838 variables for udiv i64 and 734 for urem i8; the
+// trimmed one must take at most half.
+TEST(BlasterTest, DividerFormulaSize) {
+  auto VarsOf = [](TermKind K, unsigned W) {
+    TermBuilder B;
+    TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y");
+    SatSolver S;
+    BitBlaster BB(S);
+    (void)BB.blast(buildKind(B, K, X, Y, W));
+    return S.numVars();
+  };
+  EXPECT_LE(VarsOf(TermKind::UDiv, 64), 48838 / 2);
+  EXPECT_LE(VarsOf(TermKind::URem, 8), 734 / 2);
+}
 
 TEST(BlasterTest, AlgebraicIdentitiesAreUnsat) {
   // Each identity is asserted to FAIL for some input; UNSAT proves it holds

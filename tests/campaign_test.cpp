@@ -569,7 +569,7 @@ TEST(CampaignTest, MergedRunReportIsWorkerCountInvariant) {
   };
   EXPECT_EQ(DeterministicPart(R1), DeterministicPart(R4));
   // And the reports are structurally complete.
-  EXPECT_NE(R1.find("\"schema_version\": 11"), std::string::npos);
+  EXPECT_NE(R1.find("\"schema_version\": 12"), std::string::npos);
   EXPECT_NE(R1.find("\"per_pass\""), std::string::npos);
   EXPECT_NE(R1.find("\"per_family\""), std::string::npos);
   EXPECT_NE(R1.find("\"tv_verdicts\""), std::string::npos);

@@ -215,7 +215,10 @@ TEST(ProfilerTest, AbandonedSpansStayInTheirParentsSelfTime) {
 
 TEST(ProfilerTest, TopQueriesJSONShape) {
   QueryCostTracker T(4);
-  T.record(sample(0xabcdef, 42, 3, 2, 1));
+  QueryCostSample S = sample(0xabcdef, 42, 3, 2, 1);
+  S.Vars = 7;
+  S.Clauses = 9;
+  T.record(S);
   std::string J = topJSON(T.top());
   EXPECT_NE(J.find("\"rank\": 1"), std::string::npos);
   EXPECT_NE(J.find("\"key\": \"0000000000abcdef\""), std::string::npos);
@@ -225,6 +228,7 @@ TEST(ProfilerTest, TopQueriesJSONShape) {
   EXPECT_NE(J.find("\"conflicts\": 1"), std::string::npos);
   EXPECT_NE(J.find("\"first_seed\": 42"), std::string::npos);
   EXPECT_NE(J.find("\"symbolic\": true"), std::string::npos);
+  EXPECT_NE(J.find("\"vars\": 7, \"clauses\": 9"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -279,6 +283,9 @@ std::string runProfiledCampaign(unsigned Jobs) {
     const QueryCost &Q = P.TopQueries[I];
     EXPECT_GT(Q.Count, 0u);
     EXPECT_FALSE(Q.Function.empty());
+    // Only a query that reached the solver has a formula.
+    EXPECT_EQ(Q.Symbolic, Q.Vars > 0) << Q.Function;
+    EXPECT_EQ(Q.Symbolic, Q.Clauses > 0) << Q.Function;
     if (I) {
       EXPECT_TRUE(queryCostRanksBefore(P.TopQueries[I - 1], Q));
     }
@@ -350,7 +357,7 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
                  &Engine.profile());
   std::string R = OS.str();
 
-  EXPECT_NE(R.find("\"schema_version\": 11"), std::string::npos);
+  EXPECT_NE(R.find("\"schema_version\": 12"), std::string::npos);
   // Both sections carry a profile block: the deterministic top-K table
   // and the volatile span folds. The v10 report has no cache-shard heat.
   size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");

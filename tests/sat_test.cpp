@@ -49,6 +49,9 @@ TEST(SatSolverTest, TrivialUnsat) {
   S.addClause(A);
   S.addClause(-A);
   EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
+  // The formula size counts every clause handed in, the refuting one too.
+  EXPECT_EQ(S.stats().Vars, 1u);
+  EXPECT_EQ(S.stats().Clauses, 2u);
 }
 
 TEST(SatSolverTest, EmptyClauseIsUnsat) {

@@ -20,6 +20,7 @@
 #include "parser/Printer.h"
 #include "support/Cancellation.h"
 #include "support/Hash.h"
+#include "support/Timer.h"
 
 #include <csignal>
 #include <filesystem>
@@ -316,6 +317,35 @@ TEST(SurvivabilityTest, CancelledFallbackKeepsCancellationDetail) {
   EXPECT_EQ(tvVerdictReason(Cut), "inconclusive.cancelled") << Cut.Detail;
   EXPECT_EQ(Cut.Detail.find("no violation"), std::string::npos)
       << Cut.Detail;
+}
+
+TEST(SurvivabilityTest, DeadlineCutsRunningQueryShort) {
+  // Reassociated i32 products take the solver far longer than the
+  // deadline. The deadline cancels the query, stays tripped across the
+  // next beginIteration, and only setDeadline(0) clears it.
+  auto Product = [](const char *First, const char *Second) {
+    return parseOk(std::string("define i32 @f(i32 %x, i32 %y, i32 %z) {\n") +
+                   First + Second + "  ret i32 %m2\n}\n");
+  };
+  auto Src = Product("  %m1 = mul i32 %x, %y\n", "  %m2 = mul i32 %m1, %z\n");
+  auto Tgt = Product("  %m1 = mul i32 %y, %z\n", "  %m2 = mul i32 %x, %m1\n");
+  CancellationToken Token;
+  TVOptions TV;
+  TV.Token = &Token;
+  Token.beginIteration(0);
+  Token.setDeadline(0.1);
+  Timer T;
+  TVResult Cut = checkRefinement(*Src->getFunction("f"),
+                                 *Tgt->getFunction("f"), TV);
+  EXPECT_LT(T.seconds(), 5.0);
+  EXPECT_TRUE(Token.deadlinePassed());
+  EXPECT_EQ(tvVerdictReason(Cut), "inconclusive.cancelled") << Cut.Detail;
+  Token.beginIteration(0);
+  EXPECT_TRUE(Token.cancelled());
+  Token.setDeadline(0);
+  Token.beginIteration(0);
+  EXPECT_FALSE(Token.cancelled());
+  EXPECT_FALSE(Token.deadlinePassed());
 }
 
 //===----------------------------------------------------------------------===//
