@@ -8,9 +8,7 @@
 
 #include "core/Checkpoint.h"
 #include "core/Supervisor.h"
-#include "parser/Printer.h"
 #include "support/FaultPlane.h"
-#include "support/Hash.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -283,40 +281,6 @@ const FuzzStats &CampaignEngine::run() {
   return Stats;
 }
 
-bool CampaignEngine::pinCheckpointIdentity(const std::string &Dir,
-                                           unsigned Shards) {
-  // The meta pins everything the seed schedule and the partition depend
-  // on, so a stale or mismatched checkpoint is a config error, never a
-  // silently-wrong merge.
-  CheckpointMeta Cur;
-  Cur.Passes = Opts.Passes;
-  Cur.Iterations = Opts.Iterations;
-  Cur.BaseSeed = Opts.BaseSeed;
-  Cur.Jobs = Shards;
-  Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-  Cur.InjectBugs = !Opts.Bugs.empty();
-  Cur.FeedbackOn = Opts.Feedback.Enabled;
-  Cur.EpochLength =
-      Cur.FeedbackOn ? std::max(1u, Opts.Feedback.EpochLength) : 0;
-  Cur.StepBudget = Opts.Survival.StepBudget;
-  Cur.SkipUnchanged = Opts.SkipUnchanged;
-  Cur.ModuleHash =
-      fnv1a64(printModule(*MasterLoop->module()), ShortFnvBasis);
-  std::string Err;
-  if (Opts.Survival.Resume) {
-    CheckpointMeta Stored;
-    if (!readCheckpointMeta(Dir, Stored, Err) ||
-        !checkpointMetaMatches(Stored, Cur, Err)) {
-      ConfigError = "cannot resume: " + Err;
-      return false;
-    }
-  } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
-    ConfigError = Err;
-    return false;
-  }
-  return true;
-}
-
 void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
                                Timer &Total) {
   namespace fs = std::filesystem;
@@ -360,8 +324,14 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   auto SliceOf = [&](unsigned I, uint64_t Start) {
     return campaignSlice(I, J, Start, EpochLen, End);
   };
-  if (Checkpointing && !pinCheckpointIdentity(Dir, J))
+  // meta.json pins what the seeds, the partition and each outcome depend
+  // on: a mismatched checkpoint is a config error, never a wrong merge.
+  if (std::string Err;
+      Checkpointing &&
+      !pinCheckpointIdentity(Dir, Opts, J, *MasterLoop->module(), Err)) {
+    ConfigError = SV.Resume ? "cannot resume: " + Err : Err;
     return;
+  }
 
   // Declared before the workers: their loops point at the schedule.
   FeedbackMap Global;

@@ -235,12 +235,6 @@ private:
   /// invalid.
   void runEpochs(const std::vector<std::string> &Testable, Timer &Total);
 
-  /// Pins the campaign identity in \p Dir: writes meta.json for a fresh
-  /// campaign, or verifies a resumed one against it. \p Shards is the
-  /// effective worker (or lease) count. \returns false with ConfigError
-  /// set on a mismatch or write failure.
-  bool pinCheckpointIdentity(const std::string &Dir, unsigned Shards);
-
   /// The final merged feedback state of a finished feedback campaign
   /// (used by -distill and the run report).
   FeedbackMap FinalFeedback;

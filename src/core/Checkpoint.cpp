@@ -6,10 +6,13 @@
 
 #include "core/Checkpoint.h"
 
+#include "parser/Printer.h"
 #include "support/AtomicFile.h"
+#include "support/Hash.h"
 #include "support/JSON.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -28,14 +31,6 @@ double bitsDouble(uint64_t Bits) {
   double D;
   std::memcpy(&D, &Bits, sizeof(D));
   return D;
-}
-
-/// Atomic + durable write (tmp, fsync, rename) under the "checkpoint.*"
-/// fault points. A kill at any point leaves either the old snapshot or
-/// the new one, never a torn file.
-bool writeFileAtomic(const std::string &Path, const std::string &Content,
-                     std::string &Error) {
-  return writeFileAtomicDurable(Path, Content, "checkpoint", Error);
 }
 
 std::string shardPath(const std::string &Dir, unsigned Index) {
@@ -78,43 +73,79 @@ constexpr std::pair<const char *, uint64_t QueryCost::*> QueryCounters[] = {
     {"vars", &QueryCost::Vars},
     {"clauses", &QueryCost::Clauses}};
 
-} // namespace
-
-bool alive::writeCheckpointMeta(const std::string &Dir,
-                                const CheckpointMeta &M, std::string &Error) {
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  if (EC) {
-    Error = "cannot create checkpoint directory '" + Dir +
-            "': " + EC.message();
-    return false;
-  }
-  std::ostringstream OS;
-  OS << "{\n";
-  OS << "  \"schema_version\": " << CheckpointSchemaVersion << ",\n";
-  OS << "  \"passes\": ";
-  writeJSONString(OS, M.Passes);
-  OS << ",\n";
-  OS << "  \"iterations\": " << M.Iterations << ",\n";
-  OS << "  \"base_seed\": " << M.BaseSeed << ",\n";
-  OS << "  \"jobs\": " << M.Jobs << ",\n";
-  OS << "  \"max_mutations_per_function\": " << M.MaxMutationsPerFunction
-     << ",\n";
-  OS << "  \"inject_bugs\": " << (M.InjectBugs ? "true" : "false") << ",\n";
-  OS << "  \"feedback\": " << (M.FeedbackOn ? "true" : "false") << ",\n";
-  OS << "  \"epoch_length\": " << M.EpochLength << ",\n";
-  OS << "  \"step_budget\": " << M.StepBudget << ",\n";
-  OS << "  \"skip_unchanged\": " << (M.SkipUnchanged ? "true" : "false")
-     << ",\n";
-  OS << "  \"module_hash\": " << M.ModuleHash << "\n";
-  OS << "}\n";
-  return writeFileAtomic(Dir + "/meta.json", OS.str(), Error);
+/// meta.json's members: the schema version, the config record, the seed
+/// range, the shard count and the module.
+std::vector<ConfigField> campaignIdentity(const FuzzOptions &O, unsigned Jobs,
+                                          uint64_t ModuleHash) {
+  std::vector<ConfigField> F = campaignConfig(O);
+  F.insert(F.begin(), {"schema_version",
+                       std::to_string(CheckpointSchemaVersion)});
+  F.emplace_back("iterations", std::to_string(O.Iterations));
+  F.emplace_back("base_seed", std::to_string(O.BaseSeed));
+  F.emplace_back("jobs", std::to_string(Jobs));
+  F.emplace_back("module_hash", std::to_string(ModuleHash));
+  return F;
 }
 
-bool alive::readCheckpointMeta(const std::string &Dir, CheckpointMeta &M,
-                               std::string &Error) {
+/// How a resume mismatch names an identity key: the flag that sets it
+/// (Negated when the flag turns the setting off), and for the module
+/// fixed words instead of the two hashes. A key not listed (a setting
+/// with no flag) is named by its key.
+struct IdentityName {
+  const char *Key, *What;
+  bool Negated = false;
+  const char *Was = nullptr, *Is = nullptr;
+};
+constexpr IdentityName IdentityNames[] = {
+    {"passes", "pass pipeline"},
+    {"max_mutations_per_function", "-max-mutations"},
+    {"skip_unchanged", "-no-skip-unchanged", /*Negated=*/true},
+    {"step_budget", "-step-budget"},
+    {"injected_bugs", "-inject-bugs"},
+    {"feedback", "-feedback"},
+    {"epoch_length", "-feedback-epoch"},
+    {"canonical_pairs", "-shared-tv-cache"},
+    {"iterations", "-n"},
+    {"base_seed", "-seed"},
+    {"jobs", "-j"},
+    {"module_hash", "the input module", false, "a different module",
+     "this one (content hash differs)"},
+};
+
+/// A member's JSON text as a mismatch message shows it: a bool as its
+/// flag's on/off, a string in single quotes, an empty list as "off".
+std::string shownValue(const std::string &Text, bool Negated) {
+  if (Text == "true" || Text == "false")
+    return (Text == "true") != Negated ? "on" : "off";
+  if (Text.size() >= 2 && Text.front() == '"')
+    return "'" + Text.substr(1, Text.size() - 2) + "'";
+  return Text == "[]" ? "off" : Text;
+}
+
+} // namespace
+
+bool alive::pinCheckpointIdentity(const std::string &Dir, const FuzzOptions &O,
+                                  unsigned Jobs, const Module &M,
+                                  std::string &Error) {
+  const std::string Path = Dir + "/meta.json";
+  const std::vector<ConfigField> Is = campaignIdentity(
+      O, Jobs, fnv1a64(printModule(M), ShortFnvBasis));
+  if (!O.Survival.Resume) {
+    std::error_code EC;
+    std::filesystem::create_directories(Dir, EC);
+    if (EC) {
+      Error = "cannot create checkpoint directory '" + Dir +
+              "': " + EC.message();
+      return false;
+    }
+    std::ostringstream OS;
+    writeConfigObject(OS, Is, "  ");
+    OS << "\n";
+    return writeFileAtomicDurable(Path, OS.str(), "checkpoint", Error);
+  }
+
   std::string Text;
-  if (!readWholeFile(Dir + "/meta.json", Text, Error))
+  if (!readWholeFile(Path, Text, Error))
     return false;
   JSONValue J;
   if (!parseJSON(Text, J, Error)) {
@@ -126,65 +157,29 @@ bool alive::readCheckpointMeta(const std::string &Dir, CheckpointMeta &M,
             std::to_string(J.getUInt("schema_version"));
     return false;
   }
-  M.Passes = J.getString("passes");
-  M.Iterations = J.getUInt("iterations");
-  M.BaseSeed = J.getUInt("base_seed");
-  M.Jobs = (unsigned)J.getUInt("jobs");
-  M.MaxMutationsPerFunction =
-      (unsigned)J.getUInt("max_mutations_per_function");
-  M.InjectBugs = J.getBool("inject_bugs", false);
-  M.FeedbackOn = J.getBool("feedback", false);
-  M.EpochLength = (unsigned)J.getUInt("epoch_length");
-  M.StepBudget = J.getUInt("step_budget", 0);
-  M.SkipUnchanged = J.getBool("skip_unchanged", true);
-  M.ModuleHash = J.getUInt("module_hash");
-  return true;
-}
-
-bool alive::checkpointMetaMatches(const CheckpointMeta &Stored,
-                                  const CheckpointMeta &Current,
-                                  std::string &Error) {
-  auto Mismatch = [&](const std::string &What, const std::string &Was,
-                      const std::string &Is) {
-    Error = "checkpoint mismatch: " + What + " was " + Was + ", resuming " +
-            "with " + Is;
+  // The stored record goes through the same reader and writer as the
+  // current one, so equal settings render as equal text, key by key.
+  FuzzOptions Stored;
+  readCampaignConfig(J, Stored);
+  Stored.Iterations = J.getUInt("iterations");
+  Stored.BaseSeed = J.getUInt("base_seed");
+  const std::vector<ConfigField> Was = campaignIdentity(
+      Stored, (unsigned)J.getUInt("jobs"), J.getUInt("module_hash"));
+  for (size_t I = 0; I != Is.size(); ++I) {
+    if (Was[I].second == Is[I].second)
+      continue;
+    const std::string Key = Is[I].first, Unnamed = "config key '" + Key + "'";
+    const IdentityName *N = std::find_if(
+        std::begin(IdentityNames), std::end(IdentityNames),
+        [&](const IdentityName &N) { return Key == N.Key; });
+    const IdentityName Name =
+        N != std::end(IdentityNames) ? *N : IdentityName{"", Unnamed.c_str()};
+    Error = std::string("checkpoint mismatch: ") + Name.What + " was " +
+            (Name.Was ? Name.Was : shownValue(Was[I].second, Name.Negated)) +
+            ", resuming with " +
+            (Name.Is ? Name.Is : shownValue(Is[I].second, Name.Negated));
     return false;
-  };
-  if (Stored.Passes != Current.Passes)
-    return Mismatch("pass pipeline", "'" + Stored.Passes + "'",
-                    "'" + Current.Passes + "'");
-  if (Stored.Iterations != Current.Iterations)
-    return Mismatch("-n", std::to_string(Stored.Iterations),
-                    std::to_string(Current.Iterations));
-  if (Stored.BaseSeed != Current.BaseSeed)
-    return Mismatch("-seed", std::to_string(Stored.BaseSeed),
-                    std::to_string(Current.BaseSeed));
-  if (Stored.Jobs != Current.Jobs)
-    return Mismatch("-j", std::to_string(Stored.Jobs),
-                    std::to_string(Current.Jobs));
-  if (Stored.MaxMutationsPerFunction != Current.MaxMutationsPerFunction)
-    return Mismatch("-max-mutations",
-                    std::to_string(Stored.MaxMutationsPerFunction),
-                    std::to_string(Current.MaxMutationsPerFunction));
-  if (Stored.InjectBugs != Current.InjectBugs)
-    return Mismatch("-inject-bugs", Stored.InjectBugs ? "on" : "off",
-                    Current.InjectBugs ? "on" : "off");
-  if (Stored.FeedbackOn != Current.FeedbackOn)
-    return Mismatch("-feedback", Stored.FeedbackOn ? "on" : "off",
-                    Current.FeedbackOn ? "on" : "off");
-  if (Stored.EpochLength != Current.EpochLength)
-    return Mismatch("-feedback-epoch", std::to_string(Stored.EpochLength),
-                    std::to_string(Current.EpochLength));
-  if (Stored.StepBudget != Current.StepBudget)
-    return Mismatch("-step-budget", std::to_string(Stored.StepBudget),
-                    std::to_string(Current.StepBudget));
-  if (Stored.SkipUnchanged != Current.SkipUnchanged)
-    return Mismatch("-no-skip-unchanged",
-                    Stored.SkipUnchanged ? "off" : "on",
-                    Current.SkipUnchanged ? "off" : "on");
-  if (Stored.ModuleHash != Current.ModuleHash)
-    return Mismatch("the input module", "a different module",
-                    "this one (content hash differs)");
+  }
   return true;
 }
 
@@ -257,7 +252,8 @@ bool alive::writeWorkerCheckpoint(const std::string &Dir,
     OS << ", \"self_ns\": " << Nanos << "}";
   }
   OS << (First ? "" : "\n  ") << "]\n}\n";
-  return writeFileAtomic(shardPath(Dir, W.Index), OS.str(), Error);
+  return writeFileAtomicDurable(shardPath(Dir, W.Index), OS.str(), "checkpoint",
+                                Error);
 }
 
 bool alive::readWorkerCheckpoint(const std::string &Dir, unsigned Index,
@@ -393,7 +389,8 @@ bool alive::writeFeedbackCheckpoint(const std::string &Dir,
   OS << "  \"schedule\": ";
   F.Schedule.writeJSON(OS, "  ");
   OS << "\n}\n";
-  return writeFileAtomic(Dir + "/feedback.json", OS.str(), Error);
+  return writeFileAtomicDurable(Dir + "/feedback.json", OS.str(), "checkpoint",
+                                Error);
 }
 
 bool alive::readFeedbackCheckpoint(const std::string &Dir,

@@ -14,8 +14,8 @@
 /// output: FuzzStats, the bug list, the registry counters and, under
 /// -profile, the query cost tracker and the span folds.
 ///
-/// Layout: <dir>/meta.json (campaign identity: pipeline, seed range, job
-/// count, step budget, module hash — resume refuses a checkpoint taken
+/// Layout: <dir>/meta.json (campaign identity: the config record, seed
+/// range, job count and module hash — resume refuses a checkpoint taken
 /// under different inputs) plus one <dir>/shard-<i>.json per worker.
 /// Writes are atomic (tmp file + rename), so a kill mid-checkpoint leaves
 /// the previous consistent snapshot in place.
@@ -40,34 +40,10 @@ namespace alive {
 /// Bump when the checkpoint layout changes incompatibly; resume refuses
 /// other versions rather than guessing. v2 added the feedback pins to the
 /// meta and the <dir>/feedback.json state file; v3 added each shard's
-/// pending coverage; v4 added each shard's -profile state.
-constexpr unsigned CheckpointSchemaVersion = 4;
-
-/// Campaign identity, pinned at checkpoint time and verified at resume:
-/// resuming under a different module, pipeline, seed range or job count
-/// would silently produce a report that matches neither run.
-struct CheckpointMeta {
-  std::string Passes;
-  uint64_t Iterations = 0;
-  uint64_t BaseSeed = 0;
-  unsigned Jobs = 0;
-  unsigned MaxMutationsPerFunction = 0;
-  bool InjectBugs = false;
-  /// Feedback-mode identity: the schedule (and therefore every mutant
-  /// after the first epoch) depends on both, so resuming under a
-  /// different feedback configuration is a mismatch.
-  bool FeedbackOn = false;
-  unsigned EpochLength = 0;
-  /// Which checks time out and which functions are verified at all: a
-  /// run resumed under another step budget or skip rule would merge two
-  /// configurations' outcomes. A meta written without them reads as the
-  /// defaults (0 and true).
-  uint64_t StepBudget = 0;
-  bool SkipUnchanged = true;
-  /// fnv1a64 (ShortFnvBasis) of the preprocessed master module's printed
-  /// text.
-  uint64_t ModuleHash = 0;
-};
+/// pending coverage; v4 added each shard's -profile state; v5 made the
+/// meta the campaign config record (campaignConfig) plus the seed range,
+/// the shard count and the module hash.
+constexpr unsigned CheckpointSchemaVersion = 5;
 
 /// One worker's resumable state.
 struct WorkerCheckpoint {
@@ -94,20 +70,16 @@ struct WorkerCheckpoint {
   std::map<std::string, uint64_t> SpanFolds;
 };
 
-/// Writes meta.json under \p Dir (created if missing). Atomic.
-bool writeCheckpointMeta(const std::string &Dir, const CheckpointMeta &M,
-                         std::string &Error);
-
-/// Reads and validates meta.json. \returns false with \p Error set when
-/// missing, malformed, or a different schema version.
-bool readCheckpointMeta(const std::string &Dir, CheckpointMeta &M,
-                        std::string &Error);
-
-/// Compares a resume-time meta against the stored one; fills \p Error
-/// with the first mismatch ("checkpoint was taken with -j 4, resuming
-/// with -j 2") when they differ.
-bool checkpointMetaMatches(const CheckpointMeta &Stored,
-                           const CheckpointMeta &Current, std::string &Error);
+/// Pins the campaign identity in <dir>/meta.json: \p O's config record
+/// plus -n, the base seed, \p Jobs (the effective worker or lease count)
+/// and a hash of \p M's printed text (fnv1a64, ShortFnvBasis). A fresh
+/// campaign writes it; under O.Survival.Resume the stored record is read
+/// into a FuzzOptions, written out again and compared key by key with
+/// this one. \returns false with \p Error set on an I/O failure, another
+/// schema version, or the first key that differs ("checkpoint mismatch:
+/// -step-budget was 0, resuming with 50").
+bool pinCheckpointIdentity(const std::string &Dir, const FuzzOptions &O,
+                           unsigned Jobs, const Module &M, std::string &Error);
 
 /// Writes shard-<Index>.json under \p Dir. Atomic.
 bool writeWorkerCheckpoint(const std::string &Dir, const WorkerCheckpoint &W,

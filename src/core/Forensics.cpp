@@ -7,7 +7,6 @@
 #include "core/Forensics.h"
 
 #include "core/FuzzerLoop.h"
-#include "opt/BugInjection.h"
 #include "parser/Parser.h"
 #include "parser/Printer.h"
 #include "support/AtomicFile.h"
@@ -69,9 +68,23 @@ std::string bundleDirName(const ForensicRecord &R) {
   return "bundle-s" + std::to_string(R.Seed) + "-" + Tail;
 }
 
+/// Whether a replayed outcome's \p Detail reproduces the \p Recorded one.
+/// A seed that killed its -fanout child is recorded in the supervisor's
+/// words ("optimizer process killed by SIGSEGV (supervised shard 0, ...)"),
+/// while the replay contains the crash with the in-process guard
+/// ("optimizer raised SIGSEGV (contained by ...)"): raising the signal
+/// the record names reproduces it.
+bool detailReproduces(const std::string &Recorded, const std::string &Detail) {
+  static const std::string Killed = "optimizer process killed by ";
+  if (Recorded.rfind(Killed, 0) != 0)
+    return Recorded == Detail;
+  size_t End = Recorded.find(' ', Killed.size());
+  std::string Signal = Recorded.substr(Killed.size(), End - Killed.size());
+  return Detail.rfind("optimizer raised " + Signal + " ", 0) == 0;
+}
+
 void writeManifest(std::ostream &OS, const BundleInputs &In) {
   const ForensicRecord &R = In.Record;
-  const FuzzOptions &O = In.Opts;
   OS << "{\n";
   OS << "  \"schema_version\": " << BundleManifestSchemaVersion << ",\n";
 
@@ -88,48 +101,19 @@ void writeManifest(std::ostream &OS, const BundleInputs &In) {
   writeJSONString(OS, R.CounterExample);
   OS << "},\n";
 
-  // The config echo: everything -replay needs to rebuild FuzzOptions so
-  // the recorded iteration re-runs bit-for-bit.
-  OS << "  \"config\": {\n";
-  OS << "    \"passes\": ";
-  writeJSONString(OS, O.Passes);
-  OS << ",\n";
-  OS << "    \"max_mutations_per_function\": "
-     << O.Mutation.MaxMutationsPerFunction << ",\n";
-  OS << "    \"value_source\": {\"max_depth\": "
-     << O.Mutation.ValueSource.MaxDepth
-     << ", \"poison_percent\": " << O.Mutation.ValueSource.PoisonPercent
-     << ", \"allow_fresh_parameters\": "
-     << (O.Mutation.ValueSource.AllowFreshParameters ? "true" : "false")
-     << "},\n";
-  OS << "    \"enabled_kinds\": [";
-  for (size_t I = 0; I != O.Mutation.EnabledKinds.size(); ++I)
-    OS << (I ? ", " : "") << '"'
-       << mutationKindName(O.Mutation.EnabledKinds[I]) << '"';
-  OS << "],\n";
-  OS << "    \"tv\": {\"solver_conflict_budget\": " << O.TV.SolverConflictBudget
-     << ", \"concrete_trials\": " << O.TV.ConcreteTrials
-     << ", \"exhaustive_bits\": " << O.TV.ExhaustiveBits
-     << ", \"fuel\": " << O.TV.Fuel << ", \"seed\": " << O.TV.Seed << "},\n";
-  OS << "    \"skip_unchanged\": " << (O.SkipUnchanged ? "true" : "false")
-     << ",\n";
-  OS << "    \"step_budget\": " << O.Survival.StepBudget << ",\n";
-  OS << "    \"testable_functions\": [";
+  // The config echo: the campaign config record plus the testable set,
+  // everything -replay needs to re-run the recorded iteration bit-for-bit.
+  std::vector<ConfigField> Config = campaignConfig(In.Opts);
+  std::ostringstream Fns;
+  Fns << "[";
   for (size_t I = 0; I != In.TestableFunctions.size(); ++I) {
-    OS << (I ? ", " : "");
-    writeJSONString(OS, In.TestableFunctions[I]);
+    Fns << (I ? ", " : "");
+    writeJSONString(Fns, In.TestableFunctions[I]);
   }
-  OS << "],\n";
-  OS << "    \"injected_bugs\": [";
-  {
-    bool First = true;
-    for (const BugInfo &B : bugTable())
-      if (O.Bugs.isEnabled(B.Id)) {
-        OS << (First ? "" : ", ") << '"' << B.IssueId << '"';
-        First = false;
-      }
-  }
-  OS << "]\n  },\n";
+  Config.emplace_back("testable_functions", Fns.str() + "]");
+  OS << "  \"config\": ";
+  writeConfigObject(OS, Config, "    ");
+  OS << ",\n";
 
   OS << "  \"trail\": [";
   if (In.Trail) {
@@ -222,55 +206,19 @@ ReplayResult alive::replayBundle(const std::string &BundleDir) {
   Out.ExpectedVerdict = Rec->getString("verdict");
 
   // Rebuild the recorded campaign configuration. SelfCheckOnLoad stays
-  // off: the recorded testable set pins the preprocessing outcome.
+  // off: the recorded testable set pins the preprocessing outcome. The
+  // in-process signal guard contains a recorded optimizer crash, so a
+  // crash bundle replays instead of killing this process.
   FuzzOptions O;
-  O.Passes = Cfg->getString("passes", "O2");
-  O.Mutation.MaxMutationsPerFunction =
-      (unsigned)Cfg->getUInt("max_mutations_per_function", 3);
-  if (const JSONValue *VS = Cfg->find("value_source")) {
-    O.Mutation.ValueSource.MaxDepth = (unsigned)VS->getUInt("max_depth", 2);
-    O.Mutation.ValueSource.PoisonPercent =
-        (unsigned)VS->getUInt("poison_percent", 4);
-    O.Mutation.ValueSource.AllowFreshParameters =
-        VS->getBool("allow_fresh_parameters", true);
-  }
-  if (const JSONValue *EK = Cfg->find("enabled_kinds"); EK && EK->isArray()) {
-    O.Mutation.EnabledKinds.clear();
-    for (const JSONValue &E : EK->Arr)
-      for (unsigned K = 0; K != (unsigned)MutationKind::NumKinds; ++K)
-        if (E.K == JSONValue::String &&
-            E.Str == mutationKindName((MutationKind)K))
-          O.Mutation.EnabledKinds.push_back((MutationKind)K);
-  }
-  if (const JSONValue *TV = Cfg->find("tv")) {
-    O.TV.SolverConflictBudget =
-        TV->getUInt("solver_conflict_budget", O.TV.SolverConflictBudget);
-    O.TV.ConcreteTrials =
-        (unsigned)TV->getUInt("concrete_trials", O.TV.ConcreteTrials);
-    O.TV.ExhaustiveBits =
-        (unsigned)TV->getUInt("exhaustive_bits", O.TV.ExhaustiveBits);
-    O.TV.Fuel = TV->getUInt("fuel", O.TV.Fuel);
-    O.TV.Seed = TV->getUInt("seed", O.TV.Seed);
-  }
-  O.SkipUnchanged = Cfg->getBool("skip_unchanged", true);
-  // Timeouts are deterministic, so replaying a timeout bundle needs the
-  // same step budget.
-  O.Survival.StepBudget = Cfg->getUInt("step_budget", 0);
+  readCampaignConfig(*Cfg, O);
   O.SelfCheckOnLoad = false;
+  O.Survival.SignalGuard = true;
   O.Iterations = 1;
   O.BaseSeed = Out.Seed;
-  std::vector<std::string> Fns;
-  if (const JSONValue *TF = Cfg->find("testable_functions");
-      TF && TF->isArray())
+  O.OnlyFunctions.emplace();
+  if (const JSONValue *TF = Cfg->find("testable_functions"))
     for (const JSONValue &E : TF->Arr)
-      if (E.K == JSONValue::String)
-        Fns.push_back(E.Str);
-  O.OnlyFunctions = Fns;
-  if (const JSONValue *IB = Cfg->find("injected_bugs"); IB && IB->isArray())
-    for (const JSONValue &E : IB->Arr)
-      for (const BugInfo &B : bugTable())
-        if (E.K == JSONValue::String && E.Str == B.IssueId)
-          O.Bugs.enable(B.Id);
+      O.OnlyFunctions->push_back(E.Str);
 
   std::string ParseErr;
   auto Mod = parseModuleFile(
@@ -337,7 +285,7 @@ ReplayResult alive::replayBundle(const std::string &BundleDir) {
                   "', replay produced '" + FR.VerdictSlug + "'";
       return Out;
     }
-    if (FR.Detail != Rec->getString("detail")) {
+    if (!detailReproduces(Rec->getString("detail"), FR.Detail)) {
       Out.Error = "detail mismatch against the recorded verdict";
       return Out;
     }

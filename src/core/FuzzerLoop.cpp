@@ -11,7 +11,9 @@
 #include "parser/Printer.h"
 #include "support/AtomicFile.h"
 #include "support/Hash.h"
+#include "support/JSON.h"
 #include "support/SignalGuard.h"
+#include "support/Telemetry.h"
 #include "support/Timer.h"
 #include "tv/Canonicalize.h"
 #include "tv/Counterexample.h"
@@ -227,6 +229,103 @@ void alive::settleOverhead(FuzzStats &S) {
       S.MutateSeconds + S.OptimizeSeconds + S.VerifySeconds + S.OverheadSeconds;
   if (S.WorkerSeconds > Staged)
     S.OverheadSeconds += S.WorkerSeconds - Staged;
+}
+
+std::vector<ConfigField> alive::campaignConfig(const FuzzOptions &O) {
+  auto Num = [](uint64_t V) { return std::to_string(V); };
+  auto Bool = [](bool B) -> std::string { return B ? "true" : "false"; };
+  auto Str = [](const std::string &S) {
+    std::ostringstream OS;
+    writeJSONString(OS, S);
+    return OS.str();
+  };
+  std::string Kinds, Bugs;
+  for (MutationKind K : O.Mutation.EnabledKinds)
+    Kinds += (Kinds.empty() ? "" : ", ") + Str(mutationKindName(K));
+  for (const BugInfo &B : bugTable())
+    if (O.Bugs.isEnabled(B.Id))
+      Bugs += (Bugs.empty() ? "" : ", ") + Str(B.IssueId);
+  const ValueSourceOptions &VS = O.Mutation.ValueSource;
+  const TVOptions &TV = O.TV;
+  return {
+      {"passes", Str(O.Passes)},
+      {"max_mutations_per_function",
+       Num(O.Mutation.MaxMutationsPerFunction)},
+      {"value_source", "{\"max_depth\": " + Num(VS.MaxDepth) +
+                           ", \"poison_percent\": " + Num(VS.PoisonPercent) +
+                           ", \"allow_fresh_parameters\": " +
+                           Bool(VS.AllowFreshParameters) + "}"},
+      {"enabled_kinds", "[" + Kinds + "]"},
+      {"tv", "{\"solver_conflict_budget\": " + Num(TV.SolverConflictBudget) +
+                 ", \"concrete_trials\": " + Num(TV.ConcreteTrials) +
+                 ", \"exhaustive_bits\": " + Num(TV.ExhaustiveBits) +
+                 ", \"fuel\": " + Num(TV.Fuel) + ", \"seed\": " +
+                 Num(TV.Seed) + "}"},
+      {"skip_unchanged", Bool(O.SkipUnchanged)},
+      {"step_budget", Num(O.Survival.StepBudget)},
+      {"injected_bugs", "[" + Bugs + "]"},
+      {"feedback", Bool(O.Feedback.Enabled)},
+      {"epoch_length", Num(O.Feedback.Enabled
+                               ? std::max(1u, O.Feedback.EpochLength)
+                               : 0)},
+      {"canonical_pairs", Bool(O.UseSharedTVCache && O.TVCacheSize > 0)},
+  };
+}
+
+void alive::readCampaignConfig(const JSONValue &J, FuzzOptions &O) {
+  // A member of a missing object, or a missing member, keeps its field.
+  auto UInt = [](const JSONValue *Obj, const char *Key, auto &Field) {
+    if (Obj)
+      Field = (std::decay_t<decltype(Field)>)Obj->getUInt(Key, Field);
+  };
+  auto Flag = [](const JSONValue *Obj, const char *Key, bool &Field) {
+    if (Obj)
+      Field = Obj->getBool(Key, Field);
+  };
+  const JSONValue *VS = J.find("value_source"), *TV = J.find("tv");
+  O.Passes = J.getString("passes", O.Passes);
+  UInt(&J, "max_mutations_per_function", O.Mutation.MaxMutationsPerFunction);
+  UInt(VS, "max_depth", O.Mutation.ValueSource.MaxDepth);
+  UInt(VS, "poison_percent", O.Mutation.ValueSource.PoisonPercent);
+  Flag(VS, "allow_fresh_parameters",
+       O.Mutation.ValueSource.AllowFreshParameters);
+  if (const JSONValue *A = J.find("enabled_kinds"); A && A->isArray()) {
+    O.Mutation.EnabledKinds.clear();
+    for (const JSONValue &E : A->Arr)
+      for (unsigned K = 0; K != (unsigned)MutationKind::NumKinds; ++K)
+        if (E.Str == mutationKindName((MutationKind)K))
+          O.Mutation.EnabledKinds.push_back((MutationKind)K);
+  }
+  UInt(TV, "solver_conflict_budget", O.TV.SolverConflictBudget);
+  UInt(TV, "concrete_trials", O.TV.ConcreteTrials);
+  UInt(TV, "exhaustive_bits", O.TV.ExhaustiveBits);
+  UInt(TV, "fuel", O.TV.Fuel);
+  UInt(TV, "seed", O.TV.Seed);
+  Flag(&J, "skip_unchanged", O.SkipUnchanged);
+  UInt(&J, "step_budget", O.Survival.StepBudget);
+  if (const JSONValue *A = J.find("injected_bugs"); A && A->isArray()) {
+    O.Bugs.disableAll();
+    for (const JSONValue &E : A->Arr)
+      for (const BugInfo &B : bugTable())
+        if (E.Str == B.IssueId)
+          O.Bugs.enable(B.Id);
+  }
+  Flag(&J, "feedback", O.Feedback.Enabled);
+  UInt(&J, "epoch_length", O.Feedback.EpochLength);
+  Flag(&J, "canonical_pairs", O.UseSharedTVCache);
+}
+
+void alive::writeConfigObject(std::ostream &OS,
+                              const std::vector<ConfigField> &Fields,
+                              const std::string &Ind) {
+  const char *Sep = "{\n";
+  for (const auto &[Key, Value] : Fields) {
+    OS << Sep << Ind;
+    writeJSONString(OS, Key);
+    OS << ": " << Value;
+    Sep = ",\n";
+  }
+  OS << "\n" << Ind.substr(2) << "}";
 }
 
 std::unique_ptr<Module> FuzzerLoop::mutateStage(uint64_t Seed,

@@ -28,12 +28,16 @@
 #include "tv/RefinementChecker.h"
 #include "tv/SharedTVCache.h"
 
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace alive {
+
+struct JSONValue;
 
 /// The -fanout supervisor's one policy (core/Supervisor). Every field
 /// has the campaign default; only tests shorten them.
@@ -159,6 +163,26 @@ struct FuzzOptions {
   /// flight recorder (span sites feed both).
   ProfileOptions Profile;
 };
+
+/// One member of the campaign config record: its key and its JSON text.
+using ConfigField = std::pair<std::string, std::string>;
+
+/// The campaign config record, its one writer: the settings that decide
+/// what an iteration does, in record order. A bug bundle's manifest echoes
+/// it for -replay; a checkpoint's meta.json pins it for -resume. Keys:
+/// passes, max_mutations_per_function, value_source, enabled_kinds, tv,
+/// skip_unchanged, step_budget, injected_bugs, feedback, epoch_length (0
+/// with feedback off) and canonical_pairs (the checker ran on
+/// canonicalized pairs: UseSharedTVCache with the cache on).
+std::vector<ConfigField> campaignConfig(const FuzzOptions &O);
+
+/// The one reader: sets \p O from a record. A missing key leaves its field
+/// as it is, so an older record read into fresh options gets the defaults.
+void readCampaignConfig(const JSONValue &J, FuzzOptions &O);
+
+/// Writes \p Fields as a JSON object, members at indent \p Ind.
+void writeConfigObject(std::ostream &OS, const std::vector<ConfigField> &Fields,
+                       const std::string &Ind);
 
 /// Which functions a mutant iteration actually mutated, and which
 /// families fired — the attribution targets its coverage bitmap is
@@ -353,11 +377,6 @@ public:
   /// Non-empty when the bundle directory could not be created: recorded
   /// once; each lost bundle still counts in BundleFailures.
   const std::string &bundleError() const { return BundleError; }
-
-  /// True once bundle writing hit an out-of-space condition and was
-  /// disabled for the rest of the run (the campaign keeps fuzzing; every
-  /// elided bundle is counted under survive.degraded.bundle-skips).
-  bool bundlesDegraded() const { return BundlesDegraded; }
 
   const FuzzStats &stats() const { return Stats; }
   const std::vector<BugRecord> &bugs() const { return Bugs; }

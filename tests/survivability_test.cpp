@@ -19,14 +19,16 @@
 #include "parser/Parser.h"
 #include "parser/Printer.h"
 #include "support/Cancellation.h"
-#include "support/Hash.h"
+#include "support/JSON.h"
 #include "support/Timer.h"
 
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include <sys/wait.h>
@@ -410,75 +412,128 @@ TEST(SurvivabilityTest, WorkerCheckpointRoundTripsExactly) {
   EXPECT_TRUE(R.Counters[1].IsVolatile);
 }
 
-TEST(SurvivabilityTest, CheckpointMetaMismatchIsActionable) {
-  ScratchDir Dir("ckpt_meta");
-  CheckpointMeta M;
-  M.Passes = "O2";
-  M.Iterations = 1000;
-  M.BaseSeed = 7;
-  M.Jobs = 4;
-  M.MaxMutationsPerFunction = 3;
-  M.ModuleHash = fnv1a64("define void @f() {\n}\n", ShortFnvBasis);
+TEST(SurvivabilityTest, CampaignConfigRoundTripsAndPinsResume) {
+  // One record is the bundle manifest's config and the heart of
+  // meta.json. With every setting off its default, each key must survive
+  // write -> read -> write unchanged.
+  FuzzOptions O;
+  O.Passes = "instcombine,dce";
+  O.Iterations = 1000;
+  O.BaseSeed = 7;
+  O.Mutation.MaxMutationsPerFunction = 5;
+  O.Mutation.ValueSource = {3, 9, false};
+  O.Mutation.EnabledKinds = {MutationKind::Inline, MutationKind::RemoveCall};
+  O.TV = {1234, 7, 9, 99, 42};
+  O.SkipUnchanged = false;
+  O.Survival.StepBudget = 50;
+  O.Bugs.enable(BugId::PR52884);
+  O.Feedback = {true, 32};
+  O.UseSharedTVCache = true;
+  const std::vector<ConfigField> Record = campaignConfig(O);
+  const std::vector<ConfigField> Defaults = campaignConfig(FuzzOptions());
+  ASSERT_EQ(Record.size(), Defaults.size());
+  for (size_t I = 0; I != Record.size(); ++I)
+    EXPECT_NE(Record[I].second, Defaults[I].second) << Record[I].first;
+  std::ostringstream OS;
+  writeConfigObject(OS, Record, "  ");
+  JSONValue J;
   std::string Err;
-  ASSERT_TRUE(writeCheckpointMeta(Dir.Path, M, Err)) << Err;
-  CheckpointMeta R;
-  ASSERT_TRUE(readCheckpointMeta(Dir.Path, R, Err)) << Err;
-  EXPECT_TRUE(checkpointMetaMatches(R, M, Err)) << Err;
+  ASSERT_TRUE(parseJSON(OS.str(), J, Err)) << Err;
+  FuzzOptions Read;
+  readCampaignConfig(J, Read);
+  EXPECT_EQ(campaignConfig(Read), Record);
+  // A missing key reads as its default, so an older record still reads.
+  JSONValue None;
+  ASSERT_TRUE(parseJSON("{}", None, Err)) << Err;
+  FuzzOptions Empty;
+  readCampaignConfig(None, Empty);
+  EXPECT_EQ(campaignConfig(Empty), Defaults);
 
-  CheckpointMeta Wrong = M;
-  Wrong.BaseSeed = 8;
-  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
-  EXPECT_NE(Err.find("-seed"), std::string::npos) << Err;
-  EXPECT_NE(Err.find("7"), std::string::npos) << Err;
-  EXPECT_NE(Err.find("8"), std::string::npos) << Err;
-
-  Wrong = M;
-  Wrong.Iterations = 500;
-  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
-  EXPECT_NE(Err.find("-n"), std::string::npos) << Err;
-
-  Wrong = M;
-  Wrong.ModuleHash ^= 1;
-  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
-  EXPECT_NE(Err.find("module"), std::string::npos) << Err;
-
-  // The step budget and the skip rule decide which checks time out and
-  // which run at all, so they are pinned too.
-  Wrong = M;
-  Wrong.StepBudget = 50;
-  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
-  EXPECT_NE(Err.find("-step-budget was 0, resuming with 50"),
-            std::string::npos)
-      << Err;
-  Wrong = M;
-  Wrong.SkipUnchanged = false;
-  EXPECT_FALSE(checkpointMetaMatches(R, Wrong, Err));
-  EXPECT_NE(Err.find("-no-skip-unchanged"), std::string::npos) << Err;
-
-  // A meta written before these two were pinned reads as the defaults, so
-  // a default campaign's old checkpoint still resumes.
-  std::string Text;
-  {
-    std::ifstream In(Dir.Path + "/meta.json");
-    std::ostringstream OS;
-    OS << In.rdbuf();
-    Text = OS.str();
+  // Resume pins the record: flipping any one setting fails, naming it.
+  ScratchDir Dir("ckpt_identity");
+  const auto Mod = parseOk("define void @f() {\n  ret void\n}\n");
+  const auto Other = parseOk("define void @g() {\n  ret void\n}\n");
+  ASSERT_TRUE(pinCheckpointIdentity(Dir.Path, O, 4, *Mod, Err)) << Err;
+  FuzzOptions Resume = O;
+  Resume.Survival.Resume = true;
+  EXPECT_TRUE(pinCheckpointIdentity(Dir.Path, Resume, 4, *Mod, Err)) << Err;
+  struct Flip {
+    std::function<void(FuzzOptions &)> Apply;
+    std::string Message;
+  };
+  const std::vector<Flip> Flips = {
+      {[](FuzzOptions &F) { F.Passes = "O2"; },
+       "pass pipeline was 'instcombine,dce', resuming with 'O2'"},
+      {[](FuzzOptions &F) { F.Mutation.MaxMutationsPerFunction = 3; },
+       "-max-mutations was 5, resuming with 3"},
+      {[](FuzzOptions &F) { F.Mutation.ValueSource.PoisonPercent = 4; },
+       "config key 'value_source' was"},
+      {[](FuzzOptions &F) { F.Mutation.EnabledKinds.pop_back(); },
+       "config key 'enabled_kinds' was"},
+      {[](FuzzOptions &F) { F.TV.Fuel = 1; }, "config key 'tv' was"},
+      {[](FuzzOptions &F) { F.SkipUnchanged = true; },
+       "-no-skip-unchanged was on, resuming with off"},
+      {[](FuzzOptions &F) { F.Survival.StepBudget = 0; },
+       "-step-budget was 50, resuming with 0"},
+      {[](FuzzOptions &F) { F.Bugs.enable(BugId::PR50693); },
+       "-inject-bugs was [\"52884\"], resuming with ["},
+      {[](FuzzOptions &F) { F.Feedback.Enabled = false; },
+       "-feedback was on, resuming with off"},
+      {[](FuzzOptions &F) { F.Feedback.EpochLength = 64; },
+       "-feedback-epoch was 32, resuming with 64"},
+      {[](FuzzOptions &F) { F.UseSharedTVCache = false; },
+       "-shared-tv-cache was on, resuming with off"},
+      {[](FuzzOptions &F) { F.TVCacheSize = 0; },
+       "-shared-tv-cache was on, resuming with off"},
+      {[](FuzzOptions &F) { F.Iterations = 500; },
+       "-n was 1000, resuming with 500"},
+      {[](FuzzOptions &F) { F.BaseSeed = 8; },
+       "-seed was 7, resuming with 8"},
+  };
+  std::set<std::string> Named;
+  for (const Flip &F : Flips) {
+    FuzzOptions Wrong = Resume;
+    F.Apply(Wrong);
+    EXPECT_FALSE(pinCheckpointIdentity(Dir.Path, Wrong, 4, *Mod, Err))
+        << F.Message;
+    EXPECT_EQ(Err.rfind("checkpoint mismatch: " + F.Message, 0), 0u) << Err;
+    std::vector<ConfigField> Flipped = campaignConfig(Wrong);
+    for (size_t I = 0; I != Record.size(); ++I)
+      if (Flipped[I] != Record[I])
+        Named.insert(Record[I].first);
   }
-  for (const char *Key : {"step_budget", "skip_unchanged"}) {
-    size_t At = Text.find(std::string("  \"") + Key);
-    ASSERT_NE(At, std::string::npos) << Key;
-    Text.erase(At, Text.find('\n', At) + 1 - At);
-  }
-  std::ofstream(Dir.Path + "/meta.json") << Text;
-  M.StepBudget = 7;
-  M.SkipUnchanged = false;
-  ASSERT_TRUE(readCheckpointMeta(Dir.Path, M, Err)) << Err;
-  EXPECT_EQ(M.StepBudget, 0u);
-  EXPECT_TRUE(M.SkipUnchanged);
-  EXPECT_TRUE(checkpointMetaMatches(M, R, Err)) << Err;
+  for (const ConfigField &F : Record)
+    EXPECT_TRUE(Named.count(F.first)) << "no flip covers " << F.first;
+  EXPECT_FALSE(pinCheckpointIdentity(Dir.Path, Resume, 2, *Mod, Err));
+  EXPECT_EQ(Err, "checkpoint mismatch: -j was 4, resuming with 2");
+  EXPECT_FALSE(pinCheckpointIdentity(Dir.Path, Resume, 4, *Other, Err));
+  EXPECT_EQ(Err, "checkpoint mismatch: the input module was a different "
+                 "module, resuming with this one (content hash differs)");
 
-  // A missing directory is an error, not a crash.
-  EXPECT_FALSE(readCheckpointMeta(Dir.Path + "/nope", R, Err));
+  // A default campaign resumed under a step budget, in the words the
+  // operator sees.
+  ScratchDir Plain("ckpt_identity_plain");
+  FuzzOptions P;
+  ASSERT_TRUE(pinCheckpointIdentity(Plain.Path, P, 1, *Mod, Err)) << Err;
+  P.Survival.Resume = true;
+  P.Survival.StepBudget = 50;
+  EXPECT_FALSE(pinCheckpointIdentity(Plain.Path, P, 1, *Mod, Err));
+  EXPECT_EQ(Err, "checkpoint mismatch: -step-budget was 0, resuming with 50");
+
+  // Another schema version and a missing directory are errors, not
+  // crashes.
+  std::string Meta = Plain.Path + "/meta.json";
+  std::ifstream In(Meta);
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  In.close();
+  Text.replace(Text.find("\"schema_version\": 5"), 19,
+               "\"schema_version\": 4");
+  std::ofstream(Meta) << Text;
+  P.Survival.StepBudget = 0;
+  EXPECT_FALSE(pinCheckpointIdentity(Plain.Path, P, 1, *Mod, Err));
+  EXPECT_EQ(Err, "unsupported checkpoint schema version 4");
+  EXPECT_FALSE(pinCheckpointIdentity(Plain.Path + "/nope", P, 1, *Mod, Err));
   EXPECT_FALSE(Err.empty());
 }
 

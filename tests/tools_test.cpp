@@ -13,6 +13,7 @@
 #include "parser/Parser.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <set>
@@ -346,6 +347,79 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
   ASSERT_NE(V1, std::string::npos);
   ASSERT_NE(V2, std::string::npos);
   EXPECT_EQ(R1.substr(0, V1), R2.substr(0, V2));
+}
+
+TEST_F(ToolsTest, AliveMutateBundlesRecordCacheModeAndReplay) {
+  // A -shared-tv-cache campaign checks canonicalized pairs, so its
+  // bundles record that, and -replay checks the same pairs: each bundle
+  // reproduces.
+  std::string Dir = TmpDir + "/shared_bundles";
+  ASSERT_EQ(runCmd("rm -rf " + Dir), 0);
+  ASSERT_EQ(runCmd(tool("alive-mutate") +
+                   " -n=200 -seed=7 -j=2 -inject-bugs -shared-tv-cache "
+                   "-bug-bundles=" +
+                   Dir + " " + TmpDir + "/in.ll"),
+            2);
+  unsigned Bundles = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    ++Bundles;
+    std::string Bundle = E.path().string();
+    EXPECT_NE(readFile(Bundle + "/manifest.json")
+                  .find("\"canonical_pairs\": true"),
+              std::string::npos)
+        << Bundle;
+    EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay " + Bundle), 0)
+        << Bundle;
+  }
+  EXPECT_GT(Bundles, 0u);
+}
+
+TEST_F(ToolsTest, AliveMutateResumePinsCacheMode) {
+  // The two cache modes check different pairs, so their verdicts may
+  // differ: a checkpoint resumes only under the mode it was taken with.
+  std::string In = " " + TmpDir + "/in.ll";
+  std::string Err = TmpDir + "/cache_mode.err";
+  for (std::string Taken : {"-shared-tv-cache", ""}) {
+    std::string Ckpt = TmpDir + "/ckpt_cache_mode";
+    std::string Resumed = Taken.empty() ? "-shared-tv-cache" : "";
+    ASSERT_EQ(runCmd("rm -rf " + Ckpt), 0);
+    ASSERT_EQ(runCmd(tool("alive-mutate") + " -n=5 " + Taken +
+                     " -checkpoint=" + Ckpt + In),
+              0);
+    EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=5 " + Resumed +
+                     " -checkpoint=" + Ckpt + " -resume" + In + " 2> " +
+                     Err + ")"),
+              1)
+        << Taken;
+    EXPECT_NE(readFile(Err).find(std::string("checkpoint mismatch: "
+                                             "-shared-tv-cache was ") +
+                                 (Taken.empty() ? "off" : "on")),
+              std::string::npos)
+        << readFile(Err);
+  }
+}
+
+TEST_F(ToolsTest, AliveMutateReplaysCrashBundles) {
+  // A crash bundle replays under the in-process signal guard, whether the
+  // campaign contained the crash in-process or in a -fanout child (whose
+  // record names the signal that killed it).
+  writeFile(TmpDir + "/crashme.ll",
+            "define i8 @crashme(i8 %x) {\n"
+            "  %r = add i8 %x, 1\n  ret i8 %r\n}\n");
+  for (std::string Mode : {"-j=1", "-fanout=1"}) {
+    std::string Dir = TmpDir + "/crash_bundles";
+    ASSERT_EQ(runCmd("rm -rf " + Dir), 0);
+    ASSERT_EQ(runCmd(tool("alive-mutate") + " -n=3 " + Mode +
+                     " -passes=test-crash,dce -bug-bundles=" + Dir + " " +
+                     TmpDir + "/crashme.ll"),
+              2)
+        << Mode;
+    for (int Seed = 1; Seed <= 3; ++Seed)
+      EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay " + Dir +
+                       "/bundle-s" + std::to_string(Seed) + "-crash"),
+                0)
+          << Mode << " seed " << Seed;
+  }
 }
 
 TEST_F(ToolsTest, AliveMutateRejectsUnknownFlags) {
