@@ -67,23 +67,15 @@ struct CampaignResult {
   uint64_t SeedOfMutant = 0;
 };
 
-/// Verification-effort counters summed across every campaign batch.
-FuzzStats TVAgg;
-
-/// Full-stats aggregation for -stats-json: every campaign batch's merged
-/// stats, registry and attributed bug records.
-FuzzStats StatsAgg;
-StatRegistry RegistryAgg;
-std::vector<BugRecord> BugsAgg;
+/// Every campaign batch summed into one run report: stats, registry, the
+/// attributed bug records, and the degradation ladder (any batch that
+/// permanently lost a shard lease marks the whole table run degraded, with
+/// its exact lost-iteration accounting appended).
+RunReport Report;
 
 /// AMR_CAMPAIGN_FANOUT: supervised child processes per campaign batch
 /// (0 = in-process workers, the default).
 unsigned GFanout = 0;
-/// Degradation ladder aggregation across every batch: any batch that
-/// permanently lost a shard lease marks the whole table run degraded,
-/// with its exact lost-iteration accounting appended.
-bool DegradedAgg = false;
-std::vector<std::pair<unsigned, uint64_t>> LostAgg;
 
 /// The engine currently running, for the SIGINT/SIGTERM path.
 std::atomic<CampaignEngine *> GEngine{nullptr};
@@ -111,48 +103,25 @@ struct EngineBinding {
   ~EngineBinding() { GEngine.store(nullptr, std::memory_order_relaxed); }
 };
 
-void aggregateForReport(const CampaignEngine &Engine) {
-  const FuzzStats &S = Engine.stats();
-  StatsAgg.MutantsGenerated += S.MutantsGenerated;
-  StatsAgg.MutationsApplied += S.MutationsApplied;
-  StatsAgg.Optimized += S.Optimized;
-  StatsAgg.Verified += S.Verified;
-  StatsAgg.VerifySkipped += S.VerifySkipped;
-  StatsAgg.TVCacheHits += S.TVCacheHits;
-  StatsAgg.TVCacheMisses += S.TVCacheMisses;
-  StatsAgg.TVCacheEvictions += S.TVCacheEvictions;
-  StatsAgg.RefinementFailures += S.RefinementFailures;
-  StatsAgg.Crashes += S.Crashes;
-  StatsAgg.Inconclusive += S.Inconclusive;
-  StatsAgg.FunctionsDropped += S.FunctionsDropped;
-  StatsAgg.InvalidMutants += S.InvalidMutants;
-  StatsAgg.MutantsSaved += S.MutantsSaved;
-  StatsAgg.SaveFailures += S.SaveFailures;
-  StatsAgg.MutateSeconds += S.MutateSeconds;
-  StatsAgg.OptimizeSeconds += S.OptimizeSeconds;
-  StatsAgg.VerifySeconds += S.VerifySeconds;
-  StatsAgg.OverheadSeconds += S.OverheadSeconds;
-  StatsAgg.WorkerSeconds += S.WorkerSeconds;
-  RegistryAgg.merge(Engine.registry());
-  if (Engine.degraded()) {
-    DegradedAgg = true;
-    for (const auto &L : Engine.lostShards())
-      LostAgg.push_back(L);
-  }
-}
-
-CampaignResult runCampaign(const BugInfo &Bug, const char *SeedIR,
-                           uint64_t MaxIter, unsigned Jobs, bool NoCache) {
+/// The options every Table I row shares. A row adds its component's
+/// pipeline and its one defect.
+FuzzOptions sharedOptions(bool NoCache) {
   FuzzOptions Opts;
-  Opts.Passes = componentPipeline(Bug.Component);
   Opts.TV.ConcreteTrials = 16;
   Opts.TV.SolverConflictBudget = 30000;
-  Opts.Bugs.enable(Bug.Id);
   Opts.Survival.Fanout = GFanout;
   if (NoCache) {
     Opts.SkipUnchanged = false;
     Opts.TVCacheSize = 0;
   }
+  return Opts;
+}
+
+CampaignResult runCampaign(const BugInfo &Bug, const char *SeedIR,
+                           uint64_t MaxIter, unsigned Jobs, bool NoCache) {
+  FuzzOptions Opts = sharedOptions(NoCache);
+  Opts.Passes = componentPipeline(Bug.Component);
+  Opts.Bugs.enable(Bug.Id);
 
   CampaignResult R;
   // Sharded batches with geometrically ramping size: small batches keep
@@ -174,13 +143,12 @@ CampaignResult runCampaign(const BugInfo &Bug, const char *SeedIR,
     auto M = parseModule(SeedIR, Err);
     if (!M || Engine.loadModule(std::move(M)) == 0)
       return R;
-    const FuzzStats &S = Engine.run();
-    TVAgg.Verified += S.Verified;
-    TVAgg.VerifySkipped += S.VerifySkipped;
-    TVAgg.TVCacheHits += S.TVCacheHits;
-    TVAgg.TVCacheMisses += S.TVCacheMisses;
-    TVAgg.TVCacheEvictions += S.TVCacheEvictions;
-    aggregateForReport(Engine);
+    accumulate(Report.Stats, Engine.run());
+    Report.Registry.merge(Engine.registry());
+    Report.Degraded |= Engine.degraded();
+    Report.LostShards.insert(Report.LostShards.end(),
+                             Engine.lostShards().begin(),
+                             Engine.lostShards().end());
 
     // Bugs arrive in ascending seed order. Crash records identify
     // themselves; a miscompilation found while only this bug is enabled
@@ -191,7 +159,7 @@ CampaignResult runCampaign(const BugInfo &Bug, const char *SeedIR,
       R.Found = true;
       R.Iterations = B.MutantSeed; // seeds start at 1: seed == iteration
       R.SeedOfMutant = B.MutantSeed;
-      BugsAgg.push_back(B);
+      Report.Bugs.push_back(B);
       return R;
     }
   }
@@ -371,34 +339,35 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  uint64_t Lookups = TVAgg.TVCacheHits + TVAgg.TVCacheMisses;
+  const FuzzStats &Agg = Report.Stats;
+  uint64_t Lookups = Agg.TVCacheHits + Agg.TVCacheMisses;
   std::printf("\nfound %u / 33 seeded defects "
               "(%u miscompilations [paper: 19], %u crashes [paper: 14])\n",
               Found, FoundMiscompile, FoundCrash);
   std::printf("verification effort: %llu verified, %llu skipped "
               "(unchanged), cache %llu/%llu hit, %llu evicted\n",
-              (unsigned long long)TVAgg.Verified,
-              (unsigned long long)TVAgg.VerifySkipped,
-              (unsigned long long)TVAgg.TVCacheHits,
+              (unsigned long long)Agg.Verified,
+              (unsigned long long)Agg.VerifySkipped,
+              (unsigned long long)Agg.TVCacheHits,
               (unsigned long long)Lookups,
-              (unsigned long long)TVAgg.TVCacheEvictions);
+              (unsigned long long)Agg.TVCacheEvictions);
   if (GFanout)
     std::printf("supervision: %llu restart(s), %llu wedge kill(s), %llu "
                 "fork failure(s)%s\n",
-                (unsigned long long)RegistryAgg.counterValue(
+                (unsigned long long)Report.Registry.counterValue(
                     "survive.supervisor.restarts"),
-                (unsigned long long)RegistryAgg.counterValue(
+                (unsigned long long)Report.Registry.counterValue(
                     "survive.supervisor.wedges"),
-                (unsigned long long)RegistryAgg.counterValue(
+                (unsigned long long)Report.Registry.counterValue(
                     "survive.supervisor.fork_failures"),
-                DegradedAgg ? " [DEGRADED]" : "");
-  if (DegradedAgg) {
+                Report.Degraded ? " [DEGRADED]" : "");
+  if (Report.Degraded) {
     uint64_t LostIters = 0;
-    for (const auto &L : LostAgg)
+    for (const auto &L : Report.LostShards)
       LostIters += L.second;
     std::printf("degraded: %zu shard lease(s) permanently lost, %llu "
                 "iteration(s) never ran\n",
-                LostAgg.size(), (unsigned long long)LostIters);
+                Report.LostShards.size(), (unsigned long long)LostIters);
   }
   if (FaultPlane::instance().armed())
     for (const FaultPointCounters &FC : FaultPlane::instance().counters())
@@ -408,20 +377,22 @@ int main(int Argc, char **Argv) {
                   (unsigned long long)FC.Calls);
 
   if (!StatsPath.empty()) {
-    RunReportConfig RC;
-    RC.Tool = "bench_campaign";
-    RC.Passes = "per-component";
-    RC.Iterations = MaxIter;
-    RC.BaseSeed = 1;
-    RC.MaxMutationsPerFunction = MutationOptions().MaxMutationsPerFunction;
-    RC.Jobs = Workers;
-    RC.WallSeconds = Wall.seconds();
-    RC.Degraded = DegradedAgg;
-    RC.FanOut = GFanout;
-    RC.LostShards = LostAgg;
+    // The record of the options the rows share: each row runs its own
+    // defect through its own component's pipeline.
+    Report.Tool = "bench_campaign";
+    Report.Config = campaignConfig(sharedOptions(NoCache));
+    for (ConfigField &F : Report.Config)
+      if (F.first == "passes")
+        F.second = "\"per-component\"";
+      else if (F.first == "injected_bugs")
+        F.second = "\"per-defect\"";
+    Report.Config.emplace_back("iterations", std::to_string(MaxIter));
+    Report.Config.emplace_back("base_seed", "1");
+    Report.Jobs = Workers;
+    Report.FanOut = GFanout;
+    Report.Stats.TotalSeconds = Wall.seconds();
     std::string ReportErr;
-    if (writeRunReportFile(StatsPath, RC, StatsAgg, BugsAgg, RegistryAgg,
-                           ReportErr))
+    if (writeRunReportFile(StatsPath, Report, ReportErr))
       std::printf("stats report written to %s\n", StatsPath.c_str());
     else
       std::fprintf(stderr, "warning: %s\n", ReportErr.c_str());

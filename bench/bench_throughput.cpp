@@ -142,7 +142,7 @@ int main(int argc, char **argv) {
     QueryCost Top;
   };
   std::vector<Row> Rows;
-  FuzzStats Agg; // skip/cache counters of the memoized condition, summed
+  FuzzStats Agg; // the memoized condition's stats, summed
   unsigned Invalid = 0, NotVerified = 0;
 
   // One process-wide verdict cache spanning every per-file campaign:
@@ -191,11 +191,7 @@ int main(int argc, char **argv) {
     }
     const FuzzStats &S = Fuzzer.run();
     double InProc = T1.seconds();
-    Agg.Verified += S.Verified;
-    Agg.VerifySkipped += S.VerifySkipped;
-    Agg.TVCacheHits += S.TVCacheHits;
-    Agg.TVCacheMisses += S.TVCacheMisses;
-    Agg.TVCacheEvictions += S.TVCacheEvictions;
+    accumulate(Agg, S);
 
     // --- Condition 2: in-process, memoization off (the old loop). ---
     FuzzOptions Bare = Opts;

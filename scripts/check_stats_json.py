@@ -14,9 +14,10 @@ invariants the telemetry subsystem guarantees:
   - the stage-time-sum invariant: mutate + optimize + verify + overhead
     matches the summed worker wall time within tolerance;
   - the v3 survivability block is present and sane (interrupted is a
-    bool) and the config echoes the corpus file counts;
-  - the v4 feedback block is present, its enabled flag is a bool, and —
-    when enabled — the epoch/coverage counters are non-negative ints,
+    bool);
+  - the v4 feedback block is present and — when config.feedback is true —
+    config.epoch_length is positive, the epoch/coverage counters are
+    non-negative ints,
     every rule row's iteration count is positive, bits_covered matches
     the feedback counters in stats, and every family weight lies in the
     schedule's [1, 16] clamp range;
@@ -48,7 +49,12 @@ invariants the telemetry subsystem guarantees:
     budget is the only watchdog, so timeouts are deterministic), and the
     survivability block no longer does;
   - v12: every deterministic profile query row carries "vars" and
-    "clauses", non-negative ints (the formula its solver received).
+    "clauses", non-negative ints (the formula its solver received);
+  - v13: the config is the campaign config record (the one bug bundles
+    and checkpoint meta.json share) plus iterations, base_seed,
+    corpus_files and corpus_skipped, each key present; injected_bugs is
+    the list of enabled issue ids, or "per-defect" for bench_campaign,
+    whose rows each run one defect.
 
 With a second report, additionally asserts the two "deterministic"
 subtrees are equal — the -j4 == -j1 guarantee (run the two reports with
@@ -61,7 +67,15 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
+
+# campaignConfig's keys (core/FuzzerLoop.h), then the report's own.
+CONFIG_KEYS = (
+    "passes", "max_mutations_per_function", "value_source", "enabled_kinds",
+    "tv", "skip_unchanged", "step_budget", "injected_bugs", "feedback",
+    "epoch_length", "canonical_pairs",
+    "iterations", "base_seed", "corpus_files", "corpus_skipped",
+)
 
 
 def fail(msg):
@@ -107,19 +121,32 @@ def check_report(path):
                  % (path, name, sorted(keys), sorted(allowed)))
 
     cfg = det["config"]
-    for key in ("corpus_files", "corpus_skipped"):
-        if not isinstance(cfg.get(key), int) or cfg[key] < 0:
-            fail("%s: config.%s missing or not a non-negative int" % (path, key))
+    missing = [key for key in CONFIG_KEYS if key not in cfg]
+    if missing:
+        fail("%s: config lacks %s" % (path, ", ".join(missing)))
+    for key in ("iterations", "base_seed", "corpus_files", "corpus_skipped",
+                "step_budget", "epoch_length"):
+        if not isinstance(cfg[key], int) or cfg[key] < 0:
+            fail("%s: config.%s not a non-negative int" % (path, key))
+    for key in ("skip_unchanged", "feedback", "canonical_pairs"):
+        if not isinstance(cfg[key], bool):
+            fail("%s: config.%s not a bool" % (path, key))
+    bugs_cfg = cfg["injected_bugs"]
+    if bugs_cfg != "per-defect" and not (
+        isinstance(bugs_cfg, list) and all(isinstance(b, str) for b in bugs_cfg)
+    ):
+        fail("%s: config.injected_bugs neither a list of ids nor 'per-defect'" % path)
 
     fb = det["feedback"]
-    if not isinstance(fb.get("enabled"), bool):
-        fail("%s: feedback.enabled missing or not a bool" % path)
-    if fb["enabled"]:
-        for key in ("epoch_length", "epochs", "bits_covered", "functions_tracked", "energy_skips"):
+    if cfg["feedback"] != bool(fb):
+        fail("%s: feedback block %s but config.feedback is %s"
+             % (path, "filled" if fb else "empty", cfg["feedback"]))
+    if cfg["feedback"]:
+        if cfg["epoch_length"] == 0:
+            fail("%s: config.epoch_length must be positive with feedback on" % path)
+        for key in ("epochs", "bits_covered", "functions_tracked", "energy_skips"):
             if not isinstance(fb.get(key), int) or fb[key] < 0:
                 fail("%s: feedback.%s missing or not a non-negative int" % (path, key))
-        if fb["epoch_length"] == 0:
-            fail("%s: feedback.epoch_length must be positive" % path)
         for row in fb.get("rules", []):
             if not isinstance(row.get("rule"), str) or row.get("iterations", 0) <= 0:
                 fail("%s: malformed feedback rule row %r" % (path, row))

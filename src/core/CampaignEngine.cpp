@@ -123,13 +123,24 @@ bool CampaignEngine::writeTrace(const std::string &Path,
   return true;
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-CampaignEngine::traceDropped() const {
-  std::vector<std::pair<std::string, uint64_t>> Out;
+RunReport CampaignEngine::runReport(std::string Tool) const {
+  RunReport R;
+  R.Tool = std::move(Tool);
+  R.Config = campaignConfig(Opts);
+  R.Config.emplace_back("iterations", std::to_string(Opts.Iterations));
+  R.Config.emplace_back("base_seed", std::to_string(Opts.BaseSeed));
+  R.Stats = Stats;
+  R.Bugs = Bugs;
+  R.Registry = Registry;
+  R.Profile = Profile;
+  R.Jobs = Jobs;
+  R.Interrupted = Interrupted;
+  R.Degraded = DegradedFlag;
+  R.FanOut = Opts.Survival.Fanout;
+  R.LostShards = LostShardsV;
   for (size_t I = 0; I != Traces.size(); ++I)
-    Out.emplace_back(I < TraceNames.size() ? TraceNames[I] : "",
-                     Traces[I]->dropped());
-  return Out;
+    R.TraceDropped.emplace_back(TraceNames[I], Traces[I]->dropped());
+  return R;
 }
 
 CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
@@ -176,20 +187,6 @@ struct Worker {
 std::array<double, 4> stageSeconds(const FuzzStats &S) {
   return {S.MutateSeconds, S.OptimizeSeconds, S.VerifySeconds,
           S.OverheadSeconds};
-}
-
-/// Sums every per-iteration counter and phase timer of \p From into
-/// \p Into. TotalSeconds is deliberately excluded: summing wall-clock
-/// across concurrent workers would double-count; the engine reports its
-/// own wall time. WorkerSeconds does sum — the denominator of the
-/// stage-sum invariant (the engine's own wall clock would be ~J times
-/// smaller than the summed stage times).
-void accumulate(FuzzStats &Into, const FuzzStats &From) {
-  for (const auto &F : FuzzStatsCounters)
-    Into.*F.Member += From.*F.Member;
-  for (const auto &F : FuzzStatsSeconds)
-    if (F.Member != &FuzzStats::TotalSeconds)
-      Into.*F.Member += From.*F.Member;
 }
 
 /// Closes one dispatch leg's books: the leg's wall time joins the
@@ -691,10 +688,8 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
   // sequential bug order where slices interleave seeds across workers
   // (same-seed bugs come from one worker's list, which stable_sort keeps).
   // The flight-recorder tracks outlive the workers; they share one
-  // process-global epoch, and their ring overwrites (volatile) are summed.
+  // process-global epoch.
   auto KeepTrace = [&](std::unique_ptr<TraceRecorder> T, std::string Name) {
-    Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-        T->dropped();
     Traces.push_back(std::move(T));
     TraceNames.push_back(std::move(Name));
   };

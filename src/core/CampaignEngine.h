@@ -71,6 +71,7 @@
 #define CORE_CAMPAIGNENGINE_H
 
 #include "core/FuzzerLoop.h"
+#include "core/RunReport.h"
 #include "support/Timer.h"
 
 #include <atomic>
@@ -213,15 +214,16 @@ public:
   /// perturbs the deterministic report.
   CampaignLiveSnapshot liveSnapshot() const;
 
-  /// Per-track flight-recorder ring overwrites of the finished campaign
-  /// ((track name, dropped count) pairs; empty when tracing was
-  /// off). Feeds the run report's volatile "trace" block.
-  std::vector<std::pair<std::string, uint64_t>> traceDropped() const;
-
   /// The finished campaign's cost-attribution profile (Opts.Profile):
   /// deterministic merged top-K queries plus the volatile span folds.
   /// Enabled=false when profiling was off.
   const CampaignProfile &profile() const { return Profile; }
+
+  /// The finished campaign's run report, as \p Tool: the config record
+  /// plus the seed range, and everything the engine holds (stats, bugs,
+  /// registry, profile, workers, interruption, degradation, fan-out and
+  /// trace-ring overwrites). The caller adds only the corpus counts.
+  RunReport runReport(std::string Tool) const;
 
 private:
   /// The epoch loop behind every campaign (see the file comment): each

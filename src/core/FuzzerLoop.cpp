@@ -231,6 +231,14 @@ void alive::settleOverhead(FuzzStats &S) {
     S.OverheadSeconds += S.WorkerSeconds - Staged;
 }
 
+void alive::accumulate(FuzzStats &Into, const FuzzStats &From) {
+  for (const auto &F : FuzzStatsCounters)
+    Into.*F.Member += From.*F.Member;
+  for (const auto &F : FuzzStatsSeconds)
+    if (F.Member != &FuzzStats::TotalSeconds)
+      Into.*F.Member += From.*F.Member;
+}
+
 std::vector<ConfigField> alive::campaignConfig(const FuzzOptions &O) {
   auto Num = [](uint64_t V) { return std::to_string(V); };
   auto Bool = [](bool B) -> std::string { return B ? "true" : "false"; };

@@ -9,6 +9,7 @@
 #include "support/AtomicFile.h"
 #include "support/FaultPlane.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -63,27 +64,27 @@ void writeTable(std::ostream &OS, const std::map<std::string, TableRow> &Rows,
 
 } // namespace
 
-void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
-                           const FuzzStats &S,
-                           const std::vector<BugRecord> &Bugs,
-                           const StatRegistry &R,
-                           const CampaignProfile *Profile) {
-  const bool Profiling = Profile && Profile->Enabled;
+void alive::writeRunReport(std::ostream &OS, const RunReport &Rep) {
+  const FuzzStats &S = Rep.Stats;
+  const StatRegistry &R = Rep.Registry;
+  const CampaignProfile &Profile = Rep.Profile;
+  std::vector<ConfigField> Config = Rep.Config;
+  Config.emplace_back("corpus_files", std::to_string(Rep.CorpusFiles));
+  Config.emplace_back("corpus_skipped", std::to_string(Rep.CorpusSkipped));
+  const bool Feedback =
+      std::find(Config.begin(), Config.end(),
+                ConfigField("feedback", "true")) != Config.end();
   OS << "{\n";
   OS << "  \"schema_version\": " << RunReportSchemaVersion << ",\n";
   OS << "  \"tool\": ";
-  writeJSONString(OS, Config.Tool);
+  writeJSONString(OS, Rep.Tool);
   OS << ",\n";
 
   // --- Deterministic section: byte-identical for every worker count. ---
   OS << "  \"deterministic\": {\n";
-  OS << "    \"config\": {\"passes\": ";
-  writeJSONString(OS, Config.Passes);
-  OS << ", \"iterations\": " << Config.Iterations
-     << ", \"seed\": " << Config.BaseSeed
-     << ", \"max_mutations\": " << Config.MaxMutationsPerFunction
-     << ", \"corpus_files\": " << Config.CorpusFiles
-     << ", \"corpus_skipped\": " << Config.CorpusSkipped << "},\n";
+  OS << "    \"config\": ";
+  writeConfigObject(OS, Config, "      ");
+  OS << ",\n";
 
   OS << "    \"summary\": {"
      << "\"mutants\": " << S.MutantsGenerated
@@ -129,12 +130,11 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
 
   // The feedback block: derived views of the "feedback.*" deterministic
   // counters (the raw counters stay in "stats" below, like the per-pass
-  // tables). An off-run reports just the flag.
-  OS << "    \"feedback\": {\"enabled\": "
-     << (Config.FeedbackOn ? "true" : "false");
-  if (Config.FeedbackOn) {
-    OS << ", \"epoch_length\": " << Config.FeedbackEpochLength
-       << ", \"epochs\": " << R.counterValue("feedback.epochs")
+  // tables). The config record says whether feedback ran; an off-run's
+  // block is empty.
+  OS << "    \"feedback\": {";
+  if (Feedback) {
+    OS << "\"epochs\": " << R.counterValue("feedback.epochs")
        << ", \"bits_covered\": " << R.counterValue("feedback.bits_covered")
        << ", \"functions_tracked\": "
        << R.counterValue("feedback.functions_tracked")
@@ -172,10 +172,11 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   // per-worker trackers merge exactly in worker order, so the table is
   // worker-count independent (the wall-clock side lives in the volatile
   // profile block below).
-  OS << "    \"profile\": {\"enabled\": " << (Profiling ? "true" : "false");
-  if (Profiling) {
-    OS << ", \"topk\": " << Profile->TopK << ", \"queries\": ";
-    writeTopQueriesJSON(OS, Profile->TopQueries, "    ");
+  OS << "    \"profile\": {\"enabled\": "
+     << (Profile.Enabled ? "true" : "false");
+  if (Profile.Enabled) {
+    OS << ", \"topk\": " << Profile.TopK << ", \"queries\": ";
+    writeTopQueriesJSON(OS, Profile.TopQueries, "    ");
   }
   OS << "},\n";
 
@@ -185,6 +186,7 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
 
   // Counted from the record list itself (not FuzzStats): callers may
   // report a filtered subset, e.g. bench_campaign's one-per-defect list.
+  const std::vector<BugRecord> &Bugs = Rep.Bugs;
   uint64_t Miscompiles = 0;
   for (const BugRecord &B : Bugs)
     if (B.Kind == BugRecord::Miscompile)
@@ -214,7 +216,7 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
 
   // --- Volatile section: wall-clock and scheduling-dependent. ---
   OS << "  \"volatile\": {\n";
-  OS << "    \"jobs\": " << Config.Jobs << ",\n";
+  OS << "    \"jobs\": " << Rep.Jobs << ",\n";
   OS << "    \"stage_seconds\": {\"mutate\": ";
   writeJSONDouble(OS, S.MutateSeconds);
   OS << ", \"optimize\": ";
@@ -226,7 +228,7 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   OS << ", \"worker_total\": ";
   writeJSONDouble(OS, S.WorkerSeconds);
   OS << ", \"wall\": ";
-  writeJSONDouble(OS, Config.WallSeconds);
+  writeJSONDouble(OS, S.TotalSeconds);
   OS << "},\n";
   OS << "    \"cache\": {\"hits\": " << S.TVCacheHits
      << ", \"misses\": " << S.TVCacheMisses
@@ -236,12 +238,12 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   // exhausted its retries (and exactly which iterations were lost) is a
   // property of this run's fault history, never of the seed range.
   OS << "    \"survivability\": {\"interrupted\": "
-     << (Config.Interrupted ? "true" : "false")
-     << ", \"degraded\": " << (Config.Degraded ? "true" : "false")
-     << ", \"fanout\": " << Config.FanOut << ", \"lost_shards\": [";
+     << (Rep.Interrupted ? "true" : "false")
+     << ", \"degraded\": " << (Rep.Degraded ? "true" : "false")
+     << ", \"fanout\": " << Rep.FanOut << ", \"lost_shards\": [";
   {
     bool First = true;
-    for (const auto &[Shard, Lost] : Config.LostShards) {
+    for (const auto &[Shard, Lost] : Rep.LostShards) {
       OS << (First ? "" : ", ") << "{\"shard\": " << Shard
          << ", \"lost_iterations\": " << Lost << "}";
       First = false;
@@ -272,12 +274,12 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   // tracing was off) so consumers can key on the block unconditionally.
   {
     uint64_t TotalDropped = 0;
-    for (const auto &[_, N] : Config.TraceDropped)
+    for (const auto &[_, N] : Rep.TraceDropped)
       TotalDropped += N;
     OS << "    \"trace\": {\"dropped_events\": " << TotalDropped
        << ", \"tracks\": [";
     bool First = true;
-    for (const auto &[Name, N] : Config.TraceDropped) {
+    for (const auto &[Name, N] : Rep.TraceDropped) {
       OS << (First ? "" : ", ") << "{\"name\": ";
       writeJSONString(OS, Name);
       OS << ", \"dropped_events\": " << N << "}";
@@ -287,10 +289,11 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   }
   // The volatile half of the profile: wall-clock per query and span
   // folds — scheduling artifacts.
-  OS << "    \"profile\": {\"enabled\": " << (Profiling ? "true" : "false");
-  if (Profiling) {
+  OS << "    \"profile\": {\"enabled\": "
+     << (Profile.Enabled ? "true" : "false");
+  if (Profile.Enabled) {
     OS << ", \"data\": ";
-    writeProfileVolatileJSON(OS, *Profile, "    ");
+    writeProfileVolatileJSON(OS, Profile, "    ");
   }
   OS << "},\n";
   OS << "    \"stats\": ";
@@ -299,17 +302,12 @@ void alive::writeRunReport(std::ostream &OS, const RunReportConfig &Config,
   OS << "}\n";
 }
 
-bool alive::writeRunReportFile(const std::string &Path,
-                               const RunReportConfig &Config,
-                               const FuzzStats &Stats,
-                               const std::vector<BugRecord> &Bugs,
-                               const StatRegistry &Registry,
-                               std::string &Error,
-                               const CampaignProfile *Profile) {
+bool alive::writeRunReportFile(const std::string &Path, const RunReport &R,
+                               std::string &Error) {
   // tmp+fsync+rename under the "report.*" fault points: a kill mid-write
   // leaves the previous report (or nothing), never a torn JSON document.
   std::ostringstream OS;
-  writeRunReport(OS, Config, Stats, Bugs, Registry, Profile);
+  writeRunReport(OS, R);
   std::string WriteError;
   if (!writeFileAtomicDurable(Path, OS.str(), "report", WriteError)) {
     Error = "cannot write stats report '" + Path + "': " + WriteError;

@@ -9,7 +9,7 @@
 /// has exactly two top-level data sections:
 ///
 ///   - "deterministic": everything whose value depends only on the seed
-///     range — config echo, campaign summary counters, the deterministic
+///     range — the campaign config record, summary counters, the deterministic
 ///     registry counters (per-pass, per-mutation-family,
 ///     per-TV-verdict tables are derived views of these), and the bug
 ///     list. A -j4 campaign serializes this section byte-identically to
@@ -79,63 +79,58 @@ namespace alive {
 /// "bundles"/"bundle_failures" like every other bundle.
 /// v12: each deterministic profile query carries "vars" and "clauses",
 /// the size of the formula its solver received (0 when concrete-only).
-constexpr unsigned RunReportSchemaVersion = 12;
+/// v13: "config" is the campaign config record (campaignConfig, the one
+/// bug bundles and checkpoints share) plus "iterations", "base_seed",
+/// "corpus_files" and "corpus_skipped"; "seed" and "max_mutations" are
+/// now "base_seed" and "max_mutations_per_function". The "feedback" block
+/// lost its "enabled"/"epoch_length" copies (the record carries
+/// "feedback"/"epoch_length") and is {} with feedback off.
+constexpr unsigned RunReportSchemaVersion = 13;
 
-/// Report metadata that is not part of FuzzStats or the registry.
-struct RunReportConfig {
+/// Everything one run report says. CampaignEngine::runReport() fills it
+/// from a finished campaign; a caller adds only what the engine cannot
+/// know (the corpus counts).
+struct RunReport {
   /// "alive-mutate", "bench_campaign", ...
   std::string Tool;
-  std::string Passes;
-  uint64_t Iterations = 0;
-  uint64_t BaseSeed = 0;
-  unsigned MaxMutationsPerFunction = 0;
-  /// Corpus files merged into the campaign module (deterministic: depends
-  /// only on the command line and file contents).
+  /// The config echo: the campaign config record plus "iterations" and
+  /// "base_seed" (the corpus counts below follow them).
+  std::vector<ConfigField> Config;
+  /// Corpus files merged into the campaign module, and those skipped as
+  /// empty/unreadable/unparseable.
   unsigned CorpusFiles = 1;
-  /// Corpus files skipped as empty/unreadable/unparseable.
   unsigned CorpusSkipped = 0;
-  /// Feedback-directed scheduling echo (deterministic: part of the
-  /// campaign's identity, like the seed).
-  bool FeedbackOn = false;
-  unsigned FeedbackEpochLength = 0;
-  /// Worker count (volatile section: -j4 vs -j1 reports must only differ
-  /// there).
+  /// The merged stats; TotalSeconds is the report's wall clock.
+  FuzzStats Stats;
+  /// The bug list; the report's bug counts come from it, so a caller may
+  /// report a filtered subset (bench_campaign's one-per-defect list).
+  std::vector<BugRecord> Bugs;
+  StatRegistry Registry;
+  /// Both profile blocks collapse to {"enabled": false} when disabled.
+  CampaignProfile Profile;
+  /// Worker count (volatile: -j4 and -j1 reports differ only there).
   unsigned Jobs = 1;
-  /// Engine wall clock (volatile).
-  double WallSeconds = 0;
-  /// Campaign stopped before finishing its seed range (volatile; a resumed
-  /// run that completes reports false).
+  /// Campaign stopped before finishing its seed range (a resumed run that
+  /// completes reports false).
   bool Interrupted = false;
-  /// The degradation ladder (volatile): true when the campaign finished
-  /// with known-lost work — a supervised shard exhausted its retry budget,
-  /// or artifact writing was disabled after ENOSPC.
+  /// A supervised shard exhausted its retry budget.
   bool Degraded = false;
   /// Supervised fan-out child count (-fanout; 0 when off).
   unsigned FanOut = 0;
-  /// Exact lost-work accounting: (shard index, iterations never run)
-  /// for every permanently-lost supervised lease.
+  /// (shard index, iterations never run) for every lost lease.
   std::vector<std::pair<unsigned, uint64_t>> LostShards;
   /// Flight-recorder ring overwrites per track ((track name, dropped
-  /// count) pairs; empty when tracing was off). Volatile: how many events
-  /// a fixed-capacity ring overwrote depends on scheduling, not the seeds.
+  /// count) pairs; empty when tracing was off).
   std::vector<std::pair<std::string, uint64_t>> TraceDropped;
 };
 
-/// Writes the full JSON run report to \p OS. \p Profile may be null (or
-/// disabled): both profile blocks then collapse to {"enabled": false}.
-void writeRunReport(std::ostream &OS, const RunReportConfig &Config,
-                    const FuzzStats &Stats,
-                    const std::vector<BugRecord> &Bugs,
-                    const StatRegistry &Registry,
-                    const CampaignProfile *Profile = nullptr);
+/// Writes the full JSON run report to \p OS.
+void writeRunReport(std::ostream &OS, const RunReport &R);
 
 /// Writes the report to \p Path. \returns false (and fills \p Error) when
 /// the file cannot be written.
-bool writeRunReportFile(const std::string &Path,
-                        const RunReportConfig &Config, const FuzzStats &Stats,
-                        const std::vector<BugRecord> &Bugs,
-                        const StatRegistry &Registry, std::string &Error,
-                        const CampaignProfile *Profile = nullptr);
+bool writeRunReportFile(const std::string &Path, const RunReport &R,
+                        std::string &Error);
 
 } // namespace alive
 

@@ -277,5 +277,7 @@ private:
 
 bool alive::parseJSON(const std::string &Text, JSONValue &Out,
                       std::string &Error) {
+  // The parser appends members and elements: start from an empty value.
+  Out = JSONValue();
   return Parser(Text, Error).parse(Out);
 }

@@ -17,7 +17,6 @@
 
 #include "core/CampaignEngine.h"
 #include "core/Forensics.h"
-#include "core/RunReport.h"
 #include "corpus/CorpusLoader.h"
 #include "corpus/Distill.h"
 #include "opt/BugInjection.h"
@@ -526,26 +525,11 @@ int main(int Argc, char **Argv) {
     }
 
   if (std::string StatsPath = Args.get("stats-json"); !StatsPath.empty()) {
-    RunReportConfig RC;
-    RC.Tool = "alive-mutate";
-    RC.Passes = Opts.Passes;
-    RC.Iterations = Opts.Iterations;
-    RC.BaseSeed = Opts.BaseSeed;
-    RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    RC.CorpusFiles = Corpus.FilesLoaded;
-    RC.CorpusSkipped = Corpus.FilesSkipped;
-    RC.FeedbackOn = Opts.Feedback.Enabled;
-    RC.FeedbackEpochLength = Opts.Feedback.EpochLength;
-    RC.Jobs = Engine.jobs();
-    RC.WallSeconds = S.TotalSeconds;
-    RC.Interrupted = Engine.interrupted();
-    RC.Degraded = Engine.degraded();
-    RC.FanOut = SV.Fanout;
-    RC.LostShards = Engine.lostShards();
-    RC.TraceDropped = Engine.traceDropped();
+    RunReport Rep = Engine.runReport("alive-mutate");
+    Rep.CorpusFiles = Corpus.FilesLoaded;
+    Rep.CorpusSkipped = Corpus.FilesSkipped;
     std::string ReportErr;
-    if (!writeRunReportFile(StatsPath, RC, S, Engine.bugs(),
-                            Engine.registry(), ReportErr, &Engine.profile()))
+    if (!writeRunReportFile(StatsPath, Rep, ReportErr))
       std::fprintf(stderr, "warning: %s\n", ReportErr.c_str());
   }
 

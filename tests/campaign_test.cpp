@@ -546,17 +546,9 @@ TEST(CampaignTest, MergedRunReportIsWorkerCountInvariant) {
   auto ReportFor = [&](unsigned Jobs) {
     CampaignEngine Engine(Opts, Jobs);
     Engine.loadModule(parseOk(TwoBugCorpus));
-    const FuzzStats &S = Engine.run();
-    RunReportConfig RC;
-    RC.Tool = "campaign_test";
-    RC.Passes = Opts.Passes;
-    RC.Iterations = Opts.Iterations;
-    RC.BaseSeed = Opts.BaseSeed;
-    RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    RC.Jobs = Jobs;
-    RC.WallSeconds = S.TotalSeconds;
+    Engine.run();
     std::ostringstream OS;
-    writeRunReport(OS, RC, S, Engine.bugs(), Engine.registry());
+    writeRunReport(OS, Engine.runReport("campaign_test"));
     return OS.str();
   };
   std::string R1 = ReportFor(1), R4 = ReportFor(4);
@@ -569,7 +561,7 @@ TEST(CampaignTest, MergedRunReportIsWorkerCountInvariant) {
   };
   EXPECT_EQ(DeterministicPart(R1), DeterministicPart(R4));
   // And the reports are structurally complete.
-  EXPECT_NE(R1.find("\"schema_version\": 12"), std::string::npos);
+  EXPECT_NE(R1.find("\"schema_version\": 13"), std::string::npos);
   EXPECT_NE(R1.find("\"per_pass\""), std::string::npos);
   EXPECT_NE(R1.find("\"per_family\""), std::string::npos);
   EXPECT_NE(R1.find("\"tv_verdicts\""), std::string::npos);
@@ -665,17 +657,9 @@ TEST(CampaignTest, SharedCacheReportIsWorkerCountInvariant) {
   auto ReportFor = [&](unsigned Jobs) {
     CampaignEngine Engine(Opts, Jobs);
     Engine.loadModule(parseOk(TwoBugCorpus));
-    const FuzzStats &S = Engine.run();
-    RunReportConfig RC;
-    RC.Tool = "campaign_test";
-    RC.Passes = Opts.Passes;
-    RC.Iterations = Opts.Iterations;
-    RC.BaseSeed = Opts.BaseSeed;
-    RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    RC.Jobs = Jobs;
-    RC.WallSeconds = S.TotalSeconds;
+    Engine.run();
     std::ostringstream OS;
-    writeRunReport(OS, RC, S, Engine.bugs(), Engine.registry());
+    writeRunReport(OS, Engine.runReport("campaign_test"));
     return OS.str();
   };
   std::string R1 = ReportFor(1), R4 = ReportFor(4);
@@ -737,18 +721,9 @@ private:
   std::thread Th;
 };
 
-std::string deterministicReport(const CampaignEngine &Engine,
-                                const FuzzOptions &Opts, unsigned Jobs) {
-  RunReportConfig RC;
-  RC.Tool = "campaign_test";
-  RC.Passes = Opts.Passes;
-  RC.Iterations = Opts.Iterations;
-  RC.BaseSeed = Opts.BaseSeed;
-  RC.FeedbackOn = Opts.Feedback.Enabled;
-  RC.FeedbackEpochLength = Opts.Feedback.EpochLength;
-  RC.Jobs = Jobs;
+std::string deterministicReport(const CampaignEngine &Engine) {
   std::ostringstream OS;
-  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry());
+  writeRunReport(OS, Engine.runReport("campaign_test"));
   std::string R = OS.str();
   size_t Pos = R.find("\"volatile\"");
   EXPECT_NE(Pos, std::string::npos);
@@ -776,8 +751,8 @@ TEST(CampaignTest, PolledLiveSnapshotLeavesReportUnchanged) {
   Polled.run();
   std::vector<CampaignLiveSnapshot> Seen = Poller.finish();
 
-  EXPECT_EQ(deterministicReport(Plain, Opts, 2),
-            deterministicReport(Polled, Opts, 2));
+  EXPECT_EQ(deterministicReport(Plain),
+            deterministicReport(Polled));
   uint64_t Prev = 0;
   uint64_t PrevStage[4] = {};
   bool SawStageTime = false;

@@ -245,6 +245,22 @@ TEST(JSONTest, AccessorsReturnDefaultsOnMismatch) {
   EXPECT_EQ(V.getBool("missing", true), true);
 }
 
+TEST(JSONTest, ReusedValueStartsEmpty) {
+  // Parsing into a value that held a document replaces it: none of the old
+  // members may survive into the new one.
+  JSONValue V;
+  std::string Err;
+  ASSERT_TRUE(parseJSON("{\"a\": [1, 2], \"b\": \"x\"}", V, Err)) << Err;
+  ASSERT_TRUE(parseJSON("{}", V, Err)) << Err;
+  EXPECT_TRUE(V.isObject());
+  EXPECT_TRUE(V.Obj.empty());
+  EXPECT_EQ(V.find("a"), nullptr);
+  ASSERT_TRUE(parseJSON("[]", V, Err)) << Err;
+  EXPECT_TRUE(V.isArray());
+  EXPECT_TRUE(V.Arr.empty());
+  EXPECT_TRUE(V.Obj.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // The applied-mutation trail.
 //===----------------------------------------------------------------------===//

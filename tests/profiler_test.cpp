@@ -343,21 +343,14 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
   FuzzOptions Opts = profiledOptions(100);
   CampaignEngine Engine(Opts, 2);
   Engine.loadModule(std::move(M));
-  const FuzzStats &S = Engine.run();
+  Engine.run();
 
-  RunReportConfig RC;
-  RC.Tool = "profiler_test";
-  RC.Passes = Opts.Passes;
-  RC.Iterations = Opts.Iterations;
-  RC.BaseSeed = Opts.BaseSeed;
-  RC.Jobs = 2;
-  RC.WallSeconds = S.TotalSeconds;
+  RunReport Rep = Engine.runReport("profiler_test");
   std::ostringstream OS;
-  writeRunReport(OS, RC, S, Engine.bugs(), Engine.registry(),
-                 &Engine.profile());
+  writeRunReport(OS, Rep);
   std::string R = OS.str();
 
-  EXPECT_NE(R.find("\"schema_version\": 12"), std::string::npos);
+  EXPECT_NE(R.find("\"schema_version\": 13"), std::string::npos);
   // Both sections carry a profile block: the deterministic top-K table
   // and the volatile span folds. The v10 report has no cache-shard heat.
   size_t Det = R.find("\"profile\": {\"enabled\": true, \"topk\": 8");
@@ -373,8 +366,9 @@ TEST(ProfilerTest, RunReportV6ProfileBlocks) {
   EXPECT_EQ(R.find("cache_shards"), std::string::npos);
 
   // Without a profile, both blocks collapse to {"enabled": false}.
+  Rep.Profile = CampaignProfile();
   std::ostringstream OS2;
-  writeRunReport(OS2, RC, S, Engine.bugs(), Engine.registry());
+  writeRunReport(OS2, Rep);
   std::string Plain = OS2.str();
   size_t First = Plain.find("\"profile\": {\"enabled\": false}");
   EXPECT_NE(First, std::string::npos);

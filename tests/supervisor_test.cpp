@@ -65,17 +65,9 @@ FuzzOptions twoBugOptions(uint64_t Iterations) {
   return Opts;
 }
 
-std::string deterministicReportPart(const CampaignEngine &Engine,
-                                    const FuzzOptions &Opts) {
-  RunReportConfig RC;
-  RC.Tool = "supervisor_test";
-  RC.Passes = Opts.Passes;
-  RC.Iterations = Opts.Iterations;
-  RC.BaseSeed = Opts.BaseSeed;
-  RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
+std::string deterministicReportPart(const CampaignEngine &Engine) {
   std::ostringstream OS;
-  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry(),
-                 &Engine.profile());
+  writeRunReport(OS, Engine.runReport("supervisor_test"));
   std::string R = OS.str();
   size_t Pos = R.find("\"volatile\"");
   EXPECT_NE(Pos, std::string::npos);
@@ -171,8 +163,8 @@ TEST_F(SupervisorTest, FanoutMatchesThreadedDeterministicSection) {
   EXPECT_FALSE(Engine.degraded());
   EXPECT_FALSE(Engine.interrupted());
   EXPECT_TRUE(Engine.lostShards().empty());
-  EXPECT_EQ(deterministicReportPart(Engine, Fan),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Engine),
+            deterministicReportPart(Ref));
 }
 
 TEST_F(SupervisorTest, InjectedChildKillIsReLeasedByteForByte) {
@@ -199,8 +191,8 @@ TEST_F(SupervisorTest, InjectedChildKillIsReLeasedByteForByte) {
   EXPECT_TRUE(Engine.lostShards().empty());
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             1u);
-  EXPECT_EQ(deterministicReportPart(Engine, Fan),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Engine),
+            deterministicReportPart(Ref));
 
   // The fault verifiably fired exactly once.
   auto C = FaultPlane::instance().counters();
@@ -466,8 +458,8 @@ TEST_F(SupervisorTest, FanoutProfileMatchesThreaded) {
   Engine.run();
   ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
   EXPECT_FALSE(Engine.degraded());
-  EXPECT_EQ(deterministicReportPart(Engine, Fan),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Engine),
+            deterministicReportPart(Ref));
   // Each child's folds arrive under its worker's root.
   unsigned Roots[2] = {};
   for (const auto &[Stack, Nanos] : Engine.profile().SpanSelfNanos)
@@ -500,8 +492,8 @@ TEST_F(SupervisorTest, FanoutChildrenHonorStepBudget) {
   EXPECT_EQ(S.MutantsGenerated, 4u);
   EXPECT_EQ(S.Timeouts, 4u);
   EXPECT_EQ(Engine.registry().counterValue("survive.timeout.optimize"), 4u);
-  EXPECT_EQ(deterministicReportPart(Engine, Fan),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Engine),
+            deterministicReportPart(Ref));
 }
 
 //===----------------------------------------------------------------------===//
@@ -517,13 +509,13 @@ TEST_F(SupervisorTest, FanoutFeedbackMatchesThreadedFeedback) {
   Ref.run();
   ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
   ASSERT_GT(Ref.bugs().size(), 0u);
-  const std::string RefReport = deterministicReportPart(Ref, Plain);
+  const std::string RefReport = deterministicReportPart(Ref);
 
   CampaignEngine Threads(Plain, 2);
   Threads.loadModule(parseOk(TwoBugCorpus));
   Threads.run();
   ASSERT_TRUE(Threads.configError().empty()) << Threads.configError();
-  EXPECT_EQ(deterministicReportPart(Threads, Plain), RefReport);
+  EXPECT_EQ(deterministicReportPart(Threads), RefReport);
 
   FuzzOptions Fan = feedbackOptions(Iterations);
   Fan.Survival.Fanout = 2;
@@ -534,7 +526,7 @@ TEST_F(SupervisorTest, FanoutFeedbackMatchesThreadedFeedback) {
   EXPECT_FALSE(Engine.degraded());
   EXPECT_FALSE(Engine.interrupted());
   EXPECT_EQ(Engine.registry().counterValue("feedback.epochs"), 4u);
-  EXPECT_EQ(deterministicReportPart(Engine, Fan), RefReport);
+  EXPECT_EQ(deterministicReportPart(Engine), RefReport);
   EXPECT_TRUE(Engine.feedback() == Ref.feedback());
   EXPECT_TRUE(Engine.schedule() == Ref.schedule());
 }
@@ -563,8 +555,8 @@ TEST_F(SupervisorTest, InjectedChildKillUnderFeedbackIsByteStable) {
   EXPECT_FALSE(Engine.degraded());
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             1u);
-  EXPECT_EQ(deterministicReportPart(Engine, Fan),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Engine),
+            deterministicReportPart(Ref));
   EXPECT_TRUE(Engine.feedback() == Ref.feedback());
 }
 
@@ -596,8 +588,8 @@ TEST_F(SupervisorTest, InterruptedFanoutFeedbackResumeMatchesUninterrupted) {
   Leg2.run();
   ASSERT_TRUE(Leg2.configError().empty()) << Leg2.configError();
   EXPECT_FALSE(Leg2.interrupted());
-  EXPECT_EQ(deterministicReportPart(Leg2, ResumeOpts),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Leg2),
+            deterministicReportPart(Ref));
   EXPECT_TRUE(Leg2.feedback() == Ref.feedback());
   EXPECT_TRUE(Leg2.schedule() == Ref.schedule());
   std::filesystem::remove_all(Dir);
@@ -644,8 +636,8 @@ TEST_F(SupervisorTest, LostFeedbackLeaseEndsCampaignResumably) {
   ASSERT_TRUE(Leg2.configError().empty()) << Leg2.configError();
   EXPECT_FALSE(Leg2.degraded());
   EXPECT_FALSE(Leg2.interrupted());
-  EXPECT_EQ(deterministicReportPart(Leg2, ResumeOpts),
-            deterministicReportPart(Ref, Plain));
+  EXPECT_EQ(deterministicReportPart(Leg2),
+            deterministicReportPart(Ref));
   EXPECT_TRUE(Leg2.feedback() == Ref.feedback());
   std::filesystem::remove_all(Dir);
 }
@@ -663,7 +655,7 @@ TEST_F(SupervisorTest, FreshFanoutRunIgnoresStaleShardCheckpoints) {
     Engine.loadModule(parseOk(TwoBugCorpus));
     Engine.run();
     EXPECT_TRUE(Engine.configError().empty()) << Engine.configError();
-    return deterministicReportPart(Engine, Opts);
+    return deterministicReportPart(Engine);
   };
   const std::string Seed7 = RunSeed(7, Dir);
   const std::string Clean = RunSeed(9, "");

@@ -85,16 +85,9 @@ struct ScratchDir {
 
 /// Serializes a finished engine's run report and returns the prefix up to
 /// the volatile section — the byte-comparable deterministic part.
-std::string deterministicReportPart(const CampaignEngine &Engine,
-                                    const FuzzOptions &Opts) {
-  RunReportConfig RC;
-  RC.Tool = "survivability_test";
-  RC.Passes = Opts.Passes;
-  RC.Iterations = Opts.Iterations;
-  RC.BaseSeed = Opts.BaseSeed;
-  RC.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
+std::string deterministicReportPart(const CampaignEngine &Engine) {
   std::ostringstream OS;
-  writeRunReport(OS, RC, Engine.stats(), Engine.bugs(), Engine.registry());
+  writeRunReport(OS, Engine.runReport("survivability_test"));
   std::string R = OS.str();
   size_t Pos = R.find("\"volatile\"");
   EXPECT_NE(Pos, std::string::npos);
@@ -172,7 +165,7 @@ TEST(SurvivabilityTest, StepBudgetTimeoutsAreWorkerCountInvariant) {
     const FuzzStats &S = Engine.run();
     ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
     Timeouts[I] = S.Timeouts;
-    Reports[I] = deterministicReportPart(Engine, Opts);
+    Reports[I] = deterministicReportPart(Engine);
     for (const auto &E :
          std::filesystem::recursive_directory_iterator(Dir.Path))
       if (E.is_regular_file()) {
@@ -710,7 +703,7 @@ TEST(SurvivabilityTest, ResumedCampaignMatchesUninterruptedByteForByte) {
   Ref.run();
   ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
   ASSERT_GT(Ref.bugs().size(), 0u);
-  std::string RefReport = deterministicReportPart(Ref, Plain);
+  std::string RefReport = deterministicReportPart(Ref);
 
   // Leg 1: same campaign, checkpointing, killed mid-flight (the test hook
   // stops at an iteration boundary exactly like a SIGTERM handler would).
@@ -737,7 +730,7 @@ TEST(SurvivabilityTest, ResumedCampaignMatchesUninterruptedByteForByte) {
 
   // The acceptance criterion: the resumed run's deterministic report
   // section is byte-identical to the uninterrupted run's.
-  EXPECT_EQ(deterministicReportPart(Leg2, Plain), RefReport);
+  EXPECT_EQ(deterministicReportPart(Leg2), RefReport);
 }
 
 TEST(SurvivabilityTest, ResumeRefusesMismatchedConfig) {
@@ -873,7 +866,7 @@ TEST(SurvivabilityTest, MergedCorpusCampaignIsDeterministic) {
     Engine.loadModule(std::move(C.M));
     Engine.run();
     ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
-    Reports[I++] = deterministicReportPart(Engine, Opts);
+    Reports[I++] = deterministicReportPart(Engine);
   }
   EXPECT_EQ(Reports[0], Reports[1]);
 }

@@ -10,7 +10,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "opt/BugInjection.h"
 #include "parser/Parser.h"
+#include "support/JSON.h"
 
 #include <cstdlib>
 #include <filesystem>
@@ -372,6 +374,58 @@ TEST_F(ToolsTest, AliveMutateBundlesRecordCacheModeAndReplay) {
         << Bundle;
   }
   EXPECT_GT(Bundles, 0u);
+}
+
+TEST_F(ToolsTest, AliveMutateReportEchoesCampaignConfig) {
+  // The report's config is the campaign record: campaigns that differ in
+  // cache mode, step budget and bug set write different configs, each
+  // naming its own settings.
+  const std::string Smoke = TmpDir + "/echo.ll";
+  writeFile(Smoke, R"(
+define i8 @smax_offset(i8 %x) {
+  %1 = add nuw i8 50, %x
+  %m = call i8 @llvm.smax.i8(i8 %1, i8 -124)
+  ret i8 %m
+}
+
+define i8 @opposite_shifts(i8 %x) {
+  %a = shl i8 -2, %x
+  %b = lshr i8 %a, %x
+  ret i8 %b
+}
+)");
+  const std::string A = TmpDir + "/echo_a.json", B = TmpDir + "/echo_b.json";
+  ASSERT_EQ(runCmd(tool("alive-mutate") +
+                   " -n=50 -shared-tv-cache -step-budget=100000 "
+                   "-inject-bugs -stats-json=" +
+                   A + " " + Smoke),
+            2);
+  ASSERT_EQ(runCmd(tool("alive-mutate") + " -n=50 -stats-json=" + B + " " +
+                   Smoke),
+            0);
+  JSONValue RA, RB;
+  std::string Err;
+  ASSERT_TRUE(parseJSON(readFile(A), RA, Err)) << Err;
+  ASSERT_TRUE(parseJSON(readFile(B), RB, Err)) << Err;
+  const JSONValue *CA = RA.find("deterministic")->find("config");
+  const JSONValue *CB = RB.find("deterministic")->find("config");
+  ASSERT_NE(CA, nullptr);
+  ASSERT_NE(CB, nullptr);
+  EXPECT_TRUE(CA->getBool("canonical_pairs", false));
+  EXPECT_FALSE(CB->getBool("canonical_pairs", true));
+  EXPECT_EQ(CA->getUInt("step_budget", 0), 100000u);
+  EXPECT_EQ(CB->getUInt("step_budget", 1), 0u);
+  const JSONValue *BugsA = CA->find("injected_bugs");
+  const JSONValue *BugsB = CB->find("injected_bugs");
+  ASSERT_TRUE(BugsA && BugsA->isArray());
+  ASSERT_TRUE(BugsB && BugsB->isArray());
+  EXPECT_EQ(BugsA->Arr.size(), bugTable().size());
+  EXPECT_TRUE(BugsB->Arr.empty());
+  // Both carry the seed range and corpus counts after the record.
+  for (const JSONValue *C : {CA, CB})
+    for (const char *Key :
+         {"iterations", "base_seed", "corpus_files", "corpus_skipped"})
+      EXPECT_NE(C->find(Key), nullptr) << Key;
 }
 
 TEST_F(ToolsTest, AliveMutateResumePinsCacheMode) {
