@@ -610,6 +610,9 @@ void CampaignEngine::runEpochs(const std::vector<std::string> &Testable,
       Worker &W = *Workers[S.Index];
       std::string Err;
       const bool Read = AdoptShard(W, SliceEnd[S.Index], Err);
+      // Dead children wrote no checkpoint: their lifetimes join the
+      // shard's leg here and settle as overhead with the rest.
+      W.LegSeconds += S.DeadSeconds;
       // A lease that finished but whose results cannot be read back is a
       // lost shard by any other name: count it, never drop it silently.
       if (!S.Lost && !Read)

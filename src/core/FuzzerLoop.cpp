@@ -55,6 +55,8 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
     OwnedCache = std::make_unique<SharedTVCache>(this->Opts.TVCacheSize);
     this->Opts.SharedCache = OwnedCache.get();
   }
+  if (this->Opts.TVCacheSize)
+    Memo = std::make_unique<SolveMemo>(this->Opts.TVCacheSize);
   // Arm the iteration watchdog exactly when a step budget or a time limit
   // is configured. One token per loop, shared by the pass manager (one
   // step per pass-on-function), the solver (per conflict/decision) and the
@@ -523,7 +525,8 @@ void FuzzerLoop::runIteration(uint64_t Seed) {
       }
       FromCache = !Key.empty() && Opts.SharedCache->lookup(Key, R);
       if (!FromCache)
-        R = checkRefinement(*CheckSrc, *CheckTgt, Opts.TV, &Registry);
+        R = checkRefinement(*CheckSrc, *CheckTgt, Opts.TV, &Registry,
+                            Memo.get());
     }
     if (!FromCache && WatchdogToken.deadlinePassed())
       return; // run()'s deadline, as above: no verdict and no timeout.

@@ -52,9 +52,6 @@ HeartbeatSlot *slots(void *Page) {
                                            SlotsOffset);
 }
 
-/// Parent poll cadence, in seconds.
-constexpr double PollSeconds = 0.01;
-
 /// A beat-silent child is only wedged if it also sat idle on the CPU: it
 /// must have burned less than this fraction of the silent wall-clock
 /// window. 5% spares a mid-solver-query child even at fanout 16 on one
@@ -183,6 +180,7 @@ bool Supervisor::spawn(Lease &L, double Now) {
   // ------- parent
   L.Pid = Pid;
   L.St = Lease::State::Running;
+  L.SpawnedAt = Now;
   L.LastBeat = S.Beat.load(std::memory_order_relaxed);
   L.LastBeatAt = Now;
   L.CpuAtBeat = 0; // fresh process, fresh CPU clock
@@ -213,6 +211,7 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
     L.DeathsAt.clear();
     L.Skip.clear();
     L.Note.clear();
+    L.DeadSeconds = 0;
   }
 
   for (;;) {
@@ -291,6 +290,7 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
         L.St = Lease::State::Done;
         continue;
       }
+      L.DeadSeconds += Now - L.SpawnedAt;
       if (WIFEXITED(Status) && WEXITSTATUS(Status) == 3) {
         markLost(L, "cannot write its results");
         continue;
@@ -335,6 +335,7 @@ SupervisorOutcome Supervisor::run(const std::vector<LeaseSlice> &Slices,
     SO.Index = L.Index;
     SO.Lost = L.St == Lease::State::Lost;
     SO.Note = L.Note;
+    SO.DeadSeconds = L.DeadSeconds;
     Out.Shards.push_back(std::move(SO));
   }
   return Out;

@@ -88,6 +88,10 @@ struct ShardOutcome {
   bool Lost = false;
   /// Human-readable incident note ("" when clean).
   std::string Note;
+  /// Summed lifetimes, spawn to reap, of this lease's children that did
+  /// not exit cleanly. Their work never reaches a shard checkpoint, so the
+  /// engine credits this time to the shard's WorkerSeconds as overhead.
+  double DeadSeconds = 0;
 };
 
 /// What the control loop observed over one run().
@@ -109,6 +113,9 @@ public:
   /// it and records a crash bug. The first death retries the seed, so an
   /// external kill cannot perturb the deterministic report.
   static constexpr unsigned SeedDeathThreshold = 2;
+  /// Parent poll cadence, in seconds. A child is reaped no sooner than
+  /// one poll after the turn that forked it.
+  static constexpr double PollSeconds = 0.01;
 
   /// Offsets attributed as crashes, each with its last death ("killed by
   /// SIGSEGV").
@@ -173,6 +180,10 @@ private:
     uint64_t Lo = 0, Hi = 0;
     State St = State::Pending;
     pid_t Pid = -1;
+    /// When the running child was forked (a Total.seconds() stamp), and
+    /// the summed lifetimes of this run's children that died.
+    double SpawnedAt = 0;
+    double DeadSeconds = 0;
     /// Deaths (and failed forks) since the last progress; the next
     /// restart waits FirstDelaySeconds << Restarts.
     unsigned Restarts = 0;

@@ -53,7 +53,8 @@ static void printHelp() {
       "                    not with -fanout, which sets the worker count)\n"
       "  -passes=<desc>    pipeline, e.g. O2 or instcombine,dce (default O2)\n"
       "  -max-mutations=<n> mutations per function per mutant (default 3)\n"
-      "  -no-tv-cache      disable the TV verdict cache (4096 entries)\n"
+      "  -no-tv-cache      disable the TV verdict cache and the solve\n"
+      "                    memo (4096 entries each)\n"
       "  -shared-tv-cache  share one canonicalized verdict cache across\n"
       "                    all workers (alpha-renamed, commutative-\n"
       "                    normalized keys; bug report stays -j invariant)\n"

@@ -10,6 +10,7 @@
 #include "support/RandomGenerator.h"
 #include "tv/Counterexample.h"
 #include "tv/FunctionEncoder.h"
+#include "tv/TVCache.h"
 
 #include <sstream>
 
@@ -372,61 +373,92 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
   return Res;
 }
 
+/// The watchdog steps SatSolver::solve takes to reach \p E: one per
+/// decision and one per conflict, less the conflict that ends an Unsat
+/// proof or a budget stop, which returns before it takes its step.
+uint64_t searchSteps(const SolveMemoEntry &E) {
+  const uint64_t Steps = E.Stats.Decisions + E.Stats.Conflicts;
+  return E.Result != SatSolver::Result::Sat && E.Stats.Conflicts ? Steps - 1
+                                                                 : Steps;
+}
+
 /// Symbolic-path checker. \p Stats (optional) receives volatile counters
 /// distinguishing the two ways a query can stop without an answer:
 /// "tv.solver.budget-exhausted" (the per-query conflict budget — a
 /// deterministic property of the query) vs "tv.solver.cancelled" (the
-/// iteration watchdog cut the search off).
+/// iteration watchdog cut the search off). A \p Memo hit stands in for
+/// the bit-blast and the search, and charges the token the steps the
+/// search would have taken, so what runs after it (and whether the
+/// watchdog cuts it) is exactly what a fresh search leaves.
 TVResult checkSymbolic(const Function &Src, const Function &Tgt,
-                       const TVOptions &Opts, StatRegistry *Stats) {
+                       const TVOptions &Opts, StatRegistry *Stats,
+                       SolveMemo *Memo) {
   TVResult Res;
   Timer EncodeT;
   TermBuilder B;
   SymbolicQuery Q = encodeRefinementQuery(B, Src, Tgt);
-  const std::vector<EncodedValue> &Args = Q.Args;
+  const std::string Key =
+      Memo ? SolveMemo::makeKey(Q, Opts.SolverConflictBudget) : std::string();
+  const SolveMemoEntry *Hit = Memo ? Memo->lookup(Key) : nullptr;
+  SolveMemoEntry Solved;
+  bool Cancelled = false;
+  if (Hit) {
+    Res.EncodeSeconds = EncodeT.seconds();
+    Solved = *Hit;
+    Cancelled = Opts.Token && Opts.Token->consume(searchSteps(Solved));
+    if (Stats)
+      ++Stats->counter("tv.solver.memo-hits", Volatility::Volatile);
+  } else {
+    SatSolver Solver;
+    BitBlaster BB(Solver);
+    BB.assertTrue(Q.Violation);
+    Res.EncodeSeconds = EncodeT.seconds();
 
-  SatSolver Solver;
-  BitBlaster BB(Solver);
-  BB.assertTrue(Q.Violation);
-  Res.EncodeSeconds = EncodeT.seconds();
-
-  Timer SolveT;
-  SatSolver::Result R = Solver.solve(Opts.SolverConflictBudget, Opts.Token);
-  Res.SolveSeconds = SolveT.seconds();
-  Res.SolverStats = Solver.stats();
-  if (Stats) {
-    Stats->histogram("tv.encode.seconds").record(Res.EncodeSeconds);
-    Stats->histogram("tv.solve.seconds").record(Res.SolveSeconds);
+    Timer SolveT;
+    Solved.Result = Solver.solve(Opts.SolverConflictBudget, Opts.Token);
+    Solved.SolveSeconds = SolveT.seconds();
+    Solved.Stats = Solver.stats();
+    if (Stats)
+      Stats->histogram("tv.solve.seconds").record(Solved.SolveSeconds);
+    Cancelled = Solver.stopCause() == SatSolver::Stop::Cancelled;
+    if (Solved.Result == SatSolver::Result::Sat)
+      for (const EncodedValue &A : Q.Args) {
+        APInt Val = BB.modelValue(A.Val);
+        Solved.Model.push_back(!BB.modelValue(A.Poison).isZero()
+                                   ? ConcVal::scalarPoison(Val.getBitWidth())
+                                   : ConcVal::scalar(Val));
+      }
+    if (Memo && !Cancelled)
+      Memo->insert(Key, Solved);
   }
+  Res.SolveSeconds = Solved.SolveSeconds;
+  Res.SolverStats = Solved.Stats;
+  if (Stats)
+    Stats->histogram("tv.encode.seconds").record(Res.EncodeSeconds);
 
-  if (R == SatSolver::Result::Unsat) {
+  if (Cancelled) {
+    Res.Verdict = TVVerdict::Inconclusive;
+    Res.Detail = "solver cancelled by iteration watchdog";
+    if (Stats)
+      ++Stats->counter("tv.solver.cancelled", Volatility::Volatile);
+    return Res;
+  }
+  if (Solved.Result == SatSolver::Result::Unsat) {
     Res.Verdict = TVVerdict::Correct;
     Res.Detail = "refinement proven for all inputs";
     return Res;
   }
-  if (R == SatSolver::Result::Unknown) {
+  if (Solved.Result == SatSolver::Result::Unknown) {
     Res.Verdict = TVVerdict::Inconclusive;
-    if (Solver.stopCause() == SatSolver::Stop::Cancelled) {
-      Res.Detail = "solver cancelled by iteration watchdog";
-      if (Stats)
-        ++Stats->counter("tv.solver.cancelled", Volatility::Volatile);
-    } else {
-      Res.Detail = "solver budget exhausted";
-      if (Stats)
-        ++Stats->counter("tv.solver.budget-exhausted", Volatility::Volatile);
-    }
+    Res.Detail = "solver budget exhausted";
+    if (Stats)
+      ++Stats->counter("tv.solver.budget-exhausted", Volatility::Volatile);
     return Res;
   }
 
-  // SAT: extract the model and CONFIRM it concretely (the freeze encoding
-  // may admit spurious models).
-  std::vector<ConcVal> ConcArgs;
-  for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
-    APInt Val = BB.modelValue(Args[I].Val);
-    bool Poison = !BB.modelValue(Args[I].Poison).isZero();
-    ConcArgs.push_back(Poison ? ConcVal::scalarPoison(Val.getBitWidth())
-                              : ConcVal::scalar(Val));
-  }
+  // SAT: CONFIRM the model concretely (the freeze encoding may admit
+  // spurious models).
+  const std::vector<ConcVal> &ConcArgs = Solved.Model;
 
   ExecOptions EOpts;
   EOpts.Fuel = Opts.Fuel;
@@ -523,10 +555,11 @@ namespace {
 
 /// Times and counts one symbolic query (latency + solver effort).
 TVResult instrumentedSymbolic(const Function &Src, const Function &Tgt,
-                              const TVOptions &Opts, StatRegistry *Stats) {
+                              const TVOptions &Opts, StatRegistry *Stats,
+                              SolveMemo *Memo) {
   ScopedTimer T(Stats ? &Stats->histogram("tv.query.symbolic.seconds")
                       : nullptr);
-  TVResult R = checkSymbolic(Src, Tgt, Opts, Stats);
+  TVResult R = checkSymbolic(Src, Tgt, Opts, Stats, Memo);
   if (Stats) {
     ++Stats->counter("tv.query.symbolic", Volatility::Volatile);
     Stats->counter("tv.solver.conflicts", Volatility::Volatile) +=
@@ -550,7 +583,8 @@ TVResult instrumentedConcrete(const Function &Src, const Function &Tgt,
 } // namespace
 
 TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
-                                const TVOptions &Opts, StatRegistry *Stats) {
+                                const TVOptions &Opts, StatRegistry *Stats,
+                                SolveMemo *Memo) {
   TVResult Res;
   if (!signaturesMatch(Src, Tgt)) {
     Res.Verdict = TVVerdict::Unsupported;
@@ -582,7 +616,7 @@ TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
           Cost += Quadratic ? (uint64_t)W * W : W;
         }
     if (Cost <= 1u << 17) {
-      TVResult R = instrumentedSymbolic(Src, Tgt, Opts, Stats);
+      TVResult R = instrumentedSymbolic(Src, Tgt, Opts, Stats, Memo);
       // Solver budget exhausted (Alive2's SMT-timeout analog): degrade to
       // the bounded concrete check rather than giving up entirely.
       if (R.Verdict != TVVerdict::Inconclusive)

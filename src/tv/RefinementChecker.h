@@ -43,6 +43,8 @@
 
 namespace alive {
 
+class SolveMemo;
+
 enum class TVVerdict {
   Correct,      ///< refinement proven (symbolic) / no violation (bounded)
   Incorrect,    ///< confirmed counterexample — a miscompilation
@@ -93,7 +95,9 @@ struct TVResult {
   /// Wall-clock split of the symbolic path: term construction + bit
   /// blasting vs. the SAT search itself. Wall-clock, so volatile — and a
   /// cache hit replays the *first* computation's numbers, which is exactly
-  /// what cost attribution wants (the price of the query, paid once).
+  /// what cost attribution wants (the price of the query, paid once). A
+  /// solve-memo hit replays SolveSeconds only; its EncodeSeconds is this
+  /// check's term encoding and key.
   double EncodeSeconds = 0;
   double SolveSeconds = 0;
 };
@@ -114,9 +118,18 @@ std::string tvVerdictReason(const TVResult &R);
 /// budget-exhausted degradations to the concrete path. All volatile: they
 /// count actual checker invocations, which the TV verdict cache elides
 /// differently per worker.
+///
+/// \p Memo (optional) is consulted between the term encoding and the
+/// bit-blast. A hit skips the bit-blast and the SAT search and runs the
+/// rest on this pair: the model replay, the budget-stop fallback, and the
+/// watchdog steps the search would have taken. It still counts as one
+/// symbolic query with the stored solver stats, plus one
+/// "tv.solver.memo-hits"; "tv.solve.seconds" records real searches only.
+/// The result equals a fresh check's.
 TVResult checkRefinement(const Function &Src, const Function &Tgt,
                          const TVOptions &Opts = TVOptions(),
-                         StatRegistry *Stats = nullptr);
+                         StatRegistry *Stats = nullptr,
+                         SolveMemo *Memo = nullptr);
 
 /// True when \p A and \p B have the same return and argument types,
 /// compared by name: each module owns its own type objects.

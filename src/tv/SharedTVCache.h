@@ -13,7 +13,9 @@
 /// -shared-tv-cache the campaign shares one instance keyed on
 /// *canonicalized* pairs (tv/Canonicalize.h): alpha-renamed,
 /// commutative-normalized clones, so structurally-equal queries from
-/// different workers and mutation lineages collapse onto one entry.
+/// different workers and mutation lineages collapse onto one entry. The
+/// loop's other LRU user, its formula-keyed SolveMemo (tv/TVCache.h), is
+/// private to the loop in both modes and takes no lock.
 ///
 /// Concurrency: the critical section is a TVCache probe, and the verdict
 /// is copied out by value so no reference can dangle past an eviction by

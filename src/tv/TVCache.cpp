@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <unordered_map>
 
 using namespace alive;
 
@@ -32,8 +33,6 @@ bool dependsOnModuleContext(const Function &F) {
 }
 
 } // namespace
-
-TVCache::TVCache(size_t Capacity) : Capacity(Capacity ? Capacity : 1) {}
 
 bool TVCache::isCacheable(const Function &F) {
   return !dependsOnModuleContext(F);
@@ -72,25 +71,64 @@ std::string TVCache::makeKey(std::string_view SrcText,
   return Key;
 }
 
-const TVResult *TVCache::lookup(const std::string &Key) {
-  auto It = Map.find(Key);
-  if (It == Map.end())
-    return nullptr;
-  LRU.splice(LRU.begin(), LRU, It->second);
-  return &It->second->second;
-}
-
-bool TVCache::insert(const std::string &Key, const TVResult &R) {
-  if (Map.count(Key))
-    return false;
-  bool Evicted = false;
-  if (Map.size() >= Capacity) {
-    Entry &Old = LRU.back();
-    Map.erase(std::string_view(Old.first));
-    LRU.pop_back();
-    Evicted = true;
+std::string SolveMemo::makeKey(const SymbolicQuery &Q,
+                               uint64_t ConflictBudget) {
+  std::string Key;
+  // LEB128: widths, ids and operand distances are small, so most fields
+  // take one byte and a resident key stays a few bytes per term.
+  auto Put = [&Key](uint64_t V) {
+    do {
+      char Byte = (char)(V & 0x7f);
+      V >>= 7;
+      Key += V ? (char)(Byte | 0x80) : Byte;
+    } while (V);
+  };
+  Put(ConflictBudget);
+  // BitBlaster::blast's walk: post-order, operands left to right. A node's
+  // local id is its position in that order; an operand is named by its
+  // distance back from the node, which is the same information. A
+  // variable is its node: the blaster never reads its VarId, so the
+  // numbering the encoder happened to give it stays out of the key too.
+  std::unordered_map<TermRef, uint64_t> Ids;
+  std::vector<TermRef> Stack{Q.Violation};
+  while (!Stack.empty()) {
+    TermRef T = Stack.back();
+    if (Ids.count(T)) {
+      Stack.pop_back();
+      continue;
+    }
+    bool Ready = true;
+    for (size_t I = T->Ops.size(); I-- > 0;)
+      if (!Ids.count(T->Ops[I])) {
+        Stack.push_back(T->Ops[I]);
+        Ready = false;
+      }
+    if (!Ready)
+      continue;
+    Stack.pop_back();
+    const uint64_t Id = Ids.size();
+    Put((uint64_t)T->Kind);
+    Put(T->Width);
+    Put(T->Ops.size());
+    for (TermRef Op : T->Ops)
+      Put(Id - Ids.at(Op));
+    if (T->Kind == TermKind::Const) {
+      Put(T->ConstVal.getLoBits64());
+      Put(T->ConstVal.getHiBits64());
+    }
+    Ids.emplace(T, Id);
   }
-  LRU.emplace_front(Key, R);
-  Map.emplace(std::string_view(LRU.front().first), LRU.begin());
-  return Evicted;
+  // Where each argument's value and poison variables sit in the walk (0 =
+  // not in the formula), so a stored model maps back onto the arguments.
+  auto PutNode = [&](TermRef T) {
+    auto It = Ids.find(T);
+    Put(It == Ids.end() ? 0 : It->second + 1);
+  };
+  Put(Q.Args.size());
+  for (const EncodedValue &A : Q.Args) {
+    Put(A.Val->Width);
+    PutNode(A.Val);
+    PutNode(A.Poison);
+  }
+  return Key;
 }

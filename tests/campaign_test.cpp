@@ -688,6 +688,37 @@ TEST(CampaignTest, SharedCacheBugSetMatchesSequentialRun) {
   EXPECT_GT(E1.bugs().size(), 0u);
 }
 
+TEST(CampaignTest, SolveMemoHitsLeaveTheReportUnchanged) {
+  // The renamed copies reach one formula through different printed pairs:
+  // the text-keyed cache misses, the solve memo hits. A hit returns what a
+  // fresh search would, so the deterministic section, profile included,
+  // equals that of a campaign with no memoization at all, at -j1 and -j4.
+  auto ReportFor = [&](size_t CacheSize, unsigned Jobs, uint64_t &MemoHits) {
+    FuzzOptions Opts = renamedCopiesOptions(false);
+    Opts.TVCacheSize = CacheSize;
+    Opts.Profile.Enabled = true;
+    CampaignEngine Engine(Opts, Jobs);
+    Engine.loadModule(parseOk(RenamedCopiesCorpus));
+    Engine.run();
+    MemoHits = Engine.registry().counterValue("tv.solver.memo-hits");
+    std::ostringstream OS;
+    writeRunReport(OS, Engine.runReport("campaign_test"));
+    std::string R = OS.str();
+    size_t Pos = R.find("\"volatile\"");
+    EXPECT_NE(Pos, std::string::npos);
+    return R.substr(0, Pos);
+  };
+  uint64_t Hits1 = 0, Hits4 = 0, HitsOff = 0;
+  std::string On1 = ReportFor(TVCache::DefaultCapacity, 1, Hits1);
+  std::string On4 = ReportFor(TVCache::DefaultCapacity, 4, Hits4);
+  std::string Off = ReportFor(0, 1, HitsOff);
+  EXPECT_GT(Hits1, 0u) << "no memo hit: the memo is dead";
+  EXPECT_EQ(HitsOff, 0u);
+  EXPECT_EQ(On1, Off);
+  EXPECT_EQ(On1, On4);
+  EXPECT_NE(On1.find("\"queries\""), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // The live snapshot -progress reads.
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,7 @@
 
 #include "core/CampaignEngine.h"
 #include "core/RunReport.h"
+#include "core/Supervisor.h"
 #include "opt/BugInjection.h"
 #include "parser/Parser.h"
 #include "support/FaultPlane.h"
@@ -368,6 +369,28 @@ TEST_F(SupervisorTest, ProgressBetweenDeathsRefillsTheRestartBudget) {
   // Six deaths, and the last one is followed by a clean exit.
   EXPECT_EQ(Engine.registry().counterValue("survive.supervisor.restarts"),
             6u);
+}
+
+TEST_F(SupervisorTest, DeadChildrenCountAsWorkerTime) {
+  // Every child that reaches a crashing seed dies before it writes its
+  // shard checkpoint. Its lifetime still reaches worker_seconds, as
+  // overhead, so the four stages keep summing to the worker time.
+  FuzzOptions Opts = crashOptions();
+  Opts.Survival.Fanout = 1;
+  Opts.Survival.Supervision.FirstDelaySeconds = 0.005;
+  CampaignEngine Engine(Opts, 1);
+  Engine.loadModule(parseOk(CrashCorpus));
+  const FuzzStats &S = Engine.run();
+  ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+  const uint64_t Deaths =
+      Engine.registry().counterValue("survive.supervisor.restarts");
+  ASSERT_GT(Deaths, 0u);
+  // Each dead child lived at least one supervisor poll.
+  EXPECT_GE(S.WorkerSeconds, (double)Deaths * Supervisor::PollSeconds);
+  EXPECT_GT(S.OverheadSeconds, 0);
+  EXPECT_NEAR(S.MutateSeconds + S.OptimizeSeconds + S.VerifySeconds +
+                  S.OverheadSeconds,
+              S.WorkerSeconds, 1e-9);
 }
 
 TEST_F(SupervisorTest, FanoutLiveSnapshotNeverExceedsTarget) {
